@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .linalg import PolyMatrix, poly_mat_apply, poly_mat_det, poly_mat_identity
+from .linalg import PolyMatrix, poly_mat_adjugate, poly_mat_apply, poly_mat_identity
 from .polyalg import (
     LaurentPoly,
     div_exact,
@@ -424,10 +424,8 @@ def _decompose(V: SeifertMatrix, variable: str = "s",
     pres = V.presentation(variable)
     A = [list(col) for col in zip(*pres)]  # relations = rows of pres = columns of A
     U, D, W = smith_normal_form(A)
-    detU = poly_mat_det(U)
-    from .linalg import poly_mat_adjugate, poly_mat_div_unit
-
-    Uinv = poly_mat_div_unit(poly_mat_adjugate(U), detU)
+    adjU, detU = poly_mat_adjugate(U)
+    detU_inv = detU.inverse_unit()  # U^{-1} = adj(U) * det(U)^{-1}
 
     summands: list[Summand] = []
     gen_coords: list[tuple[LaurentPoly, ...]] = []
@@ -449,7 +447,7 @@ def _decompose(V: SeifertMatrix, variable: str = "s",
             auto += 1
             summands.append(Summand(ann, base, mult, f"g{auto}"))
             gen_coords.append(tuple(
-                Uinv[r][i] * comp for r in range(n)))
+                adjU[r][i] * detU_inv * comp for r in range(n)))
             snf_index.append(i)
             cofactor.append(comp)
             cofactor_inv.append(comp_inv)

@@ -31,7 +31,7 @@ from .almodule import (
     _decompose,
     reparametrize,
 )
-from .linalg import poly_mat_adjugate, poly_mat_det
+from .linalg import poly_mat_adjugate
 from .polyalg import FracCoset, LaurentPoly, div_exact, reduce_mod
 from .seifert import PatternKnot, SeifertMatrix
 
@@ -127,8 +127,7 @@ def blanchfield_form(V: SeifertMatrix | PatternKnot, variable: str = "s",
         form = LinkingForm(module, ())
         return form, dec
     pres = seifert.presentation(variable)
-    adj = poly_mat_adjugate(pres)
-    det = poly_mat_det(pres)
+    adj, det = poly_mat_adjugate(pres)
     one_minus = LaurentPoly.one(variable) - LaurentPoly.var(variable)
     gram_rows = []
     for gi in dec.gen_coords:
@@ -273,6 +272,6 @@ def is_self_annihilating(B: LinkingForm, P: Submodule) -> bool:
     if not (P.contains_submodule(perp) and perp.contains_submodule(P)):
         return False
     # a self-annihilating submodule is half-dimensional over Q
-    assert 2 * P.dim_q() == B.module.dim_q(), \
-        "self-annihilating submodule must be half-dimensional"
+    if 2 * P.dim_q() != B.module.dim_q():
+        raise FormError("self-annihilating submodule must be half-dimensional")
     return True

@@ -36,7 +36,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .almodule import alexander_module
 from .blanchfield import blanchfield_form
 from .obstruction import (
     Companion,
@@ -322,8 +321,8 @@ def cmd_info(args) -> int:
     target = doc.pattern if doc.pattern is not None else _doc_matrix(doc)
     V = _doc_matrix(doc)
     delta = alexander_polynomial(V)
-    module = alexander_module(target)
     form, _dec = blanchfield_form(target)
+    module = form.module
     metab = metabolizer_search(V) if V.dim == 2 else None
 
     if args.output == "structured":

@@ -118,9 +118,6 @@ class InfectedKnot:
                 return c
         raise ObstructionError(f"no curve named {cname!r}")
 
-    def has_infections(self) -> bool:
-        return any(not c.is_trivial() for _, c in self.infections)
-
 
 @dataclass(frozen=True)
 class FamilyMember:

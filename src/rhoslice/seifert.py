@@ -162,7 +162,8 @@ def metabolizer_search(V: SeifertMatrix | list) -> tuple[int, int] | None:
     x, y = x // g, y // g
     if x < 0 or (x == 0 and y < 0):
         x, y = -x, -y
-    assert a * x * x + b * x * y + c * y * y == 0
+    if a * x * x + b * x * y + c * y * y != 0:
+        raise SeifertError("metabolizer search produced a non-isotropic vector")
     return (x, y)
 
 

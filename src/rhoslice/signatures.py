@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .polyalg import LaurentPoly, cyclotomic, factor_laurent
+from .polyalg import LaurentPoly, _euler_phi, cyclotomic, factor_laurent
 from .seifert import SeifertMatrix, alexander_polynomial
 
 DEFAULT_ANGLE_DENOMINATOR_BOUND = 120
@@ -116,31 +116,6 @@ def circle_point(u: Fraction | None) -> GaussianRational:
     return GaussianRational((1 - u * u) / d, Fraction(-2) * u / d)
 
 
-def _gauss_pow(w: GaussianRational, n: int) -> GaussianRational:
-    out = GaussianRational.of(1)
-    base = w
-    while n:
-        if n & 1:
-            out = out * base
-        base = base * base
-        n >>= 1
-    return out
-
-
-def eval_gaussian(p: LaurentPoly, w: GaussianRational) -> GaussianRational:
-    acc = GaussianRational.of(0)
-    winv = None
-    for e, c in p.items():
-        if e >= 0:
-            term = _gauss_pow(w, e)
-        else:
-            if winv is None:
-                winv = w.inverse()
-            term = _gauss_pow(winv, -e)
-        acc = acc + term * c
-    return acc
-
-
 def hermitian_inertia(H: list[list[GaussianRational]]) -> tuple[int, int, int]:
     """(n_plus, n_minus, n_zero) of a hermitian Gaussian-rational matrix by
     exact congruence reduction (Sylvester's law of inertia)."""
@@ -173,7 +148,8 @@ def hermitian_inertia(H: list[list[GaussianRational]]) -> tuple[int, int, int]:
                 A[m][i] = A[m][i] + lam.conj() * A[m][j]
             continue
         a = A[k][k]
-        assert a.im == 0, "hermitian matrix must have real diagonal"
+        if a.im != 0:
+            raise SignatureError("hermitian matrix must have real diagonal")
         if a.re > 0:
             pos += 1
         else:
@@ -193,24 +169,23 @@ def lt_signature_at(V: SeifertMatrix, u: Fraction | None) -> int:
     """Signature of (1-w)V + (1-conj(w))V^T at w = w(u), exactly.
 
     u = 0 (w = 1) is rejected, as is any w where the Alexander polynomial
-    vanishes (a jump point).
+    vanishes (a jump point).  For |w| = 1, w != 1 the matrix is
+    (1-w) w^{-1} (wV - V^T), so it is singular exactly at those w.
     """
     if u is not None and Fraction(u) == 0:
         raise SignatureError("w = 1 is excluded")
     if V.dim == 0:
         return 0
     w = circle_point(u)
-    delta = alexander_polynomial(V)
-    if eval_gaussian(delta, w).is_zero():
-        raise SignatureError(
-            "w is a root of the Alexander polynomial (jump point)")
     n = V.dim
     one = GaussianRational.of(1)
     f = one - w
     g = one - w.conj()
     H = [[f * V[i, j] + g * V[j, i] for j in range(n)] for i in range(n)]
     pos, negc, nil = hermitian_inertia(H)
-    assert nil == 0, "form is nonsingular away from jump points"
+    if nil:
+        raise SignatureError(
+            "w is a root of the Alexander polynomial (jump point)")
     return pos - negc
 
 
@@ -366,9 +341,15 @@ def cos_minimal_polynomial(n: int) -> LaurentPoly:
     return q * (Fraction(1) / q.leading())
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic_x_table(bound: int) -> dict[LaurentPoly, int]:
-    return {cos_minimal_polynomial(n): n for n in range(3, bound + 1)}
+def _cyclotomic_index(psi: LaurentPoly, bound: int) -> int | None:
+    """The n in 3..bound whose cos_minimal_polynomial(n) is the monic form
+    of psi, else None.  Only the n with phi(n) = 2 deg psi can match, so
+    only their minimal polynomials are built."""
+    target = psi.monic()
+    for n in range(3, bound + 1):
+        if _euler_phi(n) == 2 * target.span and cos_minimal_polynomial(n) == target:
+            return n
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +587,11 @@ def signature_function(V: SeifertMatrix,
         raise SignatureError("unit-circle root data inconsistent with a "
                              "valid Seifert matrix")
 
-    table = _cyclotomic_x_table(angle_bound)
     records: list[tuple[Fraction | None, tuple[Fraction, Fraction], tuple[Fraction, ...]]] = []
     two = Fraction(2)
     for psi, _mult in factor_laurent(q):
         dense = tuple(psi.shift(-psi.low).poly_coeffs())
-        n = table.get(psi.monic())
+        n = _cyclotomic_index(psi, angle_bound)
         intervals = isolate_roots(list(dense), -two, two)
         if n is not None:
             ks = sorted((k for k in range(1, n // 2 + 1) if math.gcd(k, n) == 1),
@@ -710,9 +690,6 @@ class Rho0Value:
         if self.kind == "interval":
             return Rho0Value.of_interval(-self.interval[1], -self.interval[0])
         raise SignatureError("cannot negate a symbol numerically")
-
-    def is_numeric(self) -> bool:
-        return self.kind in ("exact", "interval")
 
     def __str__(self):
         if self.kind == "exact":

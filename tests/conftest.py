@@ -5,6 +5,7 @@ import pytest
 
 from rhoslice.polyalg import LaurentPoly
 from rhoslice.seifert import SeifertMatrix
+from rhoslice.signatures import GaussianRational
 
 
 def random_seifert(rng: random.Random, genus: int = 1,
@@ -35,6 +36,32 @@ def random_laurent(rng: random.Random, variable: str = "t", max_deg: int = 3,
     if p.is_zero() and not allow_zero:
         return LaurentPoly({0: 1}, variable)
     return p
+
+
+def _gauss_pow(w: GaussianRational, n: int) -> GaussianRational:
+    out = GaussianRational.of(1)
+    base = w
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+def eval_gaussian(p: LaurentPoly, w: GaussianRational) -> GaussianRational:
+    """p(w) for a Laurent polynomial p at a Gaussian-rational point w."""
+    acc = GaussianRational.of(0)
+    winv = None
+    for e, c in p.items():
+        if e >= 0:
+            term = _gauss_pow(w, e)
+        else:
+            if winv is None:
+                winv = w.inverse()
+            term = _gauss_pow(winv, -e)
+        acc = acc + term * c
+    return acc
 
 
 @pytest.fixture

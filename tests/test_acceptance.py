@@ -41,7 +41,7 @@ from rhoslice.seifert import (
 )
 from rhoslice.signatures import Rho0Value, lt_signature_at, rho0, signature_function
 
-from conftest import random_laurent, random_seifert
+from conftest import eval_gaussian, random_laurent, random_seifert
 from test_signatures import signature_via_charpoly
 from test_blanchfield import _random_element
 
@@ -260,7 +260,7 @@ def test_criterion_9_oracle_equivalence():
                                 assert f.evaluate(cand) != 0
 
         # exact inertia vs characteristic-polynomial root counting
-        from rhoslice.signatures import GaussianRational, circle_point, eval_gaussian
+        from rhoslice.signatures import GaussianRational, circle_point
         from rhoslice.seifert import alexander_polynomial
 
         checked = 0

@@ -120,6 +120,26 @@ def test_info_command(tmp_path, capsys):
     assert "metabolizer: (1, 0)" in out
 
 
+def test_info_decomposes_once(tmp_path, capsys, monkeypatch):
+    from rhoslice import almodule, blanchfield
+
+    calls = []
+    real = almodule._decompose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(almodule, "_decompose", counted)
+    monkeypatch.setattr(blanchfield, "_decompose", counted)
+    for doc in (K946_DOC, TREFOIL_DOC):
+        calls.clear()
+        path = write_doc(tmp_path, doc)
+        assert main(["info", path, "--output", "structured"]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()
+
+
 def test_info_trefoil(tmp_path, capsys):
     path = write_doc(tmp_path, TREFOIL_DOC)
     assert main(["info", path]) == 0

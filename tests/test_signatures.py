@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from rhoslice.polyalg import LaurentPoly, divides
+from rhoslice import signatures
+from rhoslice.polyalg import LaurentPoly, divides, factor_laurent
 from rhoslice.seifert import (
     SeifertMatrix,
     alexander_polynomial,
@@ -16,6 +17,7 @@ from rhoslice.signatures import (
     GaussianRational,
     Rho0Value,
     SignatureError,
+    _cyclotomic_index,
     circle_point,
     circle_polynomial,
     cos_minimal_polynomial,
@@ -27,7 +29,7 @@ from rhoslice.signatures import (
     sturm_count,
 )
 
-from conftest import random_seifert
+from conftest import eval_gaussian, random_seifert
 
 R946 = SeifertMatrix([[0, 1], [2, 0]])
 NONCYCLO = SeifertMatrix([[1, 1], [2, 4]])  # jump at x = 3/2, irrational angle
@@ -47,14 +49,20 @@ def test_signature_rejects_bad_points():
         lt_signature_at(trefoil_right(), Fraction(0))
     # the jump-point guard: rational parameters never hit a jump of a valid
     # matrix (the factor of the symmetrized polynomial vanishing at
-    # x(u) = 2(q^2-p^2)/(q^2+p^2) would force 4 | Delta(1)), so exercise the
-    # check through the evaluation it relies on
-    from rhoslice.signatures import eval_gaussian
-
+    # x(u) = 2(q^2-p^2)/(q^2+p^2) would force 4 | Delta(1)), so the guard
+    # stays quiet where Delta does not vanish ...
     delta = alexander_polynomial(NONCYCLO)
     for u in (Fraction(1, 2), Fraction(2), None):
         assert not eval_gaussian(delta, circle_point(u)).is_zero()
         lt_signature_at(NONCYCLO, u)
+
+
+def test_jump_point_guard_fires_on_nullity(monkeypatch):
+    # ... and fires on any nonzero nullity of the inertia count, which for
+    # |w| = 1, w != 1 is exactly Delta(w) = 0
+    monkeypatch.setattr(signatures, "hermitian_inertia", lambda H: (1, 0, 1))
+    with pytest.raises(SignatureError, match="jump point"):
+        lt_signature_at(NONCYCLO, Fraction(1, 2))
 
 
 def test_circle_point_conjugation(rng):
@@ -125,8 +133,6 @@ def test_inertia_against_charpoly_oracle(rng):
         if u == 0:
             u = None
         w = circle_point(u)
-        from rhoslice.signatures import eval_gaussian
-
         if eval_gaussian(alexander_polynomial(V), w).is_zero():
             continue
         n = V.dim
@@ -260,3 +266,27 @@ def test_cos_minimal_polynomials():
     assert cos_minimal_polynomial(3) == t + 1
     assert cos_minimal_polynomial(5) == t * t + t - 1
     assert cos_minimal_polynomial(12) == t * t - 3
+
+
+def test_cyclotomic_index_matches_table(rng):
+    # the lookup it replaced: a table of every minimal polynomial up to the
+    # bound, keyed by the polynomial
+    t = LaurentPoly.var("t")
+    factors = []
+    for n in range(3, 121):
+        psi = cos_minimal_polynomial(n)
+        factors += [psi, psi * Fraction(-3, 2), psi.shift(2)]
+    for _ in range(20):
+        q = circle_polynomial(alexander_polynomial(
+            random_seifert(rng, genus=rng.choice([1, 2]))))
+        if q.span:
+            factors += [f for f, _mult in factor_laurent(q)]
+    factors += [t * t - 2, t * t * t - 3 * t + 1, 2 * t - 3]
+    for bound in (120, 30):
+        table = {cos_minimal_polynomial(n): n for n in range(3, bound + 1)}
+        hits = 0
+        for psi in factors:
+            n = _cyclotomic_index(psi, bound)
+            assert n == table.get(psi.monic())
+            hits += n is not None
+        assert hits >= 3 * (bound - 3)
