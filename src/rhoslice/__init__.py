@@ -31,7 +31,6 @@ from .obstruction import (
     FamilyMember,
     FamilySpec,
     InfectedKnot,
-    MetabelianRepSpec,
     ObstructionError,
     ObstructionReport,
     RhoExpr,

@@ -19,8 +19,9 @@ The analytic ingredients enter as axioms with machine-checked hypotheses:
   after checking the flagged coordinate is not divisible by the isotypic
   prime (`subgroup_property_check`);
 * additivity over connected sums and satellite pieces: reflected in the
-  per-copy block evaluation, with the copy orthogonality verified on the
-  assembled form.
+  per-copy block evaluation; distinct copies are orthogonal on the
+  assembled form by construction, as it is the block sum of the copies'
+  forms.
 
 Every axiom application is recorded in the report's audit trail.  If all
 patterns at all complexities up to the sweep bound give a provably nonzero
@@ -178,11 +179,20 @@ class RhoExpr:
                               if Fraction(v) != 0))
         return cls(c, c, packed)
 
-    def add_symbol(self, name: str, coeff: Fraction) -> "RhoExpr":
+    def __add__(self, other: "RhoExpr") -> "RhoExpr":
+        """The sum: symbol coefficients and interval ends add, and
+        coefficients that cancel to zero are dropped."""
+        if not isinstance(other, RhoExpr):
+            return NotImplemented
         d = dict(self.coeffs)
-        d[name] = d.get(name, Fraction(0)) + coeff
+        for name, v in other.coeffs:
+            d[name] = d.get(name, Fraction(0)) + v
         packed = tuple(sorted((k, v) for k, v in d.items() if v != 0))
-        return RhoExpr(self.const_lo, self.const_hi, packed)
+        return RhoExpr(self.const_lo + other.const_lo,
+                       self.const_hi + other.const_hi, packed)
+
+    def add_symbol(self, name: str, coeff: Fraction) -> "RhoExpr":
+        return self + RhoExpr(coeffs=((name, coeff),))
 
     def add_value(self, rho: Rho0Value, sign: int) -> "RhoExpr":
         if rho.kind == "symbol":
@@ -254,28 +264,6 @@ class Slot:
     def label(self, spec: FamilySpec) -> str:
         tag = "~" if self.reversed_part else ""
         return f"{spec.member_name(self.member)}[{self.copy}]{tag}.{self.curve}"
-
-
-@dataclass(frozen=True)
-class MetabelianRepSpec:
-    """The representation data determined by a module element x and the
-    complexity c: on a homology class y it is the linking pairing with x
-    (the twisting part) together with the c-th power of the abelianization
-    exponent (the translation part)."""
-
-    x: ModuleElement
-    complexity: int
-    form: LinkingForm
-
-    def pairing(self, y: ModuleElement):
-        """Twisting part of the representation on the class y."""
-        return self.form.pairing(self.x, y)
-
-    def translation_exponent(self, abelianization_exponent: int) -> int:
-        return self.complexity * abelianization_exponent
-
-    def is_trivial_on(self, y: ModuleElement) -> bool:
-        return self.pairing(y).is_zero()
 
 
 @dataclass
@@ -478,7 +466,6 @@ def _slot_contributions(assembly: Assembly, prime: LaurentPoly,
     if x.is_zero():
         raise ObstructionError(
             f"slot {label}: curve class vanishes in the {prime} class")
-    rep = MetabelianRepSpec(x, assembly.complexity, block.form)
 
     # hypothesis 1: the pattern admits a genus-one metabolizer
     metab = metabolizer_search(block.pattern.seifert)
@@ -490,7 +477,7 @@ def _slot_contributions(assembly: Assembly, prime: LaurentPoly,
                  "algebraically slice")
 
     # hypothesis 2: the flagged curve pairs to zero with itself
-    self_pair = rep.pairing(block.curve_class[slot.curve])
+    self_pair = block.form.pairing(x, block.curve_class[slot.curve])
     if not self_pair.is_zero():
         raise ObstructionError(
             f"slot {label}: Bl({slot.curve},{slot.curve}) != 0; the induced "
@@ -509,7 +496,7 @@ def _slot_contributions(assembly: Assembly, prime: LaurentPoly,
     for cname in block.pattern.curve_names():
         if cname == slot.curve:
             continue
-        if rep.is_trivial_on(block.curve_class[cname]):
+        if block.form.pairing(x, block.curve_class[cname]).is_zero():
             audit.append(f"{label}: representation trivial on {cname}; "
                          "companion contributes 0")
             continue
@@ -522,17 +509,25 @@ def _slot_contributions(assembly: Assembly, prime: LaurentPoly,
     return contributions, audit
 
 
+def _slot_expr(assembly: Assembly, prime: LaurentPoly, slot: Slot,
+               mode: str) -> tuple[RhoExpr, list[str]]:
+    """The summand a flagged slot adds to every pattern containing it, with
+    the slot's audit lines."""
+    contributions, audit = _slot_contributions(assembly, prime, slot)
+    expr = RhoExpr.zero()
+    for comp, sign in contributions:
+        expr = _accumulate(expr, comp, sign, mode)
+    return expr, audit
+
+
 def evaluate_rho(spec: FamilySpec, pattern: AdmissiblePattern,
                  c: int, mode: str = "symbolic") -> RhoExpr:
     """The invariant of the assembled knot for the representation induced by
-    a unit-coordinate element supported on the pattern, as a RhoExpr."""
+    a unit-coordinate element supported on the pattern, as a RhoExpr: the
+    sum of its slots' expressions."""
     assembly = _assemble_full(spec, c)
-    expr = RhoExpr.zero()
-    for slot in pattern.support:
-        contributions, _ = _cached_slot_facts(assembly, pattern.prime, slot)
-        for comp, sign in contributions:
-            expr = _accumulate(expr, comp, sign, mode)
-    return expr
+    return sum((_slot_expr(assembly, pattern.prime, slot, mode)[0]
+                for slot in pattern.support), RhoExpr.zero())
 
 
 def _accumulate(expr: RhoExpr, comp: Companion, sign: int, mode: str) -> RhoExpr:
@@ -548,17 +543,6 @@ def _accumulate(expr: RhoExpr, comp: Companion, sign: int, mode: str) -> RhoExpr
     if rho.kind == "exact" and rho.exact == 0:
         return expr
     return expr.add_value(rho, sign)
-
-
-def _cached_slot_facts(assembly: Assembly, prime: LaurentPoly, slot: Slot):
-    cache = getattr(assembly, "_slot_cache", None)
-    if cache is None:
-        cache = {}
-        assembly._slot_cache = cache
-    key = (prime, slot)
-    if key not in cache:
-        cache[key] = _slot_contributions(assembly, prime, slot)
-    return cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -652,19 +636,35 @@ def verify_obstructed(spec: FamilySpec, c_max: int,
         class_keys_by_c[c] = tuple(sorted({p.class_key for p in patterns}))
         if not patterns:
             notes.append(f"c={c}: no admissible patterns (trivial module)")
+        # A cell's expression is its support prefix's plus its last slot's.
+        # admissible_patterns lists each class's supports in
+        # itertools.combinations order, so every prefix comes before the
+        # supports that extend it.
+        slot_exprs: dict[tuple[LaurentPoly, Slot], tuple[RhoExpr, str]] = {}
+        prefix_sums: dict[tuple[LaurentPoly, tuple[Slot, ...]],
+                          tuple[RhoExpr, tuple[str, ...]]] = {}
+        prime_names: dict[LaurentPoly, str] = {}
         for pat in patterns:
-            expr = evaluate_rho(spec, pat, c, mode)
-            for slot in pat.support:
-                _, slot_audit = _cached_slot_facts(assembly, pat.prime, slot)
+            prime, support = pat.prime, pat.support
+            last = support[-1]
+            if (prime, last) not in slot_exprs:
+                if prime not in prime_names:
+                    prime_names[prime] = str(prime)
+                    prefix_sums[(prime, ())] = (RhoExpr.zero(), ())
+                slot_expr, slot_audit = _slot_expr(assembly, prime, last, mode)
                 for line in slot_audit:
                     tagged = f"c={c}: {line}"
                     if tagged not in seen_audit:
                         seen_audit.add(tagged)
                         audit.append(tagged)
+                slot_exprs[(prime, last)] = (slot_expr, last.label(spec))
+            slot_expr, label = slot_exprs[(prime, last)]
+            prefix_expr, prefix_labels = prefix_sums[(prime, support[:-1])]
+            expr, labels = prefix_expr + slot_expr, prefix_labels + (label,)
+            prefix_sums[(prime, support)] = (expr, labels)
             ok = expr.is_verifiably_nonzero()
-            cell = ReportCell(
-                c, pat.class_key, str(pat.prime),
-                tuple(s.label(spec) for s in pat.support), expr, ok)
+            cell = ReportCell(c, pat.class_key, prime_names[prime], labels,
+                              expr, ok)
             cells.append(cell)
             if not ok:
                 witnesses.append(cell)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,13 @@ from rhoslice.obstruction import (
     FamilyMember,
     FamilySpec,
     InfectedKnot,
-    MetabelianRepSpec,
     ObstructionError,
+    ObstructionReport,
+    ReportCell,
     RhoExpr,
+    _accumulate,
     _assemble_full,
+    _slot_contributions,
     admissible_patterns,
     assemble,
     evaluate_rho,
@@ -63,6 +67,59 @@ def test_rhoexpr_intervals():
     assert e2.is_verifiably_nonzero()
     e3 = e2.add_value(Rho0Value.of_interval(Fraction(1, 10), Fraction(2, 10)), -1)
     assert not e3.is_verifiably_nonzero()
+
+
+def random_rho(rng):
+    kind = rng.choice(("symbol", "exact", "interval"))
+    if kind == "symbol":
+        return Rho0Value.of_symbol(rng.choice(("ra", "rb", "rc")))
+    v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if kind == "exact":
+        return Rho0Value.of_exact(v)
+    return Rho0Value.of_interval(v, v + Fraction(rng.randint(0, 3), 4))
+
+
+def chained(values):
+    expr = RhoExpr.zero()
+    for rho, sign in values:
+        expr = expr.add_value(rho, sign)
+    return expr
+
+
+def random_values(rng, most=6):
+    return [(random_rho(rng), rng.choice((1, -1)))
+            for _ in range(rng.randint(0, most))]
+
+
+def test_rhoexpr_add_agrees_with_add_value():
+    rng = random.Random(7001)
+    for _ in range(300):
+        values = random_values(rng)
+        cut = rng.randint(0, len(values))
+        assert chained(values[:cut]) + chained(values[cut:]) == chained(values)
+
+
+def test_rhoexpr_add_commutative_and_associative():
+    rng = random.Random(7002)
+    for _ in range(300):
+        a, b, c = (chained(random_values(rng)) for _ in range(3))
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert a + RhoExpr.zero() == a == RhoExpr.zero() + a
+
+
+def test_rhoexpr_add_cancels_and_adds_interval_ends():
+    a = RhoExpr.of(1, rA=2, rB=-1)
+    total = a + RhoExpr.of(-1, rA=-2, rC=Fraction(1, 3))
+    assert total.coeffs == (("rB", Fraction(-1)), ("rC", Fraction(1, 3)))
+    assert total.const_lo == total.const_hi == 0
+    assert (a + RhoExpr.of(-1, rA=-2, rB=1)).is_exactly_zero()
+    i = RhoExpr.zero().add_value(
+        Rho0Value.of_interval(Fraction(-1, 10), Fraction(3, 10)), 1)
+    j = RhoExpr.zero().add_value(
+        Rho0Value.of_interval(Fraction(1, 5), Fraction(1, 2)), -1)
+    assert ((i + j).const_lo, (i + j).const_hi) == \
+        (Fraction(-3, 5), Fraction(1, 10))
 
 
 # -- assembly --------------------------------------------------------------------
@@ -131,11 +188,11 @@ def test_slot_pairing_structure():
             block = assembly.slot_of_block[
                 (slot.member, slot.copy, slot.reversed_part)]
             x = reduce_to_isotypic(block.curve_class[slot.curve], pat.prime)
-            rep = MetabelianRepSpec(x, 2, block.form)
-            assert rep.is_trivial_on(block.curve_class[slot.curve])
+            assert block.form.pairing(
+                x, block.curve_class[slot.curve]).is_zero()
             others = [c for c in block.pattern.curve_names() if c != slot.curve]
-            assert all(not rep.is_trivial_on(block.curve_class[c])
-                       for c in others)
+            assert all(not block.form.pairing(
+                x, block.curve_class[c]).is_zero() for c in others)
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -305,3 +362,162 @@ def test_bad_inputs():
         FamilyMember(InfectedKnot.build(pattern_9_46(), {}), 0)
     with pytest.raises(ObstructionError):
         InfectedKnot.build(pattern_9_46(), {"delta": Companion.symbol("x")})
+
+
+# -- the sweep against the one-companion-at-a-time oracle ---------------------------
+
+
+def oracle_rho(assembly, pattern, mode, facts):
+    """A cell's expression built one companion at a time; facts caches
+    `_slot_contributions` by (prime, slot)."""
+    expr = RhoExpr.zero()
+    for slot in pattern.support:
+        key = (pattern.prime, slot)
+        if key not in facts:
+            facts[key] = _slot_contributions(assembly, pattern.prime, slot)
+        for comp, sign in facts[key][0]:
+            expr = _accumulate(expr, comp, sign, mode)
+    return expr
+
+
+def oracle_report(spec, c_max, mode):
+    """The sweep the prefix sums replaced: every cell evaluated from scratch
+    by adding one companion at a time, over the same admissible patterns."""
+    cells, witnesses, audit, notes = [], [], [], []
+    seen_audit = set()
+    by_pattern, class_keys_by_c = {}, {}
+    for c in range(1, c_max + 1):
+        assembly = _assemble_full(spec, c)
+        facts = {}
+        audit_line = (f"c={c}: assembled {len(assembly.blocks)} blocks; form "
+                      "validated hermitian, annihilating and nonsingular "
+                      "blockwise; distinct copies pair to zero (block form)")
+        if audit_line not in seen_audit:
+            seen_audit.add(audit_line)
+            audit.append(audit_line)
+        patterns = admissible_patterns(spec, c)
+        class_keys_by_c[c] = tuple(sorted({p.class_key for p in patterns}))
+        if not patterns:
+            notes.append(f"c={c}: no admissible patterns (trivial module)")
+        for pat in patterns:
+            expr = oracle_rho(assembly, pat, mode, facts)
+            for slot in pat.support:
+                for line in facts[(pat.prime, slot)][1]:
+                    tagged = f"c={c}: {line}"
+                    if tagged not in seen_audit:
+                        seen_audit.add(tagged)
+                        audit.append(tagged)
+            ok = expr.is_verifiably_nonzero()
+            cell = ReportCell(c, pat.class_key, str(pat.prime),
+                              tuple(s.label(spec) for s in pat.support),
+                              expr, ok)
+            cells.append(cell)
+            if not ok:
+                witnesses.append(cell)
+            by_pattern.setdefault((pat.class_key, cell.support), []).append(expr)
+    verdict = "OBSTRUCTED" if cells and not witnesses else "INCONCLUSIVE"
+    if not cells:
+        notes.append("no admissible patterns at any swept complexity; "
+                     "nothing to obstruct")
+    uniform = bool(cells) and all(
+        keys == class_keys_by_c[1] for keys in class_keys_by_c.values())
+    if uniform:
+        uniform = all(len(exprs) == c_max and all(e == exprs[0] for e in exprs)
+                      for exprs in by_pattern.values())
+    if uniform:
+        notes.append(
+            f"uniform-in-c certificate: each pattern's expression is "
+            f"independent of the complexity across the sweep 1..{c_max}")
+    notes.append(
+        f"sweep bound: complexities 1..{c_max} checked; the verdict asserts "
+        "nothing beyond this bound")
+    notes.append(
+        "quantifier discharge: any nonzero element of a self-annihilating "
+        "submodule reduces, by the coprime isotypic multipliers, to a "
+        "unit-coordinate element supported on an enumerated pattern; such a "
+        "submodule is nonzero because the assembled form is nonsingular")
+    notes.append(
+        "additivity of the invariant over connected-sum and satellite pieces "
+        "is axiomatic (standard infection cobordism); its uses are listed in "
+        "the audit trail")
+    return ObstructionReport(
+        verdict=verdict, c_max=c_max, mode=mode, cells=tuple(cells),
+        witnesses=tuple(witnesses), audit=tuple(audit),
+        uniform_in_c=uniform, notes=tuple(notes))
+
+
+def random_companion(rng, kinds):
+    kind = rng.choice(kinds)
+    if kind == "symbol":
+        return Companion.symbol(rng.choice(("ra", "rb", "rc")))
+    if kind == "trivial":
+        return None
+    v = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5)))
+    if kind == "exact":
+        return Companion.exact("J", v)
+    return Companion.interval("I", v, v + Fraction(rng.randint(0, 2), 100))
+
+
+def random_family(rng, max_copies, kinds):
+    """A 9_46 family with at most max_copies copies in all, so at most
+    2 * max_copies slots per isotypic class.  Companions come from small
+    pools, so that cells can cancel."""
+    members, left = [], rng.randint(1, max_copies)
+    while left:
+        n = rng.randint(1, left)
+        left -= n
+        infections = {}
+        for curve in ("alpha", "beta"):
+            comp = random_companion(rng, kinds)
+            if comp is not None:
+                infections[curve] = comp
+        K = InfectedKnot.build(pattern_9_46(), infections)
+        members.append(FamilyMember(K, n * rng.choice((1, -1))))
+    return FamilySpec(tuple(members),
+                      tuple(f"K{i}" for i in range(1, len(members) + 1)))
+
+
+SYMBOLIC_KINDS = ("symbol", "symbol", "exact", "interval", "trivial")
+NUMERIC_KINDS = ("exact", "exact", "interval", "trivial")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sweep_matches_oracle(seed):
+    rng = random.Random(7100 + seed)
+    mode = ("symbolic", "numeric")[seed % 2]
+    kinds = SYMBOLIC_KINDS if mode == "symbolic" else NUMERIC_KINDS
+    c_max = 1 + seed // 4
+    spec = random_family(rng, 4 if seed % 4 == 3 else 3, kinds)
+    report = verify_obstructed(spec, c_max, mode)
+    assert report.to_json() == oracle_report(spec, c_max, mode).to_json()
+    assembly, facts = _assemble_full(spec, c_max), {}
+    for pat in admissible_patterns(spec, c_max):
+        assert evaluate_rho(spec, pat, c_max, mode) == \
+            oracle_rho(assembly, pat, mode, facts)
+
+
+@pytest.mark.parametrize("mode", ("symbolic", "numeric"))
+def test_twelve_slot_sweep_matches_oracle(mode):
+    rng = random.Random(7200)
+    kinds = SYMBOLIC_KINDS if mode == "symbolic" else NUMERIC_KINDS
+    while True:
+        spec = random_family(rng, 6, kinds)
+        if sum(abs(m.multiplicity) for m in spec.members) == 6:
+            break
+    report = verify_obstructed(spec, 1, mode)
+    assert len(report.cells) == 2 * (2 ** 12 - 1)
+    assert report.to_json() == oracle_report(spec, 1, mode).to_json()
+
+
+def test_numeric_symbol_error_matches_oracle():
+    rng = random.Random(7300)
+    for _ in range(6):
+        spec = random_family(rng, 3, ("symbol", "exact", "interval"))
+        if not any(comp.rho.kind == "symbol" for m in spec.members
+                   for _, comp in m.knot.infections):
+            continue
+        with pytest.raises(ObstructionError, match="numeric") as got:
+            verify_obstructed(spec, 1, "numeric")
+        with pytest.raises(ObstructionError) as want:
+            oracle_report(spec, 1, "numeric")
+        assert str(got.value) == str(want.value)

@@ -1,9 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rhoslice"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rhoslice"
 
 
 def test_no_assert_statements():
@@ -16,3 +21,13 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+@pytest.mark.parametrize("command", (["bench/selftest.py"],
+                                     ["bench/run.py", "--smoke"]))
+def test_benchmark_checks_pass(command):
+    # The benchmark checks every CLI output against an independent
+    # computation; a change that breaks those checks fails here too.
+    proc = subprocess.run([sys.executable, *command], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
