@@ -25,10 +25,12 @@ from .linalg import PolyMatrix, poly_mat_adjugate, poly_mat_apply, poly_mat_iden
 from .polyalg import (
     LaurentPoly,
     div_exact,
+    divides,
     equal_up_to_unit,
     factor_laurent,
     gcd_laurent,
     inverse_mod,
+    poly_divmod,
     reduce_mod,
 )
 from .seifert import PatternKnot, SeifertMatrix
@@ -135,7 +137,7 @@ def smith_normal_form(A: PolyMatrix):
             offender = None
             for i in range(p + 1, m):
                 for j in range(p + 1, n):
-                    if not D[i][j].is_zero() and not _divides_laurent(pivot, D[i][j]):
+                    if not D[i][j].is_zero() and not divides(pivot, D[i][j]):
                         offender = i
                         break
                 if offender is not None:
@@ -156,20 +158,12 @@ def smith_normal_form(A: PolyMatrix):
 def _poly_divmod_shifted(a: LaurentPoly, b: LaurentPoly):
     """Laurent division with remainder: a = q*b + r with span(r) < span(b)
     or r = 0.  Works on unit-normalized copies and restores the units."""
-    from .polyalg import poly_divmod
-
     am, aq, ak = a.unit_normal()
     bm, bq, bk = b.unit_normal()
     q0, r0 = poly_divmod(am, bm)
     q = q0 * LaurentPoly.monomial(ak - bk, aq / bq, a.variable)
     r = r0 * LaurentPoly.monomial(ak, aq, a.variable)
     return q, r
-
-
-def _divides_laurent(b: LaurentPoly, a: LaurentPoly) -> bool:
-    from .polyalg import divides
-
-    return divides(b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +223,17 @@ class AlexanderModule:
         if len(coords) != len(self.summands):
             raise ModuleError("coordinate count mismatch")
         return ModuleElement(self, coords)
+
+    def from_q_coords(self, qvec) -> "ModuleElement":
+        """Inverse of ModuleElement.q_coords: the element with coordinates
+        qvec in the Q-basis {v^k * gen_i : 0 <= k < span(ann_i)}."""
+        coords = []
+        off = 0
+        for s in self.summands:
+            d = s.annihilator.span
+            coords.append(LaurentPoly({k: qvec[off + k] for k in range(d)}, self.variable))
+            off += d
+        return ModuleElement(self, tuple(coords))
 
     def generator(self, index: int) -> "ModuleElement":
         coords = [LaurentPoly.zero(self.variable)] * self.rank
@@ -332,6 +337,7 @@ class Submodule:
         self.ambient = ambient
         self.generators = tuple(generators)
         self._basis = None
+        self._pivots = None
 
     def q_basis(self):
         """Row-reduced Q-basis of the submodule (Krylov closure under v)."""
@@ -343,7 +349,7 @@ class Submodule:
                 for _ in range(dim + 1):
                     rows.append(x.q_coords())
                     x = x.times_var()
-            self._basis = linalg.rref(rows)[0] if rows else []
+            self._basis, self._pivots = linalg.rref(rows) if rows else ([], [])
         return self._basis
 
     def dim_q(self) -> int:
@@ -353,23 +359,22 @@ class Submodule:
         return self.dim_q() == 0
 
     def contains(self, x: ModuleElement) -> bool:
-        return linalg.in_row_span(self.q_basis(), x.q_coords())
+        return self._spans(x.q_coords())
 
     def contains_submodule(self, other: "Submodule") -> bool:
-        return all(self.contains(self._from_q(row)) for row in other.q_basis())
+        return all(self._spans(row) for row in other.q_basis())
 
-    def _from_q(self, qvec) -> ModuleElement:
-        coords = []
-        off = 0
-        for s in self.ambient.summands:
-            d = s.annihilator.span
-            coords.append(LaurentPoly(
-                {k: qvec[off + k] for k in range(d)}, self.ambient.variable))
-            off += d
-        return self.ambient.element(tuple(coords))
+    def _spans(self, vec) -> bool:
+        """True iff the Q-vector vec reduces to zero against the reduced
+        basis, whose rows are 1 at their pivot and 0 at the other pivots."""
+        for row, p in zip(self.q_basis(), self._pivots):
+            f = vec[p]
+            if f != 0:
+                vec = [a - f * r for a, r in zip(vec, row)]
+        return not any(vec)
 
     def basis_elements(self) -> list[ModuleElement]:
-        return [self._from_q(row) for row in self.q_basis()]
+        return [self.ambient.from_q_coords(row) for row in self.q_basis()]
 
     def __eq__(self, other):
         if not isinstance(other, Submodule):

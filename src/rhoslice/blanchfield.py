@@ -12,8 +12,11 @@ the whole module is zero).  A form that fails any of these raises instead
 of existing.
 
 `basechange_form` applies v -> t^c to the Gram entries and splits the module
-summands accordingly; `annihilator_submodule` computes orthogonal
-complements by exact linear algebra over Q.
+summands accordingly.  `annihilator_submodule` computes orthogonal
+complements by exact linear algebra over Q, from one linear functional: in
+Q[v]/(order), eps = the coefficient of v^(deg order - 1) makes eps(a * b) a
+nondegenerate pairing, so x is orthogonal to a submodule P exactly when
+eps(Bl(x, b)) = 0 for each vector b of a Q-basis of P.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .almodule import (
     ModuleElement,
     Submodule,
     _decompose,
+    direct_sum,
     reparametrize,
 )
 from .linalg import poly_mat_adjugate
@@ -180,8 +184,6 @@ def direct_sum_forms(forms, relabel=None, validate: bool = False) -> LinkingForm
     """Block-diagonal sum of linking forms (pairings between different
     blocks vanish).  Validation of the blocks is assumed; hermitian-ness of
     the sum is inherited."""
-    from .almodule import direct_sum
-
     forms = list(forms)
     module = direct_sum([f.module for f in forms], relabel=relabel)
     total = module.rank
@@ -215,11 +217,32 @@ def _coset_mod_order(z: FracCoset, order: LaurentPoly) -> LaurentPoly:
     return reduce_mod(z.num * quotient, order)
 
 
+def _epsilon_values(order: LaurentPoly, lo: int, hi: int) -> list[Fraction]:
+    """[eps(v^m) for -lo <= m < hi], eps the coefficient of v^(n-1) in
+    Q[v]/(order), n = deg(order), for a monic order with order(0) != 0.
+
+    eps(v^m) is 0 for 0 <= m < n - 1 and 1 at m = n - 1; the rest follows
+    from sum_j a_j eps(v^(m+j)) = 0, as eps kills every multiple of order.
+    """
+    a = order.poly_coeffs()
+    n = len(a) - 1
+    eps = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    while len(eps) < hi:
+        eps.append(-sum(a[j] * eps[j - n] for j in range(n)))
+    for _ in range(lo):
+        eps.insert(0, -sum(a[j] * eps[j - 1] for j in range(1, n + 1)) / a[0])
+    return eps
+
+
 def annihilator_submodule(B: LinkingForm, P: Submodule) -> Submodule:
     """P^perp = {x : Bl(x, y) = 0 for all y in P}, by exact linear algebra.
 
-    Pairing against a fixed y is Q-linear in x; with all values carried in
-    Q[v]/(order) the conditions become a rational linear system.
+    Values are carried in Q[v]/(order), where eps(a * b), eps the
+    coefficient of v^(deg order - 1), is a nondegenerate pairing: its Hankel
+    matrix on {v^k} is triangular with ones on the antidiagonal.  As P is
+    closed under Laurent multiples and Bl(x, v^m y) = v^-m Bl(x, y), x is
+    in P^perp exactly when eps(Bl(x, b)) = 0 for each Q-basis vector b of
+    P: one rational linear condition per b.
     """
     M = B.module
     if P.ambient != M:
@@ -228,42 +251,26 @@ def annihilator_submodule(B: LinkingForm, P: Submodule) -> Submodule:
     if dim == 0:
         return Submodule(M, [])
     order = M.order().monic()
-    odeg = order.span
-    var = M.variable
+    gram = [[_coset_mod_order(z, order) for z in row] for row in B.gram]
+    spans = [s.annihilator.span for s in M.summands]
+    lo = max(spans) - 1
+    eps = _epsilon_values(order, lo, order.span + lo)
 
-    # pairing of each Q-basis vector v^k * g_i with each P-basis element
+    # unknowns x = sum x_ik v^k g_i; Bl(v^k g_i, b) = v^k w_i with
+    # w_i = sum_j G_ij conj(b_j), a Laurent polynomial of low exponent >= -lo
     constraints: list[list[Fraction]] = []
     for b in P.basis_elements():
-        # w_i = Bl(g_i, b) as a coset; then Bl(v^k g_i, b) = v^k * w_i
-        col_of: list[list[Fraction]] = []
-        for i, s in enumerate(M.summands):
-            w = FracCoset.zero(var)
-            for j, bj in enumerate(b.coords):
-                if bj.is_zero():
-                    continue
-                w = w + B.gram[i][j].scale(bj.conj())
-            wmod = _coset_mod_order(w, order)
-            for k in range(s.annihilator.span):
-                val = reduce_mod(wmod.shift(k), order)
-                dense = [Fraction(0)] * odeg
-                for e, q in val.items():
-                    dense[e] = q
-                col_of.append(dense)
-        # constraints: for each coefficient position, sum over unknowns = 0
-        for pos in range(odeg):
-            constraints.append([col[pos] for col in col_of])
+        row: list[Fraction] = []
+        for i, d in enumerate(spans):
+            w = LaurentPoly.zero(M.variable)
+            for g, bj in zip(gram[i], b.coords):
+                w = w + g * bj.conj()
+            terms = w.items()
+            row += [sum(q * eps[lo + k + e] for e, q in terms) for k in range(d)]
+        constraints.append(row)
 
-    kernel = linalg.nullspace(constraints, dim)
-    gens = []
-    for vec in kernel:
-        coords = []
-        off = 0
-        for s in M.summands:
-            d = s.annihilator.span
-            coords.append(LaurentPoly({k: vec[off + k] for k in range(d)}, var))
-            off += d
-        gens.append(M.element(tuple(coords)))
-    return Submodule(M, gens)
+    return Submodule(M, [M.from_q_coords(vec)
+                         for vec in linalg.nullspace(constraints, dim)])
 
 
 def is_self_annihilating(B: LinkingForm, P: Submodule) -> bool:

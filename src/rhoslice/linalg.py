@@ -1,4 +1,4 @@
-"""Small exact linear algebra: rational matrices (row reduction, rank,
+"""Small exact linear algebra: rational matrices (row reduction and
 null spaces), integer determinants, and matrices of Laurent polynomials.
 
 Determinants and adjugates of Laurent-polynomial matrices share one
@@ -52,20 +52,6 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
         if r == len(m):
             break
     return [row for row in m[:r]], pivots
-
-
-def rank(rows: Matrix) -> int:
-    return len(rref(rows)[0])
-
-
-def in_row_span(rows: Matrix, vec: Row) -> bool:
-    """True iff vec lies in the Q-span of rows."""
-    if all(x == 0 for x in vec):
-        return True
-    if not rows:
-        return False
-    base = rank(rows)
-    return rank(rows + [list(vec)]) == base
 
 
 def nullspace(rows: Matrix, ncols: int) -> Matrix:

@@ -41,6 +41,7 @@ from functools import lru_cache
 from .almodule import (
     AlexanderModule,
     ModuleElement,
+    ModuleError,
     direct_sum,
     isotypic_decompose,
     reduce_to_isotypic,
@@ -393,8 +394,6 @@ def _isotypic_primes(assembly: Assembly) -> list[tuple[LaurentPoly, str]]:
 
 
 def _slots_for_prime(assembly: Assembly, prime: LaurentPoly) -> list[Slot]:
-    from .almodule import ModuleError
-
     out = []
     for block in assembly.blocks:
         mi, copy, rev = block.slot_prefix

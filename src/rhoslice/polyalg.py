@@ -494,13 +494,6 @@ def _rational_root_candidates(ints: list[int]) -> Iterator[Fraction]:
                 yield Fraction(-p, q)
 
 
-def _int_poly_eval(ints: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(ints):
-        acc = acc * x + c
-    return acc
-
-
 def _divisors(n: int) -> list[int]:
     n = abs(n)
     small, large = [], []
@@ -598,6 +591,35 @@ def _dense_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
+def _dpoly_eval(p: list, x):
+    """Horner evaluation of the dense polynomial p[0] + p[1] x + ...; exact
+    in ints for integer input, in Fractions otherwise."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _dpoly_deriv(p: list[Fraction]) -> list[Fraction]:
+    return [c * k for k, c in enumerate(p)][1:] or [Fraction(0)]
+
+
+def _dpoly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    a = a[:]
+    while len(a) >= len(b) and any(a):
+        while a and a[-1] == 0:
+            a.pop()
+        if len(a) < len(b):
+            break
+        c = a[-1] / b[-1]
+        k = len(a) - len(b)
+        for i, bc in enumerate(b):
+            a[i + k] -= c * bc
+        while a and a[-1] == 0:
+            a.pop()
+    return a or [Fraction(0)]
+
+
 def _lagrange_int(xs: list[int], ys: list[int], deg: int) -> list[int] | None:
     """Integer dense coefficients of the interpolating polynomial, or None."""
     n = len(xs)
@@ -628,10 +650,10 @@ def _kronecker_factor(ints: list[int]) -> list[int] | None:
     by Kronecker interpolation, or None if irreducible."""
     deg = len(ints) - 1
     pool = sorted(range(-8, 9),
-                  key=lambda x: (len(_divisors(_int_poly_eval(ints, x))), abs(x)))
+                  key=lambda x: (len(_divisors(_dpoly_eval(ints, x))), abs(x)))
     for d in range(2, deg // 2 + 1):
         points = pool[: d + 1]
-        values = [_int_poly_eval(ints, x) for x in points]
+        values = [_dpoly_eval(ints, x) for x in points]
         choice_sets: list[list[int]] = [_divisors(values[0])]
         total = len(choice_sets[0])
         for v in values[1:]:

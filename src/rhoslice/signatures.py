@@ -17,8 +17,8 @@ The signature integral over the circle (normalized to length one) is a
 finite sum of jump * arc-length terms: an exact rational when every jump
 angle is rational, otherwise a certified interval.  Irrational angles are
 enclosed by bisection with certified comparisons against outward-rounded
-interval cosines (mpmath.iv); Niven's theorem guarantees every comparison
-resolves.
+interval cosines, computed in a private mpmath interval context; Niven's
+theorem guarantees every comparison resolves.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .polyalg import LaurentPoly, _euler_phi, cyclotomic, factor_laurent
+from .polyalg import LaurentPoly, _dpoly_deriv, _dpoly_eval, _dpoly_rem, _euler_phi, cyclotomic, factor_laurent
 from .seifert import SeifertMatrix, alexander_polynomial
 
 DEFAULT_ANGLE_DENOMINATOR_BOUND = 120
@@ -190,35 +190,8 @@ def lt_signature_at(V: SeifertMatrix, u: Fraction | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dense rational polynomials and Sturm isolation
+# Sturm isolation of the real roots of dense rational polynomials
 # ---------------------------------------------------------------------------
-
-
-def _dpoly_eval(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _dpoly_deriv(p: list[Fraction]) -> list[Fraction]:
-    return [c * k for k, c in enumerate(p)][1:] or [Fraction(0)]
-
-
-def _dpoly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        c = a[-1] / b[-1]
-        k = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[i + k] -= c * bc
-        while a and a[-1] == 0:
-            a.pop()
-    return a or [Fraction(0)]
 
 
 def sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
@@ -461,8 +434,13 @@ class SignatureFunction:
         return {"jumps": jump_rows, "arc_values": list(self.arc_values)}
 
 
+# A private interval context: setting its precision leaves the process-wide
+# mpmath.iv untouched.
+_IV = mpmath.ctx_iv.MPIntervalContext()
+
+
 def _fraction_to_iv(x: Fraction):
-    return mpmath.iv.mpf(x.numerator) / x.denominator
+    return _IV.mpf(x.numerator) / x.denominator
 
 
 def _iv_to_fractions(x) -> tuple[Fraction, Fraction]:
@@ -532,14 +510,9 @@ def _theta_enclosure(a: Fraction, b: Fraction,
 @lru_cache(maxsize=None)
 def _cos_enclosure(theta: Fraction, extra: int = 0) -> tuple[Fraction, Fraction]:
     """Certified enclosure of 2cos(2*pi*theta)."""
-    old = mpmath.iv.prec
-    try:
-        mpmath.iv.prec = 80 + 20 * extra
-        th = _fraction_to_iv(theta)
-        val = 2 * mpmath.iv.cos(2 * mpmath.iv.pi * th)
-        return _iv_to_fractions(val)
-    finally:
-        mpmath.iv.prec = old
+    _IV.prec = 80 + 20 * extra
+    val = 2 * _IV.cos(2 * _IV.pi * _fraction_to_iv(theta))
+    return _iv_to_fractions(val)
 
 
 def _sample_u_for_x_range(lo: Fraction, hi: Fraction) -> Fraction:

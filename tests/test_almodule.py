@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from rhoslice.almodule import (
@@ -13,7 +15,7 @@ from rhoslice.almodule import (
     reverse_module,
     smith_normal_form,
 )
-from rhoslice.linalg import poly_mat_det, poly_mat_mul
+from rhoslice.linalg import poly_mat_det, poly_mat_mul, rref
 from rhoslice.polyalg import LaurentPoly, divides, equal_up_to_unit
 from rhoslice.seifert import (
     connected_sum,
@@ -237,6 +239,26 @@ def test_submodule_membership():
     assert P.contains(alpha.scale(LaurentPoly.var("s")))
     assert not P.contains(M.generator_by_label("beta"))
     assert Submodule(M, []).is_zero()
+
+
+def _rank(rows):
+    return len(rref(rows)[0]) if rows else 0
+
+
+def test_submodule_membership_matches_rank(rng):
+    # oracle: x is in P iff appending x to the Q-basis of P keeps the rank
+    M = direct_sum([alexander_module(pattern_9_46())] * 2,
+                   relabel=lambda i, l: f"{l}{i}")
+    for _ in range(30):
+        gens = [M.from_q_coords([Fraction(rng.randint(-1, 1)) for _ in range(M.dim_q())])
+                for _ in range(rng.randint(0, 2))]
+        P = Submodule(M, gens)
+        x = M.from_q_coords([Fraction(rng.randint(-1, 1)) for _ in range(M.dim_q())])
+        assert M.from_q_coords(x.q_coords()) == x
+        rows = P.q_basis()
+        expect = _rank(rows + [x.q_coords()]) == _rank(rows)
+        assert P.contains(x) == expect
+        assert P.contains_submodule(Submodule(M, [x])) == expect
 
 
 def test_module_element_arithmetic():

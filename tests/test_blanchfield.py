@@ -3,16 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from rhoslice.almodule import Submodule
+from rhoslice import linalg
+from rhoslice.almodule import Submodule, direct_sum
 from rhoslice.blanchfield import (
     FormError,
+    LinkingForm,
+    _coset_mod_order,
+    _epsilon_values,
     annihilator_submodule,
     basechange_form,
     blanchfield_form,
     direct_sum_forms,
     is_self_annihilating,
 )
-from rhoslice.polyalg import LaurentPoly, coset_reduce, gcd_laurent
+from rhoslice.polyalg import FracCoset, LaurentPoly, coset_reduce, gcd_laurent, reduce_mod
 from rhoslice.seifert import pattern_9_46, trefoil_right, unknot
 
 from conftest import random_laurent, random_seifert
@@ -91,8 +95,6 @@ def test_coprime_primary_orthogonality(rng):
 
 def test_validation_failure_is_loud():
     B, _ = blanchfield_form(pattern_9_46())
-    from rhoslice.blanchfield import LinkingForm
-
     bad_rows = [list(r) for r in B.gram]
     bad_rows[0][1] = bad_rows[0][1].scale(2)  # breaks hermitian symmetry
     bad = LinkingForm(B.module, tuple(tuple(r) for r in bad_rows))
@@ -234,3 +236,144 @@ def test_perp_dimension_formula(rng):
         # P inside its double complement
         double = annihilator_submodule(B, perp)
         assert double.contains_submodule(P)
+
+
+# -- the all-coefficient oracle ------------------------------------------------
+
+
+def allcoeff_perp(B, P):
+    """P^perp with every coefficient of every pairing Bl(v^k g_i, b), b in a
+    Q-basis of P, as its own linear equation: deg(order) conditions per b."""
+    M = B.module
+    dim = M.dim_q()
+    if dim == 0:
+        return Submodule(M, [])
+    order = M.order().monic()
+    odeg = order.span
+    var = M.variable
+    constraints = []
+    for b in P.basis_elements():
+        col_of = []
+        for i, s in enumerate(M.summands):
+            w = FracCoset.zero(var)
+            for j, bj in enumerate(b.coords):
+                if bj.is_zero():
+                    continue
+                w = w + B.gram[i][j].scale(bj.conj())
+            wmod = _coset_mod_order(w, order)
+            for k in range(s.annihilator.span):
+                val = reduce_mod(wmod.shift(k), order)
+                dense = [Fraction(0)] * odeg
+                for e, q in val.items():
+                    dense[e] = q
+                col_of.append(dense)
+        for pos in range(odeg):
+            constraints.append([col[pos] for col in col_of])
+    return Submodule(M, [M.from_q_coords(vec)
+                         for vec in linalg.nullspace(constraints, dim)])
+
+
+def _random_submodule(rng, M):
+    """Up to two random generators, each supported on a random set of
+    summands, so that P is often a proper nonzero submodule."""
+    gens = []
+    for _ in range(rng.randint(0, 2)):
+        x = _random_element(rng, M)
+        keep = rng.sample(range(M.rank), rng.randint(1, M.rank))
+        gens.append(M.element(tuple(c if i in keep else LaurentPoly.zero(M.variable)
+                                    for i, c in enumerate(x.coords))))
+    return Submodule(M, gens)
+
+
+def _with_mirror(B):
+    # B + (-B) repeats every prime, so one element generates a proper submodule
+    return direct_sum_forms([B, B.negate()], relabel=lambda i, l: f"{l}{i}")
+
+
+def _assert_matches_oracle(rng, B, trials):
+    proper = 0
+    for _ in range(trials):
+        P = _random_submodule(rng, B.module)
+        perp = annihilator_submodule(B, P)
+        assert perp == allcoeff_perp(B, P)
+        proper += 0 < perp.dim_q() < B.module.dim_q()
+    return proper
+
+
+def test_perp_matches_allcoeff_oracle_random(rng):
+    proper = 0
+    for _ in range(8):
+        B, _ = blanchfield_form(random_seifert(rng, genus=rng.choice([1, 2])))
+        proper += _assert_matches_oracle(rng, B, 2)
+        proper += _assert_matches_oracle(rng, _with_mirror(B), 2)
+    assert proper >= 8
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def test_perp_matches_allcoeff_oracle_basechange(rng, c):
+    # genus 2 only where the base-changed order stays within the factoring cap
+    mats = [pattern_9_46().seifert, random_seifert(rng, genus=1),
+            random_seifert(rng, genus=1 if c > 2 else 2)]
+    proper = 0
+    for V in mats:
+        B, _ = blanchfield_form(V)
+        for form in (B, _with_mirror(B)):
+            Bc, _ = basechange_form(form, c)
+            whole = Submodule(Bc.module, [Bc.module.generator(i)
+                                          for i in range(Bc.module.rank)])
+            assert annihilator_submodule(Bc, whole).is_zero()
+            assert allcoeff_perp(Bc, whole).is_zero()
+            proper += _assert_matches_oracle(rng, Bc, 3)
+    assert proper >= 3
+
+
+def test_epsilon_values_against_reduction(rng):
+    # eps(v^m) is the coefficient of v^(n-1) in v^m mod order, for m < 0 too
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        coeffs[0] = coeffs[0] or Fraction(2)
+        order = LaurentPoly.from_coeffs(coeffs + [1], "t")
+        lo, hi = rng.randint(0, 4), n + rng.randint(0, 4)
+        expect = [reduce_mod(LaurentPoly.monomial(m, 1, "t"), order)[n - 1]
+                  for m in range(-lo, hi)]
+        assert _epsilon_values(order, lo, hi) == expect
+
+
+def test_perp_one_condition_per_basis_vector(form_946, monkeypatch):
+    B, _ = basechange_form(form_946[0], 3)
+    M = B.module
+    shapes = []
+    real = linalg.nullspace
+
+    def spy(rows, ncols):
+        shapes.append((len(rows), ncols))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    P = Submodule(M, [M.generator_by_label("alpha")])
+    annihilator_submodule(B, P)
+    assert shapes == [(P.dim_q(), M.dim_q())]
+
+
+# -- singular forms ------------------------------------------------------------
+
+
+def test_zero_form_is_singular(form_946):
+    M = form_946[0].module
+    zero = FracCoset.zero(M.variable)
+    form = LinkingForm(M, tuple((zero,) * M.rank for _ in range(M.rank)))
+    with pytest.raises(FormError, match="form is singular"):
+        form.validate()
+
+
+@pytest.mark.parametrize("c", [1, 3])
+def test_doubled_form_is_singular(form_946, c):
+    # [[G, G], [G, G]] is hermitian and annihilating, but (x, -x) pairs to
+    # zero with everything
+    B, _ = basechange_form(form_946[0], c)
+    M = direct_sum([B.module, B.module], relabel=lambda i, l: f"{l}{i}")
+    rows = tuple(row + row for row in B.gram)
+    form = LinkingForm(M, rows + rows)
+    with pytest.raises(FormError, match="form is singular"):
+        form.validate()

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from rhoslice import signatures
@@ -245,6 +247,34 @@ def test_precision_env(monkeypatch):
     monkeypatch.setenv(signatures.PRECISION_ENV, "-1/2")
     with pytest.raises(SignatureError):
         signatures.precision_budget()
+
+
+class _FrozenIV:
+    """Stands in for mpmath.iv: reads go to the real context, and every
+    assignment raises."""
+
+    def __init__(self, real):
+        object.__setattr__(self, "_real", real)
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"mpmath.iv.{name} is process-wide state")
+
+
+def test_cos_enclosure_leaves_global_mpmath_alone(monkeypatch):
+    prec = mpmath.iv.prec
+    monkeypatch.setattr(mpmath, "iv", _FrozenIV(mpmath.iv))
+    theta = Fraction(1, 7)
+    exact = 2 * math.cos(2 * math.pi / 7)
+    coarse = signatures._cos_enclosure.__wrapped__(theta)
+    fine = signatures._cos_enclosure.__wrapped__(theta, extra=3)
+    for lo, hi in (coarse, fine):
+        assert lo <= Fraction(exact) + Fraction(1, 10**12)
+        assert Fraction(exact) - Fraction(1, 10**12) <= hi
+    assert fine[1] - fine[0] < coarse[1] - coarse[0] < Fraction(1, 2**70)
+    assert mpmath.iv.prec == prec
 
 
 # -- root isolation helpers ----------------------------------------------------------

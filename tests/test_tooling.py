@@ -23,6 +23,18 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_function_local_imports():
+    # every import sits at the top of its module, where it is read once
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
 @pytest.mark.parametrize("command", (["bench/selftest.py"],
                                      ["bench/run.py", "--smoke"]))
 def test_benchmark_checks_pass(command):
