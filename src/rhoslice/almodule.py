@@ -17,12 +17,13 @@ infection data lives in the original variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import linalg
-from .linalg import PolyMatrix, poly_mat_adjugate, poly_mat_apply, poly_mat_identity
+from .linalg import PolyMatrix, poly_mat_apply, poly_mat_identity
 from .polyalg import (
+    FracCoset,
     LaurentPoly,
     div_exact,
     divides,
@@ -48,9 +49,10 @@ class ModuleError(ValueError):
 def smith_normal_form(A: PolyMatrix):
     """Smith normal form over Q[v^{±1}] (via the Euclidean ring Q[v]).
 
-    Returns (U, D, W) with U*A*W = D exactly, U and W invertible over the
-    Laurent ring (unit determinant), D diagonal with monic exp-0 entries
-    satisfying d_1 | d_2 | ... .
+    Returns (U, D, W, U_inv) with U*A*W = D exactly, U and W invertible
+    over the Laurent ring (unit determinant), D diagonal with monic exp-0
+    entries satisfying d_1 | d_2 | ..., and U_inv = U^{-1}: each row
+    operation on U is applied to U_inv as the inverse column operation.
     """
     if not A or not A[0]:
         raise ModuleError("smith_normal_form requires a nonempty matrix")
@@ -58,16 +60,21 @@ def smith_normal_form(A: PolyMatrix):
     var = A[0][0].variable
     D = [list(row) for row in A]
     U = poly_mat_identity(m, var)
+    U_inv = poly_mat_identity(m, var)
     W = poly_mat_identity(n, var)
 
     def row_scale(i, unit):
-        inv = unit  # multiply row by unit
-        D[i] = [x * inv for x in D[i]]
-        U[i] = [x * inv for x in U[i]]
+        D[i] = [x * unit for x in D[i]]
+        U[i] = [x * unit for x in U[i]]
+        inv = unit.inverse_unit()
+        for row in U_inv:
+            row[i] = row[i] * inv
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
         U[i], U[j] = U[j], U[i]
+        for row in U_inv:
+            row[i], row[j] = row[j], row[i]
 
     def col_swap(i, j):
         for row in D:
@@ -79,6 +86,9 @@ def smith_normal_form(A: PolyMatrix):
         # row_i += f * row_j
         D[i] = [a + f * b for a, b in zip(D[i], D[j])]
         U[i] = [a + f * b for a, b in zip(U[i], U[j])]
+        # so U_inv's col_j -= f * col_i
+        for row in U_inv:
+            row[j] = row[j] - f * row[i]
 
     def col_addmul(i, j, f):
         # col_i += f * col_j
@@ -152,7 +162,7 @@ def smith_normal_form(A: PolyMatrix):
             unit = LaurentPoly.monomial(-k, Fraction(1) / q, var)
             row_scale(p, unit)
 
-    return U, D, W
+    return U, D, W, U_inv
 
 
 def _poly_divmod_shifted(a: LaurentPoly, b: LaurentPoly):
@@ -339,6 +349,17 @@ class Submodule:
         self._basis = None
         self._pivots = None
 
+    @classmethod
+    def whole(cls, ambient: AlexanderModule) -> "Submodule":
+        """The ambient module itself; its reduced Q-basis is the standard
+        one, so no closure or row reduction is run."""
+        sub = cls(ambient, [ambient.generator(i) for i in range(ambient.rank)])
+        dim = ambient.dim_q()
+        sub._basis = [[Fraction(int(i == j)) for j in range(dim)]
+                      for i in range(dim)]
+        sub._pivots = list(range(dim))
+        return sub
+
     def q_basis(self):
         """Row-reduced Q-basis of the submodule (Krylov closure under v)."""
         if self._basis is None:
@@ -395,16 +416,19 @@ class Submodule:
 @dataclass(frozen=True)
 class Decomposition:
     """Smith-normal-form data connecting a Seifert presentation with the
-    canonical module: per summand, the presentation-basis coordinates of its
-    generator, and the data to map presentation vectors to summand
-    coordinates."""
+    canonical module.  With A = (vV - V^T)^T and U*A*W = D = diag(d_i), the
+    generator of a summand split off d_i is its CRT cofactor times column i
+    of U^{-1}; `project` maps presentation vectors to summand coordinates
+    through U, and `inverse_form` evaluates (vV - V^T)^{-1} = U^T D^{-1} W^T.
+    Only this class and `_decompose` know that convention."""
 
     module: AlexanderModule
     gen_coords: tuple[tuple[LaurentPoly, ...], ...]  # e-basis coords per summand
-    umatrix: PolyMatrix            # U from SNF of (vV - V^T)^T
+    umatrix: PolyMatrix            # U
+    wtmatrix: PolyMatrix           # W^T
+    invariants: tuple[LaurentPoly, ...]      # d_1 | d_2 | ... | d_n
     snf_index: tuple[int, ...]     # which SNF diagonal each summand came from
-    cofactor: tuple[LaurentPoly, ...]        # d_i / ann_i per summand
-    cofactor_inv: tuple[LaurentPoly, ...]    # inverse of cofactor mod ann_i
+    cofactor_inv: tuple[LaurentPoly, ...]    # inverse of d_i / ann_i mod ann_i
 
     def project(self, evec) -> ModuleElement:
         """Class of a presentation-basis vector in the canonical module."""
@@ -418,6 +442,18 @@ class Decomposition:
             coords.append(a)
         return ModuleElement(self.module, tuple(coords))
 
+    def inverse_form(self, x, y) -> FracCoset:
+        """x^T (vV - V^T)^{-1} y for presentation vectors x and y, as the
+        coset sum_i (Ux)_i (W^T y)_i / d_i put over the last invariant
+        factor."""
+        last = self.invariants[-1]
+        acc = LaurentPoly.zero(self.module.variable)
+        for a, b, d in zip(poly_mat_apply(self.umatrix, x),
+                           poly_mat_apply(self.wtmatrix, y), self.invariants):
+            if not (d.is_unit() or a.is_zero() or b.is_zero()):
+                acc = acc + a * b * div_exact(last, d)
+        return FracCoset(acc, last)
+
 
 def _decompose(V: SeifertMatrix, variable: str = "s",
                curves: PatternKnot | None = None) -> Decomposition:
@@ -425,17 +461,14 @@ def _decompose(V: SeifertMatrix, variable: str = "s",
     n = V.dim
     if n == 0:
         module = AlexanderModule(variable, 1, ())
-        return Decomposition(module, (), [], (), (), ())
+        return Decomposition(module, (), [], [], (), (), ())
     pres = V.presentation(variable)
     A = [list(col) for col in zip(*pres)]  # relations = rows of pres = columns of A
-    U, D, W = smith_normal_form(A)
-    adjU, detU = poly_mat_adjugate(U)
-    detU_inv = detU.inverse_unit()  # U^{-1} = adj(U) * det(U)^{-1}
+    U, D, W, U_inv = smith_normal_form(A)
 
     summands: list[Summand] = []
     gen_coords: list[tuple[LaurentPoly, ...]] = []
     snf_index: list[int] = []
-    cofactor: list[LaurentPoly] = []
     cofactor_inv: list[LaurentPoly] = []
     auto = 0
     for i in range(n):
@@ -451,15 +484,15 @@ def _decompose(V: SeifertMatrix, variable: str = "s",
             comp_inv = inverse_mod(comp, ann)
             auto += 1
             summands.append(Summand(ann, base, mult, f"g{auto}"))
-            gen_coords.append(tuple(
-                adjU[r][i] * detU_inv * comp for r in range(n)))
+            gen_coords.append(tuple(U_inv[r][i] * comp for r in range(n)))
             snf_index.append(i)
-            cofactor.append(comp)
             cofactor_inv.append(comp_inv)
 
     module = AlexanderModule(variable, 1, tuple(summands))
-    dec = Decomposition(module, tuple(gen_coords), U, tuple(snf_index),
-                        tuple(cofactor), tuple(cofactor_inv))
+    dec = Decomposition(module, tuple(gen_coords), U,
+                        [list(col) for col in zip(*W)],
+                        tuple(D[i][i] for i in range(n)), tuple(snf_index),
+                        tuple(cofactor_inv))
     if curves is not None:
         dec = _label_from_curves(dec, curves)
     return dec
@@ -499,8 +532,8 @@ def _label_from_curves(dec: Decomposition, pattern: PatternKnot) -> Decompositio
         for k, s in enumerate(dec.module.summands))
     module = AlexanderModule(dec.module.variable, dec.module.complexity,
                              new_summands)
-    return Decomposition(module, tuple(gens), dec.umatrix, dec.snf_index,
-                         dec.cofactor, tuple(cofinvs))
+    return replace(dec, module=module, gen_coords=tuple(gens),
+                   cofactor_inv=tuple(cofinvs))
 
 
 def alexander_module(V: SeifertMatrix | PatternKnot, variable: str = "s") -> AlexanderModule:

@@ -5,11 +5,14 @@ The form is computed from a Seifert matrix in presentation coordinates as
     Bl(x, y) = (1 - v) * x^T (vV - V^T)^{-1} conj(y)
 
 with conj the coefficient-wise substitution v -> v^{-1}; values live in
-Q(v)/Q[v^{±1}].  This convention is pinned by the validation suite run at
-construction time: hermitian symmetry, annihilation of each slot by the
-corresponding annihilator, and nonsingularity (the orthogonal complement of
-the whole module is zero).  A form that fails any of these raises instead
-of existing.
+Q(v)/Q[v^{±1}].  The Smith normal form U A W = D of A = (vV - V^T)^T gives
+(vV - V^T)^{-1} = U^T D^{-1} W^T, so each Gram entry is a sum over the
+invariant factors d_i (`Decomposition.inverse_form`); no determinant or
+adjugate of the presentation is computed.  This convention is pinned by
+the validation suite run at construction time: hermitian symmetry,
+annihilation of each slot by the corresponding annihilator, and
+nonsingularity (the orthogonal complement of the whole module is zero).
+A form that fails any of these raises instead of existing.
 
 `basechange_form` applies v -> t^c to the Gram entries and splits the module
 summands accordingly.  `annihilator_submodule` computes orthogonal
@@ -35,8 +38,7 @@ from .almodule import (
     direct_sum,
     reparametrize,
 )
-from .linalg import poly_mat_adjugate
-from .polyalg import FracCoset, LaurentPoly, div_exact, reduce_mod
+from .polyalg import FracCoset, LaurentPoly, div_exact, divides, reduce_mod
 from .seifert import PatternKnot, SeifertMatrix
 
 
@@ -84,18 +86,19 @@ class LinkingForm:
                     raise FormError(
                         f"not hermitian at generators ({i},{j}): "
                         f"{self.gram[j][i]} vs conj({self.gram[i][j]})")
+        # a canonical coset num/den is killed by a exactly when den | a
         for i, s in enumerate(self.module.summands):
             for j, s2 in enumerate(self.module.summands):
-                if not self.gram[i][j].scale(s.annihilator).is_zero():
+                den = self.gram[i][j].den
+                if not divides(den, s.annihilator):
                     raise FormError(
                         f"annihilator of generator {i} does not kill "
                         f"Bl({i},{j})")
-                if not self.gram[i][j].scale(s2.annihilator.conj()).is_zero():
+                if not divides(den, s2.annihilator.conj()):
                     raise FormError(
                         f"annihilator of generator {j} does not kill "
                         f"Bl({i},{j}) on the right")
-        whole = Submodule(self.module, [self.module.generator(i) for i in range(n)])
-        if not annihilator_submodule(self, whole).is_zero():
+        if not annihilator_submodule(self, Submodule.whole(self.module)).is_zero():
             raise FormError("form is singular: the whole module has a "
                             "nonzero orthogonal complement")
 
@@ -125,28 +128,11 @@ def blanchfield_form(V: SeifertMatrix | PatternKnot, variable: str = "s",
     pattern = V if isinstance(V, PatternKnot) else None
     seifert = V.seifert if isinstance(V, PatternKnot) else V
     dec = _decompose(seifert, variable, curves=pattern)
-    module = dec.module
-    n = seifert.dim
-    if n == 0:
-        form = LinkingForm(module, ())
-        return form, dec
-    pres = seifert.presentation(variable)
-    adj, det = poly_mat_adjugate(pres)
     one_minus = LaurentPoly.one(variable) - LaurentPoly.var(variable)
-    gram_rows = []
-    for gi in dec.gen_coords:
-        row = []
-        for gj in dec.gen_coords:
-            gj_bar = [c.conj() for c in gj]
-            acc = LaurentPoly.zero(variable)
-            for a in range(n):
-                for b in range(n):
-                    if gi[a].is_zero() or adj[a][b].is_zero() or gj_bar[b].is_zero():
-                        continue
-                    acc = acc + gi[a] * adj[a][b] * gj_bar[b]
-            row.append(FracCoset(one_minus * acc, det))
-        gram_rows.append(tuple(row))
-    form = LinkingForm(module, tuple(gram_rows))
+    left = [[one_minus * c for c in g] for g in dec.gen_coords]
+    right = [[c.conj() for c in g] for g in dec.gen_coords]
+    form = LinkingForm(dec.module, tuple(
+        tuple(dec.inverse_form(x, y) for y in right) for x in left))
     if validate:
         form.validate()
     return form, dec

@@ -530,18 +530,11 @@ def evaluate_rho(spec: FamilySpec, pattern: AdmissiblePattern,
 
 
 def _accumulate(expr: RhoExpr, comp: Companion, sign: int, mode: str) -> RhoExpr:
-    rho = comp.rho
-    if mode == "numeric":
-        if rho.kind == "symbol":
-            raise ObstructionError(
-                f"companion {comp.name!r} has no numeric value; "
-                "numeric mode requires exact or interval data")
-        return expr.add_value(rho, sign)
-    if rho.kind == "symbol":
-        return expr.add_value(rho, sign)
-    if rho.kind == "exact" and rho.exact == 0:
-        return expr
-    return expr.add_value(rho, sign)
+    if mode == "numeric" and comp.rho.kind == "symbol":
+        raise ObstructionError(
+            f"companion {comp.name!r} has no numeric value; "
+            "numeric mode requires exact or interval data")
+    return expr.add_value(comp.rho, sign)
 
 
 # ---------------------------------------------------------------------------

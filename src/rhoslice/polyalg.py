@@ -842,11 +842,14 @@ def _den_canonical(d: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     coefficient.  Returns (canonical_d, unit) with d = unit * canonical_d."""
     ints = _int_content_primitive(d)
     canon = LaurentPoly.from_coeffs(ints, d.variable)
-    unit = div_exact(d, canon)
-    return canon, unit
+    return canon, LaurentPoly.monomial(d.low, d.leading() / ints[-1], d.variable)
 
 
 def _coset_canonicalize(n: LaurentPoly, d: LaurentPoly):
+    """(num, den) with num/den = n/d modulo Q[v^{±1}]: den canonical as in
+    _den_canonical, num and den coprime, num reduced modulo den ((0, 1) for
+    the zero coset).  Dividing by a unit and reducing modulo den keep num
+    coprime to den, so one gcd suffices and the reduced num is nonzero."""
     var = n.variable
     zero = LaurentPoly.zero(var), LaurentPoly.one(var)
     if n.is_zero():
@@ -855,22 +858,9 @@ def _coset_canonicalize(n: LaurentPoly, d: LaurentPoly):
     if g.span > 0:
         n, d = div_exact(n, g), div_exact(d, g)
     d, unit = _den_canonical(d)
-    n = div_exact(n, unit)
     if d.span == 0:
         return zero
-    n = reduce_mod(n, d)
-    if n.is_zero():
-        return zero
-    # reduction cannot introduce a common factor when gcd was already 1,
-    # but guard against a non-reduced constructor call
-    g = gcd_laurent(n, d)
-    if g.span > 0:
-        n, d = div_exact(n, g), div_exact(d, g)
-        d, unit = _den_canonical(d)
-        n = reduce_mod(div_exact(n, unit), d)
-        if n.is_zero():
-            return zero
-    return n, d
+    return reduce_mod(n * unit.inverse_unit(), d), d
 
 
 class FracCoset:

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import det_int, poly_mat_det
-from .polyalg import LaurentPoly
+from .linalg import det_int
+from .polyalg import LaurentPoly, _int_content_primitive
 
 Transform = str  # one of "mirror", "reverse", "inverse"
 
@@ -119,19 +118,31 @@ def connected_sum(Vs) -> SeifertMatrix:
 
 def alexander_polynomial(V: SeifertMatrix, variable: str = "t") -> LaurentPoly:
     """det(vV - V^T), normalized to lowest exponent 0 with positive leading
-    coefficient.  The unknot gives 1."""
-    if V.dim == 0:
+    coefficient.  The unknot gives 1.
+
+    The determinant is an integer polynomial of degree <= n = dim V, so its
+    values det(kV - V^T) at k = 0..n fix it: Newton's divided differences
+    on those nodes are integers, and expanding the Newton form gives the
+    coefficients."""
+    n = V.dim
+    if n == 0:
         return LaurentPoly.one(variable)
-    d = poly_mat_det(V.presentation(variable), variable)
+    cols = list(zip(*V.rows))
+    newton = [det_int([[k * a - b for a, b in zip(row, col)]
+                       for row, col in zip(V.rows, cols)])
+              for k in range(n + 1)]
+    for j in range(1, n + 1):
+        for i in range(n, j - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) // j
+    # Horner on the Newton form: p <- p * (v - k) + newton[k]
+    coeffs = [newton[n]]
+    for k in range(n - 1, -1, -1):
+        coeffs = [newton[k] - k * coeffs[0]] + [
+            a - k * b for a, b in zip(coeffs, coeffs[1:] + [0])]
     # integer-primitive, lowest exponent 0, positive leading coefficient
-    p = d.shift(-d.low)
-    den = math.lcm(*(c.denominator for c in p.poly_coeffs()))
-    p = p * den
-    g = math.gcd(*(abs(int(c)) for c in p.poly_coeffs()))
-    p = p * Fraction(1, g)
-    if p.leading() < 0:
-        p = -p
-    return p
+    return LaurentPoly.from_coeffs(
+        _int_content_primitive(LaurentPoly.from_coeffs(coeffs, variable)),
+        variable)
 
 
 def metabolizer_search(V: SeifertMatrix | list) -> tuple[int, int] | None:

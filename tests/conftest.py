@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from rhoslice.polyalg import LaurentPoly
+from rhoslice.linalg import PolyMatrix, poly_mat_identity
+from rhoslice.polyalg import LaurentPoly, divides
 from rhoslice.seifert import SeifertMatrix
 from rhoslice.signatures import GaussianRational
 
@@ -62,6 +63,89 @@ def eval_gaussian(p: LaurentPoly, w: GaussianRational) -> GaussianRational:
             term = _gauss_pow(winv, -e)
         acc = acc + term * c
     return acc
+
+
+def poly_mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = LaurentPoly.zero(a[i][0].variable)
+            for p in range(k):
+                acc = acc + a[i][p] * b[p][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+# Cofactor expansion: exponential in the dimension, and independent of the
+# program's eliminations, so it serves as their oracle.
+
+
+def cofactor_det(a: PolyMatrix, variable: str | None = None) -> LaurentPoly:
+    """Determinant over Q[v^{±1}] by cofactor expansion along the rows,
+    memoized on column subsets."""
+    n = len(a)
+    if variable is None:
+        variable = a[0][0].variable if n else "t"
+    if n == 0:
+        return LaurentPoly.one(variable)
+    cache: dict[tuple[int, tuple[int, ...]], LaurentPoly] = {}
+
+    def minor(r: int, cs: tuple[int, ...]) -> LaurentPoly:
+        if not cs:
+            return LaurentPoly.one(variable)
+        key = (r, cs)
+        got = cache.get(key)
+        if got is not None:
+            return got
+        acc = LaurentPoly.zero(variable)
+        for idx, c in enumerate(cs):
+            entry = a[r][c]
+            if entry.is_zero():
+                continue
+            rest = cs[:idx] + cs[idx + 1:]
+            term = entry * minor(r + 1, rest)
+            acc = acc + (term if idx % 2 == 0 else -term)
+        cache[key] = acc
+        return acc
+
+    return minor(0, tuple(range(n)))
+
+
+def cofactor_adjugate(a: PolyMatrix) -> PolyMatrix:
+    """Adjugate matrix: adj(A)[i][j] = (-1)^{i+j} * det(A delete row j, col i)."""
+    n = len(a)
+    variable = a[0][0].variable if n else "t"
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sub = [[a[r][c] for c in range(n) if c != i]
+                   for r in range(n) if r != j]
+            d = cofactor_det(sub, variable)
+            out[i][j] = d if (i + j) % 2 == 0 else -d
+    return out
+
+
+def snf_is_valid(A, U, D, W, U_inv):
+    """U*A*W = D, U*U_inv = I, det U and det W units, D diagonal with
+    d_1 | d_2 | ..."""
+    assert poly_mat_mul(poly_mat_mul(U, A), W) == D
+    assert poly_mat_mul(U, U_inv) == poly_mat_identity(len(U), A[0][0].variable)
+    assert cofactor_det(U).is_unit()
+    assert cofactor_det(W).is_unit()
+    n, m = len(D), len(D[0])
+    diag = [D[i][i] for i in range(min(n, m))]
+    for i in range(n):
+        for j in range(m):
+            if i != j:
+                assert D[i][j].is_zero()
+    for a, b in zip(diag, diag[1:]):
+        if not a.is_zero():
+            assert b.is_zero() or divides(a, b)
+        else:
+            assert b.is_zero()
 
 
 @pytest.fixture

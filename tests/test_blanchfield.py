@@ -17,9 +17,16 @@ from rhoslice.blanchfield import (
     is_self_annihilating,
 )
 from rhoslice.polyalg import FracCoset, LaurentPoly, coset_reduce, gcd_laurent, reduce_mod
-from rhoslice.seifert import pattern_9_46, trefoil_right, unknot
+from rhoslice.seifert import (
+    PatternKnot,
+    SeifertMatrix,
+    connected_sum,
+    pattern_9_46,
+    trefoil_right,
+    unknot,
+)
 
-from conftest import random_laurent, random_seifert
+from conftest import cofactor_adjugate, cofactor_det, random_laurent, random_seifert
 
 S = LaurentPoly.var("s")
 
@@ -100,6 +107,57 @@ def test_validation_failure_is_loud():
     bad = LinkingForm(B.module, tuple(tuple(r) for r in bad_rows))
     with pytest.raises(FormError, match="hermitian"):
         bad.validate()
+
+
+def test_unannihilated_hermitian_form_is_rejected(form_946):
+    # hermitian, but 1/(2s - 1)^2 is not killed by alpha's annihilator 2s - 1
+    B, _ = form_946
+    g01 = coset_reduce(LaurentPoly.one("s"), (2 * S - 1) ** 2)
+    rows = [list(r) for r in B.gram]
+    rows[0][1], rows[1][0] = g01, g01.conj()
+    bad = LinkingForm(B.module, tuple(tuple(r) for r in rows))
+    with pytest.raises(FormError, match="does not kill"):
+        bad.validate()
+
+
+def _oracle_gram(V, dec):
+    """(1 - v) g_i^T adj(P) conj(g_j) / det(P), P = vV - V^T, with the
+    adjugate and determinant by cofactor expansion."""
+    pres = V.presentation("s")
+    adj, det = cofactor_adjugate(pres), cofactor_det(pres)
+    n = V.dim
+    rows = []
+    for gi in dec.gen_coords:
+        row = []
+        for gj in dec.gen_coords:
+            acc = sum((gi[a] * adj[a][b] * gj[b].conj()
+                       for a in range(n) for b in range(n)),
+                      LaurentPoly.zero("s"))
+            row.append(coset_reduce((1 - S) * acc, det))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_gram_matches_adjugate_oracle(rng):
+    patterns = [pattern_9_46()]
+    for n in (1, 2, 3):
+        V = SeifertMatrix([[0, n], [n + 1, 0]])
+        patterns.append(PatternKnot.from_int_vectors(
+            V, {"alpha": (1, 0), "beta": (0, 1)}, name=f"p{n}"))
+    patterns += [p.transform("inverse") for p in patterns]
+    # sums with a repeated summand have two non-unit invariant factors
+    R, T3 = pattern_9_46().seifert, trefoil_right()
+    sums = [connected_sum([R, R, T3]), connected_sum([T3, R, T3])]
+    knots = patterns + sums + [random_seifert(rng, genus=g)
+                               for g in (1, 1, 1, 1, 2, 2, 2, 2, 3, 3)]
+    curve_labelled = 0
+    for K in knots:
+        B, dec = blanchfield_form(K)
+        V = K.seifert if isinstance(K, PatternKnot) else K
+        assert B.gram == _oracle_gram(V, dec)
+        curve_labelled += sum(s.label in ("alpha", "beta")
+                              for s in B.module.summands)
+    assert curve_labelled >= 2 * len(patterns)
 
 
 # -- base change -----------------------------------------------------------------

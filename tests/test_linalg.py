@@ -1,99 +1,36 @@
-"""The Bareiss determinant and adjugate against cofactor expansion.
+"""The one determinant (`det_int`), the Alexander polynomial interpolated
+from it, and the Smith normal form's transforms, against cofactor
+expansion over Q[t^{±1}] (`conftest.cofactor_det`)."""
 
-`cofactor_det` and `cofactor_adjugate` are the memoized cofactor expansion
-and the determinant-per-minor adjugate that the elimination replaced; they
-are exponential in the dimension and serve only as oracles here.
-"""
-
+import math
 import random
-
-import pytest
+from fractions import Fraction
 
 from rhoslice.almodule import smith_normal_form
-from rhoslice.linalg import (
-    LinalgError,
-    PolyMatrix,
-    poly_mat_adjugate,
-    poly_mat_det,
-    poly_mat_identity,
-    poly_mat_mul,
-)
+from rhoslice.linalg import det_int
 from rhoslice.polyalg import LaurentPoly
-from rhoslice.seifert import pattern_9_46
+from rhoslice.seifert import alexander_polynomial, pattern_9_46, unknot
 
-from conftest import random_laurent, random_seifert
-
-
-def cofactor_det(a: PolyMatrix, variable: str | None = None) -> LaurentPoly:
-    """Determinant over Q[v^{±1}] by cofactor expansion on the sparsest row.
-
-    Matrix dimensions here are small (presentation matrices of knots at desk
-    scale), so cofactor expansion with memoization on column subsets is fine.
-    """
-    n = len(a)
-    if variable is None:
-        variable = a[0][0].variable if n else "t"
-    if n == 0:
-        return LaurentPoly.one(variable)
-    cols = tuple(range(n))
-    cache: dict[tuple[int, tuple[int, ...]], LaurentPoly] = {}
-
-    def minor(r: int, cs: tuple[int, ...]) -> LaurentPoly:
-        if not cs:
-            return LaurentPoly.one(variable)
-        key = (r, cs)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        acc = LaurentPoly.zero(variable)
-        for idx, c in enumerate(cs):
-            entry = a[r][c]
-            if entry.is_zero():
-                continue
-            rest = cs[:idx] + cs[idx + 1:]
-            term = entry * minor(r + 1, rest)
-            acc = acc + (term if idx % 2 == 0 else -term)
-        cache[key] = acc
-        return acc
-
-    return minor(0, cols)
+from conftest import cofactor_det, random_laurent, random_seifert, snf_is_valid
 
 
-def cofactor_adjugate(a: PolyMatrix) -> PolyMatrix:
-    """Adjugate matrix: adj(A)[i][j] = (-1)^{i+j} * det(A delete row j, col i)."""
-    n = len(a)
-    variable = a[0][0].variable if n else "t"
-    if n == 0:
-        return []
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [[a[r][c] for c in range(n) if c != i]
-                   for r in range(n) if r != j]
-            d = cofactor_det(sub, variable)
-            out[i][j] = d if (i + j) % 2 == 0 else -d
-    return out
-
-
-def check_against_oracle(a: PolyMatrix) -> None:
-    det = poly_mat_det(a)
-    assert det == cofactor_det(a)
-    adj, det2 = poly_mat_adjugate(a)
-    assert det2 == det
-    assert adj == cofactor_adjugate(a)
-    n = len(a)
-    scalar = [[det if i == j else LaurentPoly.zero(det.variable)
-               for j in range(n)] for i in range(n)]
-    assert poly_mat_mul(adj, a) == scalar
+def normalized(p: LaurentPoly) -> LaurentPoly:
+    """p scaled to lowest exponent 0, integer-primitive coefficients and a
+    positive leading coefficient."""
+    p = p.shift(-p.low)
+    coeffs = [c for _, c in p.items()]
+    p = p * math.lcm(*(c.denominator for c in coeffs))
+    p = p * Fraction(1, math.gcd(*(int(c) for _, c in p.items())))
+    return -p if p.leading() < 0 else p
 
 
 def test_seifert_pencils_against_cofactor():
-    # 50 pencils; the oracle's adjugate takes about 2 s at genus 4
     rng = random.Random(2202)
-    for genus, count in ((1, 18), (2, 20), (3, 10), (4, 2)):
+    for genus, count in ((1, 18), (2, 20), (3, 10), (4, 4)):
         for _ in range(count):
             V = random_seifert(rng, genus=genus)
-            check_against_oracle(V.presentation("t"))
+            oracle = normalized(cofactor_det(V.presentation("t")))
+            assert alexander_polynomial(V) == oracle
 
 
 def test_snf_transforms_against_cofactor():
@@ -102,38 +39,37 @@ def test_snf_transforms_against_cofactor():
         n, m = rng.choice([1, 2, 3]), rng.choice([1, 2, 3])
         A = [[random_laurent(rng, "t", max_deg=2, min_exp=-1)
               for _ in range(m)] for _ in range(n)]
-        U, _D, W = smith_normal_form(A)
-        for T in (U, W):
-            check_against_oracle(T)
-            assert poly_mat_det(T).is_unit()
+        snf_is_valid(A, *smith_normal_form(A))
 
 
 def test_pivot_swap_on_9_46():
-    pres = pattern_9_46().seifert.presentation("s")
+    # the (0, 0) entry of kV - V^T is 0 at every node, so det_int swaps rows
+    V = pattern_9_46().seifert
+    pres = V.presentation("s")
     assert pres[0][0].is_zero()
-    check_against_oracle(pres)
+    det = cofactor_det(pres)
+    for k in range(-2, 5):
+        rows = [[k * V[i, j] - V[j, i] for j in range(2)] for i in range(2)]
+        assert det_int(rows) == det.evaluate(k)
     s = LaurentPoly.var("s")
-    assert poly_mat_det(pres) == -(2 * s - 1) * (s - 2)
+    assert alexander_polynomial(V, "s") == (2 * s - 1) * (s - 2)
 
 
 def test_singular_matrix():
     rng = random.Random(7)
-    row = [random_laurent(rng, "t", allow_zero=False) for _ in range(3)]
-    other = [random_laurent(rng, "t") for _ in range(3)]
-    f = random_laurent(rng, "t", allow_zero=False)
-    a = [row, other, [f * x for x in row]]
-    assert cofactor_det(a).is_zero()
-    assert poly_mat_det(a) == LaurentPoly.zero("t")
-    with pytest.raises(LinalgError, match="singular"):
-        poly_mat_adjugate(a)
-    zero_col = [[LaurentPoly.zero("t"), x] for x in (f, f * f)]
-    assert poly_mat_det(zero_col).is_zero()
-    with pytest.raises(LinalgError):
-        poly_mat_adjugate(zero_col)
+    for _ in range(20):
+        row = [rng.randint(-5, 5) for _ in range(4)]
+        others = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(2)]
+        f = rng.choice([-3, -1, 2])
+        mat = [row] + others + [[f * x for x in row]]
+        rng.shuffle(mat)
+        assert det_int(mat) == 0
+    zero_col = [[0, 1, 2], [0, 3, 4], [0, 5, 7]]
+    assert det_int(zero_col) == 0
 
 
 def test_empty_and_identity():
-    assert poly_mat_det([], "s") == LaurentPoly.one("s")
-    assert poly_mat_adjugate([]) == ([], LaurentPoly.one("t"))
-    ident = poly_mat_identity(3, "t")
-    assert poly_mat_adjugate(ident) == (ident, LaurentPoly.one("t"))
+    assert det_int([]) == 1
+    assert det_int([[1 if i == j else 0 for j in range(5)] for i in range(5)]) == 1
+    assert det_int([[0, 1], [1, 0]]) == -1
+    assert alexander_polynomial(unknot(), "s") == LaurentPoly.one("s")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,26 @@ def test_coset_zero_denominator():
 def test_coset_representative_invariance(n, d, k):
     # adding any multiple of d to n does not change the coset
     assert coset_reduce(n, d) == coset_reduce(n + k * d, d)
+
+
+@given(laurents, nonzero_laurents, nonzero_laurents)
+@settings(max_examples=100, deadline=None)
+def test_coset_canonical_form(a, b, g):
+    # the common factor g exercises the gcd step
+    n, d = a * g, b * g
+    z = coset_reduce(n, d)
+    num, den = z.num, z.den
+    assert gcd_laurent(num, den).is_one()
+    coeffs = den.poly_coeffs()
+    assert den.low == 0 and den.leading() > 0
+    assert all(c.denominator == 1 for c in coeffs)
+    assert math.gcd(*(int(c) for c in coeffs)) == 1
+    if z.is_zero():
+        assert den.is_one()
+    else:
+        assert num.low >= 0 and num.degree < den.degree
+    # n/d - num/den = (n*den - num*d) / (d*den) is a Laurent polynomial
+    assert divides(d * den, n * den - num * d)
 
 
 def test_coset_zero_iff_divides():
