@@ -26,7 +26,6 @@ from .blanchfield import (
     is_self_annihilating,
 )
 from .obstruction import (
-    AdmissiblePattern,
     Companion,
     FamilyMember,
     FamilySpec,
@@ -34,10 +33,7 @@ from .obstruction import (
     ObstructionError,
     ObstructionReport,
     RhoExpr,
-    admissible_patterns,
     assemble,
-    evaluate_rho,
-    subgroup_property_check,
     verify_obstructed,
 )
 from .polyalg import (

@@ -23,7 +23,13 @@ computed from the matrix).  Curve classes are rational strings or
 serialized polynomials ({"coefficients": {"0": "1"}}).
 
 Subcommands: info, obstruct, signature.  Exit codes for obstruct: 0 when
-OBSTRUCTED, 2 when INCONCLUSIVE, 1 on errors.  The environment variable
+OBSTRUCTED, 2 when INCONCLUSIVE, 1 on errors.  `obstruct --output
+structured` prints a "rhoslice.report/2" document: per complexity and
+isotypic class, a slot-type table (`slot_types`: each type's slot labels
+and the expression each copy adds) and one cell per count vector (its
+`counts`, indexed like the types, a representative `support` and its
+expression), then the witnesses, the audit trail and the notes.  The text
+output lists the same.  The environment variable
 RHOSLICE_PRECISION bounds the width of certified intervals (default
 1/1000000).
 """
@@ -358,12 +364,19 @@ def cmd_obstruct(args) -> int:
         if report.uniform_in_c:
             print("uniform-in-c certificate: expressions independent of the "
                   "complexity across the sweep")
-        print(f"{len(report.cells)} (complexity, pattern) cells:")
+        print("slot types (copies of one type add the same expression):")
+        for table in report.slot_types:
+            for i, (slots, rho) in enumerate(zip(table.slots, table.rho), 1):
+                print(f"  c={table.complexity} class=({table.prime}) "
+                      f"type {i}: {{{', '.join(slots)}}} rho = {rho}")
+        print(f"{len(report.cells)} (complexity, count vector) cells:")
         for cell in report.cells:
             status = "nonzero" if cell.nonvanishing else "VANISHING"
             support = ", ".join(cell.support)
+            counts = ", ".join(map(str, cell.counts))
             print(f"  c={cell.complexity} class=({cell.prime}) "
-                  f"support={{{support}}} rho = {cell.rho} [{status}]")
+                  f"counts=({counts}) support={{{support}}} rho = {cell.rho} "
+                  f"[{status}]")
         if report.witnesses:
             w = report.witnesses[0]
             print(f"witness: c={w.complexity} support={list(w.support)} "

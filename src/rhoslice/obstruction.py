@@ -4,11 +4,19 @@ A `FamilySpec` describes L = #_i n_i (K_i # -tK_i), where each K_i is a
 genus-one pattern with companion knots tied through its infection curves
 and -tK denotes the reversed mirror.  For a complexity c >= 1 the engine
 assembles the homology module and linking form of L over Q[t^{±1}] with t
-acting as the c-th power of the covering translation, enumerates every way
-a hypothetical half-dimensional self-annihilating submodule could project
-into one isotypic class ("admissible patterns"), and evaluates the
-resulting real-valued invariant as a formal expression in the companions'
-signature integrals.
+acting as the c-th power of the covering translation.  In each isotypic
+class it lists the slots (a curve of one copy of one member) where a
+hypothetical half-dimensional self-annihilating submodule could survive
+isotypic reduction, and evaluates the resulting real-valued invariant as a
+formal expression in the companions' signature integrals.
+
+The |n_i| copies of one member are identical, so the slots of a class
+fall into slot types (member, K or -tK block, curve) of n_t = |n_i| copies
+each, and every copy of a type adds the same expression e_t; the sweep
+checks this on every run.  A support of k_t copies of each type then has
+the value sum_t k_t * e_t, which depends only on its count vector k.  The
+sweep evaluates one cell per count vector 0 <= k_t <= n_t (not all zero),
+prod(n_t + 1) - 1 of them, in place of the 2^(sum n_t) - 1 supports.
 
 The analytic ingredients enter as axioms with machine-checked hypotheses:
 
@@ -16,24 +24,25 @@ The analytic ingredients enter as axioms with machine-checked hypotheses:
   verifying a genus-one metabolizer exists and the flagged curve pairs to
   zero with itself;
 * invariance under composition with injective coefficient maps: applied
-  after checking the flagged coordinate is not divisible by the isotypic
-  prime (`subgroup_property_check`);
+  after finding a coordinate of the reduced slot element, on a summand of
+  the isotypic class, that the isotypic prime does not divide;
 * additivity over connected sums and satellite pieces: reflected in the
   per-copy block evaluation; distinct copies are orthogonal on the
   assembled form by construction, as it is the block sum of the copies'
   forms.
 
 Every axiom application is recorded in the report's audit trail.  If all
-patterns at all complexities up to the sweep bound give a provably nonzero
-expression, the family is OBSTRUCTED: no member combination bounds a disk
-in a rational homology ball of complexity within the bound.  A single
-unverifiable expression makes the verdict INCONCLUSIVE, never a false
-positive.
+count vectors at all complexities up to the sweep bound give a provably
+nonzero expression, the family is OBSTRUCTED: no member combination bounds
+a disk in a rational homology ball of complexity within the bound.  A
+single unverifiable expression makes the verdict INCONCLUSIVE, never a
+false positive.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,16 +51,19 @@ from .almodule import (
     AlexanderModule,
     ModuleElement,
     ModuleError,
+    Summand,
     direct_sum,
     isotypic_decompose,
     reduce_to_isotypic,
 )
 from .blanchfield import LinkingForm, basechange_form, blanchfield_form, direct_sum_forms
-from .polyalg import LaurentPoly, divides, is_irreducible
+from .polyalg import LaurentPoly, divides
 from .seifert import PatternKnot, SeifertMatrix, metabolizer_search
 from .signatures import Rho0Value, rho0 as rho0_of_seifert
 
-MAX_SLOTS_PER_CLASS = 20
+# Count vectors the sweep evaluates in one isotypic class: as many as the
+# supports of 20 slots.
+MAX_CELLS_PER_CLASS = 2 ** 20 - 1
 
 
 class ObstructionError(ValueError):
@@ -354,22 +366,8 @@ def _assemble_full(spec: FamilySpec, c: int) -> Assembly:
 
 
 # ---------------------------------------------------------------------------
-# Admissible patterns
+# Slots and slot types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdmissiblePattern:
-    """A nonempty support inside one isotypic class: the positions where a
-    hypothetical self-annihilating element survives isotypic reduction."""
-
-    prime: LaurentPoly              # irreducible at the given complexity
-    class_key: str                  # complexity-independent class id
-    support: tuple[Slot, ...]
-    signs: tuple[int, ...]          # per-slot multiplicity signs
-
-    def label(self, spec: FamilySpec) -> str:
-        return "{" + ", ".join(s.label(spec) for s in self.support) + "}"
 
 
 def _isotypic_primes(assembly: Assembly) -> list[tuple[LaurentPoly, str]]:
@@ -408,27 +406,13 @@ def _slots_for_prime(assembly: Assembly, prime: LaurentPoly) -> list[Slot]:
     return out
 
 
-def admissible_patterns(spec: FamilySpec, c: int) -> list[AdmissiblePattern]:
-    """All (isotypic prime, nonempty support) pairs at complexity c.
-
-    No symmetry reduction: reorderings and orientation changes are replaced
-    by exhaustive enumeration over supports.
-    """
-    assembly = _assemble_full(spec, c)
-    patterns: list[AdmissiblePattern] = []
-    for prime, key in _isotypic_primes(assembly):
-        slots = _slots_for_prime(assembly, prime)
-        if len(slots) > MAX_SLOTS_PER_CLASS:
-            raise ObstructionError(
-                f"{len(slots)} slots in one isotypic class exceeds the "
-                f"enumeration bound {MAX_SLOTS_PER_CLASS}")
-        for size in range(1, len(slots) + 1):
-            for chosen in itertools.combinations(slots, size):
-                signs = tuple(
-                    assembly.slot_of_block[(s.member, s.copy, s.reversed_part)].sign
-                    for s in chosen)
-                patterns.append(AdmissiblePattern(prime, key, chosen, signs))
-    return patterns
+def _slot_types(slots: list[Slot]) -> list[list[int]]:
+    """Indices into `slots` grouped by slot type (member, block, curve), in
+    order of first appearance; each group lists its copies in slot order."""
+    types: dict[tuple[int, bool, str], list[int]] = {}
+    for i, s in enumerate(slots):
+        types.setdefault((s.member, s.reversed_part, s.curve), []).append(i)
+    return list(types.values())
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +420,20 @@ def admissible_patterns(spec: FamilySpec, c: int) -> list[AdmissiblePattern]:
 # ---------------------------------------------------------------------------
 
 
-def subgroup_property_check(f: LaurentPoly, p: LaurentPoly) -> bool:
-    """True iff multiplication by f is injective on the p-torsion line,
-    i.e. f is not divisible by the irreducible p.  This is the hypothesis
-    under which composing with the induced coefficient map preserves the
-    invariant."""
-    if not is_irreducible(p):
-        raise ObstructionError(f"({p}) is not irreducible")
-    return not divides(p, f)
+def _unit_coordinate(x: ModuleElement, prime: LaurentPoly,
+                     label: str) -> tuple[LaurentPoly, Summand]:
+    """A coordinate of x on a prime-isotypic summand that the irreducible
+    prime does not divide, with its summand.  Multiplication by the
+    induced coefficient map is then injective on the line x spans, the
+    hypothesis under which composing with it preserves the invariant."""
+    prime = prime.monic()
+    for coord, summand in zip(x.coords, x.module.summands):
+        if summand.base.monic() == prime and not divides(prime, coord):
+            return coord, summand
+    raise ObstructionError(
+        f"slot {label}: every coordinate of {x} on a ({prime})-isotypic "
+        f"summand is divisible by ({prime}); the induced coefficient map "
+        "need not be injective")
 
 
 def _slot_contributions(assembly: Assembly, prime: LaurentPoly,
@@ -484,11 +474,14 @@ def _slot_contributions(assembly: Assembly, prime: LaurentPoly,
     audit.append(f"{label}: Bl({slot.curve},{slot.curve}) = 0; pattern term "
                  "vanishes by the slice-extension axiom")
 
-    # hypothesis 3: unit coordinates are injective against the prime
-    if not subgroup_property_check(LaurentPoly.one(prime.variable), prime):
-        raise ObstructionError("unit coordinate failed the injectivity check")
-    audit.append(f"{label}: coordinate 1 is a unit mod ({prime}); invariant "
-                 "unchanged under the induced coefficient map")
+    # hypothesis 3: x has a coordinate the prime does not divide
+    coord, summand = _unit_coordinate(x, prime, label)
+    simple = (" (multiplicity-1 summand: the check is x != 0 there)"
+              if summand.mult == 1 else "")
+    audit.append(f"{label}: coordinate {coord} of x on summand "
+                 f"Q[{prime.variable}]/({summand.annihilator}) is not "
+                 f"divisible by ({prime}){simple}; invariant unchanged under "
+                 "the induced coefficient map")
 
     contributions: list[tuple[Companion, int]] = []
     mirror_sign = -1 if block.mirrored_companions else 1
@@ -519,14 +512,15 @@ def _slot_expr(assembly: Assembly, prime: LaurentPoly, slot: Slot,
     return expr, audit
 
 
-def evaluate_rho(spec: FamilySpec, pattern: AdmissiblePattern,
-                 c: int, mode: str = "symbolic") -> RhoExpr:
-    """The invariant of the assembled knot for the representation induced by
-    a unit-coordinate element supported on the pattern, as a RhoExpr: the
-    sum of its slots' expressions."""
-    assembly = _assemble_full(spec, c)
-    return sum((_slot_expr(assembly, pattern.prime, slot, mode)[0]
-                for slot in pattern.support), RhoExpr.zero())
+def _slot_expr(assembly: Assembly, prime: LaurentPoly, slot: Slot,
+               mode: str) -> tuple[RhoExpr, list[str]]:
+    """The summand a flagged slot adds to every cell containing it, with
+    the slot's audit lines."""
+    contributions, audit = _slot_contributions(assembly, prime, slot)
+    expr = RhoExpr.zero()
+    for comp, sign in contributions:
+        expr = _accumulate(expr, comp, sign, mode)
+    return expr, audit
 
 
 def _accumulate(expr: RhoExpr, comp: Companion, sign: int, mode: str) -> RhoExpr:
@@ -544,9 +538,14 @@ def _accumulate(expr: RhoExpr, comp: Companion, sign: int, mode: str) -> RhoExpr
 
 @dataclass(frozen=True)
 class ReportCell:
+    """One count vector of one isotypic class at one complexity.  `counts`
+    is indexed like the class's slot types; `support` is the representative
+    support, copies 1..k_t of each type in slot order."""
+
     complexity: int
     class_key: str
     prime: str
+    counts: tuple[int, ...]
     support: tuple[str, ...]
     rho: RhoExpr
     nonvanishing: bool
@@ -556,9 +555,31 @@ class ReportCell:
             "c": self.complexity,
             "class": self.class_key,
             "prime": self.prime,
+            "counts": list(self.counts),
             "support": list(self.support),
             "rho": self.rho.to_json(),
             "nonvanishing": self.nonvanishing,
+        }
+
+
+@dataclass(frozen=True)
+class SlotTypeTable:
+    """The slot types of one isotypic class at one complexity: each type's
+    slot labels (copy 1 first) and the expression each of its copies adds."""
+
+    complexity: int
+    class_key: str
+    prime: str
+    slots: tuple[tuple[str, ...], ...]
+    rho: tuple[RhoExpr, ...]
+
+    def to_json(self):
+        return {
+            "c": self.complexity,
+            "class": self.class_key,
+            "prime": self.prime,
+            "types": [{"slots": list(labels), "rho": expr.to_json()}
+                      for labels, expr in zip(self.slots, self.rho)],
         }
 
 
@@ -572,6 +593,7 @@ class ObstructionReport:
     audit: tuple[str, ...]
     uniform_in_c: bool
     notes: tuple[str, ...] = ()
+    slot_types: tuple[SlotTypeTable, ...] = ()
 
     @property
     def obstructed(self) -> bool:
@@ -579,30 +601,91 @@ class ObstructionReport:
 
     def to_json(self):
         return {
-            "schema": "rhoslice.report/1",
+            "schema": "rhoslice.report/2",
             "verdict": self.verdict,
             "c_max": self.c_max,
             "mode": self.mode,
             "uniform_in_c": self.uniform_in_c,
             "cells": [c.to_json() for c in self.cells],
             "witnesses": [c.to_json() for c in self.witnesses],
+            "slot_types": [t.to_json() for t in self.slot_types],
             "audit": list(self.audit),
             "notes": list(self.notes),
         }
 
 
+def _sweep_class(assembly: Assembly, prime: LaurentPoly, key: str,
+                 slots: list[Slot], types: list[list[int]], mode: str,
+                 audit: dict[str, None]
+                 ) -> tuple[SlotTypeTable, list[ReportCell]]:
+    """The slot-type table and the cells of one isotypic class.
+
+    Every slot's facts are computed and audited; the copies of a type must
+    give equal expressions.  Cells come sorted by (support size, slot
+    indices of the representative support), which for one copy per type is
+    the order of the supports themselves.
+    """
+    c, spec = assembly.complexity, assembly.spec
+    prime_name = str(prime)
+    labels = [s.label(spec) for s in slots]
+    exprs = []
+    for slot in slots:
+        expr, lines = _slot_expr(assembly, prime, slot, mode)
+        for line in lines:
+            audit.setdefault(f"c={c}: {line}")
+        exprs.append(expr)
+    for t in types:
+        for i in t[1:]:
+            if exprs[i] != exprs[t[0]]:
+                raise ObstructionError(
+                    f"c={c}: copies {labels[t[0]]} and {labels[i]} of one "
+                    f"slot type give different expressions ({exprs[t[0]]} "
+                    f"and {exprs[i]})")
+    type_exprs = [exprs[t[0]] for t in types]
+    counted = itertools.product(*(range(len(t) + 1) for t in types))
+    zero = next(counted)
+    audit.setdefault(
+        f"c={c}: ({prime_name}) class: {len(slots)} slots in {len(types)} "
+        "slot types, and the copies of each type give equal expressions; "
+        f"{math.prod(len(t) + 1 for t in types) - 1} count vectors stand "
+        f"for its 2^{len(slots)} - 1 supports")
+
+    # In product order a count vector comes after the vector with its last
+    # nonzero count lowered by one, whose value it extends by one merge.
+    value = {zero: RhoExpr.zero()}
+    rows = []
+    for counts in counted:
+        last = max(j for j, k in enumerate(counts) if k)
+        lower = counts[:last] + (counts[last] - 1,) + counts[last + 1:]
+        value[counts] = value[lower] + type_exprs[last]
+        support = sorted(i for t, k in zip(types, counts) for i in t[:k])
+        rows.append((len(support), support, counts))
+    rows.sort()
+    cells = []
+    for _, support, counts in rows:
+        expr = value[counts]
+        cells.append(ReportCell(c, key, prime_name, counts,
+                                tuple(labels[i] for i in support), expr,
+                                expr.is_verifiably_nonzero()))
+    table = SlotTypeTable(c, key, prime_name,
+                          tuple(tuple(labels[i] for i in t) for t in types),
+                          tuple(type_exprs))
+    return table, cells
+
+
 def verify_obstructed(spec: FamilySpec, c_max: int,
                       mode: str = "symbolic") -> ObstructionReport:
-    """Sweep all complexities 1..c_max and all admissible patterns.
+    """Sweep all complexities 1..c_max and, in each isotypic class, every
+    count vector of its slot types.
 
-    OBSTRUCTED iff every pattern's expression is verifiably nonzero; any
+    OBSTRUCTED iff every cell's expression is verifiably nonzero; any
     unverifiable cell (exact zero, or an interval through zero) yields
     INCONCLUSIVE with witnesses.  The enumeration discharges the
     self-annihilating-submodule quantifier: a nonzero element of such a
     submodule reduces, by multiplying with the complementary primes, to a
-    unit-coordinate element supported on one of the enumerated patterns,
-    and a self-annihilating submodule is nonzero because the form is
-    nonsingular (validated at assembly).
+    unit-coordinate element supported on a set of slots, whose value is
+    that of its count vector's cell; and a self-annihilating submodule is
+    nonzero because the form is nonsingular (validated at assembly).
     """
     if c_max < 1:
         raise ObstructionError("c_max must be at least 1")
@@ -610,57 +693,42 @@ def verify_obstructed(spec: FamilySpec, c_max: int,
         raise ObstructionError(f"unknown mode {mode!r}")
     cells: list[ReportCell] = []
     witnesses: list[ReportCell] = []
-    audit: list[str] = []
+    tables: list[SlotTypeTable] = []
+    audit: dict[str, None] = {}     # insertion-ordered set of lines
     notes: list[str] = []
-    seen_audit = set()
     by_pattern: dict[tuple[str, tuple[str, ...]], list[RhoExpr]] = {}
     class_keys_by_c: dict[int, tuple[str, ...]] = {}
 
     for c in range(1, c_max + 1):
         assembly = _assemble_full(spec, c)
-        audit_line = (f"c={c}: assembled {len(assembly.blocks)} blocks; form "
-                      "validated hermitian, annihilating and nonsingular "
-                      "blockwise; distinct copies pair to zero (block form)")
-        if audit_line not in seen_audit:
-            seen_audit.add(audit_line)
-            audit.append(audit_line)
-        patterns = admissible_patterns(spec, c)
-        class_keys_by_c[c] = tuple(sorted({p.class_key for p in patterns}))
-        if not patterns:
+        audit.setdefault(
+            f"c={c}: assembled {len(assembly.blocks)} blocks; form validated "
+            "hermitian, annihilating and nonsingular blockwise; by "
+            "construction: the assembled form is the block sum of the "
+            "copies' forms")
+        classes = []
+        for prime, key in _isotypic_primes(assembly):
+            slots = _slots_for_prime(assembly, prime)
+            types = _slot_types(slots)
+            n_cells = math.prod(len(t) + 1 for t in types) - 1
+            if n_cells > MAX_CELLS_PER_CLASS:
+                raise ObstructionError(
+                    f"c={c}: {n_cells} count vectors in the ({prime}) class "
+                    f"exceed the enumeration bound {MAX_CELLS_PER_CLASS}")
+            if slots:
+                classes.append((prime, key, slots, types))
+        class_keys_by_c[c] = tuple(sorted({key for _, key, _, _ in classes}))
+        if not classes:
             notes.append(f"c={c}: no admissible patterns (trivial module)")
-        # A cell's expression is its support prefix's plus its last slot's.
-        # admissible_patterns lists each class's supports in
-        # itertools.combinations order, so every prefix comes before the
-        # supports that extend it.
-        slot_exprs: dict[tuple[LaurentPoly, Slot], tuple[RhoExpr, str]] = {}
-        prefix_sums: dict[tuple[LaurentPoly, tuple[Slot, ...]],
-                          tuple[RhoExpr, tuple[str, ...]]] = {}
-        prime_names: dict[LaurentPoly, str] = {}
-        for pat in patterns:
-            prime, support = pat.prime, pat.support
-            last = support[-1]
-            if (prime, last) not in slot_exprs:
-                if prime not in prime_names:
-                    prime_names[prime] = str(prime)
-                    prefix_sums[(prime, ())] = (RhoExpr.zero(), ())
-                slot_expr, slot_audit = _slot_expr(assembly, prime, last, mode)
-                for line in slot_audit:
-                    tagged = f"c={c}: {line}"
-                    if tagged not in seen_audit:
-                        seen_audit.add(tagged)
-                        audit.append(tagged)
-                slot_exprs[(prime, last)] = (slot_expr, last.label(spec))
-            slot_expr, label = slot_exprs[(prime, last)]
-            prefix_expr, prefix_labels = prefix_sums[(prime, support[:-1])]
-            expr, labels = prefix_expr + slot_expr, prefix_labels + (label,)
-            prefix_sums[(prime, support)] = (expr, labels)
-            ok = expr.is_verifiably_nonzero()
-            cell = ReportCell(c, pat.class_key, prime_names[prime], labels,
-                              expr, ok)
-            cells.append(cell)
-            if not ok:
-                witnesses.append(cell)
-            by_pattern.setdefault((pat.class_key, cell.support), []).append(expr)
+        for prime, key, slots, types in classes:
+            table, class_cells = _sweep_class(assembly, prime, key, slots,
+                                              types, mode, audit)
+            tables.append(table)
+            for cell in class_cells:
+                cells.append(cell)
+                if not cell.nonvanishing:
+                    witnesses.append(cell)
+                by_pattern.setdefault((key, cell.support), []).append(cell.rho)
 
     any_cells = bool(cells)
     verdict = "OBSTRUCTED" if any_cells and not witnesses else "INCONCLUSIVE"
@@ -697,4 +765,4 @@ def verify_obstructed(spec: FamilySpec, c_max: int,
     return ObstructionReport(
         verdict=verdict, c_max=c_max, mode=mode, cells=tuple(cells),
         witnesses=tuple(witnesses), audit=tuple(audit),
-        uniform_in_c=uniform, notes=tuple(notes))
+        uniform_in_c=uniform, notes=tuple(notes), slot_types=tuple(tables))

@@ -178,9 +178,11 @@ def test_obstruct_structured_deterministic(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     data = json.loads(first)
-    assert data["schema"] == "rhoslice.report/1"
+    assert data["schema"] == "rhoslice.report/2"
     assert data["verdict"] == "OBSTRUCTED"
     assert len(data["cells"]) == 12
+    assert [len(t["types"]) for t in data["slot_types"]] == [2, 2, 2, 2]
+    assert all(len(cell["counts"]) == 2 for cell in data["cells"])
     assert data["uniform_in_c"] is True
     assert data["audit"]
 

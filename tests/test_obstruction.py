@@ -1,10 +1,16 @@
+import itertools
+import math
 import random
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from rhoslice.almodule import reduce_to_isotypic
+from rhoslice import obstruction
+from rhoslice.almodule import AlexanderModule, Summand, reduce_to_isotypic
 from rhoslice.obstruction import (
+    MAX_CELLS_PER_CLASS,
     Companion,
     FamilyMember,
     FamilySpec,
@@ -13,13 +19,15 @@ from rhoslice.obstruction import (
     ObstructionReport,
     ReportCell,
     RhoExpr,
+    Slot,
     _accumulate,
     _assemble_full,
+    _isotypic_primes,
     _slot_contributions,
-    admissible_patterns,
+    _slot_expr,
+    _slots_for_prime,
+    _unit_coordinate,
     assemble,
-    evaluate_rho,
-    subgroup_property_check,
     verify_obstructed,
 )
 from rhoslice.polyalg import LaurentPoly
@@ -157,6 +165,39 @@ def test_assembled_copies_are_orthogonal():
                 assert B.gram[i][j].is_zero()
 
 
+# -- the subset enumeration, the oracle of the count-vector sweep ---------------
+
+
+@dataclass(frozen=True)
+class AdmissiblePattern:
+    """A nonempty support inside one isotypic class: the positions where a
+    hypothetical self-annihilating element survives isotypic reduction."""
+
+    prime: LaurentPoly
+    class_key: str
+    support: tuple[Slot, ...]
+
+
+def admissible_patterns(spec, c):
+    """All (isotypic prime, nonempty support) pairs at complexity c, each
+    class's supports in itertools.combinations order."""
+    assembly = _assemble_full(spec, c)
+    patterns = []
+    for prime, key in _isotypic_primes(assembly):
+        slots = _slots_for_prime(assembly, prime)
+        for size in range(1, len(slots) + 1):
+            for chosen in itertools.combinations(slots, size):
+                patterns.append(AdmissiblePattern(prime, key, chosen))
+    return patterns
+
+
+def evaluate_rho(spec, pattern, c, mode="symbolic"):
+    """A support's expression: the sum of its slots' expressions."""
+    assembly = _assemble_full(spec, c)
+    return sum((_slot_expr(assembly, pattern.prime, slot, mode)[0]
+                for slot in pattern.support), RhoExpr.zero())
+
+
 # -- admissible patterns -----------------------------------------------------------
 
 
@@ -240,13 +281,19 @@ def test_numeric_cancellation():
 # -- hypothesis checks -----------------------------------------------------------------
 
 
-def test_subgroup_property_check_spec_values():
-    p = 2 * T - 1
-    assert subgroup_property_check(T + 1, p)
-    assert not subgroup_property_check(2 * T - 1, p)
-    assert subgroup_property_check((2 * T - 1) * (T - 2) + 1, p)
-    with pytest.raises(ObstructionError, match="irreducible"):
-        subgroup_property_check(T, (2 * T - 1) * (T - 2))
+def test_coordinate_check_rejects_a_multiple_of_the_prime():
+    p = (2 * T - 1).monic()
+    M = AlexanderModule("t", 1, (Summand((p ** 2).monic(), p, 2, "g"),))
+    with pytest.raises(ObstructionError, match="divisible by"):
+        _unit_coordinate(M.element((p,)), p, "K[1].alpha")
+    coord, summand = _unit_coordinate(M.element((p + 1,)), p, "K[1].alpha")
+    assert coord == p + 1 and summand.mult == 2
+    # a coordinate on another class's summand does not count
+    q = T - 2
+    N = AlexanderModule("t", 1, (Summand(p, p, 1, "a"), Summand(q, q, 1, "b")))
+    with pytest.raises(ObstructionError, match="divisible by"):
+        _unit_coordinate(N.element((0, 1)), p, "K[1].alpha")
+    assert _unit_coordinate(N.element((3, 1)), p, "K[1].alpha")[0] == 3
 
 
 def test_bad_curve_self_pairing_raises():
@@ -380,9 +427,11 @@ def oracle_rho(assembly, pattern, mode, facts):
     return expr
 
 
-def oracle_report(spec, c_max, mode):
-    """The sweep the prefix sums replaced: every cell evaluated from scratch
-    by adding one companion at a time, over the same admissible patterns."""
+def oracle_report(spec, c_max, mode, prefix_sums=False):
+    """The subset sweep: one cell per support (with no count vector), each
+    evaluated from scratch by adding one companion at a time.  With
+    prefix_sums, a support's expression is its prefix's plus its last
+    slot's, as the production sweep computed it before count vectors."""
     cells, witnesses, audit, notes = [], [], [], []
     seen_audit = set()
     by_pattern, class_keys_by_c = {}, {}
@@ -391,7 +440,8 @@ def oracle_report(spec, c_max, mode):
         facts = {}
         audit_line = (f"c={c}: assembled {len(assembly.blocks)} blocks; form "
                       "validated hermitian, annihilating and nonsingular "
-                      "blockwise; distinct copies pair to zero (block form)")
+                      "blockwise; by construction: the assembled form is the "
+                      "block sum of the copies' forms")
         if audit_line not in seen_audit:
             seen_audit.add(audit_line)
             audit.append(audit_line)
@@ -399,8 +449,17 @@ def oracle_report(spec, c_max, mode):
         class_keys_by_c[c] = tuple(sorted({p.class_key for p in patterns}))
         if not patterns:
             notes.append(f"c={c}: no admissible patterns (trivial module)")
+        sums = {}
         for pat in patterns:
-            expr = oracle_rho(assembly, pat, mode, facts)
+            if prefix_sums:
+                last = AdmissiblePattern(pat.prime, pat.class_key,
+                                         pat.support[-1:])
+                prefix = (sums[(pat.prime, pat.support[:-1])]
+                          if len(pat.support) > 1 else RhoExpr.zero())
+                expr = sums[(pat.prime, pat.support)] = \
+                    prefix + oracle_rho(assembly, last, mode, facts)
+            else:
+                expr = oracle_rho(assembly, pat, mode, facts)
             for slot in pat.support:
                 for line in facts[(pat.prime, slot)][1]:
                     tagged = f"c={c}: {line}"
@@ -408,7 +467,7 @@ def oracle_report(spec, c_max, mode):
                         seen_audit.add(tagged)
                         audit.append(tagged)
             ok = expr.is_verifiably_nonzero()
-            cell = ReportCell(c, pat.class_key, str(pat.prime),
+            cell = ReportCell(c, pat.class_key, str(pat.prime), (),
                               tuple(s.label(spec) for s in pat.support),
                               expr, ok)
             cells.append(cell)
@@ -446,6 +505,64 @@ def oracle_report(spec, c_max, mode):
         uniform_in_c=uniform, notes=tuple(notes))
 
 
+COUNT_LINE = re.compile(r"^c=\d+: \(.*\) class: .* count vectors stand for")
+
+
+def expand(cells, report):
+    """{(c, class, support set): rho} of the supports the cells stand for:
+    each count vector k expands into the prod C(n_t, k_t) supports that
+    take k_t of the n_t slots of each type t."""
+    tables = {(t.complexity, t.class_key): t for t in report.slot_types}
+    out = {}
+    for cell in cells:
+        table = tables[(cell.complexity, cell.class_key)]
+        assert len(cell.counts) == len(table.slots)
+        for parts in itertools.product(*(
+                itertools.combinations(slots, k)
+                for slots, k in zip(table.slots, cell.counts))):
+            key = (cell.complexity, cell.class_key,
+                   frozenset(itertools.chain(*parts)))
+            assert key not in out
+            out[key] = cell.rho
+    return out
+
+
+def copy_number(label):
+    return int(re.search(r"\[(\d+)\]", label).group(1))
+
+
+def assert_matches_oracle(report, oracle):
+    """The count-vector report stands for exactly the oracle's supports and
+    values, with the same verdict, certificate, notes and audit."""
+    def keyed(cells):
+        return {(c.complexity, c.class_key, frozenset(c.support)): c.rho
+                for c in cells}
+
+    assert expand(report.cells, report) == keyed(oracle.cells)
+    assert expand(report.witnesses, report) == keyed(oracle.witnesses)
+    assert report.witnesses == tuple(c for c in report.cells
+                                     if not c.nonvanishing)
+    assert (report.verdict, report.uniform_in_c, report.notes) == \
+        (oracle.verdict, oracle.uniform_in_c, oracle.notes)
+    assert tuple(line for line in report.audit
+                 if not COUNT_LINE.match(line)) == oracle.audit
+    ordered = {(c.complexity, c.class_key, c.support) for c in oracle.cells}
+    for table in report.slot_types:
+        for slots in table.slots:
+            assert [copy_number(s) for s in slots] == \
+                list(range(1, len(slots) + 1))
+    tables = {(t.complexity, t.class_key): t for t in report.slot_types}
+    for cell in report.cells:
+        # the representative support is a real support, in slot order, made
+        # of copies 1..k_t of each type
+        assert (cell.complexity, cell.class_key, cell.support) in ordered
+        table = tables[(cell.complexity, cell.class_key)]
+        for slots, k in zip(table.slots, cell.counts):
+            assert [s for s in cell.support if s in slots] == list(slots[:k])
+    assert sum(1 for line in report.audit if COUNT_LINE.match(line)) == \
+        len(report.slot_types)
+
+
 def random_companion(rng, kinds):
     kind = rng.choice(kinds)
     if kind == "symbol":
@@ -458,19 +575,22 @@ def random_companion(rng, kinds):
     return Companion.interval("I", v, v + Fraction(rng.randint(0, 2), 100))
 
 
-def random_family(rng, max_copies, kinds):
+def random_family(rng, max_copies, kinds, most=None, shared=0.0):
     """A 9_46 family with at most max_copies copies in all, so at most
-    2 * max_copies slots per isotypic class.  Companions come from small
-    pools, so that cells can cancel."""
+    2 * max_copies slots per isotypic class, and at most `most` copies per
+    member.  Companions come from small pools, so that cells can cancel;
+    with probability `shared` a member ties one companion through both
+    curves, so that its K and -tK slots cancel."""
     members, left = [], rng.randint(1, max_copies)
     while left:
-        n = rng.randint(1, left)
+        n = rng.randint(1, min(left, most or left))
         left -= n
-        infections = {}
-        for curve in ("alpha", "beta"):
-            comp = random_companion(rng, kinds)
-            if comp is not None:
-                infections[curve] = comp
+        comps = [random_companion(rng, kinds) for _ in range(2)]
+        if shared and rng.random() < shared:
+            comps[1] = comps[0]
+        infections = {curve: comp
+                      for curve, comp in zip(("alpha", "beta"), comps)
+                      if comp is not None}
         K = InfectedKnot.build(pattern_9_46(), infections)
         members.append(FamilyMember(K, n * rng.choice((1, -1))))
     return FamilySpec(tuple(members),
@@ -489,7 +609,9 @@ def test_sweep_matches_oracle(seed):
     c_max = 1 + seed // 4
     spec = random_family(rng, 4 if seed % 4 == 3 else 3, kinds)
     report = verify_obstructed(spec, c_max, mode)
-    assert report.to_json() == oracle_report(spec, c_max, mode).to_json()
+    oracle = oracle_report(spec, c_max, mode)
+    assert_matches_oracle(report, oracle)
+    assert oracle_report(spec, c_max, mode, prefix_sums=True) == oracle
     assembly, facts = _assemble_full(spec, c_max), {}
     for pat in admissible_patterns(spec, c_max):
         assert evaluate_rho(spec, pat, c_max, mode) == \
@@ -505,8 +627,90 @@ def test_twelve_slot_sweep_matches_oracle(mode):
         if sum(abs(m.multiplicity) for m in spec.members) == 6:
             break
     report = verify_obstructed(spec, 1, mode)
-    assert len(report.cells) == 2 * (2 ** 12 - 1)
-    assert report.to_json() == oracle_report(spec, 1, mode).to_json()
+    oracle = oracle_report(spec, 1, mode)
+    assert len(oracle.cells) == 2 * (2 ** 12 - 1)
+    # each member gives a K and a -tK slot type of |n_i| copies per class
+    assert len(report.cells) == 2 * (math.prod(
+        (abs(m.multiplicity) + 1) ** 2 for m in spec.members) - 1)
+    assert_matches_oracle(report, oracle)
+
+
+@pytest.mark.parametrize("mode", ("symbolic", "numeric"))
+def test_repeated_copies_sweep_matches_oracle(mode):
+    rng = random.Random(7400)
+    kinds = SYMBOLIC_KINDS if mode == "symbolic" else NUMERIC_KINDS
+    witnessed = repeated = 0
+    for c_max in (1, 1, 2, 2, 3, 3):
+        spec = random_family(rng, 6, kinds, most=4, shared=0.4)
+        report = verify_obstructed(spec, c_max, mode)
+        assert_matches_oracle(
+            report, oracle_report(spec, c_max, mode, prefix_sums=True))
+        witnessed += bool(report.witnesses)
+        repeated += any(abs(m.multiplicity) > 1 for m in spec.members)
+    assert witnessed >= 2 and repeated >= 3
+
+
+@pytest.mark.parametrize("mode", ("symbolic", "numeric"))
+def test_single_copy_cells_match_oracle_in_order(mode):
+    # with one copy per type the count vectors are the supports, listed in
+    # the oracle's order
+    rng = random.Random(7500)
+    kinds = SYMBOLIC_KINDS if mode == "symbolic" else NUMERIC_KINDS
+
+    def without_counts(cells):
+        return [{k: v for k, v in cell.to_json().items() if k != "counts"}
+                for cell in cells]
+
+    for c_max in (1, 2, 2):
+        spec = random_family(rng, 4, kinds, most=1, shared=0.4)
+        report = verify_obstructed(spec, c_max, mode)
+        oracle = oracle_report(spec, c_max, mode)
+        assert_matches_oracle(report, oracle)
+        assert without_counts(report.cells) == without_counts(oracle.cells)
+        assert without_counts(report.witnesses) == \
+            without_counts(oracle.witnesses)
+        assert all(set(cell.counts) <= {0, 1} for cell in report.cells)
+
+
+def test_unequal_copies_are_refused(monkeypatch):
+    real = obstruction._slot_expr
+
+    def skewed(assembly, prime, slot, mode):
+        expr, audit = real(assembly, prime, slot, mode)
+        return (expr + RhoExpr.of(1) if slot.copy == 2 else expr), audit
+
+    monkeypatch.setattr(obstruction, "_slot_expr", skewed)
+    with pytest.raises(ObstructionError, match="different expressions"):
+        verify_obstructed(family_spec((1, -2)), 1)
+
+
+def test_count_vector_bound_is_checked_before_any_cell(monkeypatch):
+    assert MAX_CELLS_PER_CLASS == 2 ** 20 - 1
+
+    def unreachable(*args):
+        raise AssertionError("a slot was evaluated")
+
+    # eleven single-copy members: 22 slot types, 2^22 - 1 count vectors
+    with monkeypatch.context() as m:
+        m.setattr(obstruction, "_slot_expr", unreachable)
+        with pytest.raises(ObstructionError, match="4194303 count vectors"):
+            verify_obstructed(family_spec((1,) * 11), 1)
+    # the bound admits exactly its own number: two single-copy members give
+    # 2^4 - 1 count vectors per class
+    monkeypatch.setattr(obstruction, "MAX_CELLS_PER_CLASS", 15)
+    assert verify_obstructed(family_spec((1, -1)), 1).obstructed
+    monkeypatch.setattr(obstruction, "MAX_CELLS_PER_CLASS", 14)
+    with pytest.raises(ObstructionError, match="15 count vectors"):
+        verify_obstructed(family_spec((1, -1)), 1)
+
+
+def test_multiplicity_forty_member_runs():
+    # 80 slots per class, once refused by a bound of 20 slots
+    report = verify_obstructed(family_spec((40,)), 1)
+    assert report.verdict == "OBSTRUCTED"
+    assert len(report.cells) == 2 * (41 ** 2 - 1)
+    assert [len(slots) for t in report.slot_types for slots in t.slots] == \
+        [40] * 4
 
 
 def test_numeric_symbol_error_matches_oracle():

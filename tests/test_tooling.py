@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -43,3 +45,45 @@ def test_benchmark_checks_pass(command):
     proc = subprocess.run([sys.executable, *command], cwd=ROOT,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_obstruct_output_is_independent_of_hash_seed(tmp_path):
+    # Slot types are grouped by (member, block, curve) keys; the report must
+    # not depend on the iteration order of hashed containers.
+    curves = [{"name": "alpha", "class": ["1", "0"]},
+              {"name": "beta", "class": ["0", "1"]}]
+    doc = {
+        "schema": "rhoslice.knot/1",
+        "pattern": {"name": "9_46", "seifert": [[0, 1], [2, 0]],
+                    "curves": curves},
+        "knots": {
+            "K1": {"companions": {"alpha": {"symbol": "r"},
+                                  "beta": {"symbol": "r"}}},
+            "K2": {"companions": {"alpha": {"rho0": "1/3"},
+                                  "beta": {"rho0_interval": ["1/5", "1/4"]}}},
+            "K3": {"companions": {"alpha": {"symbol": "q"}}},
+            "K4": {"companions": {"alpha": {"symbol": "q"},
+                                  "beta": {"rho0": "-1/2"}}},
+        },
+        "family": [{"knot": "K1", "multiplicity": 2},
+                   {"knot": "K2", "multiplicity": -3},
+                   {"knot": "K3", "multiplicity": 1},
+                   {"knot": "K4", "multiplicity": -2}],
+    }
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
+                                              if "PYTHONPATH" in os.environ
+                                              else [])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rhoslice.cli", "obstruct", str(path),
+             "--cmax", "2", "--output", "structured"],
+            cwd=tmp_path, env=env, capture_output=True, timeout=300)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 2
+    assert json.loads(runs[0][1])["verdict"] == "INCONCLUSIVE"
