@@ -237,12 +237,17 @@ def parse_document(data: dict) -> KnotDocument:
     raw_family = data.get("family", [])
     _require(isinstance(raw_family, list), "family", "expected a list")
     knot_names = {name for name, _ in knots}
+    listed: dict[str, int] = {}
     for i, m in enumerate(raw_family):
         w = f"family[{i}]"
         _require(isinstance(m, dict) and "knot" in m and "multiplicity" in m,
                  w, "expected {knot, multiplicity}")
         _require(m["knot"] in knot_names, w,
                  f"unresolved knot name {m['knot']!r}")
+        if m["knot"] in listed:
+            raise DocumentError(f"{w}: knot {m['knot']!r} is already listed "
+                                f"at family[{listed[m['knot']]}]")
+        listed[m["knot"]] = i
         mult = m["multiplicity"]
         _require(isinstance(mult, int) and mult != 0, w,
                  "multiplicity must be a nonzero integer")

@@ -503,17 +503,6 @@ def _slot_contributions(assembly: Assembly, prime: LaurentPoly,
 
 def _slot_expr(assembly: Assembly, prime: LaurentPoly, slot: Slot,
                mode: str) -> tuple[RhoExpr, list[str]]:
-    """The summand a flagged slot adds to every pattern containing it, with
-    the slot's audit lines."""
-    contributions, audit = _slot_contributions(assembly, prime, slot)
-    expr = RhoExpr.zero()
-    for comp, sign in contributions:
-        expr = _accumulate(expr, comp, sign, mode)
-    return expr, audit
-
-
-def _slot_expr(assembly: Assembly, prime: LaurentPoly, slot: Slot,
-               mode: str) -> tuple[RhoExpr, list[str]]:
     """The summand a flagged slot adds to every cell containing it, with
     the slot's audit lines."""
     contributions, audit = _slot_contributions(assembly, prime, slot)

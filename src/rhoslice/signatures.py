@@ -15,10 +15,13 @@ never derivative heuristics.
 
 The signature integral over the circle (normalized to length one) is a
 finite sum of jump * arc-length terms: an exact rational when every jump
-angle is rational, otherwise a certified interval.  Irrational angles are
-enclosed by bisection with certified comparisons against outward-rounded
-interval cosines, computed in a private mpmath interval context; Niven's
-theorem guarantees every comparison resolves.
+angle is rational, otherwise a certified interval.  Each irrational angle
+is enclosed in a dyadic cell: a guess (float arc cosine, then Newton steps)
+picks the cell, and certified comparisons at its two ends confirm it.  The
+comparisons use interval cosines computed in integer arithmetic alone (pi by
+Machin's formula, the Taylor series with its tail bounded), so the package
+needs only the standard library; Niven's theorem guarantees every
+comparison resolves.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
 
 from .polyalg import LaurentPoly, _dpoly_deriv, _dpoly_eval, _dpoly_rem, _euler_phi, cyclotomic, factor_laurent
 from .seifert import SeifertMatrix, alexander_polynomial
@@ -434,35 +435,86 @@ class SignatureFunction:
         return {"jumps": jump_rows, "arc_values": list(self.arc_values)}
 
 
-# A private interval context: setting its precision leaves the process-wide
-# mpmath.iv untouched.
-_IV = mpmath.ctx_iv.MPIntervalContext()
-
-
-def _fraction_to_iv(x: Fraction):
-    return _IV.mpf(x.numerator) / x.denominator
-
-
-def _iv_to_fractions(x) -> tuple[Fraction, Fraction]:
-    """Exact rational endpoints of an mpmath interval (endpoints are dyadic)."""
-
-    def conv(raw) -> Fraction:
-        sign, man, exp, bc = raw
-        if man == 0:
-            if bc == 0:
-                return Fraction(0)
-            raise SignatureError("non-finite interval endpoint")
-        v = Fraction(int(man)) * (Fraction(2) ** int(exp))
-        return -v if sign else v
-
-    lo_raw, hi_raw = x._mpi_
-    return conv(lo_raw), conv(hi_raw)
-
-
 # 2cos(2*pi*t) is rational for rational t in (0, 1/2) only at these angles
 # (Niven), which makes the certified comparison below terminate.
 _NIVEN_X = {Fraction(1, 6): Fraction(1), Fraction(1, 4): Fraction(0),
             Fraction(1, 3): Fraction(-1)}
+
+# Fixed-point bits carried beyond the requested width, to absorb the
+# rounding of the series terms and of pi.
+_GUARD = 16
+
+
+def _pi_bounds(bits: int) -> tuple[int, int]:
+    """Integers lo <= pi * 2^bits <= hi, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239)."""
+
+    def atan_inv(n: int) -> tuple[int, int]:
+        # term k is floor(2^bits / ((2k+1) n^(2k+1))) + [0, 1); the series
+        # alternates with decreasing terms, so the dropped tail is below one
+        # unit once 2^bits / n^(2k+1) is
+        lo = hi = 0
+        power = (1 << bits) // n
+        k = 0
+        while power:
+            q = power // (2 * k + 1)
+            if k % 2:
+                lo, hi = lo - q - 1, hi - q
+            else:
+                lo, hi = lo + q, hi + q + 1
+            power //= n * n
+            k += 1
+        return lo - 1, hi + 1
+
+    lo5, hi5 = atan_inv(5)
+    lo239, hi239 = atan_inv(239)
+    return 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
+
+
+def _cos_fixed(x: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= cos(x / 2^bits) * 2^bits <= hi for 0 <= x < 3 * 2^bits,
+    by the Taylor series.  Terms k >= 1 decrease there, so the alternating
+    tail after the last term kept is at most the first term dropped."""
+    one = 1 << bits
+    y2_lo = (x * x) >> bits
+    y2_hi = -((-x * x) >> bits)
+    stop = 1 << (_GUARD - 4)
+    t_lo = t_hi = lo = hi = one
+    k = 1
+    while True:
+        div = (2 * k - 1) * (2 * k) << bits
+        t_lo = t_lo * y2_lo // div
+        t_hi = -(-t_hi * y2_hi // div)
+        if t_hi <= stop:
+            return lo - t_hi, hi + t_hi
+        if k % 2:
+            lo, hi = lo - t_hi, hi - t_lo
+        else:
+            lo, hi = lo + t_lo, hi + t_hi
+        k += 1
+
+
+def _cos_enclosure(theta: Fraction, extra: int = 0) -> tuple[Fraction, Fraction]:
+    """Certified enclosure of 2cos(2*pi*theta): exact dyadic bounds of width
+    below 2^-(78 + 20*extra), in integer arithmetic."""
+    theta = Fraction(theta) % 1
+    if theta > Fraction(1, 2):
+        theta = 1 - theta
+    sign = 1
+    if theta > Fraction(1, 4):
+        theta, sign = Fraction(1, 2) - theta, -1
+    # 2*pi*theta now lies in [0, pi/2], where cos decreases and is
+    # 1-Lipschitz, so its value at the lower end of the argument's
+    # enclosure bounds it from above and, less the enclosure's width, below
+    bits = 80 + 20 * extra + _GUARD
+    pi_lo, pi_hi = _pi_bounds(bits)
+    a, b = theta.numerator, theta.denominator
+    x_lo = 2 * a * pi_lo // b
+    x_hi = -(-2 * a * pi_hi // b)
+    c_lo, c_hi = _cos_fixed(x_lo, bits)
+    c_lo -= x_hi - x_lo
+    lo, hi = Fraction(2 * c_lo, 1 << bits), Fraction(2 * c_hi, 1 << bits)
+    return (lo, hi) if sign > 0 else (-hi, -lo)
 
 
 def _cos_cmp(t: Fraction, x: Fraction) -> int:
@@ -483,36 +535,66 @@ def _cos_cmp(t: Fraction, x: Fraction) -> int:
     raise SignatureError("certified cosine comparison did not resolve")
 
 
+def _angle_guess(x: Fraction, bits: int) -> Fraction:
+    """An approximation of theta in (0, 1/2) with 2cos(2*pi*theta) = x,
+    -2 < x < 2, aimed at an error below 2^-bits: the float arc cosine, then
+    Newton steps on the certified cosine while bits exceed float precision.
+    Nothing rests on its accuracy; callers certify the result."""
+    guess = math.acos(float(x) / 2) / (2 * math.pi)
+    theta = Fraction(guess)
+    # d(2cos(2*pi*theta))/dtheta; a float slope still gains ~50 bits a step
+    slope = Fraction(-4 * math.pi * math.sin(2 * math.pi * guess))
+    if bits <= 48 or slope == 0:
+        return theta
+    extra = max(0, (bits - 51) // 20)  # width below 2^-(bits + 8)
+    scale = 1 << (bits + 8)
+    for _ in range(bits // 40 + 2):
+        lo, hi = _cos_enclosure(theta, extra)
+        step = ((lo + hi) / 2 - x) / slope
+        theta = Fraction(round((theta - step) * scale), scale)
+        if abs(step) * scale < 1:
+            break
+    return theta
+
+
 def _theta_enclosure(a: Fraction, b: Fraction,
                      iters: int = 40) -> tuple[Fraction, Fraction]:
     """Certified rational t1 <= theta <= t2 for the angle theta in (0, 1/2)
-    of any root x* in [a, b] (with -2 < a <= b < 2), via bisection with
-    certified cosine comparisons; 2cos(2*pi*theta) is decreasing there."""
+    of any root x* in [a, b] (with -2 < a <= b < 2).
+
+    Each end is what `iters` certified bisection steps from [0, 1/2] give:
+    the dyadic cell of width 2^-(iters+1) that holds theta(x), or (m, m)
+    when a cell end m is theta(x) exactly.  The cell comes from a guess and
+    is certified by comparisons at its two ends; 2cos(2*pi*theta) is
+    decreasing there.  When a check fails the neighbouring cell is tried,
+    and after that the cells not yet excluded are bisected, so even a wild
+    guess costs at most about twice the comparisons of plain bisection."""
+    scale = 1 << (iters + 1)
+    last = scale // 2 - 1  # the cell ending at 1/2
 
     def locate(x: Fraction) -> tuple[Fraction, Fraction]:
-        lo, hi = Fraction(0), Fraction(1, 2)
-        for _ in range(iters):
-            mid = (lo + hi) / 2
-            s = _cos_cmp(mid, x)
-            if s > 0:
-                lo = mid
-            elif s < 0:
-                hi = mid
+        low, high = 0, last  # theta(x) lies in one of the cells low..high
+        m = min(max(math.floor(_angle_guess(x, iters + 1) * scale), 0), last)
+        neighbour = True
+        while True:
+            lo, hi = Fraction(m, scale), Fraction(m + 1, scale)
+            s = _cos_cmp(lo, x) if m > 0 else 1
+            if s == 0:
+                return lo, lo
+            if s < 0:
+                high = m - 1
+            elif m < last and _cos_cmp(hi, x) >= 0:
+                low = m + 1  # an exact hit at hi is found as the next lo
             else:
-                return mid, mid
-        return lo, hi
+                return lo, hi
+            if low > high:
+                raise SignatureError("certified cosine comparisons disagree")
+            m = (low if low > m else high) if neighbour else (low + high) // 2
+            neighbour = False
 
     t1 = locate(b)[0]
     t2 = locate(a)[1]
     return t1, t2
-
-
-@lru_cache(maxsize=None)
-def _cos_enclosure(theta: Fraction, extra: int = 0) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of 2cos(2*pi*theta)."""
-    _IV.prec = 80 + 20 * extra
-    val = 2 * _IV.cos(2 * _IV.pi * _fraction_to_iv(theta))
-    return _iv_to_fractions(val)
 
 
 def _sample_u_for_x_range(lo: Fraction, hi: Fraction) -> Fraction:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -223,3 +227,30 @@ def test_signature_unknot(tmp_path, capsys):
 def test_missing_file_is_an_error(capsys):
     assert main(["info", "/nonexistent/file.json"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_family_listing_a_knot_twice_is_a_document_error(tmp_path):
+    # both entries would assemble to one member name, so the document is
+    # refused where it names the knot a second time, not deep in the sweep
+    doc = json.loads(json.dumps(FAMILY_DOC))
+    doc["knots"]["K3"] = {"companions": {"alpha": {"symbol": "rA3"}}}
+    doc["family"] = [{"knot": "K1", "multiplicity": 2},
+                     {"knot": "K2", "multiplicity": -3},
+                     {"knot": "K3", "multiplicity": 1},
+                     {"knot": "K1", "multiplicity": -1}]
+    with pytest.raises(DocumentError,
+                       match=r"family\[3\]: knot 'K1' is already listed "
+                             r"at family\[0\]"):
+        parse_document(doc)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ
+                 else [])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rhoslice.cli", "obstruct",
+         write_doc(tmp_path, doc), "--cmax", "1"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: family[3]: knot 'K1' is already listed "
+                           "at family[0]\n")

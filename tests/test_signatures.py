@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from rhoslice import signatures
@@ -19,13 +18,16 @@ from rhoslice.signatures import (
     GaussianRational,
     Rho0Value,
     SignatureError,
+    _cos_enclosure,
     _cyclotomic_index,
+    _theta_enclosure,
     circle_point,
     circle_polynomial,
     cos_minimal_polynomial,
     isolate_roots,
     lt_signature_at,
     rho0,
+    rho0_from_signature,
     signature_function,
     sturm_chain,
     sturm_count,
@@ -249,6 +251,149 @@ def test_precision_env(monkeypatch):
         signatures.precision_budget()
 
 
+# -- the certified cosine and jump angles against mpmath ---------------------------
+#
+# The package computes 2cos(2*pi*theta) in integer interval arithmetic and
+# locates each jump angle's dyadic cell directly.  What it replaced is kept
+# here as the oracle: mpmath interval cosines in a private context, and the
+# certified bisection from [0, 1/2].
+
+
+@pytest.fixture
+def mp_iv():
+    """A private mpmath interval context; setting its precision leaves the
+    process-wide mpmath.iv untouched."""
+    mpmath = pytest.importorskip("mpmath")
+    return mpmath.ctx_iv.MPIntervalContext()
+
+
+def _iv_to_fractions(x) -> tuple[Fraction, Fraction]:
+    """Exact rational endpoints of an mpmath interval (endpoints are dyadic)."""
+
+    def conv(raw) -> Fraction:
+        sign, man, exp, bc = raw
+        if man == 0:
+            if bc == 0:
+                return Fraction(0)
+            raise SignatureError("non-finite interval endpoint")
+        v = Fraction(int(man)) * (Fraction(2) ** int(exp))
+        return -v if sign else v
+
+    lo_raw, hi_raw = x._mpi_
+    return conv(lo_raw), conv(hi_raw)
+
+
+def mpmath_cos_enclosure(iv, theta: Fraction, prec: int):
+    """mpmath's enclosure of 2cos(2*pi*theta) at `prec` bits."""
+    iv.prec = prec
+    x = iv.mpf(theta.numerator) / theta.denominator
+    return _iv_to_fractions(2 * iv.cos(2 * iv.pi * x))
+
+
+def bisection_theta_enclosure(iv, a: Fraction, b: Fraction, iters: int):
+    """The bisecting _theta_enclosure, on mpmath cosines at 80 + 20k bits."""
+
+    def cos_cmp(t, x):
+        exact = signatures._NIVEN_X.get(t)
+        if exact is not None:
+            return (exact > x) - (exact < x)
+        for k in range(40):
+            lo, hi = mpmath_cos_enclosure(iv, t, 80 + 20 * k)
+            if lo > x:
+                return 1
+            if hi < x:
+                return -1
+        raise SignatureError("certified cosine comparison did not resolve")
+
+    def locate(x):
+        lo, hi = Fraction(0), Fraction(1, 2)
+        for _ in range(iters):
+            mid = (lo + hi) / 2
+            s = cos_cmp(mid, x)
+            if s > 0:
+                lo = mid
+            elif s < 0:
+                hi = mid
+            else:
+                return mid, mid
+        return lo, hi
+
+    return locate(b)[0], locate(a)[1]
+
+
+def test_integer_cosine_contains_mpmath_enclosure(mp_iv, rng):
+    thetas = [Fraction(0), Fraction(1, 2), Fraction(1, 6), Fraction(1, 4),
+              Fraction(1, 3)]
+    while len(thetas) < 505:
+        den = rng.randint(2, 10 ** rng.randint(1, 30))
+        thetas.append(Fraction(rng.randint(0, den // 2), den))
+    points = 0
+    for theta in thetas:
+        ref_lo, ref_hi = mpmath_cos_enclosure(mp_iv, theta, 400)
+        for extra in range(6):
+            lo, hi = _cos_enclosure(theta, extra)
+            assert hi - lo < Fraction(1, 2 ** (78 + 20 * extra))
+            if lo == hi:
+                # the exact values 2cos(0) = 2 and 2cos(pi) = -2
+                assert ref_lo <= lo <= ref_hi
+                points += 1
+            else:
+                assert lo <= ref_lo and ref_hi <= hi, (theta, extra)
+    assert _cos_enclosure(Fraction(0)) == (2, 2)
+    assert _cos_enclosure(Fraction(1, 2)) == (-2, -2)
+    assert points >= 12
+
+
+def test_theta_enclosure_matches_bisection(mp_iv, rng):
+    for iters in range(1, 131):
+        den = 10 ** rng.randint(1, 25)
+        a = Fraction(rng.randint(-2 * den + 1, 2 * den - 1), den)
+        b = a if rng.random() < 0.5 else min(
+            a + Fraction(rng.randint(1, 9), 10 ** rng.randint(1, 40)),
+            Fraction(2 * den - 1, den))
+        assert _theta_enclosure(a, b, iters) == \
+            bisection_theta_enclosure(mp_iv, a, b, iters), (a, b, iters)
+        # theta(0) = 1/4 is the first midpoint: an exact hit
+        zero = Fraction(0)
+        assert _theta_enclosure(zero, zero, iters) == (Fraction(1, 4),) * 2
+        assert bisection_theta_enclosure(mp_iv, zero, zero, iters) == \
+            (Fraction(1, 4),) * 2
+    assert _theta_enclosure(Fraction(0), Fraction(0), 0) == \
+        (Fraction(0), Fraction(1, 2))
+
+
+def test_theta_enclosure_does_not_rest_on_the_guess(mp_iv, rng, monkeypatch):
+    # a guess some cells off, or at either end of [0, 1/2], costs steps to
+    # other cells but never changes the certified cell
+    guess = signatures._angle_guess
+    for iters in range(1, 131):
+        if iters > 24 and iters % 7:
+            continue
+        shift = Fraction(rng.randint(-5, 5), 2 ** (iters + 1))
+        wild = rng.choice((Fraction(0), Fraction(1, 2)))
+        den = 10 ** rng.randint(1, 12)
+        x = Fraction(rng.randint(-2 * den + 1, 2 * den - 1), den)
+        for y in (x, Fraction(0), Fraction(-1)):
+            expected = bisection_theta_enclosure(mp_iv, y, y, iters)
+            for bad in (lambda z, bits: guess(z, bits) + shift,
+                        lambda z, bits: wild):
+                monkeypatch.setattr(signatures, "_angle_guess", bad)
+                assert _theta_enclosure(y, y, iters) == expected, (y, iters)
+
+
+def test_rho0_matches_bisection_oracle(mp_iv, rng, monkeypatch):
+    values = []
+    for _ in range(50):
+        sf = signature_function(random_seifert(rng, genus=rng.randint(1, 5)))
+        values.append((sf, rho0_from_signature(sf)))
+    monkeypatch.setattr(signatures, "_theta_enclosure",
+                        lambda a, b, iters: bisection_theta_enclosure(
+                            mp_iv, a, b, iters))
+    for sf, value in values:
+        assert rho0_from_signature(sf) == value
+    assert sum(value.kind == "interval" for _, value in values) >= 12
+
+
 class _FrozenIV:
     """Stands in for mpmath.iv: reads go to the real context, and every
     assignment raises."""
@@ -264,12 +409,13 @@ class _FrozenIV:
 
 
 def test_cos_enclosure_leaves_global_mpmath_alone(monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
     prec = mpmath.iv.prec
     monkeypatch.setattr(mpmath, "iv", _FrozenIV(mpmath.iv))
     theta = Fraction(1, 7)
     exact = 2 * math.cos(2 * math.pi / 7)
-    coarse = signatures._cos_enclosure.__wrapped__(theta)
-    fine = signatures._cos_enclosure.__wrapped__(theta, extra=3)
+    coarse = signatures._cos_enclosure(theta)
+    fine = signatures._cos_enclosure(theta, extra=3)
     for lo, hi in (coarse, fine):
         assert lo <= Fraction(exact) + Fraction(1, 10**12)
         assert Fraction(exact) - Fraction(1, 10**12) <= hi

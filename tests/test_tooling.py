@@ -37,6 +37,51 @@ def test_no_function_local_imports():
     assert found == []
 
 
+def test_no_module_name_bound_twice():
+    # a second module-level def or class of one name silently replaces the
+    # first, which is then dead code; the dead one is named
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        first: dict[str, int] = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if node.name in first:
+                    found.append(f"{path.name}:{first[node.name]}")
+                first[node.name] = node.lineno
+    assert found == []
+
+
+def test_imports_are_standard_library_or_relative():
+    # the package needs only the standard library at run time
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] not in sys.stdlib_module_names
+                   for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
+                               if "PYTHONPATH" in os.environ else [])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rhoslice.cli; assert 'mpmath' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("command", (["bench/selftest.py"],
                                      ["bench/run.py", "--smoke"]))
 def test_benchmark_checks_pass(command):
