@@ -11,9 +11,12 @@ fraction num/den with deg(num) < deg(den), den an integer-primitive
 ordinary polynomial with positive leading coefficient.  Canonical
 representatives are unique, so coset equality is plain `==`.
 
-Factorization into irreducibles over Q is supported up to degree 8
-(square-free split, rational roots, binomial criterion, Kronecker
-interpolation); binomials a*t^n - b are decided at any degree.
+Factorization into irreducibles over Q runs on an integer core: each
+square-free part becomes one integer-primitive dense coefficient list, and
+every split (rational roots, binomial criterion, cyclotomic recognition,
+Kronecker's search with integer Newton interpolation) is an exact integer
+division.  General inputs are factored up to degree 8; binomials
+a*t^n - b are decided at any degree.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 class PolyalgError(ValueError):
@@ -400,31 +403,6 @@ def _poly_xgcd(a: LaurentPoly, b: LaurentPoly):
     return r0 * (Fraction(1) / lead), u0 * (Fraction(1) / lead), v0 * (Fraction(1) / lead)
 
 
-def xgcd_laurent(a: LaurentPoly, b: LaurentPoly):
-    """Extended Euclid in the Laurent ring.
-
-    Returns (g, u, v) with u*a + v*b = g and g the monic exp-0 gcd; u, v are
-    Laurent polynomials.
-    """
-    a._check_var(b)
-    var = a.variable
-    zero = LaurentPoly.zero(var)
-    if a.is_zero() and b.is_zero():
-        return zero, zero, zero
-    if a.is_zero():
-        bm, bq, bk = b.unit_normal()
-        return bm, zero, LaurentPoly.monomial(-bk, Fraction(1) / bq, var)
-    if b.is_zero():
-        am, aq, ak = a.unit_normal()
-        return am, LaurentPoly.monomial(-ak, Fraction(1) / aq, var), zero
-    am, aq, ak = a.unit_normal()
-    bm, bq, bk = b.unit_normal()
-    g, u0, v0 = _poly_xgcd(am, bm)
-    u = u0 * LaurentPoly.monomial(-ak, Fraction(1) / aq, var)
-    v = v0 * LaurentPoly.monomial(-bk, Fraction(1) / bq, var)
-    return g, u, v
-
-
 def reduce_mod(a: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
     """Reduce a modulo m into the window 0 <= exponents, deg < deg(m).
 
@@ -485,13 +463,22 @@ def _int_content_primitive(p: LaurentPoly) -> list[int]:
     return ints
 
 
-def _rational_root_candidates(ints: list[int]) -> Iterator[Fraction]:
-    """All ±p/q with p | constant term, q | leading coefficient."""
+def _rational_root_split(ints: list[int]) -> tuple[list[int], list[int]] | None:
+    """The linear factor q*v - p of the first rational root p/q, and its
+    cofactor, or None if there is no rational root.
+
+    Candidates are ±p/q with p | constant term and q | leading coefficient,
+    in increasing p, then q, + before -; each costs one exact integer
+    division."""
+    leading_divisors = _divisors(ints[-1])
     for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
+        for q in leading_divisors:
             if math.gcd(p, q) == 1:
-                yield Fraction(p, q)
-                yield Fraction(-p, q)
+                for linear in ([-p, q], [p, q]):
+                    cofactor = _int_div_exact(ints, linear)
+                    if cofactor is not None:
+                        return linear, cofactor
+    return None
 
 
 def _divisors(n: int) -> list[int]:
@@ -547,48 +534,80 @@ def _prime_factors(n: int) -> set[int]:
     return out
 
 
-def _binomial_split(p: LaurentPoly) -> list[LaurentPoly] | None:
-    """Decide a two-term polynomial a*v^n + b (n >= 2).
+def _binomial_split(ints: list[int]) -> list[list[int]] | None:
+    """Decide a two-term polynomial a*v^n + b (n >= 2, b != 0).
 
-    Returns a nontrivial factorization [f, g] if reducible, [] if
-    irreducible, None if p is not of this shape.  This is the classical
-    binomial irreducibility criterion: v^n - q is irreducible over Q unless
-    q is an r-th power for a prime r | n, or 4 | n and q = -4 w^4.
+    Returns a nontrivial factorization [f, g] into integer-primitive lists
+    if reducible, [] if irreducible, None if ints is not of this shape.
+    This is the classical binomial irreducibility criterion: v^n - q is
+    irreducible over Q unless q is an r-th power for a prime r | n, or
+    4 | n and q = -4 w^4.
     """
-    c = p.shift(-p.low)
-    items = c.items()
-    if len(items) != 2 or items[0][0] != 0:
+    n = len(ints) - 1
+    if n < 2 or any(ints[1:-1]):
         return None
-    n = c.degree
-    if n < 2:
-        return None
-    var = p.variable
-    q = -c[0] / c[n]  # c = lc * (v^n - q)
+    q = Fraction(-ints[0], ints[-1])  # ints = lc * (v^n - q)
     for r in sorted(_prime_factors(n)):
         w = _rational_power_root(q, r)
         if w is not None:
             m = n // r
             # v^n - w^r = (v^m - w) * sum_{k<r} w^k v^{m(r-1-k)}
-            first = LaurentPoly({m: 1, 0: -w}, var)
-            second = LaurentPoly({m * (r - 1 - k): w ** k for k in range(r)}, var)
-            return [first, second]
+            first = LaurentPoly({m: 1, 0: -w})
+            second = LaurentPoly({m * (r - 1 - k): w ** k for k in range(r)})
+            return [_int_content_primitive(first), _int_content_primitive(second)]
     if n % 4 == 0:
         w4 = _rational_power_root(-q / 4, 4)
         if w4 is not None:
             m = n // 4
             # v^n + 4w^4 = (v^{2m} + 2w v^m + 2w^2)(v^{2m} - 2w v^m + 2w^2)
-            f1 = LaurentPoly({2 * m: 1, m: 2 * w4, 0: 2 * w4 ** 2}, var)
-            f2 = LaurentPoly({2 * m: 1, m: -2 * w4, 0: 2 * w4 ** 2}, var)
-            return [f1, f2]
+            f1 = LaurentPoly({2 * m: 1, m: 2 * w4, 0: 2 * w4 ** 2})
+            f2 = LaurentPoly({2 * m: 1, m: -2 * w4, 0: 2 * w4 ** 2})
+            return [_int_content_primitive(f1), _int_content_primitive(f2)]
     return []
 
 
-def _dense_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def _int_div_exact(a: list[int], b) -> list[int] | None:
+    """Quotient of the dense integer polynomials a / b if it is an integer
+    polynomial with zero remainder, else None.  For primitive b this is
+    divisibility over Q as well (Gauss's lemma)."""
+    rem = list(a)
+    db = len(b) - 1
+    quo = [0] * (len(a) - db)
+    for top in range(len(a) - 1, db - 1, -1):
+        c, r = divmod(rem[top], b[-1])
+        if r:
+            return None
+        quo[top - db] = c
+        if c:
+            for i, bc in enumerate(b):
+                rem[top - db + i] -= c * bc
+    return None if any(rem[:db]) else quo
+
+
+def _newton_interpolate(xs: list[int], ys) -> list[int] | None:
+    """Dense integer coefficients (length len(xs)) of the polynomial of
+    degree < len(xs) through the points (xs[i], ys[i]), or None if it does
+    not have integer coefficients.
+
+    The nodes are distinct integers.  An integer polynomial has integer
+    divided differences at integer nodes, so the divided-difference table
+    stays in the integers, and an inexact division proves the interpolant
+    is not an integer polynomial."""
+    n = len(xs)
+    dd = list(ys)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c, r = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - j])
+            if r:
+                return None
+            dd[i] = c
+    # Horner on the Newton form: p <- p * (v - xs[k]) + dd[k]
+    coeffs = [dd[-1]]
+    for k in range(n - 2, -1, -1):
+        x = xs[k]
+        coeffs = [dd[k] - x * coeffs[0]] + [
+            a - x * b for a, b in zip(coeffs, coeffs[1:] + [0])]
+    return coeffs
 
 
 def _dpoly_eval(p: list, x):
@@ -620,58 +639,38 @@ def _dpoly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return a or [Fraction(0)]
 
 
-def _lagrange_int(xs: list[int], ys: list[int], deg: int) -> list[int] | None:
-    """Integer dense coefficients of the interpolating polynomial, or None."""
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j in range(n):
-            if i == j:
-                continue
-            num = _dense_mul(num, [Fraction(-xs[j]), Fraction(1)])
-            den *= xs[i] - xs[j]
-        scale = Fraction(ys[i]) / den
-        for k in range(len(num)):
-            coeffs[k] += num[k] * scale
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    out = [int(c) for c in coeffs]
-    if len(out) - 1 != deg or out[-1] == 0:
-        return None
-    return out
+def _kronecker_factor(ints: list[int]) -> tuple[list[int], list[int]] | None:
+    """Split a primitive, root-free integer polynomial into an integer
+    factor of degree d >= 2 and its cofactor by Kronecker's search, or None
+    if it is irreducible.
 
-
-def _kronecker_factor(ints: list[int]) -> list[int] | None:
-    """Nontrivial integer factor of a primitive, root-free integer polynomial
-    by Kronecker interpolation, or None if irreducible."""
+    A factor of degree d is fixed by its values at d + 1 pool points, each a
+    divisor of the polynomial's value there; every choice of divisors is
+    interpolated, and a non-integer interpolant is no candidate.  Candidates
+    are checked by exact division over Z: one with content c > 1 fails it,
+    but its primitive part (first value positive and c times smaller) comes
+    earlier in the search, so the first factor found is the one that
+    division over Q would find."""
     deg = len(ints) - 1
-    pool = sorted(range(-8, 9),
-                  key=lambda x: (len(_divisors(_dpoly_eval(ints, x))), abs(x)))
+    divisors = {x: _divisors(_dpoly_eval(ints, x)) for x in range(-8, 9)}
+    pool = sorted(divisors, key=lambda x: (len(divisors[x]), abs(x)))
     for d in range(2, deg // 2 + 1):
         points = pool[: d + 1]
-        values = [_dpoly_eval(ints, x) for x in points]
-        choice_sets: list[list[int]] = [_divisors(values[0])]
-        total = len(choice_sets[0])
-        for v in values[1:]:
-            dv = _divisors(v)
-            choice_sets.append([s * w for w in dv for s in (1, -1)])
-            total *= 2 * len(dv)
-        if total > _KRONECKER_COMBO_CAP:
+        choice_sets = [divisors[points[0]]] + [
+            [s * w for w in divisors[x] for s in (1, -1)] for x in points[1:]]
+        if math.prod(map(len, choice_sets)) > _KRONECKER_COMBO_CAP:
             raise PolyalgError(
                 "factorization cap: Kronecker search space too large for "
                 f"degree-{deg} input")
         for combo in itertools.product(*choice_sets):
-            cand = _lagrange_int(points, list(combo), d)
-            if cand is None:
+            cand = _newton_interpolate(points, combo)
+            if cand is None or cand[-1] == 0:
                 continue
-            candpoly = LaurentPoly.from_coeffs(cand)
-            target = LaurentPoly.from_coeffs(ints)
-            if poly_divmod(target, candpoly)[1].is_zero():
-                return cand
+            if cand[-1] < 0:
+                cand = [-c for c in cand]
+            cofactor = _int_div_exact(ints, cand)
+            if cofactor is not None:
+                return cand, cofactor
     return None
 
 
@@ -705,73 +704,71 @@ def _euler_phi(n: int) -> int:
     return out
 
 
-def _cyclotomic_divisor(f: LaurentPoly) -> LaurentPoly | None:
-    """A cyclotomic factor of f with index up to the search bound, if any.
+def _cyclotomic_divisor(ints: list[int]) -> tuple[list[int], list[int]] | None:
+    """A cyclotomic factor of ints with index up to the search bound and its
+    cofactor, if there is one.
 
     Cyclotomics are the factors that arise from base-changing cyclotomic
     annihilators, so this keeps such inputs factorable above the Kronecker
     degree cap.
     """
-    span = f.span
-    mono = f.monic()
     for n in range(3, CYCLOTOMIC_SEARCH_BOUND + 1):
-        if _euler_phi(n) > span:
+        if _euler_phi(n) > len(ints) - 1:
             continue
-        cand = cyclotomic(n, f.variable)
-        if cand.span <= span and poly_divmod(mono, cand)[1].is_zero():
-            return cand
+        cyc = list(_cyclotomic_int(n))
+        cofactor = _int_div_exact(ints, cyc)
+        if cofactor is not None:
+            return cyc, cofactor
     return None
 
 
 def _factor_squarefree(p: LaurentPoly) -> list[LaurentPoly]:
-    """Irreducible monic factors of a monic square-free exp-0 polynomial."""
-    var = p.variable
-    factors: list[LaurentPoly] = []
-    work = [p]
+    """Irreducible monic factors of a monic square-free exp-0 polynomial.
+
+    Every work item is an integer-primitive dense coefficient list, and
+    every split is an exact integer division; the irreducible factors
+    become monic Laurent polynomials at the end."""
+    factors: list[list[int]] = []
+    work = [_int_content_primitive(p)]
     while work:
         f = work.pop()
-        if f.span == 0:
+        deg = len(f) - 1
+        if deg == 0:
             continue
-        if f.span == 1:
-            factors.append(f.monic())
+        if deg == 1:
+            factors.append(f)
             continue
-        ints = _int_content_primitive(f)
-        root = next((r for r in _rational_root_candidates(ints)
-                     if f.evaluate(r) == 0), None)
-        if root is not None:
-            lin = LaurentPoly({1: 1, 0: -root}, var)
-            work.append(lin)
-            work.append(div_exact(f, lin).monic())
+        split = _rational_root_split(f)
+        if split is not None:
+            work.extend(split)
             continue
-        if f.span <= 3:
+        if deg <= 3:
             # no rational root: degrees 2 and 3 are irreducible
-            factors.append(f.monic())
+            factors.append(f)
             continue
         split = _binomial_split(f)
         if split is not None:
             if split:
-                work.extend(x.monic() for x in split)
+                work.extend(split)
             else:
-                factors.append(f.monic())
+                factors.append(f)
             continue
-        if f.span > FACTOR_DEGREE_CAP:
+        if deg > FACTOR_DEGREE_CAP:
             cyc = _cyclotomic_divisor(f)
             if cyc is not None:
-                factors.append(cyc)
-                work.append(div_exact(f, cyc).monic())
+                factors.append(cyc[0])
+                work.append(cyc[1])
                 continue
             raise PolyalgError(
-                f"factorization cap: degree {f.span} exceeds {FACTOR_DEGREE_CAP} "
+                f"factorization cap: degree {deg} exceeds {FACTOR_DEGREE_CAP} "
                 "and the polynomial is neither a binomial nor divisible by a "
                 "small cyclotomic")
-        g = _kronecker_factor(_int_content_primitive(f))
-        if g is None:
-            factors.append(f.monic())
+        split = _kronecker_factor(f)
+        if split is None:
+            factors.append(f)
         else:
-            gp = LaurentPoly.from_coeffs(g, var).monic()
-            work.append(gp)
-            work.append(div_exact(f, gp).monic())
-    return factors
+            work.extend(split)
+    return [LaurentPoly.from_coeffs(f, p.variable).monic() for f in factors]
 
 
 def _poly_sort_key(p: LaurentPoly):
@@ -795,33 +792,14 @@ def factor_laurent(p: LaurentPoly) -> list[tuple[LaurentPoly, int]]:
     return sorted(counts.items(), key=lambda kv: _poly_sort_key(kv[0]))
 
 
-def is_irreducible(p: LaurentPoly) -> bool:
-    if p.is_zero() or p.is_unit():
-        return False
-    fac = factor_laurent(p)
-    return len(fac) == 1 and fac[0][1] == 1
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic_int(n: int) -> tuple[int, ...]:
-    """Dense integer coefficients of the n-th cyclotomic polynomial,
-    computed by exact synthetic division of v^n - 1 (cyclotomics are monic,
-    so the quotients stay integral)."""
+    """Dense integer coefficients of the n-th cyclotomic polynomial: v^n - 1
+    divided exactly by the cyclotomics of the proper divisors of n."""
     rem = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
-        if n % d:
-            continue
-        div = _cyclotomic_int(d)
-        dd = len(div) - 1
-        quo = [0] * (len(rem) - dd)
-        for top in range(len(rem) - 1, dd - 1, -1):
-            c = rem[top]
-            if c == 0:
-                continue
-            quo[top - dd] = c
-            for i, dc in enumerate(div):
-                rem[top - dd + i] -= c * dc
-        rem = quo
+        if n % d == 0:
+            rem = _int_div_exact(rem, _cyclotomic_int(d))
     return tuple(rem)
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .linalg import det_int
-from .polyalg import LaurentPoly, _int_content_primitive
+from .polyalg import LaurentPoly, _int_content_primitive, _newton_interpolate
 
 Transform = str  # one of "mirror", "reverse", "inverse"
 
@@ -121,24 +121,20 @@ def alexander_polynomial(V: SeifertMatrix, variable: str = "t") -> LaurentPoly:
     coefficient.  The unknot gives 1.
 
     The determinant is an integer polynomial of degree <= n = dim V, so its
-    values det(kV - V^T) at k = 0..n fix it: Newton's divided differences
-    on those nodes are integers, and expanding the Newton form gives the
-    coefficients."""
+    values det(kV - V^T) at k = 0..n fix it; `polyalg._newton_interpolate`
+    turns them into coefficients in integer arithmetic."""
     n = V.dim
     if n == 0:
         return LaurentPoly.one(variable)
     cols = list(zip(*V.rows))
-    newton = [det_int([[k * a - b for a, b in zip(row, col)]
-                       for row, col in zip(V.rows, cols)])
-              for k in range(n + 1)]
-    for j in range(1, n + 1):
-        for i in range(n, j - 1, -1):
-            newton[i] = (newton[i] - newton[i - 1]) // j
-    # Horner on the Newton form: p <- p * (v - k) + newton[k]
-    coeffs = [newton[n]]
-    for k in range(n - 1, -1, -1):
-        coeffs = [newton[k] - k * coeffs[0]] + [
-            a - k * b for a, b in zip(coeffs, coeffs[1:] + [0])]
+    nodes = list(range(n + 1))
+    coeffs = _newton_interpolate(nodes, [
+        det_int([[k * a - b for a, b in zip(row, col)]
+                 for row, col in zip(V.rows, cols)])
+        for k in nodes])
+    if coeffs is None:
+        raise SeifertError(
+            "determinant values do not interpolate to an integer polynomial")
     # integer-primitive, lowest exponent 0, positive leading coefficient
     return LaurentPoly.from_coeffs(
         _int_content_primitive(LaurentPoly.from_coeffs(coeffs, variable)),

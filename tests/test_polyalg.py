@@ -1,9 +1,13 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rhoslice import polyalg
+from rhoslice.almodule import alexander_module
 from rhoslice.polyalg import (
     FracCoset,
     LaurentPoly,
@@ -16,9 +20,10 @@ from rhoslice.polyalg import (
     factor_laurent,
     gcd_laurent,
     inverse_mod,
-    is_irreducible,
-    xgcd_laurent,
 )
+from rhoslice.seifert import alexander_polynomial
+
+from conftest import random_seifert
 
 T = LaurentPoly.var("t")
 ONE = LaurentPoly.one("t")
@@ -82,23 +87,17 @@ def test_gcd_spec_values():
 def test_gcd_divides_and_witness(a, b):
     g = gcd_laurent(a, b)
     assert divides(g, a) and divides(g, b)
-    gg, u, v = xgcd_laurent(a, b)
-    assert gg == g
-    assert u * a + v * b == g
-
-
-def test_xgcd_zero_cases():
-    g, u, v = xgcd_laurent(ZERO, ZERO)
-    assert g.is_zero()
-    g, u, v = xgcd_laurent(2 * T - 1, ZERO)
-    assert g == T - Fraction(1, 2) and u * (2 * T - 1) == g
+    # a/g is invertible modulo b/g, which witnesses that g is the gcd
+    a1, b1 = div_exact(a, g), div_exact(b, g)
+    if b1.span > 0:
+        assert coset_reduce(a1 * inverse_mod(a1, b1) - 1, b1).is_zero()
 
 
 def test_inverse_mod():
     inv = inverse_mod(T + 1, 2 * T - 1)
     r = coset_reduce((T + 1) * inv - 1, 2 * T - 1)
     assert r.is_zero()
-    with pytest.raises(PolyalgError):
+    with pytest.raises(PolyalgError, match="not invertible"):
         inverse_mod(2 * T - 1, (2 * T - 1) * (T - 2))
 
 
@@ -149,8 +148,8 @@ def test_factor_quartics():
     assert factor_laurent(T ** 4 + 4) == [
         (poly({2: 1, 1: -2, 0: 2}), 1), (poly({2: 1, 1: 2, 0: 2}), 1)]
     assert factor_laurent(T ** 8 - T ** 4 + 1) == [(T ** 8 - T ** 4 + 1, 1)]
-    assert is_irreducible(T ** 2 - T + 1)
-    assert not is_irreducible((T - 1) * (T + 1))
+    assert factor_laurent(T ** 2 - T + 1) == [(T ** 2 - T + 1, 1)]
+    assert factor_laurent((T - 1) * (T + 1)) == [(T - 1, 1), (T + 1, 1)]
 
 
 @given(st.lists(st.sampled_from([
@@ -168,7 +167,7 @@ def test_factor_remultiplies(factors):
         back = back * f ** m
     assert equal_up_to_unit(back, product)
     for f, _ in result:
-        assert is_irreducible(f)
+        assert factor_laurent(f) == [(f.monic(), 1)]
 
 
 def test_cyclotomic_values():
@@ -179,6 +178,159 @@ def test_cyclotomic_values():
     for d in (1, 2, 3, 6):
         prod = prod * cyclotomic(d)
     assert prod == T ** 6 - 1
+
+
+# -- the integer core of factoring ------------------------------------------
+
+
+def _dense_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _lagrange_int(xs, ys, deg):
+    """Integer dense coefficients of the interpolating polynomial if it has
+    degree deg, else None: Lagrange's formula over Fraction, the oracle for
+    the integer Newton interpolation."""
+    n = len(xs)
+    coeffs = [Fraction(0)] * n
+    for i in range(n):
+        num = [Fraction(1)]
+        den = Fraction(1)
+        for j in range(n):
+            if i == j:
+                continue
+            num = _dense_mul(num, [Fraction(-xs[j]), Fraction(1)])
+            den *= xs[i] - xs[j]
+        scale = Fraction(ys[i]) / den
+        for k in range(len(num)):
+            coeffs[k] += num[k] * scale
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    if any(c.denominator != 1 for c in coeffs):
+        return None
+    out = [int(c) for c in coeffs]
+    if len(out) - 1 != deg or out[-1] == 0:
+        return None
+    return out
+
+
+def test_newton_interpolation_matches_lagrange_oracle():
+    rng = random.Random(5)
+    integral = 0
+    for trial in range(800):
+        n = rng.randint(1, 7)
+        xs = rng.sample(range(-8, 9), n)
+        coeffs = [rng.randint(-20, 20) for _ in range(n)]
+        if trial % 2:
+            ys = [polyalg._dpoly_eval(coeffs, x) for x in xs]
+        else:
+            ys = [rng.randint(-60, 60) for _ in range(n)]
+        got = polyalg._newton_interpolate(xs, ys)
+        if got is None:
+            assert _lagrange_int(xs, ys, n - 1) is None
+            continue
+        integral += 1
+        assert len(got) == n
+        assert [polyalg._dpoly_eval(got, x) for x in xs] == ys
+        if trial % 2:
+            assert got == coeffs
+        while len(got) > 1 and got[-1] == 0:
+            got.pop()
+        assert _lagrange_int(xs, ys, len(got) - 1) == (got if got[-1] else None)
+    assert integral > 400  # the value-sampled half is always integral
+
+
+def test_int_div_exact():
+    f = [-6, 1, 1]  # (t + 3)(t - 2)
+    assert polyalg._int_div_exact(f, [3, 1]) == [-2, 1]
+    assert polyalg._int_div_exact(f, [1, 1]) is None
+    assert polyalg._int_div_exact(f, [6, 2]) is None  # divides over Q only
+    assert polyalg._int_div_exact([-1, 0, 2], [-1, 1]) is None
+
+
+def test_rational_roots_list_each_divisor_set_once(monkeypatch):
+    calls = []
+    divisors = polyalg._divisors
+    monkeypatch.setattr(polyalg, "_divisors",
+                        lambda n: calls.append(n) or divisors(n))
+    n = 10 ** 6
+    p = (n * T - (n + 1)) * ((n + 1) * T - n)
+    assert factor_laurent(p) == [(T - Fraction(n + 1, n), 1),
+                                 (T - Fraction(n, n + 1), 1)]
+    assert len(calls) <= 2
+
+
+def _random_factorable(rng):
+    """A random product of pieces factor_laurent decides: linear factors,
+    binomials a*t^n - b, cyclotomics and one root-free piece of degree up
+    to 8 for Kronecker's search, with repeated factors and a Fraction unit."""
+    p = LaurentPoly.monomial(rng.randint(-3, 3),
+                             Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                      rng.randint(1, 9)))
+    for _ in range(rng.randint(0, 2)):
+        p = p * LaurentPoly({1: rng.randint(1, 6), 0: rng.choice([-1, 1])
+                             * rng.randint(1, 6)}) ** rng.randint(1, 3)
+    kind = rng.randrange(3)
+    if kind == 0:
+        n = rng.randint(2, 12)
+        b = rng.choice([1, 2, 3, 4, 8, 9, 16, 27, 32, 64, 81])
+        p = p * LaurentPoly({n: rng.choice([1, 2, 4, 9]),
+                             0: rng.choice([-1, 1]) * b})
+    elif kind == 1:
+        for _ in range(rng.randint(1, 2)):
+            p = p * cyclotomic(rng.randint(1, 30)) ** rng.randint(1, 2)
+    else:
+        piece, target = ONE, rng.randint(2, 8)
+        while target - piece.span >= 2:
+            d = rng.randint(2, min(4, target - piece.span))
+            piece = piece * LaurentPoly.from_coeffs(
+                [rng.choice([-2, -1, 1, 2])]
+                + [rng.randint(-2, 2) for _ in range(d - 1)] + [1])
+        p = p * piece ** rng.choice([1, 1, 2])
+    return p
+
+
+def _assert_matches_sympy(sympy, p):
+    x = sympy.Symbol("x")
+    m = p.monic()
+    coeffs = [sympy.Rational(c.numerator, c.denominator)
+              for c in reversed(m.poly_coeffs())]
+    _, expected = sympy.Poly(coeffs, x, domain="QQ").factor_list()
+    want = sorted(
+        (tuple(Fraction(int(c.p), int(c.q)) for c in reversed(f.monic().all_coeffs())), k)
+        for f, k in expected)
+    got = sorted((tuple(f.poly_coeffs()), k) for f, k in factor_laurent(p))
+    assert got == want, str(p)
+
+
+def test_factor_matches_sympy_on_random_products():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    for _ in range(240):
+        _assert_matches_sympy(sympy, _random_factorable(rng))
+
+
+def test_factor_matches_sympy_on_alexander_polynomials():
+    sympy = pytest.importorskip("sympy")
+    for genus in (1, 2, 3, 4):
+        rng = random.Random(genus)
+        for _ in range(12):
+            _assert_matches_sympy(
+                sympy, alexander_polynomial(random_seifert(rng, genus=genus)))
+
+
+def test_genus4_seed11_module_is_one_degree8_summand():
+    # Proving this degree-8 Alexander polynomial irreducible walks the whole
+    # Kronecker search, which took about 20 s with Fraction interpolation.
+    V = random_seifert(random.Random(11), genus=4)
+    start = time.perf_counter()
+    module = alexander_module(V)
+    assert time.perf_counter() - start < 5
+    assert [s.annihilator.span for s in module.summands] == [8]
 
 
 # -- cosets -----------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from rhoslice import seifert
 from rhoslice.polyalg import LaurentPoly, equal_up_to_unit
 from rhoslice.seifert import (
     PatternKnot,
@@ -144,6 +145,15 @@ def test_alexander_multiplicative(rng):
         assert equal_up_to_unit(
             alexander_polynomial(connected_sum([V, W])),
             alexander_polynomial(V) * alexander_polynomial(W))
+
+
+def test_alexander_rejects_non_integer_interpolant(monkeypatch):
+    # determinant values 0, 0, 1 at k = 0, 1, 2 interpolate to k(k - 1)/2,
+    # which no integer determinant can give
+    values = iter([0, 0, 1])
+    monkeypatch.setattr(seifert, "det_int", lambda rows: next(values))
+    with pytest.raises(SeifertError, match="integer polynomial"):
+        alexander_polynomial(R)
 
 
 def test_alexander_at_one_is_unit(rng):

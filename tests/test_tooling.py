@@ -53,6 +53,36 @@ def test_no_module_name_bound_twice():
     assert found == []
 
 
+def test_private_helpers_have_a_caller():
+    # a module-level _helper that nothing in src/ refers to is dead code;
+    # a reference from inside its own definition (recursion) does not count
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"),
+                                  filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    references = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.append((name, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                references.append((name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                references += [(name, node.lineno, alias.name)
+                               for alias in node.names]
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not any(ref == node.name and not (
+                        where == name
+                        and node.lineno <= line <= node.end_lineno)
+                        for where, line, ref in references)):
+                found.append(f"{name}:{node.lineno} {node.name}")
+    assert found == []
+
+
 def test_imports_are_standard_library_or_relative():
     # the package needs only the standard library at run time
     found = []
