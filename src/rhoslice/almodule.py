@@ -25,6 +25,7 @@ from .linalg import PolyMatrix, poly_mat_apply, poly_mat_identity
 from .polyalg import (
     FracCoset,
     LaurentPoly,
+    capelli_certified,
     div_exact,
     divides,
     equal_up_to_unit,
@@ -575,7 +576,8 @@ def reparametrize(M: AlexanderModule, c: int,
     Each summand Q[v]/(p^m) becomes the sum over the irreducible factors r
     of p(w^c) of Q[w]/(r^m); Q-dimension multiplies by c.  Returns the new
     module together with the transport map x -> x resolved into the split
-    coordinates.
+    coordinates.  A prime that `capelli_certified` accepts stays
+    irreducible, and its summand becomes Q[w]/(p(w^c)^m) without factoring.
     """
     if c < 1:
         raise ModuleError("complexity must be a positive integer")
@@ -585,7 +587,8 @@ def reparametrize(M: AlexanderModule, c: int,
     plan: list[tuple[int, LaurentPoly, LaurentPoly]] = []
     for idx, s in enumerate(M.summands):
         lifted_base = s.base.subs_power(c, variable).monic()
-        factors = factor_laurent(lifted_base)
+        factors = ([(lifted_base, 1)] if capelli_certified(s.base)
+                   else factor_laurent(lifted_base))
         big = (lifted_base ** s.mult).monic()
         split = len(factors) > 1
         for fi, (r, mult_r) in enumerate(factors):

@@ -98,6 +98,8 @@ class LinkingForm:
                     raise FormError(
                         f"annihilator of generator {j} does not kill "
                         f"Bl({i},{j}) on the right")
+        if _cyclic_nonsingular(self):
+            return
         if not annihilator_submodule(self, Submodule.whole(self.module)).is_zero():
             raise FormError("form is singular: the whole module has a "
                             "nonzero orthogonal complement")
@@ -115,6 +117,19 @@ class LinkingForm:
     def __str__(self):
         rows = ["[" + ", ".join(str(z) for z in row) + "]" for row in self.gram]
         return "\n".join(rows) if rows else "[]"
+
+
+def _cyclic_nonsingular(B: LinkingForm) -> bool:
+    """A sufficient test for nonsingularity from one coset.
+
+    Let g be the sum of the generators.  The denominator d of Bl(g, g) =
+    sum_ij G_ij divides every a with a*g = 0, so when span(d) = dim_q the
+    element g generates the module with annihilator d.  Then Bl(a*g, g) =
+    a*n/d with n coprime to d vanishes only for d | a, that is a*g = 0: the
+    form is nonsingular.  Modules that are not cyclic always fail the test.
+    """
+    total = sum((z for row in B.gram for z in row), FracCoset.zero(B.variable))
+    return total.den.span == B.module.dim_q()
 
 
 def blanchfield_form(V: SeifertMatrix | PatternKnot, variable: str = "s",
@@ -158,7 +173,8 @@ def basechange_form(B: LinkingForm, c: int,
         for l in range(n):
             src_l, comp_l, _ = bc.plan[l]
             z = B.gram[src_k][src_l].subs_power(c, target.variable)
-            row.append(z.scale(comp_k * comp_l.conj()))
+            comp = comp_k * comp_l.conj()
+            row.append(z if comp.is_one() else z.scale(comp))
         rows.append(tuple(row))
     form = LinkingForm(target, tuple(rows))
     if validate:

@@ -482,29 +482,33 @@ def _rational_root_split(ints: list[int]) -> tuple[list[int], list[int]] | None:
 
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """The positive divisors of n != 0 in increasing order ([] for 0), from
+    its factorization into primes."""
+    if n == 0:
+        return []
+    out = [1]
+    for p, e in _prime_factors(abs(n)).items():
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def _nth_root_exact(n: int, r: int) -> int | None:
-    """Integer r-th root of n >= 0 if exact, else None."""
-    if n < 0:
-        return None
-    if n == 0:
-        return 0
-    root = round(n ** (1.0 / r))
-    for cand in (root - 1, root, root + 1):
-        if cand >= 0 and cand ** r == n:
-            return cand
-    return None
+    """Integer r-th root of n >= 0 if exact, else None.
+
+    Integer Newton steps from above converge to the floor of the root at
+    any size; no float is involved."""
+    if n <= 0:
+        return None if n else 0
+    if r == 2:
+        root = math.isqrt(n)
+    else:
+        root = 1 << -(-n.bit_length() // r)  # at least the root
+        while True:
+            step = ((r - 1) * root + n // root ** (r - 1)) // r
+            if step >= root:
+                break
+            root = step
+    return root if root ** r == n else None
 
 
 def _rational_power_root(q: Fraction, r: int) -> Fraction | None:
@@ -521,17 +525,42 @@ def _rational_power_root(q: Fraction, r: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _prime_factors(n: int) -> set[int]:
-    out = set()
+def _prime_factors(n: int) -> dict[int, int]:
+    """{p: e} for the prime powers p^e that make up n >= 1, by trial
+    division; the keys come in increasing order."""
+    out: dict[int, int] = {}
     d = 2
     while d * d <= n:
         while n % d == 0:
-            out.add(d)
+            out[d] = out.get(d, 0) + 1
             n //= d
         d += 1
     if n > 1:
-        out.add(n)
+        out[n] = 1
     return out
+
+
+def capelli_certified(prime: LaurentPoly) -> bool:
+    """True if prime(v^c) is irreducible over Q for every c >= 1, by
+    Capelli's theorem for a linear prime v - r: v^c - r is irreducible for
+    every c exactly when r is not a p-th power in Q for any prime p and r is
+    not in -4Q^4 (Schinzel, Polynomials with Special Regard to
+    Reducibility, 2000).  False for r = ±1 and for every nonlinear prime,
+    where the check decides nothing.
+
+    A k-th power root of r = num/den (lowest terms, not ±1) has k at most
+    the bit length of |num| or den, so finitely many k are tried."""
+    m = prime.monic()
+    if m.span != 1:
+        return False
+    r = -m[0]
+    num, den = abs(r.numerator), r.denominator
+    if num == den == 1:
+        return False
+    for k in range(2, max(num.bit_length(), den.bit_length()) + 1):
+        if _rational_power_root(r, k) is not None:
+            return False
+    return r > 0 or _rational_power_root(-r / 4, 4) is None
 
 
 def _binomial_split(ints: list[int]) -> list[list[int]] | None:
@@ -879,6 +908,9 @@ class FracCoset:
     def __add__(self, other):
         if not isinstance(other, FracCoset):
             return NotImplemented
+        if self.is_zero() or other.is_zero():
+            self.den._check_var(other.den)
+            return other if self.is_zero() else self
         return FracCoset(self.num * other.den + other.num * self.den,
                          self.den * other.den)
 
@@ -893,9 +925,11 @@ class FracCoset:
         return FracCoset(self.num.conj(), self.den.conj())
 
     def subs_power(self, c: int, variable: str | None = None) -> "FracCoset":
-        """The map induced by v -> w^c on the quotient."""
+        """The map induced by v -> w^c on the quotient.  The image of a
+        canonical coset is canonical: Bezout relations survive the
+        substitution, and every degree and exponent window scales by c."""
         return FracCoset(self.num.subs_power(c, variable),
-                         self.den.subs_power(c, variable))
+                         self.den.subs_power(c, variable), _canonical=True)
 
     def __eq__(self, other):
         if not isinstance(other, FracCoset):

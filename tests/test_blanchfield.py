@@ -9,6 +9,7 @@ from rhoslice.blanchfield import (
     FormError,
     LinkingForm,
     _coset_mod_order,
+    _cyclic_nonsingular,
     _epsilon_values,
     annihilator_submodule,
     basechange_form,
@@ -435,3 +436,53 @@ def test_doubled_form_is_singular(form_946, c):
     form = LinkingForm(M, rows + rows)
     with pytest.raises(FormError, match="form is singular"):
         form.validate()
+
+
+# -- the one-coset nonsingularity test against the epsilon oracle ---------------
+
+
+def _zero_generator(B, k):
+    """B with generator k's row and column set to zero: still hermitian and
+    annihilating, and singular, as generator k pairs to zero with all."""
+    zero = FracCoset.zero(B.variable)
+    rows = tuple(tuple(zero if k in (i, j) else z for j, z in enumerate(row))
+                 for i, row in enumerate(B.gram))
+    return LinkingForm(B.module, rows)
+
+
+def test_cyclic_test_agrees_with_epsilon_oracle(rng):
+    forms = [blanchfield_form(unknot())[0]]
+    for _ in range(14):
+        B, _ = blanchfield_form(random_seifert(rng, genus=rng.choice([1, 2])))
+        if B.module.is_trivial():
+            continue
+        forms.append(B)
+        c = rng.choice([2, 3])
+        if c * B.module.dim_q() <= 8:  # within the factorization cap
+            forms.append(basechange_form(B, c)[0])
+        forms.append(direct_sum_forms([B, B], relabel=lambda i, l: f"{l}{i}"))
+        forms.append(_zero_generator(B, rng.randrange(B.module.rank)))
+    forms.append(direct_sum_forms(forms[1:3][:1] + [blanchfield_form(
+        pattern_9_46())[0]], relabel=lambda i, l: f"{l}{i}"))
+    seen = {"cyclic": 0, "not cyclic": 0, "singular": 0}
+    for B in forms:
+        oracle = annihilator_submodule(B, Submodule.whole(B.module)).is_zero()
+        got = _cyclic_nonsingular(B)
+        primes = [s.base.monic() for s in B.module.summands]
+        if len(set(primes)) == len(primes):
+            # a sum of prime-power pieces with distinct primes is cyclic,
+            # generated by the sum of the generators: the test is exact
+            assert got == oracle
+            seen["cyclic"] += 1
+        else:
+            assert not got
+            seen["not cyclic"] += 1
+        if got:
+            assert oracle
+        seen["singular"] += not oracle
+        if oracle:
+            B.validate()
+        else:
+            with pytest.raises(FormError, match="form is singular"):
+                B.validate()
+    assert min(seen.values()) >= 10, seen

@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,8 @@ from rhoslice.cli import (
     parse_document,
     render_document,
 )
+
+from conftest import random_seifert
 
 K946_DOC = {
     "schema": "rhoslice.knot/1",
@@ -142,6 +146,25 @@ def test_info_decomposes_once(tmp_path, capsys, monkeypatch):
         assert main(["info", path, "--output", "structured"]) == 0
         assert len(calls) == 1
     capsys.readouterr()
+
+
+def test_info_prints_coefficients_past_the_digit_limit(tmp_path, capsys):
+    # a Gram coefficient of this genus-4 matrix has 834 digits; with the
+    # interpreter's int-to-str limit lowered to its minimum, 640, printing
+    # it raised ValueError and the command ended in a traceback
+    V = random_seifert(random.Random(1), genus=4, spread=3)
+    path = write_doc(tmp_path, {"schema": "rhoslice.knot/1",
+                                "seifert": [list(row) for row in V.rows]})
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(["info", path]) == 0
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out = capsys.readouterr().out
+    assert "Linking form Gram matrix:" in out
+    assert max(len(digits) for digits in re.findall(r"\d+", out)) > 640
 
 
 def test_info_trefoil(tmp_path, capsys):

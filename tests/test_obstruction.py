@@ -9,6 +9,7 @@ import pytest
 
 from rhoslice import obstruction
 from rhoslice.almodule import AlexanderModule, Summand, reduce_to_isotypic
+from rhoslice.blanchfield import FormError
 from rhoslice.obstruction import (
     MAX_CELLS_PER_CLASS,
     Companion,
@@ -30,7 +31,7 @@ from rhoslice.obstruction import (
     assemble,
     verify_obstructed,
 )
-from rhoslice.polyalg import LaurentPoly
+from rhoslice.polyalg import FracCoset, LaurentPoly, factor_laurent
 from rhoslice.seifert import PatternKnot, SeifertMatrix, pattern_9_46, trefoil_right
 from rhoslice.signatures import Rho0Value
 
@@ -563,6 +564,55 @@ def assert_matches_oracle(report, oracle):
         len(report.slot_types)
 
 
+def full_sweep(spec, c_max, mode="symbolic"):
+    """verify_obstructed with the complexity-free certificate refused, so
+    that every complexity is evaluated."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(obstruction, "capelli_certified", lambda prime: False)
+        return verify_obstructed(spec, c_max, mode)
+
+
+SLOT_LINE = re.compile(r"^c=(\d+): \S+\[\d+\]~?\.\S+: ")
+
+
+def transport_line(c):
+    return (f"c={c}: every slot fact is the c=1 fact under t -> t^{c} "
+            "(complexity-free certificate: no isotypic prime splits); each "
+            f"distinct block form was rebuilt by substituting t^{c} and "
+            "validated")
+
+
+def assert_same_answers(report, full):
+    """The certificate sweep gives the full sweep's verdict, cells,
+    witnesses and slot-type tables.  Its notes add the certificate and
+    reword the sweep bound; at each c >= 2 its audit has one transport line
+    in place of the per-slot lines."""
+    for name in ("verdict", "c_max", "mode", "cells", "witnesses",
+                 "uniform_in_c", "slot_types"):
+        assert getattr(report, name) == getattr(full, name), name
+    bound = next(i for i, note in enumerate(full.notes)
+                 if note.startswith("sweep bound:"))
+    assert report.notes[:bound] == full.notes[:bound]
+    assert report.notes[bound].startswith("complexity-free certificate:")
+    assert report.notes[bound].endswith("the verdict holds for every c >= 1")
+    assert report.notes[bound + 1] == (
+        f"sweep bound: complexities 1..{full.c_max} listed; c=1 evaluated "
+        "and the rest carried along t -> t^c with their block forms "
+        "validated; by the complexity-free certificate the verdict holds "
+        "beyond this bound")
+    assert report.notes[bound + 2:] == full.notes[bound + 1:]
+    expected = []
+    for line in full.audit:
+        slot = SLOT_LINE.match(line)
+        if slot and int(slot.group(1)) >= 2:
+            continue
+        expected.append(line)
+        c = int(line[2:line.index(":")])
+        if c >= 2 and line.startswith(f"c={c}: assembled "):
+            expected.append(transport_line(c))
+    assert report.audit == tuple(expected)
+
+
 def random_companion(rng, kinds):
     kind = rng.choice(kinds)
     if kind == "symbol":
@@ -608,9 +658,10 @@ def test_sweep_matches_oracle(seed):
     kinds = SYMBOLIC_KINDS if mode == "symbolic" else NUMERIC_KINDS
     c_max = 1 + seed // 4
     spec = random_family(rng, 4 if seed % 4 == 3 else 3, kinds)
-    report = verify_obstructed(spec, c_max, mode)
+    report = full_sweep(spec, c_max, mode)
     oracle = oracle_report(spec, c_max, mode)
     assert_matches_oracle(report, oracle)
+    assert_same_answers(verify_obstructed(spec, c_max, mode), report)
     assert oracle_report(spec, c_max, mode, prefix_sums=True) == oracle
     assembly, facts = _assemble_full(spec, c_max), {}
     for pat in admissible_patterns(spec, c_max):
@@ -626,8 +677,9 @@ def test_twelve_slot_sweep_matches_oracle(mode):
         spec = random_family(rng, 6, kinds)
         if sum(abs(m.multiplicity) for m in spec.members) == 6:
             break
-    report = verify_obstructed(spec, 1, mode)
+    report = full_sweep(spec, 1, mode)
     oracle = oracle_report(spec, 1, mode)
+    assert_same_answers(verify_obstructed(spec, 1, mode), report)
     assert len(oracle.cells) == 2 * (2 ** 12 - 1)
     # each member gives a K and a -tK slot type of |n_i| copies per class
     assert len(report.cells) == 2 * (math.prod(
@@ -642,9 +694,10 @@ def test_repeated_copies_sweep_matches_oracle(mode):
     witnessed = repeated = 0
     for c_max in (1, 1, 2, 2, 3, 3):
         spec = random_family(rng, 6, kinds, most=4, shared=0.4)
-        report = verify_obstructed(spec, c_max, mode)
+        report = full_sweep(spec, c_max, mode)
         assert_matches_oracle(
             report, oracle_report(spec, c_max, mode, prefix_sums=True))
+        assert_same_answers(verify_obstructed(spec, c_max, mode), report)
         witnessed += bool(report.witnesses)
         repeated += any(abs(m.multiplicity) > 1 for m in spec.members)
     assert witnessed >= 2 and repeated >= 3
@@ -663,9 +716,10 @@ def test_single_copy_cells_match_oracle_in_order(mode):
 
     for c_max in (1, 2, 2):
         spec = random_family(rng, 4, kinds, most=1, shared=0.4)
-        report = verify_obstructed(spec, c_max, mode)
+        report = full_sweep(spec, c_max, mode)
         oracle = oracle_report(spec, c_max, mode)
         assert_matches_oracle(report, oracle)
+        assert_same_answers(verify_obstructed(spec, c_max, mode), report)
         assert without_counts(report.cells) == without_counts(oracle.cells)
         assert without_counts(report.witnesses) == \
             without_counts(oracle.witnesses)
@@ -725,3 +779,120 @@ def test_numeric_symbol_error_matches_oracle():
         with pytest.raises(ObstructionError) as want:
             oracle_report(spec, 1, "numeric")
         assert str(got.value) == str(want.value)
+
+
+# -- the complexity-free certificate -------------------------------------------------
+
+
+def random_pattern(rng):
+    """A genus-one pattern [[0, a], [a ± 1, d]] with |a| <= 30.  With d != 0
+    only beta pairs to zero with itself, so only beta is a curve."""
+    a = rng.choice([n for n in range(-30, 31) if n not in (-1, 0, 1)])
+    b = a + rng.choice((1, -1))
+    d = rng.choice((0, 0, rng.randint(-3, 3)))
+    curves = {"alpha": (1, 0), "beta": (0, 1)} if d == 0 else {"beta": (0, 1)}
+    return PatternKnot.from_int_vectors(
+        SeifertMatrix([[0, a], [b, d]]), curves, name=f"P[{a},{b},{d}]")
+
+
+def random_pattern_family(rng, members, most):
+    out = []
+    for _ in range(members):
+        pattern = random_pattern(rng)
+        infections = {}
+        for curve in pattern.curve_names():
+            comp = random_companion(rng, SYMBOLIC_KINDS)
+            if comp is not None:
+                infections[curve] = comp
+        out.append(FamilyMember(InfectedKnot.build(pattern, infections),
+                                rng.randint(1, most) * rng.choice((1, -1))))
+    return FamilySpec(tuple(out),
+                      tuple(f"K{i}" for i in range(1, members + 1)))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_certificate_sweep_matches_full_sweep(seed):
+    rng = random.Random(7600 + seed)
+    mode = "symbolic"
+    if seed < 8:
+        spec = random_pattern_family(rng, 1, 1)
+        c_max = 12 if seed < 2 else rng.randint(2, 12)
+    elif seed < 12:
+        spec = random_pattern_family(rng, 2, 2)
+        c_max = rng.randint(2, 8)
+    else:
+        mode = ("symbolic", "numeric")[seed % 2]
+        kinds = SYMBOLIC_KINDS if mode == "symbolic" else NUMERIC_KINDS
+        spec = random_family(rng, 3, kinds, shared=0.4)
+        c_max = rng.randint(2, 6)
+    assert_same_answers(verify_obstructed(spec, c_max, mode),
+                        full_sweep(spec, c_max, mode))
+
+
+def test_certificate_is_refused_for_splitting_and_nonlinear_primes():
+    def module(*primes):
+        return AlexanderModule("t", 1, tuple(
+            Summand(p.monic(), p.monic(), 1, f"g{i}")
+            for i, p in enumerate(primes)))
+
+    assert obstruction._complexity_free(module(T - 2, 2 * T - 1))
+    # 4t - 1 splits at c = 2: t^2 - 1/4 = (t - 1/2)(t + 1/2)
+    assert len(factor_laurent((4 * T - 1).subs_power(2))) == 2
+    assert not obstruction._complexity_free(module(T - 2, 4 * T - 1))
+    # a nonlinear prime is refused even where it stays irreducible
+    assert not obstruction._complexity_free(module(T - 2, T * T + 2))
+    assert not obstruction._complexity_free(module())
+
+
+def test_refused_certificate_runs_the_full_sweep():
+    # Delta = t is a unit: the module is trivial and nothing is certified
+    pattern = PatternKnot.from_int_vectors(
+        SeifertMatrix([[0, 1], [0, 0]]), {"alpha": (1, 0)}, name="trivial")
+    spec = FamilySpec.single(InfectedKnot.build(
+        pattern, {"alpha": Companion.symbol("rA")}))
+    report = verify_obstructed(spec, 3)
+    assert report == full_sweep(spec, 3)
+    assert report.notes[:3] == tuple(
+        f"c={c}: no admissible patterns (trivial module)" for c in (1, 2, 3))
+
+
+def test_slot_facts_run_at_c1_only_under_the_certificate(monkeypatch):
+    complexities = []
+    real = obstruction._slot_contributions
+
+    def counted(assembly, prime, slot):
+        complexities.append(assembly.complexity)
+        return real(assembly, prime, slot)
+
+    monkeypatch.setattr(obstruction, "_slot_contributions", counted)
+    spec = family_spec((1, -2))
+    # 3 copies, each with a K and a -tK block: 6 slots per class, 2 classes
+    report = verify_obstructed(spec, 4)
+    assert complexities == [1] * 12
+    complexities.clear()
+    assert_same_answers(report, full_sweep(spec, 4))
+    assert complexities == [c for c in (1, 2, 3, 4) for _ in range(12)]
+
+
+def test_validation_runs_at_every_complexity(monkeypatch):
+    # a mutant base change that makes every block form at c = 2 zero, so
+    # singular: the certificate sweep still validates and refuses it
+    real = FracCoset.subs_power
+
+    def singular_at_two(self, c, variable=None):
+        if c == 2:
+            return FracCoset.zero(variable or self.variable)
+        return real(self, c, variable)
+
+    caches = (obstruction._block_form_at_c, obstruction._assemble_full)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(FracCoset, "subs_power", singular_at_two)
+    try:
+        with pytest.raises(FormError, match="form is singular"):
+            verify_obstructed(single_spec(), 3)
+        with pytest.raises(FormError, match="form is singular"):
+            full_sweep(single_spec(), 3)
+    finally:
+        for cache in caches:
+            cache.cache_clear()

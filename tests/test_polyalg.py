@@ -264,6 +264,102 @@ def test_rational_roots_list_each_divisor_set_once(monkeypatch):
     assert len(calls) <= 2
 
 
+def _trial_divisors(n):
+    """The divisors of n by trial division up to sqrt(n): the oracle of the
+    factorization-based `_divisors`."""
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def test_divisors_match_trial_division():
+    rng = random.Random(31)
+    values = [0, 1, -1, 2, 12, -36, 97, 10 ** 6, 2 ** 20, 3 ** 7 * 5 ** 3,
+              10 ** 6 * (10 ** 6 + 1) // 1000]
+    values += [rng.randint(-10 ** 6, 10 ** 6) for _ in range(60)]
+    for n in values:
+        assert polyalg._divisors(n) == _trial_divisors(n), n
+
+
+def test_divisors_of_a_large_smooth_value_are_fast():
+    # 10^6 * (10^6 + 1) = 2^6 5^6 101 9901: trial division to sqrt(n) took
+    # about 0.1 s per call, the factorization needs trial divisors to 100
+    n = 10 ** 6 * (10 ** 6 + 1)
+    start = time.perf_counter()
+    got = polyalg._divisors(n)
+    assert time.perf_counter() - start < 0.05
+    assert len(got) == 7 * 7 * 2 * 2 and got == sorted(got)
+    assert all(n % d == 0 for d in got) and got[-1] == n
+
+
+def test_nth_root_exact_at_every_size():
+    rng = random.Random(41)
+    bases = [0, 1, 2, 3, 10 ** 20 + 7, 2 ** 200 - 1]
+    for r in range(2, 8):
+        top = int(500 / r / math.log10(2))  # roots up to 10^500 / r digits
+        for base in bases + [rng.getrandbits(rng.randint(2, top))
+                             for _ in range(20)]:
+            n = base ** r
+            assert polyalg._nth_root_exact(n, r) == base
+            if n > 1:
+                assert polyalg._nth_root_exact(n - 1, r) is None
+            assert polyalg._nth_root_exact(n + 1, r) is None or n == 0
+    assert polyalg._nth_root_exact((10 ** 20 + 7) ** 2, 2) == 10 ** 20 + 7
+    assert polyalg._nth_root_exact(10 ** 400, 2) == 10 ** 200
+    assert polyalg._nth_root_exact(10 ** 500, 5) == 10 ** 100
+    assert polyalg._nth_root_exact(10 ** 500 + 1, 5) is None
+    assert polyalg._nth_root_exact(-8, 3) is None
+
+
+def test_capelli_certificate_spec_values():
+    certified = [T - 2, 2 * T - 1, T - Fraction(3, 2), T + 2, T - 6,
+                 T - Fraction(31, 30), T + 3]
+    refused = [
+        4 * T - 1,        # 1/4 = (1/2)^2: t^2 - 1/4 splits
+        T - 8,            # 2^3
+        T + 8,            # (-2)^3
+        T + 4,            # -4 * 1^4: t^4 + 4 splits
+        4 * T + 1,        # -4 * (1/2)^4: t^4 + 1/4 splits
+        T + 64,           # -4 * 2^4, and also (-4)^3
+        T - 1, T + 1, 9 * T - 4,
+        T * T - T + 1,    # nonlinear: no claim
+        T * T - 2,
+    ]
+    assert all(polyalg.capelli_certified(p) for p in certified)
+    assert not any(polyalg.capelli_certified(p) for p in refused)
+    # 4t - 1 splits at c = 2
+    assert len(factor_laurent((4 * T - 1).subs_power(2))) == 2
+
+
+def test_capelli_certificate_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(43)
+    pairs = [(1, 2), (2, 1), (4, 1), (1, -4), (1, 8), (1, -8), (9, 4),
+             (1, 1), (1, -1), (27, -8), (1, -64), (16, 81)]
+    while len(pairs) < 20:
+        a, b = rng.randint(1, 16), rng.choice([-1, 1]) * rng.randint(1, 16)
+        if math.gcd(a, b) == 1:
+            pairs.append((a, b))
+    refusals = 0
+    for a, b in pairs:
+        # over c <= 30 every refused r = b/a (|a|, |b| <= 81) splits: a
+        # p-th power at c = p <= 6, -4Q^4 at c = 4, and ±1 at c = 2 or 3
+        irreducible = all(
+            [k for _, k in sympy.Poly(a * x ** c - b, x).factor_list()[1]]
+            == [1] for c in range(1, 31))
+        assert polyalg.capelli_certified(a * T - b) == irreducible, (a, b)
+        refusals += not irreducible
+    assert 10 <= refusals <= len(pairs) - 5
+
+
 def _random_factorable(rng):
     """A random product of pieces factor_laurent decides: linear factors,
     binomials a*t^n - b, cyclotomics and one root-free piece of degree up
@@ -391,6 +487,15 @@ def test_coset_module_structure(n, d, f):
     z = coset_reduce(n, d)
     assert z.scale(f) == coset_reduce(n * f, d)
     assert (z + z.scale(-1)).is_zero()
+
+
+@given(laurents, nonzero_laurents, st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_coset_subs_power_is_canonical(n, d, c):
+    z = coset_reduce(n, d)
+    w = z.subs_power(c)
+    assert w == FracCoset(z.num.subs_power(c), z.den.subs_power(c))
+    assert w == coset_reduce(n.subs_power(c), d.subs_power(c))
 
 
 def test_coset_conj():
