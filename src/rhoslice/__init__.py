@@ -14,14 +14,12 @@ from .almodule import (
     direct_sum,
     isotypic_decompose,
     reduce_to_isotypic,
-    reparametrize,
     reverse_module,
     smith_normal_form,
 )
 from .blanchfield import (
     LinkingForm,
     annihilator_submodule,
-    basechange_form,
     blanchfield_form,
     is_self_annihilating,
 )

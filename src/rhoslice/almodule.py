@@ -10,9 +10,8 @@ Module elements are per-summand coordinates reduced modulo the summand
 annihilator.  Submodules are stored by generators; membership is linear
 algebra over Q on the finite basis {v^k * generator_i}.
 
-The base change v -> t^c ("reparametrize") multiplies Q-dimension by c and
-may split summands; element transport along it is supported, since
-infection data lives in the original variable.
+The base change v -> t^c is substitution into the summands and the Gram
+entries (`LinkingForm.subs_power`); it multiplies Q-dimension by c.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .linalg import PolyMatrix, poly_mat_apply, poly_mat_identity
 from .polyalg import (
     FracCoset,
     LaurentPoly,
-    capelli_certified,
     div_exact,
     divides,
     equal_up_to_unit,
@@ -196,7 +194,9 @@ class Summand:
 class AlexanderModule:
     """Finite direct sum of prime-power cyclic torsion modules over
     Q[v^{±1}], tagged with a complexity (the exponent of the base change
-    that produced it; 1 for a module in the knot's own variable)."""
+    that produced it; 1 for a module in the knot's own variable).  Base
+    change by substitution (`LinkingForm.subs_power`) keeps each summand
+    whole, so there a base p(v^c) need not be prime."""
 
     variable: str
     complexity: int
@@ -545,62 +545,8 @@ def alexander_module(V: SeifertMatrix | PatternKnot, variable: str = "s") -> Ale
 
 
 # ---------------------------------------------------------------------------
-# Base change, reversal, isotypic structure
+# Reversal, isotypic structure
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BaseChange:
-    """Element transport x -> x (tensor) 1 along a reparametrization."""
-
-    source: AlexanderModule
-    target: AlexanderModule
-    # per target summand: (source index, factor multiplier, inverse mod ann)
-    plan: tuple[tuple[int, LaurentPoly, LaurentPoly], ...]
-    power: int
-
-    def transport(self, x: ModuleElement) -> ModuleElement:
-        if x.module != self.source:
-            raise ModuleError("element does not live in the base-change source")
-        coords = []
-        for (src, comp, comp_inv), s in zip(self.plan, self.target.summands):
-            lifted = x.coords[src].subs_power(self.power, self.target.variable)
-            coords.append(reduce_mod(lifted * comp_inv, s.annihilator))
-        return ModuleElement(self.target, tuple(coords))
-
-
-def reparametrize(M: AlexanderModule, c: int,
-                  variable: str = "t") -> tuple[AlexanderModule, BaseChange]:
-    """Base change along v -> w^c.
-
-    Each summand Q[v]/(p^m) becomes the sum over the irreducible factors r
-    of p(w^c) of Q[w]/(r^m); Q-dimension multiplies by c.  Returns the new
-    module together with the transport map x -> x resolved into the split
-    coordinates.  A prime that `capelli_certified` accepts stays
-    irreducible, and its summand becomes Q[w]/(p(w^c)^m) without factoring.
-    """
-    if c < 1:
-        raise ModuleError("complexity must be a positive integer")
-    if M.complexity != 1:
-        raise ModuleError("reparametrize expects a complexity-1 module")
-    summands: list[Summand] = []
-    plan: list[tuple[int, LaurentPoly, LaurentPoly]] = []
-    for idx, s in enumerate(M.summands):
-        lifted_base = s.base.subs_power(c, variable).monic()
-        factors = ([(lifted_base, 1)] if capelli_certified(s.base)
-                   else factor_laurent(lifted_base))
-        big = (lifted_base ** s.mult).monic()
-        split = len(factors) > 1
-        for fi, (r, mult_r) in enumerate(factors):
-            mult = mult_r * s.mult
-            ann = (r ** mult).monic()
-            comp = div_exact(big, ann).monic()
-            comp_inv = inverse_mod(comp, ann)
-            label = f"{s.label}.{fi}" if split else s.label
-            summands.append(Summand(ann, r, mult, label))
-            plan.append((idx, comp, comp_inv))
-    target = AlexanderModule(variable, c * M.complexity, tuple(summands))
-    return target, BaseChange(M, target, tuple(plan), c)
 
 
 def reverse_module(M: AlexanderModule) -> AlexanderModule:

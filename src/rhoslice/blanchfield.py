@@ -14,12 +14,13 @@ annihilation of each slot by the corresponding annihilator, and
 nonsingularity (the orthogonal complement of the whole module is zero).
 A form that fails any of these raises instead of existing.
 
-`basechange_form` applies v -> t^c to the Gram entries and splits the module
-summands accordingly.  `annihilator_submodule` computes orthogonal
-complements by exact linear algebra over Q, from one linear functional: in
-Q[v]/(order), eps = the coefficient of v^(deg order - 1) makes eps(a * b) a
-nondegenerate pairing, so x is orthogonal to a submodule P exactly when
-eps(Bl(x, b)) = 0 for each vector b of a Q-basis of P.
+`LinkingForm.subs_power` applies v -> t^c to the summands and the Gram
+entries, without splitting any summand.  `annihilator_submodule` computes
+orthogonal complements by exact linear algebra over Q, from one linear
+functional: in Q[v]/(order), eps = the coefficient of v^(deg order - 1)
+makes eps(a * b) a nondegenerate pairing, so x is orthogonal to a
+submodule P exactly when eps(Bl(x, b)) = 0 for each vector b of a Q-basis
+of P.
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ from fractions import Fraction
 from . import linalg
 from .almodule import (
     AlexanderModule,
-    BaseChange,
     Decomposition,
     ModuleElement,
     Submodule,
+    Summand,
     _decompose,
     direct_sum,
-    reparametrize,
 )
 from .polyalg import FracCoset, LaurentPoly, div_exact, divides, reduce_mod
 from .seifert import PatternKnot, SeifertMatrix
@@ -104,6 +104,20 @@ class LinkingForm:
             raise FormError("form is singular: the whole module has a "
                             "nonzero orthogonal complement")
 
+    def subs_power(self, c: int, variable: str | None = None) -> "LinkingForm":
+        """The form along v -> t^c: t^c substituted into every summand's
+        annihilator and base and into every Gram entry.  No summand is
+        split, so a base p(t^c) need not be prime.  Hermitian symmetry and
+        annihilation commute with the substitution, and nonsingularity is
+        kept as Q[t] is free over Q[t^c]; `validate` checks all three."""
+        var = variable or self.variable
+        module = AlexanderModule(var, c * self.module.complexity, tuple(
+            Summand(s.annihilator.subs_power(c, var).monic(),
+                    s.base.subs_power(c, var).monic(), s.mult, s.label)
+            for s in self.module.summands))
+        return LinkingForm(module, tuple(
+            tuple(z.subs_power(c, var) for z in row) for row in self.gram))
+
     def negate(self) -> "LinkingForm":
         return LinkingForm(self.module,
                            tuple(tuple(-z for z in row) for row in self.gram))
@@ -151,35 +165,6 @@ def blanchfield_form(V: SeifertMatrix | PatternKnot, variable: str = "s",
     if validate:
         form.validate()
     return form, dec
-
-
-def basechange_form(B: LinkingForm, c: int,
-                    validate: bool = True) -> tuple[LinkingForm, BaseChange]:
-    """Base change of a linking form along v -> t^c.
-
-    Gram entries are substituted and rescaled by the CRT cofactors of the
-    split summands; the module is reparametrized alongside.  Returns
-    (form, transport) where transport maps elements x to x in the new
-    coordinates.
-    """
-    if B.module.complexity != 1:
-        raise FormError("base change expects a complexity-1 form")
-    target, bc = reparametrize(B.module, c)
-    n = target.rank
-    rows = []
-    for k in range(n):
-        src_k, comp_k, _ = bc.plan[k]
-        row = []
-        for l in range(n):
-            src_l, comp_l, _ = bc.plan[l]
-            z = B.gram[src_k][src_l].subs_power(c, target.variable)
-            comp = comp_k * comp_l.conj()
-            row.append(z if comp.is_one() else z.scale(comp))
-        rows.append(tuple(row))
-    form = LinkingForm(target, tuple(rows))
-    if validate:
-        form.validate()
-    return form, bc
 
 
 def direct_sum_forms(forms, relabel=None, validate: bool = False) -> LinkingForm:

@@ -24,12 +24,16 @@ serialized polynomials ({"coefficients": {"0": "1"}}).
 
 Subcommands: info, obstruct, signature.  Exit codes for obstruct: 0 when
 OBSTRUCTED, 2 when INCONCLUSIVE, 1 on errors.  `obstruct --output
-structured` prints a "rhoslice.report/2" document: per complexity and
-isotypic class, a slot-type table (`slot_types`: each type's slot labels
-and the expression each copy adds) and one cell per count vector (its
-`counts`, indexed like the types, a representative `support` and its
-expression), then the witnesses, the audit trail and the notes.  The text
-output lists the same.  The environment variable
+structured` prints a "rhoslice.report/3" document: per isotypic class at
+complexity c = 1 only, a slot-type table (`slot_types`: each type's slot
+labels and the expression each copy adds) and one cell per count vector
+(its `counts`, indexed like the types, a representative `support` and its
+expression), then the witnesses, the audit trail and the notes.
+`uniform_in_c` is true when the complexity-free certificate carries the
+cells to every complexity, and `c_max` echoes the depth of the
+complexity self-check.  The text output lists the same.  A reader that
+closes the output early (`rhoslice ... | head -1`) ends the command with
+exit code 1 and no traceback.  The environment variable
 RHOSLICE_PRECISION bounds the width of certified intervals (default
 1/1000000).
 """
@@ -37,7 +41,9 @@ RHOSLICE_PRECISION bounds the width of certified intervals (default
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -327,6 +333,15 @@ def _doc_matrix(doc: KnotDocument) -> SeifertMatrix:
     return doc.seifert if doc.seifert is not None else doc.pattern.seifert
 
 
+def _print_json(obj) -> None:
+    """Write `json.dumps(obj, sort_keys=True, indent=2)` and a newline to
+    stdout, in batches of encoder chunks; the whole string never exists."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    while batch := "".join(itertools.islice(chunks, 8192)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
+
+
 def cmd_info(args) -> int:
     doc = load_document(args.file)
     target = doc.pattern if doc.pattern is not None else _doc_matrix(doc)
@@ -344,7 +359,7 @@ def cmd_info(args) -> int:
             "gram": [[z.to_json() for z in row] for row in form.gram],
             "metabolizer": list(metab) if metab else None,
         }
-        print(json.dumps(out, sort_keys=True, indent=2))
+        _print_json(out)
         return 0
     print(f"Alexander polynomial: {delta}")
     print(f"Module: {module}")
@@ -363,18 +378,18 @@ def cmd_obstruct(args) -> int:
     spec = family_spec(doc)
     report = verify_obstructed(spec, args.cmax, mode=args.mode)
     if args.output == "structured":
-        print(json.dumps(report.to_json(), sort_keys=True, indent=2))
+        _print_json(report.to_json())
     else:
         print(f"verdict: {report.verdict} (c <= {report.c_max}, {report.mode})")
         if report.uniform_in_c:
-            print("uniform-in-c certificate: expressions independent of the "
-                  "complexity across the sweep")
+            print("uniform-in-c certificate: every cell holds at every "
+                  "complexity c >= 1")
         print("slot types (copies of one type add the same expression):")
         for table in report.slot_types:
             for i, (slots, rho) in enumerate(zip(table.slots, table.rho), 1):
                 print(f"  c={table.complexity} class=({table.prime}) "
                       f"type {i}: {{{', '.join(slots)}}} rho = {rho}")
-        print(f"{len(report.cells)} (complexity, count vector) cells:")
+        print(f"{len(report.cells)} count-vector cells at c=1:")
         for cell in report.cells:
             status = "nonzero" if cell.nonvanishing else "VANISHING"
             support = ", ".join(cell.support)
@@ -405,7 +420,7 @@ def cmd_signature(args) -> int:
             **sf.to_json(),
             "rho0": rho.to_json(),
         }
-        print(json.dumps(out, sort_keys=True, indent=2))
+        _print_json(out)
         return 0
     print("arc values on (0, 1/2] by increasing angle:")
     labels = []
@@ -437,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ob = sub.add_parser("obstruct", help="run the obstruction sweep")
     p_ob.add_argument("file")
     p_ob.add_argument("--cmax", type=int, default=5,
-                      help="complexity sweep bound (default 5)")
+                      help="depth of the complexity self-check (default 5)")
     p_ob.add_argument("--mode", choices=("symbolic", "numeric"),
                       default="symbolic")
     p_ob.add_argument("--output", choices=("text", "structured"),
@@ -459,7 +474,14 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the
+        # interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (DocumentError, ObstructionError, SeifertError, SignatureError,
             PolyalgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

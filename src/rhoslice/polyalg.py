@@ -464,12 +464,22 @@ def _int_content_primitive(p: LaurentPoly) -> list[int]:
 
 
 def _rational_root_split(ints: list[int]) -> tuple[list[int], list[int]] | None:
-    """The linear factor q*v - p of the first rational root p/q, and its
-    cofactor, or None if there is no rational root.
+    """The linear factor q*v - p of a rational root p/q, and its cofactor,
+    or None if there is no rational root.
 
-    Candidates are ±p/q with p | constant term and q | leading coefficient,
-    in increasing p, then q, + before -; each costs one exact integer
-    division."""
+    A quadratic c + b*v + a*v^2 has one exactly when its discriminant
+    b^2 - 4ac is a square s^2, and then p/q = (s - b)/2a; no integer is
+    factored.  For higher degrees the candidates are ±p/q with p | constant
+    term and q | leading coefficient, in increasing p, then q, + before -;
+    each costs one exact integer division."""
+    if len(ints) == 3:
+        c, b, a = ints
+        s = _nth_root_exact(b * b - 4 * a * c, 2)
+        if s is None:
+            return None
+        root = Fraction(s - b, 2 * a)
+        linear = [-root.numerator, root.denominator]
+        return linear, _int_div_exact(ints, linear)
     leading_divisors = _divisors(ints[-1])
     for p in _divisors(ints[0]):
         for q in leading_divisors:

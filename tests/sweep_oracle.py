@@ -1,0 +1,310 @@
+"""The per-complexity sweep, kept as an oracle for the c = 1 sweep.
+
+`verify_obstructed` evaluates and lists complexity 1 only and carries the
+verdict to every c by the complexity-free certificate.  Before that, it
+rebuilt every block at every complexity c by base change: the module
+summands p(s) became the irreducible factors of p(t^c) (`reparametrize`),
+the Gram entries were substituted and rescaled by the CRT cofactors of the
+split summands (`basechange_form`), curve classes were carried along
+(`BaseChange.transport`), and each class was keyed by the c = 1 prime it
+came from.  With the certificate it evaluated c = 1 and carried the cells
+to every later c under renamed primes; without it, it swept every c.
+That code lives here, unchanged in what it computes, so that both sweeps
+can be compared with the production one.
+"""
+
+import math
+from dataclasses import dataclass, replace
+from functools import lru_cache
+
+from rhoslice import obstruction
+from rhoslice.almodule import (
+    AlexanderModule,
+    ModuleElement,
+    ModuleError,
+    Summand,
+    direct_sum,
+    isotypic_decompose,
+)
+from rhoslice.blanchfield import FormError, LinkingForm, blanchfield_form, direct_sum_forms
+from rhoslice.obstruction import (
+    Assembly,
+    ObstructionError,
+    ObstructionReport,
+    ReportCell,
+    SlotTypeTable,
+    _count_line,
+    _slot_types,
+    _slots_for_prime,
+    _sweep_class,
+)
+from rhoslice.polyalg import (
+    LaurentPoly,
+    capelli_certified,
+    div_exact,
+    divides,
+    factor_laurent,
+    inverse_mod,
+    reduce_mod,
+)
+
+
+# -- base change with splitting and CRT cofactors --------------------------------
+
+
+@dataclass(frozen=True)
+class BaseChange:
+    """Element transport x -> x (tensor) 1 along a reparametrization."""
+
+    source: AlexanderModule
+    target: AlexanderModule
+    # per target summand: (source index, factor multiplier, inverse mod ann)
+    plan: tuple[tuple[int, LaurentPoly, LaurentPoly], ...]
+    power: int
+
+    def transport(self, x: ModuleElement) -> ModuleElement:
+        if x.module != self.source:
+            raise ModuleError("element does not live in the base-change source")
+        coords = []
+        for (src, comp, comp_inv), s in zip(self.plan, self.target.summands):
+            lifted = x.coords[src].subs_power(self.power, self.target.variable)
+            coords.append(reduce_mod(lifted * comp_inv, s.annihilator))
+        return ModuleElement(self.target, tuple(coords))
+
+
+def reparametrize(M: AlexanderModule, c: int,
+                  variable: str = "t") -> tuple[AlexanderModule, BaseChange]:
+    """Base change along v -> w^c: each summand Q[v]/(p^m) becomes the sum
+    over the irreducible factors r of p(w^c) of Q[w]/(r^m), with the
+    transport resolved into the split coordinates.  A prime that
+    `capelli_certified` accepts is not factored."""
+    if c < 1:
+        raise ModuleError("complexity must be a positive integer")
+    if M.complexity != 1:
+        raise ModuleError("reparametrize expects a complexity-1 module")
+    summands: list[Summand] = []
+    plan: list[tuple[int, LaurentPoly, LaurentPoly]] = []
+    for idx, s in enumerate(M.summands):
+        lifted_base = s.base.subs_power(c, variable).monic()
+        factors = ([(lifted_base, 1)] if capelli_certified(s.base)
+                   else factor_laurent(lifted_base))
+        big = (lifted_base ** s.mult).monic()
+        split = len(factors) > 1
+        for fi, (r, mult_r) in enumerate(factors):
+            mult = mult_r * s.mult
+            ann = (r ** mult).monic()
+            comp = div_exact(big, ann).monic()
+            comp_inv = inverse_mod(comp, ann)
+            label = f"{s.label}.{fi}" if split else s.label
+            summands.append(Summand(ann, r, mult, label))
+            plan.append((idx, comp, comp_inv))
+    target = AlexanderModule(variable, c * M.complexity, tuple(summands))
+    return target, BaseChange(M, target, tuple(plan), c)
+
+
+def basechange_form(B: LinkingForm, c: int,
+                    validate: bool = True) -> tuple[LinkingForm, BaseChange]:
+    """Base change of a linking form along v -> t^c: Gram entries are
+    substituted and rescaled by the CRT cofactors of the split summands."""
+    if B.module.complexity != 1:
+        raise FormError("base change expects a complexity-1 form")
+    target, bc = reparametrize(B.module, c)
+    n = target.rank
+    rows = []
+    for k in range(n):
+        src_k, comp_k, _ = bc.plan[k]
+        row = []
+        for l in range(n):
+            src_l, comp_l, _ = bc.plan[l]
+            z = B.gram[src_k][src_l].subs_power(c, target.variable)
+            comp = comp_k * comp_l.conj()
+            row.append(z if comp.is_one() else z.scale(comp))
+        rows.append(tuple(row))
+    form = LinkingForm(target, tuple(rows))
+    if validate:
+        form.validate()
+    return form, bc
+
+
+# -- assembly and the sweep at any complexity ------------------------------------
+
+
+@lru_cache(maxsize=32)
+def pattern_form(pattern):
+    return blanchfield_form(pattern)
+
+
+@lru_cache(maxsize=256)
+def block_form_at_c(pattern, c: int):
+    """(form_c, curve classes at complexity c) for one pattern block."""
+    form_s, dec = pattern_form(pattern)
+    form_c, transport = basechange_form(form_s, c)
+    classes = {cname: transport.transport(dec.project(vec))
+               for cname, vec in pattern.curves}
+    return form_c, classes
+
+
+def assemble_at(spec, c: int) -> Assembly:
+    """The assembled family at complexity c, from base-changed blocks."""
+    blocks = []
+    for block in obstruction._assemble_full(spec).blocks:
+        form, classes = block_form_at_c(block.pattern, c)
+        blocks.append(replace(block, form=form if block.sign > 0
+                              else form.negate(), curve_class=classes))
+
+    def relabel(i, label):
+        mi, copy, rev = blocks[i].slot_prefix
+        tag = "~" if rev else ""
+        return f"{spec.member_name(mi)}[{copy}]{tag}.{label}"
+
+    module = direct_sum([b.form.module for b in blocks], relabel=relabel)
+    form = direct_sum_forms([b.form for b in blocks], relabel=relabel)
+    return Assembly(spec, c, module, form, blocks,
+                    {b.slot_prefix: b for b in blocks})
+
+
+def isotypic_primes(assembly: Assembly) -> list[tuple[LaurentPoly, str]]:
+    """The isotypic primes with a complexity-independent key: the
+    base-variable prime each came from."""
+    keyed = []
+    for prime in isotypic_decompose(assembly.module):
+        key = None
+        for block in assembly.blocks:
+            base_form, _ = pattern_form(block.pattern)
+            for s in base_form.module.summands:
+                lifted = s.base.subs_power(assembly.complexity, prime.variable)
+                if divides(prime, lifted):
+                    key = str(s.base)
+                    break
+            if key:
+                break
+        keyed.append((prime, key or str(prime)))
+    return keyed
+
+
+def sweep(assembly: Assembly, mode: str, audit: dict[str, None]):
+    """(prime, slot-type table, cells) of every isotypic class with slots."""
+    c = assembly.complexity
+    classes = []
+    for prime, key in isotypic_primes(assembly):
+        slots = _slots_for_prime(assembly, prime)
+        types = _slot_types(slots)
+        n_cells = math.prod(len(t) + 1 for t in types) - 1
+        if n_cells > obstruction.MAX_CELLS_PER_CLASS:
+            raise ObstructionError(
+                f"c={c}: {n_cells} count vectors in the ({prime}) class "
+                f"exceed the enumeration bound {obstruction.MAX_CELLS_PER_CLASS}")
+        if slots:
+            classes.append((prime, key, slots, types))
+    return [(prime, *_sweep_class(assembly, prime, key, slots, types, mode,
+                                  audit))
+            for prime, key, slots, types in classes]
+
+
+def transported(c: int, prime: LaurentPoly, table: SlotTypeTable, cells):
+    """A class's c=1 table and cells at complexity c, with the prime
+    renamed to p(t^c)."""
+    name = str(prime.subs_power(c).monic())
+    return (SlotTypeTable(c, table.class_key, name, table.slots, table.rho),
+            [ReportCell(c, cell.class_key, name, cell.counts, cell.support,
+                        cell.rho, cell.nonvanishing) for cell in cells])
+
+
+def transport_line(c: int) -> str:
+    return (f"c={c}: every slot fact is the c=1 fact under t -> t^{c} "
+            "(complexity-free certificate: no isotypic prime splits); each "
+            f"distinct block form was rebuilt by substituting t^{c} and "
+            "validated")
+
+
+def verify_obstructed(spec, c_max: int, mode: str = "symbolic",
+                      certificate: bool = True) -> ObstructionReport:
+    """The sweep over complexities 1..c_max.  With `certificate` it
+    evaluates c = 1 only when the complexity-free certificate holds, and
+    carries the cells to later c; without, it evaluates every c."""
+    if c_max < 1:
+        raise ObstructionError("c_max must be at least 1")
+    if mode not in ("symbolic", "numeric"):
+        raise ObstructionError(f"unknown mode {mode!r}")
+    cells, witnesses, tables = [], [], []
+    audit: dict[str, None] = {}
+    notes = []
+    by_pattern, class_keys_by_c = {}, {}
+    base = assemble_at(spec, 1)
+    certified = certificate and bool(base.module.summands) and all(
+        capelli_certified(p) for p in isotypic_decompose(base.module))
+    first = []
+
+    for c in range(1, c_max + 1):
+        audit.setdefault(
+            f"c={c}: assembled {len(base.blocks)} blocks; form validated "
+            "hermitian, annihilating and nonsingular blockwise; by "
+            "construction: the assembled form is the block sum of the "
+            "copies' forms")
+        if certified and c > 1:
+            for pattern in dict.fromkeys(b.pattern for b in base.blocks):
+                block_form_at_c(pattern, c)
+            audit.setdefault(transport_line(c))
+            found = [(prime, *transported(c, prime, table, class_cells))
+                     for prime, table, class_cells in first]
+            for _, table, _ in found:
+                audit.setdefault(_count_line(table))
+        else:
+            found = sweep(assemble_at(spec, c), mode, audit)
+        if c == 1:
+            first = found
+        class_keys_by_c[c] = tuple(sorted({t.class_key for _, t, _ in found}))
+        if not found:
+            notes.append(f"c={c}: no admissible patterns (trivial module)")
+        for _, table, class_cells in found:
+            tables.append(table)
+            for cell in class_cells:
+                cells.append(cell)
+                if not cell.nonvanishing:
+                    witnesses.append(cell)
+                by_pattern.setdefault((table.class_key, cell.support),
+                                      []).append(cell.rho)
+
+    verdict = "OBSTRUCTED" if cells and not witnesses else "INCONCLUSIVE"
+    if not cells:
+        notes.append("no admissible patterns at any swept complexity; "
+                     "nothing to obstruct")
+    uniform = bool(cells) and all(
+        keys == class_keys_by_c[1] for keys in class_keys_by_c.values())
+    if uniform:
+        uniform = all(len(exprs) == c_max and all(e == exprs[0] for e in exprs)
+                      for exprs in by_pattern.values())
+    if uniform:
+        notes.append(
+            f"uniform-in-c certificate: each pattern's expression is "
+            f"independent of the complexity across the sweep 1..{c_max}")
+    if certified:
+        notes.append(
+            "complexity-free certificate: every isotypic prime is linear, "
+            "t - r, with r neither a p-th power in Q for any prime p nor in "
+            "-4Q^4, so by Capelli's theorem p(t^c) stays irreducible; each "
+            "block form at complexity c is its c=1 form under t -> t^c, "
+            "every cell at complexity c is its c=1 cell with the prime "
+            "renamed, and the verdict holds for every c >= 1")
+        notes.append(
+            f"sweep bound: complexities 1..{c_max} listed; c=1 evaluated and "
+            "the rest carried along t -> t^c with their block forms "
+            "validated; by the complexity-free certificate the verdict "
+            "holds beyond this bound")
+    else:
+        notes.append(
+            f"sweep bound: complexities 1..{c_max} checked; the verdict "
+            "asserts nothing beyond this bound")
+    notes.append(
+        "quantifier discharge: any nonzero element of a self-annihilating "
+        "submodule reduces, by the coprime isotypic multipliers, to a "
+        "unit-coordinate element supported on an enumerated pattern; such a "
+        "submodule is nonzero because the assembled form is nonsingular")
+    notes.append(
+        "additivity of the invariant over connected-sum and satellite pieces "
+        "is axiomatic (standard infection cobordism); its uses are listed in "
+        "the audit trail")
+    return ObstructionReport(
+        verdict=verdict, c_max=c_max, mode=mode, cells=tuple(cells),
+        witnesses=tuple(witnesses), audit=tuple(audit), uniform_in_c=uniform,
+        notes=tuple(notes), slot_types=tuple(tables))

@@ -19,7 +19,7 @@ from rhoslice.almodule import (
     reverse_module,
     smith_normal_form,
 )
-from rhoslice.blanchfield import annihilator_submodule, basechange_form, blanchfield_form
+from rhoslice.blanchfield import annihilator_submodule, blanchfield_form
 from rhoslice.cli import main
 from rhoslice.obstruction import (
     Companion,
@@ -44,6 +44,7 @@ from rhoslice.signatures import Rho0Value, lt_signature_at, rho0, signature_func
 from conftest import eval_gaussian, random_laurent, random_seifert, snf_is_valid
 from test_signatures import signature_via_charpoly
 from test_blanchfield import _random_element
+from sweep_oracle import basechange_form
 
 S = LaurentPoly.var("s")
 R946 = SeifertMatrix([[0, 1], [2, 0]])
@@ -111,19 +112,33 @@ def test_criterion_3_reversal_law():
 def test_criterion_4_basechange_law():
     rng = random.Random(4003)
     with timed("4 (base-change law, 100 instances)", 30.0):
+        # the law on the substituted form, cross-checked on the splitting
+        # base change, which agrees with it where no summand splits
         B, dec = blanchfield_form(pattern_9_46())
+        forms = {c: B.subs_power(c, "t") for c in (1, 2, 3, 4)}
         transports = {c: basechange_form(B, c) for c in (1, 2, 3, 4)}
+        for c, Bc in forms.items():
+            Bc.validate()
+            assert Bc == transports[c][0]
         checked = 0
         while checked < 100:
             c = rng.choice([1, 2, 3, 4])
-            Bc, bc = transports[c]
+            Bc = forms[c]
+            Bo, bc = transports[c]
             x = _random_element(rng, B.module)
             y = _random_element(rng, B.module)
             f = random_laurent(rng, "t", max_deg=2, min_exp=-1)
             g = random_laurent(rng, "t", max_deg=2, min_exp=-1)
-            lhs = Bc.pairing(bc.transport(x).scale(f), bc.transport(y).scale(g))
+
+            def lifted(z):
+                return Bc.module.element(
+                    tuple(a.subs_power(c, "t") for a in z.coords))
+
+            lhs = Bc.pairing(lifted(x).scale(f), lifted(y).scale(g))
             rhs = B.pairing(x, y).subs_power(c, "t").scale(f).scale(g.conj())
             assert lhs == rhs
+            assert Bo.pairing(bc.transport(x).scale(f),
+                              bc.transport(y).scale(g)) == rhs
             checked += 1
 
 

@@ -11,7 +11,6 @@ from rhoslice.almodule import (
     direct_sum,
     isotypic_decompose,
     reduce_to_isotypic,
-    reparametrize,
     reverse_module,
     smith_normal_form,
 )
@@ -25,6 +24,7 @@ from rhoslice.seifert import (
 )
 
 from conftest import random_laurent, random_seifert, snf_is_valid
+from sweep_oracle import reparametrize
 
 T = LaurentPoly.var("t")
 S = LaurentPoly.var("s")
@@ -101,7 +101,7 @@ def test_connected_sum_module_is_direct_sum(rng):
             sorted(map(str, parts))
 
 
-# -- reparametrization ----------------------------------------------------------
+# -- reparametrization (the base-change oracle) -----------------------------------
 
 
 def test_reparametrize_spec_values():

@@ -12,7 +12,6 @@ from rhoslice.blanchfield import (
     _cyclic_nonsingular,
     _epsilon_values,
     annihilator_submodule,
-    basechange_form,
     blanchfield_form,
     direct_sum_forms,
     is_self_annihilating,
@@ -28,6 +27,7 @@ from rhoslice.seifert import (
 )
 
 from conftest import cofactor_adjugate, cofactor_det, random_laurent, random_seifert
+from sweep_oracle import basechange_form
 
 S = LaurentPoly.var("s")
 
@@ -214,6 +214,30 @@ def test_basechange_commutes_with_direct_sum(rng):
     assert changed_sum.gram == sum_changed.gram
     assert [str(s.annihilator) for s in changed_sum.module.summands] == \
         [str(s.annihilator) for s in sum_changed.module.summands]
+
+
+def test_subs_power_validates_and_matches_basechange_without_splitting(rng):
+    """Substitution keeps a form valid whether or not a summand splits, and
+    equals the splitting base change when nothing splits."""
+    cases = [(blanchfield_form(pattern_9_46())[0], (1, 2, 3, 5)),
+             (blanchfield_form(trefoil_right())[0], (1, 2, 3, 5))]
+    # the splitting base change factors p(t^c), so degrees stay within
+    # its factoring cap
+    cases += [(blanchfield_form(random_seifert(rng, genus=g))[0], cs)
+              for g, cs in ((1, (1, 2, 3)),) * 5 + ((2, (1, 2)),) * 2]
+    split = 0
+    for B, cs in cases:
+        for c in cs:
+            Bc = B.subs_power(c, "t")
+            Bc.validate()
+            assert Bc.module.dim_q() == c * B.module.dim_q()
+            assert Bc.module.complexity == c
+            old, _ = basechange_form(B, c)
+            if old.module.rank == Bc.module.rank:
+                assert Bc == old
+            else:
+                split += 1
+    assert split   # the trefoil's t^2 - t + 1 splits at c = 5
 
 
 # -- orthogonal complements --------------------------------------------------------

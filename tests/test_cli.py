@@ -4,10 +4,12 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from rhoslice import cli
 from rhoslice.cli import (
     DocumentError,
     family_spec,
@@ -16,6 +18,8 @@ from rhoslice.cli import (
     parse_document,
     render_document,
 )
+
+from rhoslice.obstruction import verify_obstructed
 
 from conftest import random_seifert
 
@@ -205,10 +209,13 @@ def test_obstruct_structured_deterministic(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     data = json.loads(first)
-    assert data["schema"] == "rhoslice.report/2"
+    assert data["schema"] == "rhoslice.report/3"
     assert data["verdict"] == "OBSTRUCTED"
-    assert len(data["cells"]) == 12
-    assert [len(t["types"]) for t in data["slot_types"]] == [2, 2, 2, 2]
+    assert data["c_max"] == 2
+    # cells and slot types are listed at c = 1 only
+    assert len(data["cells"]) == 6
+    assert {cell["c"] for cell in data["cells"]} == {1}
+    assert [len(t["types"]) for t in data["slot_types"]] == [2, 2]
     assert all(len(cell["counts"]) == 2 for cell in data["cells"])
     assert data["uniform_in_c"] is True
     assert data["audit"]
@@ -277,3 +284,72 @@ def test_family_listing_a_knot_twice_is_a_document_error(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr == ("error: family[3]: knot 'K1' is already listed "
                            "at family[0]\n")
+
+
+def child_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ
+                 else [])))
+
+
+def wide_family(rng, kind):
+    """A 9_46 family of members with 1, 2 and 3 copies (12 slots per
+    class), with distinct symbols, one member's symbol shared by both of
+    its curves, or exact numeric companions."""
+    mults = [n * rng.choice((1, -1)) for n in rng.sample((1, 2, 3), 3)]
+    knots = {}
+    for i in range(3):
+        comps = {}
+        for j, curve in enumerate(("alpha", "beta")):
+            if kind == "numeric":
+                comps[curve] = {"rho0": str(Fraction(13) ** (2 * i + j - 3))}
+            elif kind == "shared" and i == 0:
+                comps[curve] = {"symbol": f"s{i}"}
+            else:
+                comps[curve] = {"symbol": f"s{i}{curve[0]}"}
+        knots[f"K{i + 1}"] = {"companions": comps}
+    return dict(FAMILY_DOC, knots=knots, family=[
+        {"knot": f"K{i + 1}", "multiplicity": m} for i, m in enumerate(mults)])
+
+
+def test_streamed_report_is_byte_identical(tmp_path, capsys, monkeypatch):
+    rng = random.Random(9100)
+    for kind in ("distinct", "shared", "numeric"):
+        path = write_doc(tmp_path, wide_family(rng, kind), f"{kind}.json")
+        mode = "numeric" if kind == "numeric" else "symbolic"
+        code = main(["obstruct", path, "--cmax", "2", "--mode", mode,
+                     "--output", "structured"])
+        assert code == (2 if kind == "shared" else 0)
+        report = verify_obstructed(family_spec(load_document(path)), 2, mode)
+        obj = report.to_json()
+        expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        assert capsys.readouterr().out == expected
+        # the report spans several batches, and each batch is one write
+        chunks = sum(1 for _ in json.JSONEncoder(
+            sort_keys=True, indent=2).iterencode(obj))
+        assert chunks > 2 * 8192
+        writes = []
+        monkeypatch.setattr(sys, "stdout", type(
+            "Sink", (), {"write": lambda self, text: writes.append(text)})())
+        cli._print_json(obj)
+        monkeypatch.undo()
+        assert "".join(writes) == expected
+        assert len(writes) == -(-chunks // 8192) + 1
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # the reader of the output is gone before the command writes
+    # (`rhoslice obstruct ... | head -0`)
+    path = write_doc(tmp_path, K946_DOC)
+    for argv in (["obstruct", path, "--cmax", "2", "--output", "structured"],
+                 ["obstruct", path, "--cmax", "2"],
+                 ["info", path]):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rhoslice.cli", *argv], env=child_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""

@@ -2,14 +2,22 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
 
+import sweep_oracle
 from rhoslice import obstruction
-from rhoslice.almodule import AlexanderModule, Summand, reduce_to_isotypic
-from rhoslice.blanchfield import FormError
+from rhoslice.almodule import (
+    AlexanderModule,
+    Summand,
+    alexander_module,
+    isotypic_decompose,
+    reduce_to_isotypic,
+)
+from rhoslice.blanchfield import FormError, LinkingForm
 from rhoslice.obstruction import (
     MAX_CELLS_PER_CLASS,
     Companion,
@@ -22,8 +30,6 @@ from rhoslice.obstruction import (
     RhoExpr,
     Slot,
     _accumulate,
-    _assemble_full,
-    _isotypic_primes,
     _slot_contributions,
     _slot_expr,
     _slots_for_prime,
@@ -31,8 +37,8 @@ from rhoslice.obstruction import (
     assemble,
     verify_obstructed,
 )
-from rhoslice.polyalg import FracCoset, LaurentPoly, factor_laurent
-from rhoslice.seifert import PatternKnot, SeifertMatrix, pattern_9_46, trefoil_right
+from rhoslice.polyalg import FracCoset, LaurentPoly, capelli_certified, coset_reduce, factor_laurent
+from rhoslice.seifert import PatternKnot, SeifertMatrix, metabolizer_search, pattern_9_46, trefoil_right
 from rhoslice.signatures import Rho0Value
 
 T = LaurentPoly.var("t")
@@ -155,8 +161,7 @@ def test_assemble_spec_values():
 
 def test_assembled_copies_are_orthogonal():
     spec = family_spec((1, -2, 3))
-    assembly = _assemble_full(spec, 2)
-    M, B = assembly.module, assembly.form
+    M, B = assemble(spec, 2)
     # generators from different copies pair to zero (block structure)
     prefixes = [lbl.rsplit(".", 1)[0] for lbl in
                 (s.label for s in M.summands)]
@@ -182,9 +187,9 @@ class AdmissiblePattern:
 def admissible_patterns(spec, c):
     """All (isotypic prime, nonempty support) pairs at complexity c, each
     class's supports in itertools.combinations order."""
-    assembly = _assemble_full(spec, c)
+    assembly = sweep_oracle.assemble_at(spec, c)
     patterns = []
-    for prime, key in _isotypic_primes(assembly):
+    for prime, key in sweep_oracle.isotypic_primes(assembly):
         slots = _slots_for_prime(assembly, prime)
         for size in range(1, len(slots) + 1):
             for chosen in itertools.combinations(slots, size):
@@ -194,7 +199,7 @@ def admissible_patterns(spec, c):
 
 def evaluate_rho(spec, pattern, c, mode="symbolic"):
     """A support's expression: the sum of its slots' expressions."""
-    assembly = _assemble_full(spec, c)
+    assembly = sweep_oracle.assemble_at(spec, c)
     return sum((_slot_expr(assembly, pattern.prime, slot, mode)[0]
                 for slot in pattern.support), RhoExpr.zero())
 
@@ -224,7 +229,7 @@ def test_slot_pairing_structure():
     """The slot element pairs to zero with its own curve and nonzero with
     the dual curve: the structural facts behind the contribution rule."""
     spec = single_spec()
-    assembly = _assemble_full(spec, 2)
+    assembly = sweep_oracle.assemble_at(spec, 2)
     for pat in admissible_patterns(spec, 2):
         for slot in pat.support:
             block = assembly.slot_of_block[
@@ -320,7 +325,7 @@ def test_single_example_obstructed():
     report = verify_obstructed(single_spec(), 3)
     assert report.verdict == "OBSTRUCTED"
     assert report.uniform_in_c
-    assert len(report.cells) == 18
+    assert len(report.cells) == 6    # three per class, listed at c = 1 only
     assert not report.witnesses
     assert any("metabolizer" in line for line in report.audit)
     assert any("slice-extension" in line for line in report.audit)
@@ -398,7 +403,7 @@ def test_other_patterns_and_mixed_family():
     assert repm.verdict == "OBSTRUCTED"
     # each member keeps its own pair of isotypic classes
     assert len({c.class_key for c in repm.cells}) == 4
-    assert len(repm.cells) == 24
+    assert len(repm.cells) == 12
 
 
 def test_bad_inputs():
@@ -437,7 +442,7 @@ def oracle_report(spec, c_max, mode, prefix_sums=False):
     seen_audit = set()
     by_pattern, class_keys_by_c = {}, {}
     for c in range(1, c_max + 1):
-        assembly = _assemble_full(spec, c)
+        assembly = sweep_oracle.assemble_at(spec, c)
         facts = {}
         audit_line = (f"c={c}: assembled {len(assembly.blocks)} blocks; form "
                       "validated hermitian, annihilating and nonsingular "
@@ -565,52 +570,69 @@ def assert_matches_oracle(report, oracle):
 
 
 def full_sweep(spec, c_max, mode="symbolic"):
-    """verify_obstructed with the complexity-free certificate refused, so
-    that every complexity is evaluated."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(obstruction, "capelli_certified", lambda prime: False)
-        return verify_obstructed(spec, c_max, mode)
+    """The per-complexity sweep with the complexity-free certificate
+    refused, so that every complexity is evaluated."""
+    return sweep_oracle.verify_obstructed(spec, c_max, mode, certificate=False)
 
 
-SLOT_LINE = re.compile(r"^c=(\d+): \S+\[\d+\]~?\.\S+: ")
+def certified_sweep(spec, c_max, mode="symbolic"):
+    """The per-complexity sweep under the certificate: c = 1 evaluated and
+    carried to every later complexity."""
+    return sweep_oracle.verify_obstructed(spec, c_max, mode)
 
 
-def transport_line(c):
-    return (f"c={c}: every slot fact is the c=1 fact under t -> t^{c} "
-            "(complexity-free certificate: no isotypic prime splits); each "
-            f"distinct block form was rebuilt by substituting t^{c} and "
-            "validated")
+CERTIFICATE_NOTE = (
+    "complexity-free certificate: every isotypic prime is linear, t - r, "
+    "with r neither a p-th power in Q for any prime p nor in -4Q^4, so by "
+    "Capelli's theorem p(t^c) stays irreducible; each block form at "
+    "complexity c is its c=1 form under t -> t^c, every cell at complexity "
+    "c is its c=1 cell with the prime renamed, and the verdict holds for "
+    "every c >= 1")
+NO_SLOT_NOTE = ("no admissible patterns: every curve class is zero in the "
+                "module, so no complexity has a slot; nothing to obstruct")
+SELF_CHECK_LINE = re.compile(
+    r"^c=(\d+): \d+ distinct block forms rebuilt by substituting t\^\1 into "
+    r"the c=1 summands and Gram entries; validated hermitian, annihilating "
+    r"and nonsingular$")
 
 
-def assert_same_answers(report, full):
-    """The certificate sweep gives the full sweep's verdict, cells,
-    witnesses and slot-type tables.  Its notes add the certificate and
-    reword the sweep bound; at each c >= 2 its audit has one transport line
-    in place of the per-slot lines."""
-    for name in ("verdict", "c_max", "mode", "cells", "witnesses",
-                 "uniform_in_c", "slot_types"):
-        assert getattr(report, name) == getattr(full, name), name
-    bound = next(i for i, note in enumerate(full.notes)
-                 if note.startswith("sweep bound:"))
-    assert report.notes[:bound] == full.notes[:bound]
-    assert report.notes[bound].startswith("complexity-free certificate:")
-    assert report.notes[bound].endswith("the verdict holds for every c >= 1")
-    assert report.notes[bound + 1] == (
-        f"sweep bound: complexities 1..{full.c_max} listed; c=1 evaluated "
-        "and the rest carried along t -> t^c with their block forms "
-        "validated; by the complexity-free certificate the verdict holds "
-        "beyond this bound")
-    assert report.notes[bound + 2:] == full.notes[bound + 1:]
-    expected = []
-    for line in full.audit:
-        slot = SLOT_LINE.match(line)
-        if slot and int(slot.group(1)) >= 2:
-            continue
-        expected.append(line)
-        c = int(line[2:line.index(":")])
-        if c >= 2 and line.startswith(f"c={c}: assembled "):
-            expected.append(transport_line(c))
-    assert report.audit == tuple(expected)
+def self_check_note(c_max):
+    done = (f"the block forms at c = 2..{c_max} were rebuilt by substituting "
+            "t^c and validated" if c_max > 1 else "none requested (c_max = 1)")
+    return (f"complexity self-check: {done}; cells and slot types are listed "
+            "at c=1 only")
+
+
+def assert_same_answers(report, old):
+    """The c = 1 report answers as a per-complexity sweep does: the same
+    verdict and certificate, and its cells, witnesses and slot-type tables
+    are the sweep's c = 1 ones, which the sweep repeats at every later c
+    with the prime renamed.  Its notes replace the sweep's per-complexity
+    notes, and its audit keeps the c = 1 lines and names the validation at
+    each later c."""
+    for name in ("verdict", "c_max", "mode", "uniform_in_c"):
+        assert getattr(report, name) == getattr(old, name), name
+    prime_at_one = {t.class_key: t.prime for t in report.slot_types}
+    for name in ("cells", "witnesses", "slot_types"):
+        mine, theirs = getattr(report, name), getattr(old, name)
+        assert mine == tuple(x for x in theirs if x.complexity == 1), name
+        for c in range(2, old.c_max + 1):
+            at_c = [x for x in theirs if x.complexity == c]
+            assert [x.prime for x in at_c] == [
+                prime_at_one[x.class_key].replace("t", f"t^{c}")
+                for x in at_c]
+            assert [replace(x, complexity=1, prime=prime_at_one[x.class_key])
+                    for x in at_c] == list(mine), (name, c)
+    expected = [NO_SLOT_NOTE] if not report.cells else []
+    if report.uniform_in_c:
+        expected.append(CERTIFICATE_NOTE)
+    expected.append(self_check_note(report.c_max))
+    assert report.notes == tuple(expected) + old.notes[-2:]
+    at_one = tuple(line for line in old.audit if line.startswith("c=1: "))
+    assert report.audit[:len(at_one)] == at_one
+    assert [int(SELF_CHECK_LINE.match(line).group(1))
+            for line in report.audit[len(at_one):]] == \
+        list(range(2, report.c_max + 1))
 
 
 def random_companion(rng, kinds):
@@ -661,9 +683,11 @@ def test_sweep_matches_oracle(seed):
     report = full_sweep(spec, c_max, mode)
     oracle = oracle_report(spec, c_max, mode)
     assert_matches_oracle(report, oracle)
-    assert_same_answers(verify_obstructed(spec, c_max, mode), report)
+    mine = verify_obstructed(spec, c_max, mode)
+    assert_same_answers(mine, report)
+    assert_same_answers(mine, certified_sweep(spec, c_max, mode))
     assert oracle_report(spec, c_max, mode, prefix_sums=True) == oracle
-    assembly, facts = _assemble_full(spec, c_max), {}
+    assembly, facts = sweep_oracle.assemble_at(spec, c_max), {}
     for pat in admissible_patterns(spec, c_max):
         assert evaluate_rho(spec, pat, c_max, mode) == \
             oracle_rho(assembly, pat, mode, facts)
@@ -825,35 +849,80 @@ def test_certificate_sweep_matches_full_sweep(seed):
         kinds = SYMBOLIC_KINDS if mode == "symbolic" else NUMERIC_KINDS
         spec = random_family(rng, 3, kinds, shared=0.4)
         c_max = rng.randint(2, 6)
-    assert_same_answers(verify_obstructed(spec, c_max, mode),
-                        full_sweep(spec, c_max, mode))
+    report = verify_obstructed(spec, c_max, mode)
+    assert report.uniform_in_c
+    assert_same_answers(report, full_sweep(spec, c_max, mode))
+    assert_same_answers(report, certified_sweep(spec, c_max, mode))
 
 
-def test_certificate_is_refused_for_splitting_and_nonlinear_primes():
-    def module(*primes):
-        return AlexanderModule("t", 1, tuple(
-            Summand(p.monic(), p.monic(), 1, f"g{i}")
-            for i, p in enumerate(primes)))
+def test_random_metabolic_conjugates_are_certified():
+    # a unimodular congruence P^T V P keeps the module and the metabolizer
+    rng = random.Random(7700)
+    for _ in range(100):
+        a = rng.choice([n for n in range(-40, 41) if n not in (-1, 0, 1)])
+        V = [[0, a], [a + rng.choice((1, -1)), rng.randint(-5, 5)]]
+        for _ in range(3):
+            k = rng.randint(-3, 3)
+            P = rng.choice(([[1, k], [0, 1]], [[1, 0], [k, 1]], [[0, 1], [-1, 0]]))
+            V = [[sum(P[r][i] * V[r][s] * P[s][j] for r in range(2)
+                      for s in range(2)) for j in range(2)] for i in range(2)]
+        seifert = SeifertMatrix(V)
+        assert metabolizer_search(seifert) is not None
+        primes = list(isotypic_decompose(alexander_module(seifert)))
+        assert len(primes) == 2 and all(capelli_certified(p) for p in primes), \
+            (V, primes)
 
-    assert obstruction._complexity_free(module(T - 2, 2 * T - 1))
+
+def hand_built(first, second):
+    """A hyperbolic form on Q[t]/(p) (+) Q[t]/(p*), p* the normalized
+    p(t^{-1}), with curves alpha and beta on the two generators and
+    Bl(alpha, beta) = 1/p, shaped like the form of 9_46."""
+    module = AlexanderModule("t", 1, (
+        Summand(first, first, 1, "alpha"), Summand(second, second, 1, "beta")))
+    z = coset_reduce(LaurentPoly.one("t"), first)
+    zero = FracCoset.zero("t")
+    form = LinkingForm(module, ((zero, z), (z.conj(), zero)))
+    form.validate()
+    return form, {"alpha": module.generator(0), "beta": module.generator(1)}
+
+
+def test_certificate_is_refused_for_splitting_and_nonlinear_primes(
+        monkeypatch):
     # 4t - 1 splits at c = 2: t^2 - 1/4 = (t - 1/2)(t + 1/2)
     assert len(factor_laurent((4 * T - 1).subs_power(2))) == 2
-    assert not obstruction._complexity_free(module(T - 2, 4 * T - 1))
-    # a nonlinear prime is refused even where it stays irreducible
-    assert not obstruction._complexity_free(module(T - 2, T * T + 2))
-    assert not obstruction._complexity_free(module())
+    for prime in (T - 2, 4 * T - 1, T * T + 2):
+        first = prime.monic()
+        block = hand_built(first, first.conj().monic())
+        obstruction._assemble_full.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(obstruction, "_block_form", lambda pattern: block)
+            if prime == T - 2:
+                # the certified shape of 9_46 itself answers
+                assert verify_obstructed(single_spec(), 3).uniform_in_c
+                continue
+            with pytest.raises(ObstructionError, match="certificate refused "
+                               r"for the isotypic prime\(s\) ") as err:
+                verify_obstructed(single_spec(), 3)
+        assert f"({first})" in str(err.value)
+        assert "(at - b)(bt - a) with |a - b| = 1" in str(err.value)
+    obstruction._assemble_full.cache_clear()
 
 
-def test_refused_certificate_runs_the_full_sweep():
+def test_refused_certificate_without_slots_is_inconclusive():
     # Delta = t is a unit: the module is trivial and nothing is certified
-    pattern = PatternKnot.from_int_vectors(
+    trivial = PatternKnot.from_int_vectors(
         SeifertMatrix([[0, 1], [0, 0]]), {"alpha": (1, 0)}, name="trivial")
-    spec = FamilySpec.single(InfectedKnot.build(
-        pattern, {"alpha": Companion.symbol("rA")}))
-    report = verify_obstructed(spec, 3)
-    assert report == full_sweep(spec, 3)
-    assert report.notes[:3] == tuple(
-        f"c={c}: no admissible patterns (trivial module)" for c in (1, 2, 3))
+    # the trefoil's prime t^2 - t + 1 is refused, and a zero curve has no slot
+    quiet = PatternKnot.from_int_vectors(trefoil_right(), {"c1": (0, 0)},
+                                         name="trefoil")
+    for pattern, curve in ((trivial, "alpha"), (quiet, "c1")):
+        spec = FamilySpec.single(InfectedKnot.build(
+            pattern, {curve: Companion.symbol("rA")}))
+        report = verify_obstructed(spec, 3)
+        assert (report.verdict, report.cells, report.uniform_in_c) == \
+            ("INCONCLUSIVE", (), False)
+        assert report.notes[0] == NO_SLOT_NOTE
+        assert_same_answers(report, full_sweep(spec, 3))
 
 
 def test_slot_facts_run_at_c1_only_under_the_certificate(monkeypatch):
@@ -875,24 +944,37 @@ def test_slot_facts_run_at_c1_only_under_the_certificate(monkeypatch):
 
 
 def test_validation_runs_at_every_complexity(monkeypatch):
-    # a mutant base change that makes every block form at c = 2 zero, so
-    # singular: the certificate sweep still validates and refuses it
+    # a mutant substitution that makes every block form at c = bad_c zero,
+    # so singular: validation at that complexity refuses it
     real = FracCoset.subs_power
+    for bad_c in (2, 3):
+        def singular(self, c, variable=None):
+            if c == bad_c:
+                return FracCoset.zero(variable or self.variable)
+            return real(self, c, variable)
 
-    def singular_at_two(self, c, variable=None):
-        if c == 2:
-            return FracCoset.zero(variable or self.variable)
-        return real(self, c, variable)
+        sweep_oracle.block_form_at_c.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(FracCoset, "subs_power", singular)
+            assert verify_obstructed(single_spec(), bad_c - 1).obstructed
+            with pytest.raises(FormError, match="form is singular"):
+                verify_obstructed(single_spec(), 3)
+            with pytest.raises(FormError, match="form is singular"):
+                full_sweep(single_spec(), 3)
+    sweep_oracle.block_form_at_c.cache_clear()
 
-    caches = (obstruction._block_form_at_c, obstruction._assemble_full)
-    for cache in caches:
-        cache.cache_clear()
-    monkeypatch.setattr(FracCoset, "subs_power", singular_at_two)
-    try:
-        with pytest.raises(FormError, match="form is singular"):
-            verify_obstructed(single_spec(), 3)
-        with pytest.raises(FormError, match="form is singular"):
-            full_sweep(single_spec(), 3)
-    finally:
-        for cache in caches:
-            cache.cache_clear()
+
+def test_large_coefficient_pattern_runs_in_seconds():
+    # Delta = (pt - (p+1))((p+1)t - p) for a 15-digit prime p: the rational
+    # roots come from the discriminant, and no integer is factored
+    p = 100000000000031
+    pattern = PatternKnot.from_int_vectors(
+        SeifertMatrix([[0, p], [p + 1, 0]]), {"alpha": (1, 0), "beta": (0, 1)},
+        name="P")
+    spec = FamilySpec.single(InfectedKnot.build(pattern, {
+        "alpha": Companion.symbol("rA"), "beta": Companion.symbol("rB")}))
+    start = time.perf_counter()
+    for c_max in (1, 12):
+        report = verify_obstructed(spec, c_max)
+        assert report.obstructed and report.uniform_in_c
+    assert time.perf_counter() - start < 5.0

@@ -410,6 +410,44 @@ def test_factor_matches_sympy_on_random_products():
         _assert_matches_sympy(sympy, _random_factorable(rng))
 
 
+def test_quadratics_factor_like_sympy():
+    # half are products of two linear factors with coefficients up to 10^6,
+    # so the discriminant is a square; the rest have coefficients up to 10^12
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2025)
+    split = 0
+    for i in range(300):
+        if i % 2:
+            a, b, c = (rng.randint(-10 ** 12, 10 ** 12) for _ in range(3))
+            p = LaurentPoly.from_coeffs([c, b, a or 1])
+        else:
+            p = LaurentPoly.from_coeffs(
+                [rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)]) * \
+                LaurentPoly.from_coeffs(
+                    [rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)])
+        if p[0] == 0:
+            continue
+        _assert_matches_sympy(sympy, p)
+        split += len(factor_laurent(p)) == 2
+    assert split >= 140
+
+
+def test_quadratic_roots_factor_no_integer(monkeypatch):
+    # [[0, p], [p+1, 0]] with p = nextprime(10^14): trial division of the
+    # leading coefficient p(p+1) would not finish
+    def unreachable(n):
+        raise AssertionError("an integer was factored")
+
+    monkeypatch.setattr(polyalg, "_prime_factors", unreachable)
+    p = 100000000000031
+    delta = (p * T - (p + 1)) * ((p + 1) * T - p)
+    assert factor_laurent(delta) == [(T - Fraction(p + 1, p), 1),
+                                     (T - Fraction(p, p + 1), 1)]
+    # a square discriminant of zero, and one that is not a square
+    assert factor_laurent((3 * T - 2) ** 2) == [(T - Fraction(2, 3), 2)]
+    assert factor_laurent(T * T - 2) == [(T * T - 2, 1)]
+
+
 def test_factor_matches_sympy_on_alexander_polynomials():
     sympy = pytest.importorskip("sympy")
     for genus in (1, 2, 3, 4):
