@@ -31,7 +31,6 @@ from .obstruction import (
     ObstructionError,
     ObstructionReport,
     RhoExpr,
-    assemble,
     verify_obstructed,
 )
 from .polyalg import (

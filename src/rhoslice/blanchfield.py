@@ -36,7 +36,6 @@ from .almodule import (
     Submodule,
     Summand,
     _decompose,
-    direct_sum,
 )
 from .polyalg import FracCoset, LaurentPoly, div_exact, divides, reduce_mod
 from .seifert import PatternKnot, SeifertMatrix
@@ -146,8 +145,8 @@ def _cyclic_nonsingular(B: LinkingForm) -> bool:
     return total.den.span == B.module.dim_q()
 
 
-def blanchfield_form(V: SeifertMatrix | PatternKnot, variable: str = "s",
-                     validate: bool = True) -> tuple[LinkingForm, Decomposition]:
+def blanchfield_form(V: SeifertMatrix | PatternKnot,
+                     variable: str = "s") -> tuple[LinkingForm, Decomposition]:
     """The linking form of a knot, with the presentation decomposition.
 
     Returns (form, decomposition); the decomposition carries the map from
@@ -162,32 +161,8 @@ def blanchfield_form(V: SeifertMatrix | PatternKnot, variable: str = "s",
     right = [[c.conj() for c in g] for g in dec.gen_coords]
     form = LinkingForm(dec.module, tuple(
         tuple(dec.inverse_form(x, y) for y in right) for x in left))
-    if validate:
-        form.validate()
+    form.validate()
     return form, dec
-
-
-def direct_sum_forms(forms, relabel=None, validate: bool = False) -> LinkingForm:
-    """Block-diagonal sum of linking forms (pairings between different
-    blocks vanish).  Validation of the blocks is assumed; hermitian-ness of
-    the sum is inherited."""
-    forms = list(forms)
-    module = direct_sum([f.module for f in forms], relabel=relabel)
-    total = module.rank
-    var = module.variable
-    zero = FracCoset.zero(var)
-    rows = [[zero] * total for _ in range(total)]
-    off = 0
-    for f in forms:
-        r = f.module.rank
-        for i in range(r):
-            for j in range(r):
-                rows[off + i][off + j] = f.gram[i][j]
-        off += r
-    form = LinkingForm(module, tuple(tuple(r) for r in rows))
-    if validate:
-        form.validate()
-    return form
 
 
 # ---------------------------------------------------------------------------

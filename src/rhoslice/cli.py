@@ -50,6 +50,7 @@ from fractions import Fraction
 
 from .blanchfield import blanchfield_form
 from .obstruction import (
+    MAX_CMAX,
     Companion,
     FamilyMember,
     FamilySpec,
@@ -140,10 +141,19 @@ def _parse_matrix(data, where: str) -> SeifertMatrix:
         raise DocumentError(f"{where}: {exc}") from exc
 
 
+def _parse_rational(value, where: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise DocumentError(f"{where}: bad rational {value!r}") from exc
+
+
 def _parse_poly(data, where: str) -> LaurentPoly:
+    if isinstance(data, (str, int)):
+        return LaurentPoly.constant(_parse_rational(data, where), "s")
     try:
         return LaurentPoly.from_json(data, variable="s").rename("s")
-    except (PolyalgError, ValueError) as exc:
+    except (PolyalgError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise DocumentError(f"{where}: bad polynomial {data!r}: {exc}") from exc
 
 
@@ -178,15 +188,12 @@ def _check_companion_spec(data, where: str) -> dict:
     _require(len(keys) == 1 and keys <= _COMPANION_KEYS, where,
              f"expected exactly one of {sorted(_COMPANION_KEYS)}")
     if "rho0" in data:
-        try:
-            Fraction(data["rho0"])
-        except (ValueError, TypeError) as exc:
-            raise DocumentError(f"{where}: bad rational {data['rho0']!r}") from exc
+        _parse_rational(data["rho0"], where)
     if "rho0_interval" in data:
         iv = data["rho0_interval"]
         _require(isinstance(iv, list) and len(iv) == 2, where,
                  "interval must be [lo, hi]")
-        lo, hi = Fraction(iv[0]), Fraction(iv[1])
+        lo, hi = (_parse_rational(x, where) for x in iv)
         _require(lo <= hi, where, "interval lower end exceeds upper end")
     if "seifert" in data:
         _parse_matrix(data["seifert"], where)
@@ -255,7 +262,8 @@ def parse_document(data: dict) -> KnotDocument:
                                 f"at family[{listed[m['knot']]}]")
         listed[m["knot"]] = i
         mult = m["multiplicity"]
-        _require(isinstance(mult, int) and mult != 0, w,
+        _require(isinstance(mult, int) and not isinstance(mult, bool)
+                 and mult != 0, w,
                  "multiplicity must be a nonzero integer")
         family.append((m["knot"], mult))
     _require(not family or pattern is not None, "family",
@@ -452,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ob = sub.add_parser("obstruct", help="run the obstruction sweep")
     p_ob.add_argument("file")
     p_ob.add_argument("--cmax", type=int, default=5,
-                      help="depth of the complexity self-check (default 5)")
+                      help="depth of the complexity self-check (default 5, "
+                      f"at most {MAX_CMAX})")
     p_ob.add_argument("--mode", choices=("symbolic", "numeric"),
                       default="symbolic")
     p_ob.add_argument("--output", choices=("text", "structured"),

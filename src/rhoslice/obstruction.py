@@ -12,11 +12,12 @@ invariant as a formal expression in the companions' signature integrals.
 
 The |n_i| copies of one member are identical, so the slots of a class
 fall into slot types (member, K or -tK block, curve) of n_t = |n_i| copies
-each, and every copy of a type adds the same expression e_t; the sweep
-checks this on every run.  A support of k_t copies of each type then has
-the value sum_t k_t * e_t, which depends only on its count vector k.  The
-sweep evaluates one cell per count vector 0 <= k_t <= n_t (not all zero),
-prod(n_t + 1) - 1 of them, in place of the 2^(sum n_t) - 1 supports.
+each.  The engine assembles one block per member and part, which all its
+copies share, so every copy of a type adds the expression e_t of copy 1,
+and each type is evaluated once.  A support of k_t copies of each type
+then has the value sum_t k_t * e_t, which depends only on its count vector
+k.  The sweep evaluates one cell per count vector 0 <= k_t <= n_t (not all
+zero), prod(n_t + 1) - 1 of them, in place of the 2^(sum n_t) - 1 supports.
 
 The analytic ingredients enter as axioms with machine-checked hypotheses:
 
@@ -27,9 +28,8 @@ The analytic ingredients enter as axioms with machine-checked hypotheses:
   after finding a coordinate of the reduced slot element, on a summand of
   the isotypic class, that the isotypic prime does not divide;
 * additivity over connected sums and satellite pieces: reflected in the
-  per-copy block evaluation; distinct copies are orthogonal on the
-  assembled form by construction, as it is the block sum of the copies'
-  forms.
+  per-block evaluation; distinct copies are orthogonal on the assembled
+  form by construction, as it is the block sum of the copies' forms.
 
 Every axiom application is recorded in the report's audit trail.  If every
 count vector gives a provably nonzero expression, the family is
@@ -63,12 +63,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .almodule import (
-    AlexanderModule,
     ModuleElement,
     ModuleError,
     Summand,
@@ -76,7 +75,7 @@ from .almodule import (
     isotypic_decompose,
     reduce_to_isotypic,
 )
-from .blanchfield import LinkingForm, blanchfield_form, direct_sum_forms
+from .blanchfield import LinkingForm, blanchfield_form
 from .polyalg import LaurentPoly, capelli_certified, divides
 from .seifert import PatternKnot, SeifertMatrix, metabolizer_search
 from .signatures import Rho0Value, rho0 as rho0_of_seifert
@@ -84,6 +83,9 @@ from .signatures import Rho0Value, rho0 as rho0_of_seifert
 # Count vectors the sweep evaluates in one isotypic class: as many as the
 # supports of 20 slots.
 MAX_CELLS_PER_CLASS = 2 ** 20 - 1
+# Depth of the complexity self-check, whose cost grows about quadratically
+# with the depth.
+MAX_CMAX = 100
 
 
 class ObstructionError(ValueError):
@@ -300,26 +302,26 @@ class Slot:
 
 
 @dataclass
-class _CopyBlock:
-    """Everything the evaluator needs about one copy (K or -tK block)."""
+class _Block:
+    """One member's K or -tK block, which its |n_i| copies share."""
 
-    slot_prefix: tuple[int, int, bool]   # (member, copy, reversed_part)
+    member: int                          # index into spec.members
+    reversed_part: bool                  # the -tK block: companions are
+                                         # reversed mirrors
+    copies: int                          # |n_i|
     pattern: PatternKnot
     form: LinkingForm                    # block form, negated if sign < 0
     curve_class: dict[str, ModuleElement]   # curve -> class
     companion_of: dict[str, Companion]
-    sign: int                            # multiplicity sign * mirror sign
-    mirrored_companions: bool            # companions are reversed mirrors
+    sign: int                            # multiplicity sign
 
 
 @dataclass
 class Assembly:
     spec: FamilySpec
-    complexity: int
-    module: AlexanderModule
-    form: LinkingForm
-    blocks: list[_CopyBlock]
-    slot_of_block: dict[tuple[int, int, bool], _CopyBlock]
+    # keyed (member, reversed_part), in slot order
+    blocks: dict[tuple[int, bool], _Block]
+    primes: tuple[LaurentPoly, ...]      # isotypic primes of the block sum
 
 
 @lru_cache(maxsize=32)
@@ -336,80 +338,47 @@ def _block_form(pattern: PatternKnot):
     return form, classes
 
 
-def assemble(spec: FamilySpec, c: int) -> tuple[AlexanderModule, LinkingForm]:
-    """Module and linking form of the assembled family at complexity c: the
-    complexity-1 block sum with t^c substituted, no summand split."""
-    form = _assemble_full(spec).form.subs_power(c)
-    return form.module, form
-
-
 @lru_cache(maxsize=64)
 def _assemble_full(spec: FamilySpec) -> Assembly:
-    blocks: list[_CopyBlock] = []
+    blocks: dict[tuple[int, bool], _Block] = {}
     for mi, member in enumerate(spec.members):
         base = member.knot.pattern
-        delta_i = 1 if member.multiplicity > 0 else -1
-        for copy in range(1, abs(member.multiplicity) + 1):
-            parts = [(False, base)]
-            if member.with_reverse:
-                parts.append((True, base.transform("inverse")))
-            for reversed_part, pat in parts:
-                form, classes = _block_form(pat)
-                # mirror the block form for negative multiplicity (the honest
-                # orientation; zero/nonzero structure is unaffected)
-                use_form = form if delta_i > 0 else form.negate()
-                companions = {
-                    cname: member.knot.companion(cname)
-                    for cname in base.curve_names()
-                }
-                blocks.append(_CopyBlock(
-                    slot_prefix=(mi, copy, reversed_part),
-                    pattern=pat,
-                    form=use_form,
-                    curve_class=classes,
-                    companion_of=companions,
-                    sign=delta_i,
-                    mirrored_companions=reversed_part,
-                ))
-
-    def relabel(i, label):
-        mi, copy, rev = blocks[i].slot_prefix
-        tag = "~" if rev else ""
-        return f"{spec.member_name(mi)}[{copy}]{tag}.{label}"
-
-    module = direct_sum([b.form.module for b in blocks], relabel=relabel)
-    form = direct_sum_forms([b.form for b in blocks], relabel=relabel)
-    return Assembly(spec, 1, module, form, blocks,
-                    {b.slot_prefix: b for b in blocks})
+        sign = 1 if member.multiplicity > 0 else -1
+        companions = {cname: member.knot.companion(cname)
+                      for cname in base.curve_names()}
+        parts = [(False, base)]
+        if member.with_reverse:
+            parts.append((True, base.transform("inverse")))
+        for reversed_part, pat in parts:
+            form, classes = _block_form(pat)
+            # mirror the block form for negative multiplicity (the honest
+            # orientation; zero/nonzero structure is unaffected)
+            blocks[(mi, reversed_part)] = _Block(
+                mi, reversed_part, abs(member.multiplicity), pat,
+                form if sign > 0 else form.negate(), classes, companions, sign)
+    module = direct_sum([b.form.module for b in blocks.values()],
+                        relabel=lambda i, label: f"{i}.{label}")
+    return Assembly(spec, blocks, tuple(isotypic_decompose(module)))
 
 
 # ---------------------------------------------------------------------------
-# Slots and slot types
+# Slot types
 # ---------------------------------------------------------------------------
 
 
 def _slots_for_prime(assembly: Assembly, prime: LaurentPoly) -> list[Slot]:
+    """The slot types of one class, each as its copy-1 slot, in slot order:
+    the curves of each block whose class survives isotypic reduction."""
     out = []
-    for block in assembly.blocks:
-        mi, copy, rev = block.slot_prefix
+    for block in assembly.blocks.values():
         for cname in block.pattern.curve_names():
-            x = block.curve_class[cname]
             try:
-                red = reduce_to_isotypic(x, prime)
+                red = reduce_to_isotypic(block.curve_class[cname], prime)
             except ModuleError:
                 continue  # this block has no component in the class
             if not red.is_zero():
-                out.append(Slot(mi, copy, rev, cname))
+                out.append(Slot(block.member, 1, block.reversed_part, cname))
     return out
-
-
-def _slot_types(slots: list[Slot]) -> list[list[int]]:
-    """Indices into `slots` grouped by slot type (member, block, curve), in
-    order of first appearance; each group lists its copies in slot order."""
-    types: dict[tuple[int, bool, str], list[int]] = {}
-    for i, s in enumerate(slots):
-        types.setdefault((s.member, s.reversed_part, s.curve), []).append(i)
-    return list(types.values())
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +412,7 @@ def _slot_contributions(assembly: Assembly, prime: LaurentPoly,
     additivity), while the slot curve itself must pair to zero so that the
     vanishing axiom applies to the infected pattern.
     """
-    block = assembly.slot_of_block[(slot.member, slot.copy, slot.reversed_part)]
+    block = assembly.blocks[(slot.member, slot.reversed_part)]
     spec = assembly.spec
     label = slot.label(spec)
     audit: list[str] = []
@@ -481,7 +450,7 @@ def _slot_contributions(assembly: Assembly, prime: LaurentPoly,
                  "the induced coefficient map")
 
     contributions: list[tuple[Companion, int]] = []
-    mirror_sign = -1 if block.mirrored_companions else 1
+    mirror_sign = -1 if block.reversed_part else 1
     for cname in block.pattern.curve_names():
         if cname == slot.curve:
             continue
@@ -493,7 +462,7 @@ def _slot_contributions(assembly: Assembly, prime: LaurentPoly,
         audit.append(
             f"{label}: Bl pairing with {cname} nonzero; companion "
             f"{comp.name!r} contributes with sign {block.sign * mirror_sign:+d}"
-            + (" (reversed mirror)" if block.mirrored_companions else ""))
+            + (" (reversed mirror)" if block.reversed_part else ""))
         contributions.append((comp, block.sign * mirror_sign))
     return contributions, audit
 
@@ -601,34 +570,39 @@ class ObstructionReport:
 
 
 def _sweep_class(assembly: Assembly, prime: LaurentPoly, key: str,
-                 slots: list[Slot], types: list[list[int]], mode: str,
-                 audit: dict[str, None]
+                 types: list[Slot], mode: str, audit: dict[str, None]
                  ) -> tuple[SlotTypeTable, list[ReportCell]]:
     """The slot-type table and the cells of one isotypic class.
 
-    Every slot's facts are computed and audited; the copies of a type must
-    give equal expressions.  Cells come sorted by (support size, slot
-    indices of the representative support), which for one copy per type is
-    the order of the supports themselves.
+    Each slot type's facts are computed and audited once, on copy 1.  Cells
+    come sorted by (support size, slot positions of the representative
+    support), which for one copy per type is the order of the supports
+    themselves.
     """
-    c, spec = assembly.complexity, assembly.spec
+    spec = assembly.spec
     prime_name = str(prime)
-    labels = [s.label(spec) for s in slots]
     exprs = []
-    for slot in slots:
+    for slot in types:
         expr, lines = _slot_expr(assembly, prime, slot, mode)
         for line in lines:
-            audit.setdefault(f"c={c}: {line}")
+            audit.setdefault(f"c=1: {line}")
         exprs.append(expr)
-    for t in types:
-        for i in t[1:]:
-            if exprs[i] != exprs[t[0]]:
-                raise ObstructionError(
-                    f"c={c}: copies {labels[t[0]]} and {labels[i]} of one "
-                    f"slot type give different expressions ({exprs[t[0]]} "
-                    f"and {exprs[i]})")
-    type_exprs = [exprs[t[0]] for t in types]
-    counted = itertools.product(*(range(len(t) + 1) for t in types))
+
+    # every copy's slot position, in slot order: member, copy, K before -tK,
+    # curve; a member's types are adjacent in `types`
+    positions: list[list[int]] = [[] for _ in types]
+    labels: list[str] = []
+    for _, group in itertools.groupby(range(len(types)),
+                                      key=lambda j: types[j].member):
+        group = list(group)
+        first = types[group[0]]
+        block = assembly.blocks[(first.member, first.reversed_part)]
+        for copy in range(1, block.copies + 1):
+            for j in group:
+                positions[j].append(len(labels))
+                labels.append(replace(types[j], copy=copy).label(spec))
+
+    counted = itertools.product(*(range(len(p) + 1) for p in positions))
     zero = next(counted)
 
     # In product order a count vector comes after the vector with its last
@@ -638,29 +612,30 @@ def _sweep_class(assembly: Assembly, prime: LaurentPoly, key: str,
     for counts in counted:
         last = max(j for j, k in enumerate(counts) if k)
         lower = counts[:last] + (counts[last] - 1,) + counts[last + 1:]
-        value[counts] = value[lower] + type_exprs[last]
-        support = sorted(i for t, k in zip(types, counts) for i in t[:k])
+        value[counts] = value[lower] + exprs[last]
+        support = sorted(i for p, k in zip(positions, counts) for i in p[:k])
         rows.append((len(support), support, counts))
     rows.sort()
     cells = []
     for _, support, counts in rows:
         expr = value[counts]
-        cells.append(ReportCell(c, key, prime_name, counts,
+        cells.append(ReportCell(1, key, prime_name, counts,
                                 tuple(labels[i] for i in support), expr,
                                 expr.is_verifiably_nonzero()))
-    table = SlotTypeTable(c, key, prime_name,
-                          tuple(tuple(labels[i] for i in t) for t in types),
-                          tuple(type_exprs))
+    table = SlotTypeTable(1, key, prime_name,
+                          tuple(tuple(labels[i] for i in p) for p in positions),
+                          tuple(exprs))
     audit.setdefault(_count_line(table))
     return table, cells
 
 
 def _count_line(table: SlotTypeTable) -> str:
     sizes = [len(labels) for labels in table.slots]
-    return (f"c={table.complexity}: ({table.prime}) class: {sum(sizes)} slots "
-            f"in {len(sizes)} slot types, and the copies of each type give "
-            f"equal expressions; {math.prod(n + 1 for n in sizes) - 1} count "
-            f"vectors stand for its 2^{sum(sizes)} - 1 supports")
+    return (f"c=1: ({table.prime}) class: {sum(sizes)} slots in {len(sizes)} "
+            "slot types; the slot facts of each type ran once, on copy 1, as "
+            f"its copies share one block form; "
+            f"{math.prod(n + 1 for n in sizes) - 1} count vectors stand for "
+            f"its 2^{sum(sizes)} - 1 supports")
 
 
 def _sweep(assembly: Assembly, mode: str, audit: dict[str, None]
@@ -669,20 +644,20 @@ def _sweep(assembly: Assembly, mode: str, audit: dict[str, None]
     order, each class keyed by its prime in the knot's variable s.  The cell
     bound is checked for every class before any slot is evaluated."""
     classes = []
-    for prime in isotypic_decompose(assembly.module):
-        slots = _slots_for_prime(assembly, prime)
-        types = _slot_types(slots)
-        n_cells = math.prod(len(t) + 1 for t in types) - 1
+    for prime in assembly.primes:
+        types = _slots_for_prime(assembly, prime)
+        n_cells = math.prod(
+            assembly.blocks[(s.member, s.reversed_part)].copies + 1
+            for s in types) - 1
         if n_cells > MAX_CELLS_PER_CLASS:
             raise ObstructionError(
-                f"c={assembly.complexity}: {n_cells} count vectors in the "
-                f"({prime}) class exceed the enumeration bound "
-                f"{MAX_CELLS_PER_CLASS}")
-        if slots:
-            classes.append((prime, slots, types))
-    return [_sweep_class(assembly, prime, str(prime.rename("s")), slots,
-                         types, mode, audit)
-            for prime, slots, types in classes]
+                f"c=1: {n_cells} count vectors in the ({prime}) class exceed "
+                f"the enumeration bound {MAX_CELLS_PER_CLASS}")
+        if types:
+            classes.append((prime, types))
+    return [_sweep_class(assembly, prime, str(prime.rename("s")), types,
+                         mode, audit)
+            for prime, types in classes]
 
 
 def verify_obstructed(spec: FamilySpec, c_max: int,
@@ -707,17 +682,20 @@ def verify_obstructed(spec: FamilySpec, c_max: int,
     """
     if c_max < 1:
         raise ObstructionError("c_max must be at least 1")
+    if c_max > MAX_CMAX:
+        raise ObstructionError(
+            f"c_max {c_max} exceeds the self-check bound MAX_CMAX = {MAX_CMAX}")
     if mode not in ("symbolic", "numeric"):
         raise ObstructionError(f"unknown mode {mode!r}")
     assembly = _assemble_full(spec)
+    n_blocks = sum(b.copies for b in assembly.blocks.values())
     audit: dict[str, None] = {     # insertion-ordered set of lines
-        f"c=1: assembled {len(assembly.blocks)} blocks; form validated "
+        f"c=1: assembled {n_blocks} blocks; form validated "
         "hermitian, annihilating and nonsingular blockwise; by "
         "construction: the assembled form is the block sum of the "
         "copies' forms": None}
     found = _sweep(assembly, mode, audit)
-    refused = [p for p in isotypic_decompose(assembly.module)
-               if not capelli_certified(p)]
+    refused = [p for p in assembly.primes if not capelli_certified(p)]
     if found and refused:
         raise ObstructionError(
             "complexity-free certificate refused for the isotypic prime(s) "
@@ -728,7 +706,7 @@ def verify_obstructed(spec: FamilySpec, c_max: int,
             "has such a prime: its Alexander polynomial is (at - b)(bt - a) "
             "with |a - b| = 1, and b/a is positive, not 1 and no k-th power")
 
-    patterns = dict.fromkeys(b.pattern for b in assembly.blocks)
+    patterns = dict.fromkeys(b.pattern for b in assembly.blocks.values())
     for c in range(2, c_max + 1):
         for pattern in patterns:
             _block_form(pattern)[0].subs_power(c).validate()
@@ -738,7 +716,7 @@ def verify_obstructed(spec: FamilySpec, c_max: int,
 
     cells = tuple(cell for _, class_cells in found for cell in class_cells)
     witnesses = tuple(cell for cell in cells if not cell.nonvanishing)
-    certified = bool(assembly.module.summands) and not refused
+    certified = bool(assembly.primes) and not refused
     verdict = "OBSTRUCTED" if cells and not witnesses else "INCONCLUSIVE"
     notes: list[str] = []
     if not cells:

@@ -624,8 +624,7 @@ def _sample_u_for_x_range(lo: Fraction, hi: Fraction) -> Fraction:
             return mid
 
 
-def signature_function(V: SeifertMatrix,
-                       angle_bound: int = DEFAULT_ANGLE_DENOMINATOR_BOUND) -> SignatureFunction:
+def signature_function(V: SeifertMatrix) -> SignatureFunction:
     """Complete step data of the Levine-Tristram signature of V."""
     delta = alexander_polynomial(V)
     if V.dim == 0 or delta.span == 0:
@@ -646,7 +645,7 @@ def signature_function(V: SeifertMatrix,
     two = Fraction(2)
     for psi, _mult in factor_laurent(q):
         dense = tuple(psi.shift(-psi.low).poly_coeffs())
-        n = _cyclotomic_index(psi, angle_bound)
+        n = _cyclotomic_index(psi, DEFAULT_ANGLE_DENOMINATOR_BOUND)
         intervals = isolate_roots(list(dense), -two, two)
         if n is not None:
             ks = sorted((k for k in range(1, n // 2 + 1) if math.gcd(k, n) == 1),
@@ -761,15 +760,14 @@ class Rho0Value:
         return {"symbol": self.symbol}
 
 
-def rho0(V: SeifertMatrix, budget: Fraction | None = None,
-         angle_bound: int = DEFAULT_ANGLE_DENOMINATOR_BOUND) -> Rho0Value:
+def rho0(V: SeifertMatrix, budget: Fraction | None = None) -> Rho0Value:
     """Integral of the Levine-Tristram signature over the circle of length 1.
 
     Equal to sum_j jump_j * (1 - 2 theta_j) over the jumps in (0, 1/2).
     Exact when all jump angles are rational; otherwise a certified interval
     of width at most `budget` (default from RHOSLICE_PRECISION or 1/10^6).
     """
-    sf = signature_function(V, angle_bound)
+    sf = signature_function(V)
     return rho0_from_signature(sf, budget)
 
 

@@ -1,18 +1,23 @@
-"""The per-complexity sweep, kept as an oracle for the c = 1 sweep.
+"""The per-complexity sweep over every copy, kept as an oracle for the
+c = 1 sweep.
 
-`verify_obstructed` evaluates and lists complexity 1 only and carries the
-verdict to every c by the complexity-free certificate.  Before that, it
-rebuilt every block at every complexity c by base change: the module
-summands p(s) became the irreducible factors of p(t^c) (`reparametrize`),
-the Gram entries were substituted and rescaled by the CRT cofactors of the
-split summands (`basechange_form`), curve classes were carried along
+`verify_obstructed` assembles one block per member and part, evaluates
+each slot type once at complexity 1, and carries the verdict to every c by
+the complexity-free certificate.  Before that, it built every copy of
+every block and summed them into one module and form, and it rebuilt every
+block at every complexity c by base change: the module summands p(s)
+became the irreducible factors of p(t^c) (`reparametrize`), the Gram
+entries were substituted and rescaled by the CRT cofactors of the split
+summands (`basechange_form`), curve classes were carried along
 (`BaseChange.transport`), and each class was keyed by the c = 1 prime it
-came from.  With the certificate it evaluated c = 1 and carried the cells
-to every later c under renamed primes; without it, it swept every c.
-That code lives here, unchanged in what it computes, so that both sweeps
-can be compared with the production one.
+came from.  Each slot of each copy was evaluated.  With the certificate it
+evaluated c = 1 and carried the cells to every later c under renamed
+primes; without it, it swept every c.  That code lives here, unchanged in
+what it computes, so that both sweeps can be compared with the production
+one.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -25,20 +30,20 @@ from rhoslice.almodule import (
     Summand,
     direct_sum,
     isotypic_decompose,
+    reduce_to_isotypic,
 )
-from rhoslice.blanchfield import FormError, LinkingForm, blanchfield_form, direct_sum_forms
+from rhoslice.blanchfield import FormError, LinkingForm, blanchfield_form
 from rhoslice.obstruction import (
-    Assembly,
     ObstructionError,
     ObstructionReport,
     ReportCell,
+    RhoExpr,
+    Slot,
     SlotTypeTable,
-    _count_line,
-    _slot_types,
-    _slots_for_prime,
-    _sweep_class,
+    _slot_expr,
 )
 from rhoslice.polyalg import (
+    FracCoset,
     LaurentPoly,
     capelli_certified,
     div_exact,
@@ -126,6 +131,55 @@ def basechange_form(B: LinkingForm, c: int,
     return form, bc
 
 
+# -- every copy, summed -----------------------------------------------------------
+
+
+def direct_sum_forms(forms, relabel=None) -> LinkingForm:
+    """Block-diagonal sum of linking forms (pairings between different
+    blocks vanish).  Validation of the blocks is assumed; hermitian-ness of
+    the sum is inherited."""
+    forms = list(forms)
+    module = direct_sum([f.module for f in forms], relabel=relabel)
+    total = module.rank
+    zero = FracCoset.zero(module.variable)
+    rows = [[zero] * total for _ in range(total)]
+    off = 0
+    for f in forms:
+        r = f.module.rank
+        for i in range(r):
+            for j in range(r):
+                rows[off + i][off + j] = f.gram[i][j]
+        off += r
+    return LinkingForm(module, tuple(tuple(r) for r in rows))
+
+
+def copy_keys(spec, blocks) -> list[tuple[int, int, bool]]:
+    """(member, copy, reversed_part) of every copy, in slot order."""
+    return [(mi, copy, rev) for mi, member in enumerate(spec.members)
+            for copy in range(1, abs(member.multiplicity) + 1)
+            for rev in (False, True) if (mi, rev) in blocks]
+
+
+def sum_of_copies(spec, blocks, copies) -> LinkingForm:
+    """The form of the whole family: every copy's block form, summed."""
+    def relabel(i, label):
+        mi, copy, rev = copies[i]
+        tag = "~" if rev else ""
+        return f"{spec.member_name(mi)}[{copy}]{tag}.{label}"
+
+    return direct_sum_forms([blocks[(mi, rev)].form for mi, _, rev in copies],
+                            relabel=relabel)
+
+
+def assemble(spec, c: int) -> tuple[AlexanderModule, LinkingForm]:
+    """Module and linking form of the assembled family at complexity c: the
+    complexity-1 sum of every copy's block with t^c substituted, no summand
+    split."""
+    blocks = obstruction._assemble_full(spec).blocks
+    form = sum_of_copies(spec, blocks, copy_keys(spec, blocks)).subs_power(c)
+    return form.module, form
+
+
 # -- assembly and the sweep at any complexity ------------------------------------
 
 
@@ -144,32 +198,112 @@ def block_form_at_c(pattern, c: int):
     return form_c, classes
 
 
-def assemble_at(spec, c: int) -> Assembly:
+@dataclass
+class CopyAssembly:
+    """The family at complexity c with every copy built: the blocks keyed
+    (member, reversed_part), the copies in slot order, and the module and
+    form of their sum."""
+
+    spec: object
+    complexity: int
+    blocks: dict
+    copies: list[tuple[int, int, bool]]
+    module: AlexanderModule
+    form: LinkingForm
+
+
+def assemble_at(spec, c: int) -> CopyAssembly:
     """The assembled family at complexity c, from base-changed blocks."""
-    blocks = []
-    for block in obstruction._assemble_full(spec).blocks:
+    blocks = {}
+    for key, block in obstruction._assemble_full(spec).blocks.items():
         form, classes = block_form_at_c(block.pattern, c)
-        blocks.append(replace(block, form=form if block.sign > 0
-                              else form.negate(), curve_class=classes))
-
-    def relabel(i, label):
-        mi, copy, rev = blocks[i].slot_prefix
-        tag = "~" if rev else ""
-        return f"{spec.member_name(mi)}[{copy}]{tag}.{label}"
-
-    module = direct_sum([b.form.module for b in blocks], relabel=relabel)
-    form = direct_sum_forms([b.form for b in blocks], relabel=relabel)
-    return Assembly(spec, c, module, form, blocks,
-                    {b.slot_prefix: b for b in blocks})
+        blocks[key] = replace(block, form=form if block.sign > 0
+                              else form.negate(), curve_class=classes)
+    copies = copy_keys(spec, blocks)
+    form = sum_of_copies(spec, blocks, copies)
+    return CopyAssembly(spec, c, blocks, copies, form.module, form)
 
 
-def isotypic_primes(assembly: Assembly) -> list[tuple[LaurentPoly, str]]:
+def slots_for_prime(assembly: CopyAssembly, prime: LaurentPoly) -> list[Slot]:
+    """Every slot of the class: the curves of each copy whose class
+    survives isotypic reduction."""
+    out = []
+    for mi, copy, rev in assembly.copies:
+        block = assembly.blocks[(mi, rev)]
+        for cname in block.pattern.curve_names():
+            try:
+                red = reduce_to_isotypic(block.curve_class[cname], prime)
+            except ModuleError:
+                continue  # this block has no component in the class
+            if not red.is_zero():
+                out.append(Slot(mi, copy, rev, cname))
+    return out
+
+
+def slot_types(slots: list[Slot]) -> list[list[int]]:
+    """Indices into `slots` grouped by slot type (member, block, curve), in
+    order of first appearance; each group lists its copies in slot order."""
+    types: dict[tuple[int, bool, str], list[int]] = {}
+    for i, s in enumerate(slots):
+        types.setdefault((s.member, s.reversed_part, s.curve), []).append(i)
+    return list(types.values())
+
+
+def count_line(table: SlotTypeTable) -> str:
+    sizes = [len(labels) for labels in table.slots]
+    return (f"c={table.complexity}: ({table.prime}) class: {sum(sizes)} slots "
+            f"in {len(sizes)} slot types, and the copies of each type give "
+            f"equal expressions; {math.prod(n + 1 for n in sizes) - 1} count "
+            f"vectors stand for its 2^{sum(sizes)} - 1 supports")
+
+
+def sweep_class(assembly: CopyAssembly, prime: LaurentPoly, key: str,
+                slots: list[Slot], types: list[list[int]], mode: str,
+                audit: dict[str, None]):
+    """The slot-type table and the cells of one isotypic class, with every
+    slot of every copy evaluated and audited; a type's expression is its
+    first copy's."""
+    c, spec = assembly.complexity, assembly.spec
+    prime_name = str(prime)
+    labels = [s.label(spec) for s in slots]
+    exprs = []
+    for slot in slots:
+        expr, lines = _slot_expr(assembly, prime, slot, mode)
+        for line in lines:
+            audit.setdefault(f"c={c}: {line}")
+        exprs.append(expr)
+    type_exprs = [exprs[t[0]] for t in types]
+    counted = itertools.product(*(range(len(t) + 1) for t in types))
+    zero = next(counted)
+    value = {zero: RhoExpr.zero()}
+    rows = []
+    for counts in counted:
+        last = max(j for j, k in enumerate(counts) if k)
+        lower = counts[:last] + (counts[last] - 1,) + counts[last + 1:]
+        value[counts] = value[lower] + type_exprs[last]
+        support = sorted(i for t, k in zip(types, counts) for i in t[:k])
+        rows.append((len(support), support, counts))
+    rows.sort()
+    cells = []
+    for _, support, counts in rows:
+        expr = value[counts]
+        cells.append(ReportCell(c, key, prime_name, counts,
+                                tuple(labels[i] for i in support), expr,
+                                expr.is_verifiably_nonzero()))
+    table = SlotTypeTable(c, key, prime_name,
+                          tuple(tuple(labels[i] for i in t) for t in types),
+                          tuple(type_exprs))
+    audit.setdefault(count_line(table))
+    return table, cells
+
+
+def isotypic_primes(assembly: CopyAssembly) -> list[tuple[LaurentPoly, str]]:
     """The isotypic primes with a complexity-independent key: the
     base-variable prime each came from."""
     keyed = []
     for prime in isotypic_decompose(assembly.module):
         key = None
-        for block in assembly.blocks:
+        for block in assembly.blocks.values():
             base_form, _ = pattern_form(block.pattern)
             for s in base_form.module.summands:
                 lifted = s.base.subs_power(assembly.complexity, prime.variable)
@@ -182,13 +316,13 @@ def isotypic_primes(assembly: Assembly) -> list[tuple[LaurentPoly, str]]:
     return keyed
 
 
-def sweep(assembly: Assembly, mode: str, audit: dict[str, None]):
+def sweep(assembly: CopyAssembly, mode: str, audit: dict[str, None]):
     """(prime, slot-type table, cells) of every isotypic class with slots."""
     c = assembly.complexity
     classes = []
     for prime, key in isotypic_primes(assembly):
-        slots = _slots_for_prime(assembly, prime)
-        types = _slot_types(slots)
+        slots = slots_for_prime(assembly, prime)
+        types = slot_types(slots)
         n_cells = math.prod(len(t) + 1 for t in types) - 1
         if n_cells > obstruction.MAX_CELLS_PER_CLASS:
             raise ObstructionError(
@@ -196,8 +330,8 @@ def sweep(assembly: Assembly, mode: str, audit: dict[str, None]):
                 f"exceed the enumeration bound {obstruction.MAX_CELLS_PER_CLASS}")
         if slots:
             classes.append((prime, key, slots, types))
-    return [(prime, *_sweep_class(assembly, prime, key, slots, types, mode,
-                                  audit))
+    return [(prime, *sweep_class(assembly, prime, key, slots, types, mode,
+                                 audit))
             for prime, key, slots, types in classes]
 
 
@@ -237,18 +371,18 @@ def verify_obstructed(spec, c_max: int, mode: str = "symbolic",
 
     for c in range(1, c_max + 1):
         audit.setdefault(
-            f"c={c}: assembled {len(base.blocks)} blocks; form validated "
+            f"c={c}: assembled {len(base.copies)} blocks; form validated "
             "hermitian, annihilating and nonsingular blockwise; by "
             "construction: the assembled form is the block sum of the "
             "copies' forms")
         if certified and c > 1:
-            for pattern in dict.fromkeys(b.pattern for b in base.blocks):
+            for pattern in dict.fromkeys(b.pattern for b in base.blocks.values()):
                 block_form_at_c(pattern, c)
             audit.setdefault(transport_line(c))
             found = [(prime, *transported(c, prime, table, class_cells))
                      for prime, table, class_cells in first]
             for _, table, _ in found:
-                audit.setdefault(_count_line(table))
+                audit.setdefault(count_line(table))
         else:
             found = sweep(assemble_at(spec, c), mode, audit)
         if c == 1:

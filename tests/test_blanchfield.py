@@ -13,7 +13,6 @@ from rhoslice.blanchfield import (
     _epsilon_values,
     annihilator_submodule,
     blanchfield_form,
-    direct_sum_forms,
     is_self_annihilating,
 )
 from rhoslice.polyalg import FracCoset, LaurentPoly, coset_reduce, gcd_laurent, reduce_mod
@@ -27,7 +26,7 @@ from rhoslice.seifert import (
 )
 
 from conftest import cofactor_adjugate, cofactor_det, random_laurent, random_seifert
-from sweep_oracle import basechange_form
+from sweep_oracle import basechange_form, direct_sum_forms
 
 S = LaurentPoly.var("s")
 

@@ -353,3 +353,37 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
         proc.stderr.close()
         assert proc.wait(timeout=120) == 1
         assert err == b""
+
+
+def with_companion(beta):
+    return dict(K946_DOC, companions={"alpha": {"symbol": "rA"},
+                                      "beta": beta})
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    (with_companion({"rho0": "1/0"}), [], "companions.beta: bad rational"),
+    (with_companion({"rho0_interval": ["a", "1"]}), [],
+     "companions.beta: bad rational 'a'"),
+    (with_companion({"rho0_interval": [None, "1"]}), [],
+     "companions.beta: bad rational None"),
+    (dict(K946_DOC, pattern=dict(K946_DOC["pattern"], curves=[
+        {"name": "alpha", "class": ["1/0", "0"]}])), [],
+     "pattern.curves[0]: bad rational '1/0'"),
+    (dict(K946_DOC, pattern=dict(K946_DOC["pattern"], curves=[
+        {"name": "alpha", "class": [{"coefficients": {"0": "1/0"}}, "0"]}])),
+     [], "pattern.curves[0]: bad polynomial"),
+    (dict(K946_DOC, pattern=dict(K946_DOC["pattern"], curves=[
+        {"name": "alpha", "class": [{"coefficients": {"0": None}}, "0"]}])),
+     [], "pattern.curves[0]: bad polynomial"),
+    (dict(FAMILY_DOC, family=[{"knot": "K1", "multiplicity": True}]), [],
+     "family[0]: multiplicity must be a nonzero integer"),
+    (K946_DOC, ["--cmax", "101"], "MAX_CMAX = 100"),
+])
+def test_bad_input_exits_1_without_a_traceback(tmp_path, doc, argv, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "rhoslice.cli", "obstruct",
+         write_doc(tmp_path, doc), *argv],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert message in proc.stderr and "Traceback" not in proc.stderr

@@ -20,6 +20,7 @@ from rhoslice.almodule import (
 from rhoslice.blanchfield import FormError, LinkingForm
 from rhoslice.obstruction import (
     MAX_CELLS_PER_CLASS,
+    MAX_CMAX,
     Companion,
     FamilyMember,
     FamilySpec,
@@ -32,9 +33,7 @@ from rhoslice.obstruction import (
     _accumulate,
     _slot_contributions,
     _slot_expr,
-    _slots_for_prime,
     _unit_coordinate,
-    assemble,
     verify_obstructed,
 )
 from rhoslice.polyalg import FracCoset, LaurentPoly, capelli_certified, coset_reduce, factor_laurent
@@ -142,26 +141,26 @@ def test_rhoexpr_add_cancels_and_adds_interval_ends():
 
 def test_assemble_spec_values():
     spec = single_spec()
-    M, B = assemble(spec, 1)
+    M, B = sweep_oracle.assemble(spec, 1)
     anns = sorted(str(s.annihilator) for s in M.summands)
     assert anns == ["t - 1/2", "t - 1/2", "t - 2", "t - 2"]
     assert M.dim_q() == 4
 
-    M2, _ = assemble(spec, 2)
+    M2, _ = sweep_oracle.assemble(spec, 2)
     anns2 = sorted(str(s.annihilator) for s in M2.summands)
     assert anns2 == ["t^2 - 1/2", "t^2 - 1/2", "t^2 - 2", "t^2 - 2"]
 
     # degenerate: the bare uninfected pattern assembles to its own module
     K = InfectedKnot.build(pattern_9_46(), {})
     bare = FamilySpec((FamilyMember(K, 1, with_reverse=False),), ("R",))
-    Mb, Bb = assemble(bare, 1)
+    Mb, Bb = sweep_oracle.assemble(bare, 1)
     assert sorted(str(s.annihilator) for s in Mb.summands) == \
         ["t - 1/2", "t - 2"]
 
 
 def test_assembled_copies_are_orthogonal():
     spec = family_spec((1, -2, 3))
-    M, B = assemble(spec, 2)
+    M, B = sweep_oracle.assemble(spec, 2)
     # generators from different copies pair to zero (block structure)
     prefixes = [lbl.rsplit(".", 1)[0] for lbl in
                 (s.label for s in M.summands)]
@@ -190,7 +189,7 @@ def admissible_patterns(spec, c):
     assembly = sweep_oracle.assemble_at(spec, c)
     patterns = []
     for prime, key in sweep_oracle.isotypic_primes(assembly):
-        slots = _slots_for_prime(assembly, prime)
+        slots = sweep_oracle.slots_for_prime(assembly, prime)
         for size in range(1, len(slots) + 1):
             for chosen in itertools.combinations(slots, size):
                 patterns.append(AdmissiblePattern(prime, key, chosen))
@@ -232,8 +231,7 @@ def test_slot_pairing_structure():
     assembly = sweep_oracle.assemble_at(spec, 2)
     for pat in admissible_patterns(spec, 2):
         for slot in pat.support:
-            block = assembly.slot_of_block[
-                (slot.member, slot.copy, slot.reversed_part)]
+            block = assembly.blocks[(slot.member, slot.reversed_part)]
             x = reduce_to_isotypic(block.curve_class[slot.curve], pat.prime)
             assert block.form.pairing(
                 x, block.curve_class[slot.curve]).is_zero()
@@ -444,7 +442,7 @@ def oracle_report(spec, c_max, mode, prefix_sums=False):
     for c in range(1, c_max + 1):
         assembly = sweep_oracle.assemble_at(spec, c)
         facts = {}
-        audit_line = (f"c={c}: assembled {len(assembly.blocks)} blocks; form "
+        audit_line = (f"c={c}: assembled {len(assembly.copies)} blocks; form "
                       "validated hermitian, annihilating and nonsingular "
                       "blockwise; by construction: the assembled form is the "
                       "block sum of the copies' forms")
@@ -603,13 +601,21 @@ def self_check_note(c_max):
             "at c=1 only")
 
 
+# The per-copy sweep audits every copy and words its count lines for that;
+# the report audits copy 1 of each slot type.
+LATER_COPY_LINE = re.compile(r"^c=1: [^\s\[]*\[([2-9]|\d\d+)\]")
+SWEEP_COUNT_WORDS = ", and the copies of each type give equal expressions;"
+COUNT_WORDS = ("; the slot facts of each type ran once, on copy 1, as its "
+               "copies share one block form;")
+
+
 def assert_same_answers(report, old):
     """The c = 1 report answers as a per-complexity sweep does: the same
     verdict and certificate, and its cells, witnesses and slot-type tables
     are the sweep's c = 1 ones, which the sweep repeats at every later c
     with the prime renamed.  Its notes replace the sweep's per-complexity
-    notes, and its audit keeps the c = 1 lines and names the validation at
-    each later c."""
+    notes, and its audit keeps the c = 1 lines of copy 1, with the count
+    lines reworded, and names the validation at each later c."""
     for name in ("verdict", "c_max", "mode", "uniform_in_c"):
         assert getattr(report, name) == getattr(old, name), name
     prime_at_one = {t.class_key: t.prime for t in report.slot_types}
@@ -628,7 +634,9 @@ def assert_same_answers(report, old):
         expected.append(CERTIFICATE_NOTE)
     expected.append(self_check_note(report.c_max))
     assert report.notes == tuple(expected) + old.notes[-2:]
-    at_one = tuple(line for line in old.audit if line.startswith("c=1: "))
+    at_one = tuple(line.replace(SWEEP_COUNT_WORDS, COUNT_WORDS)
+                   for line in old.audit if line.startswith("c=1: ")
+                   and not LATER_COPY_LINE.match(line))
     assert report.audit[:len(at_one)] == at_one
     assert [int(SELF_CHECK_LINE.match(line).group(1))
             for line in report.audit[len(at_one):]] == \
@@ -750,18 +758,6 @@ def test_single_copy_cells_match_oracle_in_order(mode):
         assert all(set(cell.counts) <= {0, 1} for cell in report.cells)
 
 
-def test_unequal_copies_are_refused(monkeypatch):
-    real = obstruction._slot_expr
-
-    def skewed(assembly, prime, slot, mode):
-        expr, audit = real(assembly, prime, slot, mode)
-        return (expr + RhoExpr.of(1) if slot.copy == 2 else expr), audit
-
-    monkeypatch.setattr(obstruction, "_slot_expr", skewed)
-    with pytest.raises(ObstructionError, match="different expressions"):
-        verify_obstructed(family_spec((1, -2)), 1)
-
-
 def test_count_vector_bound_is_checked_before_any_cell(monkeypatch):
     assert MAX_CELLS_PER_CLASS == 2 ** 20 - 1
 
@@ -789,6 +785,20 @@ def test_multiplicity_forty_member_runs():
     assert len(report.cells) == 2 * (41 ** 2 - 1)
     assert [len(slots) for t in report.slot_types for slots in t.slots] == \
         [40] * 4
+
+
+def test_cmax_is_bounded_before_any_work(monkeypatch):
+    assert MAX_CMAX == 100
+
+    def unreachable(pattern):
+        raise AssertionError("a block form was built")
+
+    obstruction._assemble_full.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(obstruction, "_block_form", unreachable)
+        with pytest.raises(ObstructionError, match="MAX_CMAX = 100"):
+            verify_obstructed(single_spec(), MAX_CMAX + 1)
+    assert verify_obstructed(single_spec(), MAX_CMAX).obstructed
 
 
 def test_numeric_symbol_error_matches_oracle():
@@ -926,21 +936,43 @@ def test_refused_certificate_without_slots_is_inconclusive():
 
 
 def test_slot_facts_run_at_c1_only_under_the_certificate(monkeypatch):
-    complexities = []
+    calls = []
     real = obstruction._slot_contributions
 
     def counted(assembly, prime, slot):
-        complexities.append(assembly.complexity)
+        calls.append((prime.span, slot.copy))
         return real(assembly, prime, slot)
 
     monkeypatch.setattr(obstruction, "_slot_contributions", counted)
     spec = family_spec((1, -2))
-    # 3 copies, each with a K and a -tK block: 6 slots per class, 2 classes
+    # 2 members, each with a K and a -tK slot type per class, 2 classes
     report = verify_obstructed(spec, 4)
-    assert complexities == [1] * 12
-    complexities.clear()
+    assert calls == [(1, 1)] * 8
+    calls.clear()
+    # the per-complexity sweep evaluates all 6 slots per class at every c
     assert_same_answers(report, full_sweep(spec, 4))
-    assert complexities == [c for c in (1, 2, 3, 4) for _ in range(12)]
+    assert sorted(span for span, _ in calls) == \
+        [c for c in (1, 2, 3, 4) for _ in range(12)]
+    assert sorted(copy for _, copy in calls) == [1] * 32 + [2] * 16
+
+
+def test_one_block_per_member_part(monkeypatch):
+    calls = []
+    real = obstruction._slot_contributions
+
+    def counted(assembly, prime, slot):
+        calls.append(slot)
+        return real(assembly, prime, slot)
+
+    spec = family_spec((40,))
+    assert len(obstruction._assemble_full(spec).blocks) == 2
+    monkeypatch.setattr(obstruction, "_slot_contributions", counted)
+    report = verify_obstructed(spec, 1)
+    assert len(calls) == 4 and {slot.copy for slot in calls} == {1}
+    monkeypatch.undo()
+    old = full_sweep(spec, 1)
+    assert (report.cells, report.slot_types) == (old.cells, old.slot_types)
+    assert_same_answers(report, old)
 
 
 def test_validation_runs_at_every_complexity(monkeypatch):

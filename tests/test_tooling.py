@@ -53,9 +53,10 @@ def test_no_module_name_bound_twice():
     assert found == []
 
 
-def test_private_helpers_have_a_caller():
-    # a module-level _helper that nothing in src/ refers to is dead code;
-    # a reference from inside its own definition (recursion) does not count
+def unreferenced_definitions(public: bool) -> list[str]:
+    """Module-level defs and classes of src/, private (_name) or public,
+    that nothing in src/ refers to; a reference from inside its own
+    definition (recursion) does not count, and an import does."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"),
                                   filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
@@ -74,13 +75,26 @@ def test_private_helpers_have_a_caller():
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef))
-                    and node.name.startswith("_")
+                    and node.name.startswith("_") != public
                     and not any(ref == node.name and not (
                         where == name
                         and node.lineno <= line <= node.end_lineno)
                         for where, line, ref in references)):
                 found.append(f"{name}:{node.lineno} {node.name}")
-    assert found == []
+    return found
+
+
+def test_private_helpers_have_a_caller():
+    # a module-level _helper that nothing in src/ refers to is dead code
+    assert unreferenced_definitions(public=False) == []
+
+
+def test_public_definitions_are_used_or_exported():
+    # a public def or class that src/ neither calls nor exports from
+    # rhoslice/__init__ serves only the tests, which belongs in tests/;
+    # cli's public functions are the command and document interface
+    assert [found for found in unreferenced_definitions(public=True)
+            if not found.startswith("cli.py:")] == []
 
 
 def test_imports_are_standard_library_or_relative():
@@ -123,8 +137,9 @@ def test_benchmark_checks_pass(command):
 
 
 def test_obstruct_output_is_independent_of_hash_seed(tmp_path):
-    # Slot types are grouped by (member, block, curve) keys; the report must
-    # not depend on the iteration order of hashed containers.
+    # Slot types come from blocks keyed by (member, block) and slot
+    # positions from a grouping by member; the report must not depend on
+    # the iteration order of hashed containers.
     curves = [{"name": "alpha", "class": ["1", "0"]},
               {"name": "beta", "class": ["0", "1"]}]
     doc = {
