@@ -16,8 +16,8 @@ entries (`LinkingForm.subs_power`); it multiplies Q-dimension by c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .linalg import PolyMatrix, poly_mat_apply, poly_mat_identity
@@ -180,8 +180,7 @@ def _poly_divmod_shifted(a: LaurentPoly, b: LaurentPoly):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(NamedTuple):
     """One cyclic piece Q[v]/(annihilator) with annihilator = base^mult."""
 
     annihilator: LaurentPoly
@@ -190,25 +189,30 @@ class Summand:
     label: str
 
 
-@dataclass(frozen=True)
-class AlexanderModule:
+class _AlexanderModuleFields(NamedTuple):
+    variable: str
+    complexity: int
+    summands: tuple[Summand, ...]
+
+
+class AlexanderModule(_AlexanderModuleFields):
     """Finite direct sum of prime-power cyclic torsion modules over
     Q[v^{±1}], tagged with a complexity (the exponent of the base change
     that produced it; 1 for a module in the knot's own variable).  Base
     change by substitution (`LinkingForm.subs_power`) keeps each summand
     whole, so there a base p(v^c) need not be prime."""
 
-    variable: str
-    complexity: int
-    summands: tuple[Summand, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         labels = [s.label for s in self.summands]
         if len(set(labels)) != len(labels):
             raise ModuleError("generator labels must be unique")
         for s in self.summands:
             if not equal_up_to_unit(s.base ** s.mult, s.annihilator):
                 raise ModuleError("annihilator must be base^mult")
+        return self
 
     @property
     def rank(self) -> int:
@@ -285,8 +289,7 @@ class AlexanderModule:
         return " (+) ".join(f"Q[{v}]/({s.annihilator})" for s in self.summands)
 
 
-@dataclass(frozen=True)
-class ModuleElement:
+class ModuleElement(NamedTuple):
     """Element of an AlexanderModule: one reduced coordinate per summand."""
 
     module: AlexanderModule
@@ -414,8 +417,7 @@ class Submodule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Smith-normal-form data connecting a Seifert presentation with the
     canonical module.  With A = (vV - V^T)^T and U*A*W = D = diag(d_i), the
     generator of a summand split off d_i is its CRT cofactor times column i
@@ -533,8 +535,8 @@ def _label_from_curves(dec: Decomposition, pattern: PatternKnot) -> Decompositio
         for k, s in enumerate(dec.module.summands))
     module = AlexanderModule(dec.module.variable, dec.module.complexity,
                              new_summands)
-    return replace(dec, module=module, gen_coords=tuple(gens),
-                   cofactor_inv=tuple(cofinvs))
+    return dec._replace(module=module, gen_coords=tuple(gens),
+                        cofactor_inv=tuple(cofinvs))
 
 
 def alexander_module(V: SeifertMatrix | PatternKnot, variable: str = "s") -> AlexanderModule:

@@ -25,8 +25,8 @@ of P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .almodule import (
@@ -45,18 +45,23 @@ class FormError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LinkingForm:
-    """Hermitian sesquilinear pairing into Q(v)/Q[v^{±1}] on an
-    AlexanderModule, stored as the Gram matrix on the summand generators."""
-
+class _LinkingFormFields(NamedTuple):
     module: AlexanderModule
     gram: tuple[tuple[FracCoset, ...], ...]
 
-    def __post_init__(self):
+
+class LinkingForm(_LinkingFormFields):
+    """Hermitian sesquilinear pairing into Q(v)/Q[v^{±1}] on an
+    AlexanderModule, stored as the Gram matrix on the summand generators."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         n = self.module.rank
         if len(self.gram) != n or any(len(r) != n for r in self.gram):
             raise FormError("Gram matrix shape does not match the module")
+        return self
 
     @property
     def variable(self) -> str:

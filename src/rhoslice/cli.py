@@ -45,8 +45,8 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .blanchfield import blanchfield_form
 from .obstruction import (
@@ -74,8 +74,7 @@ class DocumentError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KnotDocument:
+class KnotDocument(NamedTuple):
     """Parsed and validated knot description."""
 
     seifert: SeifertMatrix | None = None
@@ -102,8 +101,7 @@ class KnotDocument:
         return out
 
 
-@dataclass(frozen=True)
-class KnotEntry:
+class KnotEntry(NamedTuple):
     pattern: PatternKnot | None
     companions: tuple[tuple[str, dict], ...]
 

@@ -63,9 +63,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .almodule import (
     ModuleElement,
@@ -83,6 +83,9 @@ from .signatures import Rho0Value, rho0 as rho0_of_seifert
 # Count vectors the sweep evaluates in one isotypic class: as many as the
 # supports of 20 slots.
 MAX_CELLS_PER_CLASS = 2 ** 20 - 1
+# Slot labels the representative supports of one class list in all; they
+# grow with the cube of a member's multiplicity, the cells with its square.
+MAX_SUPPORT_ENTRIES_PER_CLASS = 2 ** 20
 # Depth of the complexity self-check, whose cost grows about quadratically
 # with the depth.
 MAX_CMAX = 100
@@ -98,8 +101,7 @@ class ObstructionError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Companion:
+class Companion(NamedTuple):
     """A companion knot, known only through its signature integral."""
 
     name: str
@@ -129,8 +131,7 @@ class Companion:
         return self.rho.kind == "exact" and self.rho.exact == 0
 
 
-@dataclass(frozen=True)
-class InfectedKnot:
+class InfectedKnot(NamedTuple):
     """A satellite of a genus-one pattern: companions tied through the
     pattern's infection curves.  Unfilled slots mean the trivial companion."""
 
@@ -155,31 +156,41 @@ class InfectedKnot:
         raise ObstructionError(f"no curve named {cname!r}")
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class _FamilyMemberFields(NamedTuple):
     knot: InfectedKnot
     multiplicity: int
     # include the reversed-mirror summand (the default assembles
     # K # -tK per member; bare knots are for degenerate diagnostics)
     with_reverse: bool = True
 
-    def __post_init__(self):
+
+class FamilyMember(_FamilyMemberFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.multiplicity == 0:
             raise ObstructionError("multiplicities must be nonzero")
+        return self
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """The connected sum #_i n_i (K_i # -tK_i)."""
-
+class _FamilySpecFields(NamedTuple):
     members: tuple[FamilyMember, ...]
     names: tuple[str, ...] = ()
 
-    def __post_init__(self):
+
+class FamilySpec(_FamilySpecFields):
+    """The connected sum #_i n_i (K_i # -tK_i)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.members:
             raise ObstructionError("family must have at least one member")
         if self.names and len(self.names) != len(self.members):
             raise ObstructionError("one name per member")
+        return self
 
     def member_name(self, i: int) -> str:
         return self.names[i] if self.names else f"K{i + 1}"
@@ -194,8 +205,7 @@ class FamilySpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RhoExpr:
+class RhoExpr(NamedTuple):
     """Formal rational combination of companion symbols plus a numeric part
     carried as an exact interval [const_lo, const_hi] (equal when exact)."""
 
@@ -219,12 +229,16 @@ class RhoExpr:
         coefficients that cancel to zero are dropped."""
         if not isinstance(other, RhoExpr):
             return NotImplemented
-        d = dict(self.coeffs)
-        for name, v in other.coeffs:
-            d[name] = d.get(name, Fraction(0)) + v
-        packed = tuple(sorted((k, v) for k, v in d.items() if v != 0))
-        return RhoExpr(self.const_lo + other.const_lo,
-                       self.const_hi + other.const_hi, packed)
+        packed = self.coeffs
+        if other.coeffs:
+            d = dict(packed)
+            for name, v in other.coeffs:
+                d[name] = d.get(name, Fraction(0)) + v
+            packed = tuple(sorted((k, v) for k, v in d.items() if v != 0))
+        if other.const_lo or other.const_hi:
+            return RhoExpr(self.const_lo + other.const_lo,
+                           self.const_hi + other.const_hi, packed)
+        return RhoExpr(self.const_lo, self.const_hi, packed)
 
     def add_symbol(self, name: str, coeff: Fraction) -> "RhoExpr":
         return self + RhoExpr(coeffs=((name, coeff),))
@@ -287,8 +301,7 @@ class RhoExpr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     """One potential support position: a curve of one copy of one member."""
 
     member: int          # index into spec.members
@@ -301,8 +314,7 @@ class Slot:
         return f"{spec.member_name(self.member)}[{self.copy}]{tag}.{self.curve}"
 
 
-@dataclass
-class _Block:
+class _Block(NamedTuple):
     """One member's K or -tK block, which its |n_i| copies share."""
 
     member: int                          # index into spec.members
@@ -316,8 +328,7 @@ class _Block:
     sign: int                            # multiplicity sign
 
 
-@dataclass
-class Assembly:
+class Assembly(NamedTuple):
     spec: FamilySpec
     # keyed (member, reversed_part), in slot order
     blocks: dict[tuple[int, bool], _Block]
@@ -491,8 +502,7 @@ def _accumulate(expr: RhoExpr, comp: Companion, sign: int, mode: str) -> RhoExpr
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReportCell:
+class ReportCell(NamedTuple):
     """One count vector of one isotypic class at one complexity.  `counts`
     is indexed like the class's slot types; `support` is the representative
     support, copies 1..k_t of each type in slot order."""
@@ -517,8 +527,7 @@ class ReportCell:
         }
 
 
-@dataclass(frozen=True)
-class SlotTypeTable:
+class SlotTypeTable(NamedTuple):
     """The slot types of one isotypic class at one complexity: each type's
     slot labels (copy 1 first) and the expression each of its copies adds."""
 
@@ -538,8 +547,7 @@ class SlotTypeTable:
         }
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     verdict: str                 # "OBSTRUCTED" | "INCONCLUSIVE"
     c_max: int
     mode: str
@@ -600,7 +608,7 @@ def _sweep_class(assembly: Assembly, prime: LaurentPoly, key: str,
         for copy in range(1, block.copies + 1):
             for j in group:
                 positions[j].append(len(labels))
-                labels.append(replace(types[j], copy=copy).label(spec))
+                labels.append(types[j]._replace(copy=copy).label(spec))
 
     counted = itertools.product(*(range(len(p) + 1) for p in positions))
     zero = next(counted)
@@ -642,17 +650,25 @@ def _sweep(assembly: Assembly, mode: str, audit: dict[str, None]
            ) -> list[tuple[SlotTypeTable, list[ReportCell]]]:
     """(slot-type table, cells) of every isotypic class with slots, in class
     order, each class keyed by its prime in the knot's variable s.  The cell
-    bound is checked for every class before any slot is evaluated."""
+    and support bounds are checked for every class before any slot is
+    evaluated."""
     classes = []
     for prime in assembly.primes:
         types = _slots_for_prime(assembly, prime)
-        n_cells = math.prod(
-            assembly.blocks[(s.member, s.reversed_part)].copies + 1
-            for s in types) - 1
+        sizes = [assembly.blocks[(s.member, s.reversed_part)].copies
+                 for s in types]
+        n_cells = math.prod(n + 1 for n in sizes) - 1
         if n_cells > MAX_CELLS_PER_CLASS:
             raise ObstructionError(
                 f"c=1: {n_cells} count vectors in the ({prime}) class exceed "
                 f"the enumeration bound {MAX_CELLS_PER_CLASS}")
+        # over all count vectors, each type's count averages half its copies
+        n_entries = (n_cells + 1) * sum(sizes) // 2
+        if n_entries > MAX_SUPPORT_ENTRIES_PER_CLASS:
+            raise ObstructionError(
+                f"c=1: the supports of the ({prime}) class list {n_entries} "
+                "slot labels, more than MAX_SUPPORT_ENTRIES_PER_CLASS = "
+                f"{MAX_SUPPORT_ENTRIES_PER_CLASS}")
         if types:
             classes.append((prime, types))
     return [_sweep_class(assembly, prime, str(prime.rename("s")), types,

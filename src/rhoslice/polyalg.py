@@ -60,6 +60,9 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        return LaurentPoly, (self.coeffs, self.variable)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -896,6 +899,9 @@ class FracCoset:
 
     def __setattr__(self, name, value):
         raise AttributeError("FracCoset is immutable")
+
+    def __reduce__(self):
+        return FracCoset, (self.num, self.den)
 
     @classmethod
     def zero(cls, variable: str = "t") -> "FracCoset":

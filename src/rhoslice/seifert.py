@@ -14,7 +14,7 @@ those curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import det_int
 from .polyalg import LaurentPoly, _int_content_primitive, _newton_interpolate
@@ -47,6 +47,9 @@ class SeifertMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("SeifertMatrix is immutable")
+
+    def __reduce__(self):
+        return SeifertMatrix, (self.rows, self.label)
 
     @property
     def dim(self) -> int:
@@ -174,8 +177,13 @@ def metabolizer_search(V: SeifertMatrix | list) -> tuple[int, int] | None:
     return (x, y)
 
 
-@dataclass(frozen=True)
-class PatternKnot:
+class _PatternKnotFields(NamedTuple):
+    seifert: SeifertMatrix
+    curves: tuple[tuple[str, tuple[LaurentPoly, ...]], ...]
+    name: str = "pattern"
+
+
+class PatternKnot(_PatternKnotFields):
     """A Seifert matrix with named infection-curve slots.
 
     Curve coordinates are vectors over Q[s^{±1}] in the presentation basis
@@ -183,11 +191,10 @@ class PatternKnot:
     relation sum_j (sV - V^T)[i][j] * e_j = 0).
     """
 
-    seifert: SeifertMatrix
-    curves: tuple[tuple[str, tuple[LaurentPoly, ...]], ...]
-    name: str = "pattern"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         names = [n for n, _ in self.curves]
         if len(set(names)) != len(names):
             raise SeifertError("curve names must be unique")
@@ -196,6 +203,7 @@ class PatternKnot:
                 raise SeifertError(
                     f"curve {n!r} has {len(vec)} coordinates, expected "
                     f"{self.seifert.dim}")
+        return self
 
     @classmethod
     def from_int_vectors(cls, seifert: SeifertMatrix, curves: dict, name="pattern",

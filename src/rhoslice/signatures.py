@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .polyalg import LaurentPoly, _dpoly_deriv, _dpoly_eval, _dpoly_rem, _euler_phi, cyclotomic, factor_laurent
 from .seifert import SeifertMatrix, alexander_polynomial
@@ -64,8 +64,7 @@ def precision_budget() -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(NamedTuple):
     """Element of Q(i)."""
 
     re: Fraction
@@ -331,8 +330,7 @@ def _cyclotomic_index(psi: LaurentPoly, bound: int) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CircleRoot:
+class CircleRoot(NamedTuple):
     """A jump location: theta in (0, 1/2) normalized-circle units.
 
     `angle` is the exact rational theta = k/n for recognized cyclotomic
@@ -348,8 +346,12 @@ class CircleRoot:
     jump: int
 
 
-@dataclass(frozen=True)
-class SignatureFunction:
+class _SignatureFunctionFields(NamedTuple):
+    roots: tuple[CircleRoot, ...]
+    arc_values: tuple[int, ...]
+
+
+class SignatureFunction(_SignatureFunctionFields):
     """Piecewise-constant signature over theta in (0, 1), symmetric under
     theta -> 1 - theta, zero near 0 and 1.
 
@@ -357,16 +359,17 @@ class SignatureFunction:
     `arc_values` are the values on the theta-arcs (0, t_1), (t_1, t_2), ...,
     (t_r, 1/2], one more entry than roots."""
 
-    roots: tuple[CircleRoot, ...]
-    arc_values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.arc_values) != len(self.roots) + 1:
             raise SignatureError("arc/jump count mismatch")
         if self.arc_values and self.arc_values[0] != 0:
             raise SignatureError("signature must vanish near w = 1")
         if any(v % 2 for v in self.arc_values):
             raise SignatureError("signature values must be even")
+        return self
 
     def jumps(self) -> list[tuple[object, int]]:
         """Full-circle jump list: (location descriptor, jump), ascending.
@@ -713,8 +716,7 @@ def signature_function(V: SeifertMatrix) -> SignatureFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rho0Value:
+class Rho0Value(NamedTuple):
     """Integral of the signature over the normalized circle: an exact
     rational, a certified interval, or an opaque symbol."""
 

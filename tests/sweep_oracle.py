@@ -19,7 +19,7 @@ one.
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from rhoslice import obstruction
@@ -217,8 +217,8 @@ def assemble_at(spec, c: int) -> CopyAssembly:
     blocks = {}
     for key, block in obstruction._assemble_full(spec).blocks.items():
         form, classes = block_form_at_c(block.pattern, c)
-        blocks[key] = replace(block, form=form if block.sign > 0
-                              else form.negate(), curve_class=classes)
+        blocks[key] = block._replace(form=form if block.sign > 0
+                                     else form.negate(), curve_class=classes)
     copies = copy_keys(spec, blocks)
     form = sum_of_copies(spec, blocks, copies)
     return CopyAssembly(spec, c, blocks, copies, form.module, form)

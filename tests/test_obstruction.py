@@ -3,10 +3,11 @@ import math
 import random
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sweep_oracle
 from rhoslice import obstruction
@@ -21,6 +22,7 @@ from rhoslice.blanchfield import FormError, LinkingForm
 from rhoslice.obstruction import (
     MAX_CELLS_PER_CLASS,
     MAX_CMAX,
+    MAX_SUPPORT_ENTRIES_PER_CLASS,
     Companion,
     FamilyMember,
     FamilySpec,
@@ -134,6 +136,41 @@ def test_rhoexpr_add_cancels_and_adds_interval_ends():
         Rho0Value.of_interval(Fraction(1, 5), Fraction(1, 2)), -1)
     assert ((i + j).const_lo, (i + j).const_hi) == \
         (Fraction(-3, 5), Fraction(1, 10))
+
+
+def general_sum(a, b):
+    d = dict(a.coeffs)
+    for name, v in b.coeffs:
+        d[name] = d.get(name, Fraction(0)) + v
+    return RhoExpr(a.const_lo + b.const_lo, a.const_hi + b.const_hi,
+                   tuple(sorted((k, v) for k, v in d.items() if v != 0)))
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+maybe_zero = st.one_of(st.just(Fraction(0)), small_fractions)
+
+
+@st.composite
+def rho_exprs(draw):
+    coeffs = draw(st.dictionaries(st.sampled_from(("ra", "rb", "rc")),
+                                  small_fractions))
+    lo = draw(maybe_zero)
+    hi = lo + abs(draw(maybe_zero))
+    return RhoExpr(lo, hi, tuple(sorted((k, v) for k, v in coeffs.items()
+                                        if v != 0)))
+
+
+@given(rho_exprs(), rho_exprs(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_rhoexpr_add_matches_the_general_sum(a, b, cancel):
+    # the sum skips the symbol merge when one side has no symbols and the
+    # constant adds when one side's ends are both 0
+    if cancel:
+        b = RhoExpr(b.const_lo, b.const_hi, tuple((k, -v) for k, v in a.coeffs))
+    for x, y in ((a, b), (b, a)):
+        total = x + y
+        assert total == general_sum(x, y)
+        assert type(total.const_lo) is type(total.const_hi) is Fraction
 
 
 # -- assembly --------------------------------------------------------------------
@@ -627,7 +664,7 @@ def assert_same_answers(report, old):
             assert [x.prime for x in at_c] == [
                 prime_at_one[x.class_key].replace("t", f"t^{c}")
                 for x in at_c]
-            assert [replace(x, complexity=1, prime=prime_at_one[x.class_key])
+            assert [x._replace(complexity=1, prime=prime_at_one[x.class_key])
                     for x in at_c] == list(mine), (name, c)
     expected = [NO_SLOT_NOTE] if not report.cells else []
     if report.uniform_in_c:
@@ -776,6 +813,38 @@ def test_count_vector_bound_is_checked_before_any_cell(monkeypatch):
     monkeypatch.setattr(obstruction, "MAX_CELLS_PER_CLASS", 14)
     with pytest.raises(ObstructionError, match="15 count vectors"):
         verify_obstructed(family_spec((1, -1)), 1)
+
+
+def test_support_bound_is_checked_before_any_cell(monkeypatch):
+    assert MAX_SUPPORT_ENTRIES_PER_CLASS == 2 ** 20
+
+    def unreachable(*args):
+        raise AssertionError("a slot was evaluated")
+
+    # one member of multiplicity 101: two slot types of 101 copies per
+    # class, 102^2 count vectors whose supports list 102^2 * 202 / 2 labels
+    # (multiplicity 100 gives 1,020,100)
+    with monkeypatch.context() as m:
+        m.setattr(obstruction, "_slot_expr", unreachable)
+        with pytest.raises(ObstructionError, match="list 1050804 slot labels, "
+                           "more than MAX_SUPPORT_ENTRIES_PER_CLASS = 1048576"):
+            verify_obstructed(family_spec((101,)), 1)
+    # the bound admits exactly its own number: two single-copy members give
+    # 2^4 count vectors per class, whose supports list 2^4 * 4 / 2 labels
+    monkeypatch.setattr(obstruction, "MAX_SUPPORT_ENTRIES_PER_CLASS", 32)
+    assert verify_obstructed(family_spec((1, -1)), 1).obstructed
+    monkeypatch.setattr(obstruction, "MAX_SUPPORT_ENTRIES_PER_CLASS", 31)
+    with pytest.raises(ObstructionError, match="list 32 slot labels"):
+        verify_obstructed(family_spec((1, -1)), 1)
+
+
+def test_support_bound_counts_the_listed_labels():
+    report = verify_obstructed(family_spec((1, -2, 3)), 1)
+    for table in report.slot_types:
+        sizes = [len(labels) for labels in table.slots]
+        listed = sum(len(cell.support) for cell in report.cells
+                     if cell.class_key == table.class_key)
+        assert listed == math.prod(n + 1 for n in sizes) * sum(sizes) // 2
 
 
 def test_multiplicity_forty_member_runs():

@@ -116,14 +116,31 @@ def test_imports_are_standard_library_or_relative():
 
 
 def test_cli_import_leaves_mpmath_unloaded():
+    # nor dataclasses and the modules it brings, which every CLI start-up
+    # would pay for; the records are named tuples
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
                                if "PYTHONPATH" in os.environ else [])))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, rhoslice.cli; assert 'mpmath' not in sys.modules"],
+         "import sys, rhoslice.cli; assert 'mpmath' not in sys.modules; "
+         "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} "
+         "& set(sys.modules)))"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_dataclasses_import():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and node.module == "dataclasses"
+                  or isinstance(node, ast.Import)
+                  and any(a.name == "dataclasses" for a in node.names)]
+    assert found == []
 
 
 @pytest.mark.parametrize("command", (["bench/selftest.py"],
