@@ -334,7 +334,7 @@ class ModuleElement(NamedTuple):
                 and self.module == other.module and self.coords == other.coords)
 
     def __hash__(self):
-        return hash((id(self.module), self.coords))
+        return hash(self.coords)
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"

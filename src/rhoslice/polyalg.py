@@ -11,12 +11,11 @@ fraction num/den with deg(num) < deg(den), den an integer-primitive
 ordinary polynomial with positive leading coefficient.  Canonical
 representatives are unique, so coset equality is plain `==`.
 
-Factorization into irreducibles over Q runs on an integer core: each
-square-free part becomes one integer-primitive dense coefficient list, and
-every split (rational roots, binomial criterion, cyclotomic recognition,
-Kronecker's search with integer Newton interpolation) is an exact integer
-division.  General inputs are factored up to degree 8; binomials
-a*t^n - b are decided at any degree.
+Factorization into irreducibles over Q is one algorithm, Zassenhaus's, on
+an integer core: each square-free part becomes one integer-primitive dense
+coefficient list, which is factored modulo a small prime, Hensel-lifted and
+recombined by exact integer division.  There is no degree limit; only the
+number of subsets tried in recombination is bounded.
 """
 
 from __future__ import annotations
@@ -24,12 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Mapping
 
 
 class PolyalgError(ValueError):
-    """Domain errors: zero denominators, variable mismatch, factor degree cap."""
+    """Domain errors: zero denominators, variable mismatch, the
+    recombination bound of factoring."""
 
 
 def as_fraction(value) -> Fraction:
@@ -449,8 +449,10 @@ def inverse_mod(f: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
 # Factorization over Q
 # ---------------------------------------------------------------------------
 
-FACTOR_DEGREE_CAP = 8
-_KRONECKER_COMBO_CAP = 500_000
+# Subsets of the modular factors that recombination tries, exponentially
+# many in their number; the 16 of the degree-32 minimal polynomial of
+# sqrt(2) + sqrt(3) + sqrt(5) + sqrt(7) + sqrt(11) need 39,202.
+FACTOR_RECOMBINATION_BOUND = 2 ** 16
 
 
 def _int_content_primitive(p: LaurentPoly) -> list[int]:
@@ -464,45 +466,6 @@ def _int_content_primitive(p: LaurentPoly) -> list[int]:
     if ints[-1] < 0:
         ints = [-c for c in ints]
     return ints
-
-
-def _rational_root_split(ints: list[int]) -> tuple[list[int], list[int]] | None:
-    """The linear factor q*v - p of a rational root p/q, and its cofactor,
-    or None if there is no rational root.
-
-    A quadratic c + b*v + a*v^2 has one exactly when its discriminant
-    b^2 - 4ac is a square s^2, and then p/q = (s - b)/2a; no integer is
-    factored.  For higher degrees the candidates are ±p/q with p | constant
-    term and q | leading coefficient, in increasing p, then q, + before -;
-    each costs one exact integer division."""
-    if len(ints) == 3:
-        c, b, a = ints
-        s = _nth_root_exact(b * b - 4 * a * c, 2)
-        if s is None:
-            return None
-        root = Fraction(s - b, 2 * a)
-        linear = [-root.numerator, root.denominator]
-        return linear, _int_div_exact(ints, linear)
-    leading_divisors = _divisors(ints[-1])
-    for p in _divisors(ints[0]):
-        for q in leading_divisors:
-            if math.gcd(p, q) == 1:
-                for linear in ([-p, q], [p, q]):
-                    cofactor = _int_div_exact(ints, linear)
-                    if cofactor is not None:
-                        return linear, cofactor
-    return None
-
-
-def _divisors(n: int) -> list[int]:
-    """The positive divisors of n != 0 in increasing order ([] for 0), from
-    its factorization into primes."""
-    if n == 0:
-        return []
-    out = [1]
-    for p, e in _prime_factors(abs(n)).items():
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)
 
 
 def _nth_root_exact(n: int, r: int) -> int | None:
@@ -538,21 +501,6 @@ def _rational_power_root(q: Fraction, r: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _prime_factors(n: int) -> dict[int, int]:
-    """{p: e} for the prime powers p^e that make up n >= 1, by trial
-    division; the keys come in increasing order."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = 1
-    return out
-
-
 def capelli_certified(prime: LaurentPoly) -> bool:
     """True if prime(v^c) is irreducible over Q for every c >= 1, by
     Capelli's theorem for a linear prime v - r: v^c - r is irreducible for
@@ -574,38 +522,6 @@ def capelli_certified(prime: LaurentPoly) -> bool:
         if _rational_power_root(r, k) is not None:
             return False
     return r > 0 or _rational_power_root(-r / 4, 4) is None
-
-
-def _binomial_split(ints: list[int]) -> list[list[int]] | None:
-    """Decide a two-term polynomial a*v^n + b (n >= 2, b != 0).
-
-    Returns a nontrivial factorization [f, g] into integer-primitive lists
-    if reducible, [] if irreducible, None if ints is not of this shape.
-    This is the classical binomial irreducibility criterion: v^n - q is
-    irreducible over Q unless q is an r-th power for a prime r | n, or
-    4 | n and q = -4 w^4.
-    """
-    n = len(ints) - 1
-    if n < 2 or any(ints[1:-1]):
-        return None
-    q = Fraction(-ints[0], ints[-1])  # ints = lc * (v^n - q)
-    for r in sorted(_prime_factors(n)):
-        w = _rational_power_root(q, r)
-        if w is not None:
-            m = n // r
-            # v^n - w^r = (v^m - w) * sum_{k<r} w^k v^{m(r-1-k)}
-            first = LaurentPoly({m: 1, 0: -w})
-            second = LaurentPoly({m * (r - 1 - k): w ** k for k in range(r)})
-            return [_int_content_primitive(first), _int_content_primitive(second)]
-    if n % 4 == 0:
-        w4 = _rational_power_root(-q / 4, 4)
-        if w4 is not None:
-            m = n // 4
-            # v^n + 4w^4 = (v^{2m} + 2w v^m + 2w^2)(v^{2m} - 2w v^m + 2w^2)
-            f1 = LaurentPoly({2 * m: 1, m: 2 * w4, 0: 2 * w4 ** 2})
-            f2 = LaurentPoly({2 * m: 1, m: -2 * w4, 0: 2 * w4 ** 2})
-            return [_int_content_primitive(f1), _int_content_primitive(f2)]
-    return []
 
 
 def _int_div_exact(a: list[int], b) -> list[int] | None:
@@ -681,41 +597,6 @@ def _dpoly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return a or [Fraction(0)]
 
 
-def _kronecker_factor(ints: list[int]) -> tuple[list[int], list[int]] | None:
-    """Split a primitive, root-free integer polynomial into an integer
-    factor of degree d >= 2 and its cofactor by Kronecker's search, or None
-    if it is irreducible.
-
-    A factor of degree d is fixed by its values at d + 1 pool points, each a
-    divisor of the polynomial's value there; every choice of divisors is
-    interpolated, and a non-integer interpolant is no candidate.  Candidates
-    are checked by exact division over Z: one with content c > 1 fails it,
-    but its primitive part (first value positive and c times smaller) comes
-    earlier in the search, so the first factor found is the one that
-    division over Q would find."""
-    deg = len(ints) - 1
-    divisors = {x: _divisors(_dpoly_eval(ints, x)) for x in range(-8, 9)}
-    pool = sorted(divisors, key=lambda x: (len(divisors[x]), abs(x)))
-    for d in range(2, deg // 2 + 1):
-        points = pool[: d + 1]
-        choice_sets = [divisors[points[0]]] + [
-            [s * w for w in divisors[x] for s in (1, -1)] for x in points[1:]]
-        if math.prod(map(len, choice_sets)) > _KRONECKER_COMBO_CAP:
-            raise PolyalgError(
-                "factorization cap: Kronecker search space too large for "
-                f"degree-{deg} input")
-        for combo in itertools.product(*choice_sets):
-            cand = _newton_interpolate(points, combo)
-            if cand is None or cand[-1] == 0:
-                continue
-            if cand[-1] < 0:
-                cand = [-c for c in cand]
-            cofactor = _int_div_exact(ints, cand)
-            if cofactor is not None:
-                return cand, cofactor
-    return None
-
-
 def _squarefree_parts(p: LaurentPoly) -> list[tuple[LaurentPoly, int]]:
     """Square-free decomposition p = prod f_i^i of a monic exp-0 polynomial.
 
@@ -736,81 +617,191 @@ def _squarefree_parts(p: LaurentPoly) -> list[tuple[LaurentPoly, int]]:
     return out
 
 
-CYCLOTOMIC_SEARCH_BOUND = 120
+def _mod_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
-def _euler_phi(n: int) -> int:
-    out = n
-    for p in _prime_factors(n):
-        out = out // p * (p - 1)
-    return out
+def _mod_sub(a: list[int], b: list[int], m: int) -> list[int]:
+    """a - b modulo m, for dense coefficient lists trimmed of leading zeros
+    ([] is zero), as are all results of the _mod helpers."""
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _mod_trim([c % m for c in out])
 
 
-def _cyclotomic_divisor(ints: list[int]) -> tuple[list[int], list[int]] | None:
-    """A cyclotomic factor of ints with index up to the search bound and its
-    cofactor, if there is one.
+def _mod_mul(a: list[int], b: list[int], m: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _mod_trim([c % m for c in out])
 
-    Cyclotomics are the factors that arise from base-changing cyclotomic
-    annihilators, so this keeps such inputs factorable above the Kronecker
-    degree cap.
-    """
-    for n in range(3, CYCLOTOMIC_SEARCH_BOUND + 1):
-        if _euler_phi(n) > len(ints) - 1:
-            continue
-        cyc = list(_cyclotomic_int(n))
-        cofactor = _int_div_exact(ints, cyc)
-        if cofactor is not None:
-            return cyc, cofactor
-    return None
+
+def _mod_divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b modulo m; lc(b) is a unit mod m."""
+    inv = pow(b[-1], -1, m)
+    rem = [c % m for c in a]
+    db = len(b) - 1
+    quo = [0] * max(len(a) - db, 0)
+    for top in range(len(a) - 1, db - 1, -1):
+        c = quo[top - db] = rem[top] * inv % m
+        if c:
+            for i, bc in enumerate(b):
+                rem[top - db + i] = (rem[top - db + i] - c * bc) % m
+    return _mod_trim(quo), _mod_trim(rem[:db])
+
+
+def _mod_gcdex(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(g, u): the monic gcd g of a and b != 0 modulo the prime p, and u
+    with u*a = g modulo b."""
+    r0, r1, u0, u1 = b, _mod_divmod(a, b, p)[1], [], [1]
+    while r1:
+        q, r = _mod_divmod(r0, r1, p)
+        r0, r1, u0, u1 = r1, r, u1, _mod_sub(u0, _mod_mul(q, u1, p), p)
+    inv = pow(r0[-1], -1, p)
+    return [c * inv % p for c in r0], [c * inv % p for c in u0]
+
+
+def _berlekamp(f: list[int], p: int) -> list[list[int]]:
+    """The monic irreducible factors modulo the prime p of f, which is
+    monic and square-free modulo p.  The u with u^p = u in F_p[v]/(f) form
+    a space with one dimension per factor, and the gcds of f with such u
+    minus constants separate the factors (Berlekamp)."""
+    n = len(f) - 1
+    frobenius = [1]  # v^p mod f
+    for _ in range(p):
+        frobenius = _mod_divmod([0] + frobenius, f, p)[1]
+    # row reduce the transpose of Q - I, where row i of Q is v^(ip) mod f
+    rows, power = [[0] * n for _ in range(n)], [1]
+    for i in range(n):
+        for j, c in enumerate(power):
+            rows[j][i] = c
+        rows[i][i] -= 1
+        power = _mod_divmod(_mod_mul(power, frobenius, p), f, p)[1]
+    pivots: list[int] = []
+    for col in range(n):
+        r = next((i for i in range(len(pivots), n) if rows[i][col] % p), None)
+        if r is not None:
+            inv = pow(rows[r][col], -1, p)
+            top = rows[r] = [x * inv % p for x in rows[r]]
+            rows[r], rows[len(pivots)] = rows[len(pivots)], top
+            for i, row in enumerate(rows):
+                if row is not top and row[col] % p:
+                    rows[i] = [(x - row[col] * y) % p for x, y in zip(row, top)]
+            pivots.append(col)
+    fixed = [_mod_trim([1 if j == free else -rows[pivots.index(j)][free] % p
+                        if j in pivots else 0 for j in range(n)])
+             for free in range(n) if free not in pivots]
+    factors = [f]
+    for u in fixed:
+        if len(factors) == len(fixed):
+            break
+        split = []
+        for g in factors:
+            for s in range(p):
+                if len(g) <= 2:
+                    break
+                h = _mod_gcdex(_mod_sub(u, [s], p), g, p)[0]
+                if 1 < len(h) < len(g):
+                    split.append(h)
+                    g = _mod_divmod(g, h, p)[0]
+            split.append(g)
+        factors = split
+    return factors
+
+
+def _hensel_lift(f: list[int], gs: list[list[int]], p: int,
+                 modulus: int) -> list[list[int]]:
+    """Lift pairwise coprime monic gs with lc(f)*prod(gs) = f modulo p to
+    monic factors with the same property modulo `modulus`, a power of p.
+
+    Quadratic multifactor lifting (von zur Gathen and Gerhard, ch. 15): the
+    inverses s_i of the cofactors prod(gs)/g_i modulo g_i, for which
+    sum s_i*prod(gs)/g_i = 1, are lifted alongside by Newton steps."""
+    m = p
+    product = reduce(lambda a, b: _mod_mul(a, b, m), gs, [1])
+    ss = [_mod_gcdex(_mod_divmod(product, g, p)[0], g, p)[1] for g in gs]
+    while m < modulus:
+        m = min(m * m, modulus)
+        inv = pow(f[-1], -1, m)
+        product = reduce(lambda a, b: _mod_mul(a, b, m), gs, [1])
+        excess = _mod_sub(product, [c * inv for c in f], m)
+        gs = [_mod_sub(g, _mod_divmod(_mod_mul(s, excess, m), g, m)[1], m)
+              for g, s in zip(gs, ss)]
+        if m < modulus:
+            product = reduce(lambda a, b: _mod_mul(a, b, m), gs, [1])
+            for i, (g, s) in enumerate(zip(gs, ss)):
+                error = _mod_mul(s, _mod_divmod(product, g, m)[0], m)
+                ss[i] = _mod_divmod(
+                    _mod_mul(s, _mod_sub([2], error, m), m), g, m)[1]
+    return gs
 
 
 def _factor_squarefree(p: LaurentPoly) -> list[LaurentPoly]:
     """Irreducible monic factors of a monic square-free exp-0 polynomial.
 
-    Every work item is an integer-primitive dense coefficient list, and
-    every split is an exact integer division; the irreducible factors
-    become monic Laurent polynomials at the end."""
+    Zassenhaus's algorithm on the primitive integer coefficient list f (von
+    zur Gathen and Gerhard, Modern Computer Algebra, chs. 14-15): factor f
+    modulo the least prime l that divides neither lc(f) nor disc(f), the
+    first whose image is square-free (Berlekamp); Hensel-lift the factors
+    modulo l^k > 2*lc(f)*B, with B = 2^deg(f)*|f|_2 Mignotte's bound on the
+    coefficients of a factor; then try subsets of the lifted factors,
+    smallest first: lc(f) times their product, in symmetric residues and
+    made primitive, is a factor if it divides f exactly.  A candidate whose
+    constant term does not divide lc(f)*f(0) is skipped undivided.  The
+    subsets tried are bounded by FACTOR_RECOMBINATION_BOUND, checked before
+    the subsets of each size are started."""
+    f = _int_content_primitive(p)
+    ell = 1
+    while True:
+        ell += 1
+        if f[-1] % ell and all(ell % q for q in range(2, math.isqrt(ell) + 1)):
+            inv = pow(f[-1], -1, ell)
+            image = [c * inv % ell for c in f]
+            deriv = _mod_trim([k * c % ell for k, c in enumerate(image)][1:])
+            if len(_mod_gcdex(deriv, image, ell)[0]) == 1:
+                break
+    lifted = _berlekamp(image, ell)
+    if len(lifted) == 1:
+        return [p]
+    bound = (f[-1] << len(f)) * (math.isqrt(sum(c * c for c in f)) + 1)
+    modulus = ell
+    while modulus <= bound:
+        modulus *= ell
+    lifted = _hensel_lift(f, lifted, ell, modulus)
     factors: list[list[int]] = []
-    work = [_int_content_primitive(p)]
-    while work:
-        f = work.pop()
-        deg = len(f) - 1
-        if deg == 0:
-            continue
-        if deg == 1:
-            factors.append(f)
-            continue
-        split = _rational_root_split(f)
-        if split is not None:
-            work.extend(split)
-            continue
-        if deg <= 3:
-            # no rational root: degrees 2 and 3 are irreducible
-            factors.append(f)
-            continue
-        split = _binomial_split(f)
-        if split is not None:
-            if split:
-                work.extend(split)
-            else:
-                factors.append(f)
-            continue
-        if deg > FACTOR_DEGREE_CAP:
-            cyc = _cyclotomic_divisor(f)
-            if cyc is not None:
-                factors.append(cyc[0])
-                work.append(cyc[1])
-                continue
+    tried, size = 0, 1
+    while 2 * size <= len(lifted):
+        if tried + math.comb(len(lifted), size) > FACTOR_RECOMBINATION_BOUND:
             raise PolyalgError(
-                f"factorization cap: degree {deg} exceeds {FACTOR_DEGREE_CAP} "
-                "and the polynomial is neither a binomial nor divisible by a "
-                "small cyclotomic")
-        split = _kronecker_factor(f)
-        if split is None:
-            factors.append(f)
+                f"factorization bound: recombining {len(lifted)} modular "
+                f"factors of a degree-{len(f) - 1} polynomial would exceed "
+                f"FACTOR_RECOMBINATION_BOUND = {FACTOR_RECOMBINATION_BOUND} "
+                f"subset trials ({tried} tried before size {size})")
+        for subset in itertools.combinations(range(len(lifted)), size):
+            tried += 1
+            const = f[-1] * math.prod(lifted[i][0] for i in subset) % modulus
+            const -= modulus if 2 * const > modulus else 0
+            if const == 0 or f[-1] * f[0] % const:
+                continue
+            cand = reduce(lambda a, i: _mod_mul(a, lifted[i], modulus),
+                          subset, [f[-1]])
+            cand = [c - modulus if 2 * c > modulus else c for c in cand]
+            content = math.gcd(*cand)
+            cand = [c // content for c in cand]
+            quotient = _int_div_exact(f, cand)
+            if quotient is not None:
+                factors.append(cand)
+                f = quotient
+                lifted = [g for i, g in enumerate(lifted) if i not in subset]
+                break
         else:
-            work.extend(split)
-    return [LaurentPoly.from_coeffs(f, p.variable).monic() for f in factors]
+            size += 1
+    return [LaurentPoly.from_coeffs(g, p.variable).monic()
+            for g in factors + [f]]
 
 
 def _poly_sort_key(p: LaurentPoly):

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .polyalg import LaurentPoly, _dpoly_deriv, _dpoly_eval, _dpoly_rem, _euler_phi, cyclotomic, factor_laurent
+from .polyalg import LaurentPoly, _dpoly_deriv, _dpoly_eval, _dpoly_rem, cyclotomic, factor_laurent
 from .seifert import SeifertMatrix, alexander_polynomial
 
 DEFAULT_ANGLE_DENOMINATOR_BOUND = 120
@@ -312,6 +312,11 @@ def cos_minimal_polynomial(n: int) -> LaurentPoly:
         return LaurentPoly({1: 1, 0: 2})
     q = circle_polynomial(cyclotomic(n))
     return q * (Fraction(1) / q.leading())
+
+
+@lru_cache(maxsize=None)
+def _euler_phi(n: int) -> int:
+    return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
 
 
 def _cyclotomic_index(psi: LaurentPoly, bound: int) -> int | None:

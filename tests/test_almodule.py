@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,18 @@ def test_submodule_membership_matches_rank(rng):
         expect = _rank(rows + [x.q_coords()]) == _rank(rows)
         assert P.contains(x) == expect
         assert P.contains_submodule(Submodule(M, [x])) == expect
+
+
+def test_equal_elements_of_equal_modules_hash_alike():
+    # two builds of one module, and a pickle round trip, give equal
+    # modules that are distinct objects
+    x = alexander_module(pattern_9_46()).generator(0)
+    y = alexander_module(pattern_9_46()).generator(0)
+    z = pickle.loads(pickle.dumps(x))
+    assert x.module is not y.module and x.module is not z.module
+    assert x == y == z
+    assert len({x, y}) == 1 and len({x, z}) == 1
+    assert {x: 1}[z] == 1
 
 
 def test_module_element_arithmetic():

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from rhoslice.polyalg import (
 )
 from rhoslice.seifert import alexander_polynomial
 
+import factor_oracle
 from conftest import random_seifert
 
 T = LaurentPoly.var("t")
@@ -117,17 +120,81 @@ def test_factor_zero_rejected():
 
 
 def test_factor_binomials_any_degree():
-    # a*t^c - b stays decidable above the general degree cap
+    # binomials a*t^c - b past degree 8, which the old path decided by the
+    # binomial criterion
     assert factor_laurent(2 * T ** 12 - 1) == [(T ** 12 - Fraction(1, 2), 1)]
     assert factor_laurent(T ** 12 - 2) == [(T ** 12 - 2, 1)]
     fac = factor_laurent(T ** 10 - 1)
     assert sorted(f.span for f, _ in fac) == [1, 1, 4, 4]
 
 
-def test_factor_degree_cap():
+def test_dense_degree9_factors_like_sympy():
+    # the old path refused this input at its degree cap of 8
+    sympy = pytest.importorskip("sympy")
     p = sum((T ** k for k in range(10)), ZERO) + T ** 9  # dense degree 9
     with pytest.raises(PolyalgError, match="cap"):
-        factor_laurent(p)
+        factor_oracle.factor(p)
+    _assert_matches_sympy(sympy, p)
+    assert [f.span for f, _ in factor_laurent(p)] == [9]
+
+
+def _swinnerton_dyer(radicands):
+    """The integer minimal polynomial of the sum of the square roots of the
+    given distinct primes, of degree 2^len(radicands): the product of
+    x - (±sqrt(a) ± sqrt(b) ± ...).  It is irreducible over Q, and modulo
+    every prime its irreducible factors have degree at most 2, the hardest
+    case for recombination."""
+    p = T
+    for a in radicands:
+        # p(x + sqrt(a)) = A + sqrt(a) B, and p(x - sqrt(a)) = A - sqrt(a) B
+        A, B = ZERO, ZERO
+        for c in reversed(p.poly_coeffs()):
+            A, B = A * T + B * a + c, A + B * T
+        p = A * A - B * B * a
+    return p
+
+
+def test_recombination_bound_is_checked_before_each_size(monkeypatch):
+    sd = _swinnerton_dyer([2, 3, 5])
+    assert sd == T ** 8 - 40 * T ** 6 + 352 * T ** 4 - 960 * T ** 2 + 576
+    drawn = []
+
+    def combinations(pool, size):
+        for subset in itertools.combinations(pool, size):
+            drawn.append(size)
+            yield subset
+
+    monkeypatch.setattr(polyalg, "itertools",
+                        types.SimpleNamespace(combinations=combinations))
+    assert factor_laurent(sd) == [(sd, 1)]
+    full = len(drawn)  # 4 modular factors: 4 singles and 6 pairs
+    assert sorted(set(drawn)) == [1, 2] and full == 4 + 6
+    drawn.clear()
+    monkeypatch.setattr(polyalg, "FACTOR_RECOMBINATION_BOUND", full - 1)
+    with pytest.raises(PolyalgError,
+                       match=r"FACTOR_RECOMBINATION_BOUND = 9 .*\(4 tried "
+                             r"before size 2\)"):
+        factor_laurent(sd)
+    assert drawn == [1] * 4  # no pair was tried
+
+
+def test_swinnerton_dyer_degree_32_within_the_bound():
+    # 16 modular factors: all 39,202 subsets of up to 8 are tried, within
+    # the bound of 2^16, to prove it irreducible
+    sd = _swinnerton_dyer([2, 3, 5, 7, 11])
+    assert sd.span == 32
+    start = time.perf_counter()
+    assert factor_laurent(sd) == [(sd, 1)]
+    assert time.perf_counter() - start < 10
+
+
+def test_twenty_linear_factors():
+    p = ONE
+    for k in range(1, 21):
+        p = p * (T - k if k % 2 else k * T + 1)
+    got = factor_laurent(p)
+    assert len(got) == 20 and all(f.span == 1 and m == 1 for f, m in got)
+    assert equal_up_to_unit(math.prod((f for f, _ in got), start=ONE), p)
 
 
 def test_factor_cyclotomic_fast_path():
@@ -253,20 +320,21 @@ def test_int_div_exact():
 
 
 def test_rational_roots_list_each_divisor_set_once(monkeypatch):
+    # the old path's rational-root search, kept as the oracle
     calls = []
-    divisors = polyalg._divisors
-    monkeypatch.setattr(polyalg, "_divisors",
+    divisors = factor_oracle._divisors
+    monkeypatch.setattr(factor_oracle, "_divisors",
                         lambda n: calls.append(n) or divisors(n))
     n = 10 ** 6
     p = (n * T - (n + 1)) * ((n + 1) * T - n)
-    assert factor_laurent(p) == [(T - Fraction(n + 1, n), 1),
-                                 (T - Fraction(n, n + 1), 1)]
+    assert factor_oracle.factor(p) == [(T - Fraction(n + 1, n), 1),
+                                       (T - Fraction(n, n + 1), 1)]
     assert len(calls) <= 2
 
 
 def _trial_divisors(n):
     """The divisors of n by trial division up to sqrt(n): the oracle of the
-    factorization-based `_divisors`."""
+    factorization-based `factor_oracle._divisors`."""
     n = abs(n)
     small, large = [], []
     d = 1
@@ -285,7 +353,7 @@ def test_divisors_match_trial_division():
               10 ** 6 * (10 ** 6 + 1) // 1000]
     values += [rng.randint(-10 ** 6, 10 ** 6) for _ in range(60)]
     for n in values:
-        assert polyalg._divisors(n) == _trial_divisors(n), n
+        assert factor_oracle._divisors(n) == _trial_divisors(n), n
 
 
 def test_divisors_of_a_large_smooth_value_are_fast():
@@ -293,7 +361,7 @@ def test_divisors_of_a_large_smooth_value_are_fast():
     # about 0.1 s per call, the factorization needs trial divisors to 100
     n = 10 ** 6 * (10 ** 6 + 1)
     start = time.perf_counter()
-    got = polyalg._divisors(n)
+    got = factor_oracle._divisors(n)
     assert time.perf_counter() - start < 0.05
     assert len(got) == 7 * 7 * 2 * 2 and got == sorted(got)
     assert all(n % d == 0 for d in got) and got[-1] == n
@@ -361,9 +429,10 @@ def test_capelli_certificate_matches_sympy():
 
 
 def _random_factorable(rng):
-    """A random product of pieces factor_laurent decides: linear factors,
-    binomials a*t^n - b, cyclotomics and one root-free piece of degree up
-    to 8 for Kronecker's search, with repeated factors and a Fraction unit."""
+    """A random product of pieces the old path (`factor_oracle`) decides
+    too: linear factors, binomials a*t^n - b, cyclotomics and one root-free
+    piece of degree up to 8 for Kronecker's search, with repeated factors
+    and a Fraction unit."""
     p = LaurentPoly.monomial(rng.randint(-3, 3),
                              Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
                                       rng.randint(1, 9)))
@@ -401,6 +470,7 @@ def _assert_matches_sympy(sympy, p):
         for f, k in expected)
     got = sorted((tuple(f.poly_coeffs()), k) for f, k in factor_laurent(p))
     assert got == want, str(p)
+    return got
 
 
 def test_factor_matches_sympy_on_random_products():
@@ -408,6 +478,61 @@ def test_factor_matches_sympy_on_random_products():
     rng = random.Random(2024)
     for _ in range(240):
         _assert_matches_sympy(sympy, _random_factorable(rng))
+
+
+def _random_past_the_cap(rng):
+    """A random product with a piece of degree 9 to 16: a dense random
+    integer polynomial, nearly always irreducible, or q(t^k) for a random
+    q, which may split; times a dense piece of degree 2 to 8 or a
+    cyclotomic, linear factors, a repeated factor and a unit."""
+    def dense(deg):
+        return LaurentPoly.from_coeffs(
+            [rng.choice([-3, -2, -1, 1, 2, 3])]
+            + [rng.randint(-9, 9) for _ in range(deg - 1)]
+            + [rng.randint(1, 4)])
+
+    if rng.randrange(3):
+        p = dense(rng.randint(9, 16))
+    else:
+        k = rng.choice([3, 4, 5])
+        p = dense(rng.randint(-(-9 // k), 16 // k)).subs_power(k)
+    kind = rng.randrange(3)
+    if kind == 0:
+        p = p * dense(rng.randint(2, 8))
+    elif kind == 1:
+        p = p * cyclotomic(rng.randint(1, 30))
+    for _ in range(rng.randint(0, 2)):
+        p = p * LaurentPoly({1: rng.randint(1, 6), 0: rng.choice([-1, 1])
+                             * rng.randint(1, 6)})
+    if rng.random() < 0.2:
+        p = p * dense(rng.randint(1, 3)) ** 2
+    return p * LaurentPoly.monomial(rng.randint(-3, 3),
+                                    Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+
+
+def test_factor_matches_sympy_past_the_old_cap():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2026)
+    large = 0
+    for _ in range(200):
+        got = _assert_matches_sympy(sympy, _random_past_the_cap(rng))
+        large += max(len(f) for f, _ in got) > 9
+    assert large >= 100
+
+
+def test_factor_matches_the_old_path():
+    # the old path decides every degree <= 8 input and these special shapes
+    rng = random.Random(2027)
+    decided = 0
+    for _ in range(300):
+        p = _random_factorable(rng)
+        try:
+            want = factor_oracle.factor(p)
+        except PolyalgError:
+            continue
+        assert factor_laurent(p) == want, str(p)
+        decided += 1
+    assert decided >= 250
 
 
 def test_quadratics_factor_like_sympy():
@@ -432,17 +557,15 @@ def test_quadratics_factor_like_sympy():
     assert split >= 140
 
 
-def test_quadratic_roots_factor_no_integer(monkeypatch):
+def test_quadratic_roots_factor_no_integer():
     # [[0, p], [p+1, 0]] with p = nextprime(10^14): trial division of the
     # leading coefficient p(p+1) would not finish
-    def unreachable(n):
-        raise AssertionError("an integer was factored")
-
-    monkeypatch.setattr(polyalg, "_prime_factors", unreachable)
     p = 100000000000031
     delta = (p * T - (p + 1)) * ((p + 1) * T - p)
+    start = time.perf_counter()
     assert factor_laurent(delta) == [(T - Fraction(p + 1, p), 1),
                                      (T - Fraction(p, p + 1), 1)]
+    assert time.perf_counter() - start < 1
     # a square discriminant of zero, and one that is not a square
     assert factor_laurent((3 * T - 2) ** 2) == [(T - Fraction(2, 3), 2)]
     assert factor_laurent(T * T - 2) == [(T * T - 2, 1)]
@@ -453,6 +576,15 @@ def test_factor_matches_sympy_on_alexander_polynomials():
     for genus in (1, 2, 3, 4):
         rng = random.Random(genus)
         for _ in range(12):
+            _assert_matches_sympy(
+                sympy, alexander_polynomial(random_seifert(rng, genus=genus)))
+
+
+def test_factor_matches_sympy_on_genus_5_and_6_alexander_polynomials():
+    sympy = pytest.importorskip("sympy")
+    for genus in (5, 6):
+        rng = random.Random(genus)
+        for _ in range(10):
             _assert_matches_sympy(
                 sympy, alexander_polynomial(random_seifert(rng, genus=genus)))
 

@@ -53,10 +53,23 @@ def test_no_module_name_bound_twice():
     assert found == []
 
 
-def unreferenced_definitions(public: bool) -> list[str]:
-    """Module-level defs and classes of src/, private (_name) or public,
-    that nothing in src/ refers to; a reference from inside its own
-    definition (recursion) does not count, and an import does."""
+def _bound_names(node: ast.stmt, constants: bool) -> list[str]:
+    """The defs and classes a module-level statement binds, or with
+    `constants` its UPPER_CASE names (optionally _-prefixed)."""
+    if not constants:
+        return [node.name] if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else []
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and t.id.lstrip("_").isupper()]
+
+
+def unreferenced_definitions(public: bool, constants: bool = False) -> list[str]:
+    """Module-level defs and classes of src/ (with `constants`, its
+    UPPER_CASE constants), private (_name) or public, that nothing in src/
+    refers to; a reference from inside its own definition (recursion) does
+    not count, and an import does."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"),
                                   filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
@@ -73,14 +86,13 @@ def unreferenced_definitions(public: bool) -> list[str]:
     found = []
     for name, tree in trees.items():
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and node.name.startswith("_") != public
-                    and not any(ref == node.name and not (
-                        where == name
-                        and node.lineno <= line <= node.end_lineno)
-                        for where, line, ref in references)):
-                found.append(f"{name}:{node.lineno} {node.name}")
+            for bound in _bound_names(node, constants):
+                if (bound.startswith("_") != public
+                        and not any(ref == bound and not (
+                            where == name
+                            and node.lineno <= line <= node.end_lineno)
+                            for where, line, ref in references)):
+                    found.append(f"{name}:{node.lineno} {bound}")
     return found
 
 
@@ -95,6 +107,13 @@ def test_public_definitions_are_used_or_exported():
     # cli's public functions are the command and document interface
     assert [found for found in unreferenced_definitions(public=True)
             if not found.startswith("cli.py:")] == []
+
+
+def test_module_constants_have_a_reader():
+    # an UPPER_CASE constant that nothing in src/ reads or exports is left
+    # over from removed code; cli's constants get no exemption
+    assert unreferenced_definitions(public=True, constants=True) == []
+    assert unreferenced_definitions(public=False, constants=True) == []
 
 
 def test_imports_are_standard_library_or_relative():
