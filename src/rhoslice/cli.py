@@ -24,14 +24,21 @@ serialized polynomials ({"coefficients": {"0": "1"}}).
 
 Subcommands: info, obstruct, signature.  Exit codes for obstruct: 0 when
 OBSTRUCTED, 2 when INCONCLUSIVE, 1 on errors.  `obstruct --output
-structured` prints a "rhoslice.report/3" document: per isotypic class at
-complexity c = 1 only, a slot-type table (`slot_types`: each type's slot
-labels and the expression each copy adds) and one cell per count vector
-(its `counts`, indexed like the types, a representative `support` and its
-expression), then the witnesses, the audit trail and the notes.
-`uniform_in_c` is true when the complexity-free certificate carries the
-cells to every complexity, and `c_max` echoes the depth of the
-complexity self-check.  The text output lists the same.  A reader that
+structured` prints a "rhoslice.report/4" document.  Per isotypic class at
+complexity c = 1 only, `slot_types` holds each type's slot labels, the
+expression each copy adds, and the class's `certificate`: y, alpha and
+beta with y.s_t + alpha*lo_t - beta*hi_t > 0 on every type t, which proves
+that no count vector of the class vanishes, or null when the class was
+enumerated.  A certified class evaluates no cells.  `witnesses` lists the
+vanishing cells of enumerated classes, and `cells` lists the cells of
+enumerated classes of at most three count vectors; under `--cells` it
+lists one cell per count vector of every class (its `counts`, indexed like
+the types, a representative `support` and its expression), as report/3
+did, and a certified class is enumerated too and must agree.  Then come
+the audit trail and the notes.  `uniform_in_c` is true when the
+complexity-free certificate carries the verdict to every complexity, and
+`c_max` echoes the depth of the complexity self-check.  The text output
+lists the same.  A reader that
 closes the output early (`rhoslice ... | head -1`) ends the command with
 exit code 1 and no traceback.  The environment variable
 RHOSLICE_PRECISION bounds the width of certified intervals (default
@@ -166,13 +173,15 @@ def _parse_pattern(data, where: str) -> PatternKnot:
         w = f"{where}.curves[{i}]"
         _require(isinstance(cv, dict) and "name" in cv and "class" in cv,
                  w, "expected {name, class}")
+        _require(isinstance(cv["name"], str), w, "name must be a string")
         vec = cv["class"]
         _require(isinstance(vec, list) and len(vec) == seifert.dim,
                  w, f"class must be a vector of length {seifert.dim}")
         curves.append((cv["name"], tuple(_parse_poly(x, w) for x in vec)))
+    name = data.get("name", "pattern")
+    _require(isinstance(name, str), f"{where}.name", "expected a string")
     try:
-        return PatternKnot(seifert, tuple(curves),
-                           name=data.get("name", "pattern"))
+        return PatternKnot(seifert, tuple(curves), name=name)
     except SeifertError as exc:
         raise DocumentError(f"{where}: {exc}") from exc
 
@@ -185,6 +194,9 @@ def _check_companion_spec(data, where: str) -> dict:
     keys = set(data)
     _require(len(keys) == 1 and keys <= _COMPANION_KEYS, where,
              f"expected exactly one of {sorted(_COMPANION_KEYS)}")
+    if "symbol" in data:
+        _require(isinstance(data["symbol"], str), where,
+                 "symbol must be a string")
     if "rho0" in data:
         _parse_rational(data["rho0"], where)
     if "rho0_interval" in data:
@@ -232,8 +244,10 @@ def parse_document(data: dict) -> KnotDocument:
                                   curve_names) if pattern else ()
 
     knots = []
-    for name in sorted(data.get("knots", {})):
-        entry_raw = data["knots"][name]
+    raw_knots = data.get("knots", {})
+    _require(isinstance(raw_knots, dict), "knots", "expected an object")
+    for name in sorted(raw_knots):
+        entry_raw = raw_knots[name]
         w = f"knots.{name}"
         _require(isinstance(entry_raw, dict), w, "expected an object")
         entry_pattern = (_parse_pattern(entry_raw["pattern"], f"{w}.pattern")
@@ -253,6 +267,7 @@ def parse_document(data: dict) -> KnotDocument:
         w = f"family[{i}]"
         _require(isinstance(m, dict) and "knot" in m and "multiplicity" in m,
                  w, "expected {knot, multiplicity}")
+        _require(isinstance(m["knot"], str), w, "knot must be a string")
         _require(m["knot"] in knot_names, w,
                  f"unresolved knot name {m['knot']!r}")
         if m["knot"] in listed:
@@ -382,7 +397,8 @@ def cmd_info(args) -> int:
 def cmd_obstruct(args) -> int:
     doc = load_document(args.file)
     spec = family_spec(doc)
-    report = verify_obstructed(spec, args.cmax, mode=args.mode)
+    report = verify_obstructed(spec, args.cmax, mode=args.mode,
+                               cells=args.cells)
     if args.output == "structured":
         _print_json(report.to_json())
     else:
@@ -395,7 +411,14 @@ def cmd_obstruct(args) -> int:
             for i, (slots, rho) in enumerate(zip(table.slots, table.rho), 1):
                 print(f"  c={table.complexity} class=({table.prime}) "
                       f"type {i}: {{{', '.join(slots)}}} rho = {rho}")
-        print(f"{len(report.cells)} count-vector cells at c=1:")
+        print("class decisions (a certificate y, alpha, beta has "
+              "y.s_t + alpha*lo_t - beta*hi_t > 0 on every slot type t):")
+        for table in report.slot_types:
+            print(f"  c={table.complexity} class=({table.prime}): "
+                  + (f"certificate {table.certificate}" if table.certificate
+                     else "enumerated"))
+        if args.cells or report.cells:
+            print(f"{len(report.cells)} count-vector cells at c=1:")
         for cell in report.cells:
             status = "nonzero" if cell.nonvanishing else "VANISHING"
             support = ", ".join(cell.support)
@@ -464,6 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
                       default="symbolic")
     p_ob.add_argument("--output", choices=("text", "structured"),
                       default="text")
+    p_ob.add_argument("--cells", action="store_true",
+                      help="list one cell per count vector of every class; "
+                      "a certified class is then enumerated too")
     p_ob.set_defaults(func=cmd_obstruct)
 
     p_sig = sub.add_parser("signature", help="signature jumps and integral")

@@ -16,8 +16,20 @@ each.  The engine assembles one block per member and part, which all its
 copies share, so every copy of a type adds the expression e_t of copy 1,
 and each type is evaluated once.  A support of k_t copies of each type
 then has the value sum_t k_t * e_t, which depends only on its count vector
-k.  The sweep evaluates one cell per count vector 0 <= k_t <= n_t (not all
-zero), prod(n_t + 1) - 1 of them, in place of the 2^(sum n_t) - 1 supports.
+k.  A count vector 0 <= k_t <= n_t (not all zero) stands for its supports,
+so prod(n_t + 1) - 1 cells stand for the 2^(sum n_t) - 1 supports.
+
+With s_t the symbol part of e_t and [lo_t, hi_t] its constant interval, the
+cell k vanishes iff sum_t k_t s_t = 0 and sum_t k_t lo_t <= 0 <= sum_t k_t
+hi_t.  Each class is first offered to Motzkin's transposition theorem
+(Schrijver, Theory of Linear and Integer Programming, 1986, 7.8): an exact
+two-phase simplex looks for y in Q^s and alpha, beta >= 0 with
+y.s_t + alpha lo_t - beta hi_t > 0 for every type t.  Summed with the
+weights k_t of a vanishing cell, these margins would be both > 0 and <= 0,
+so once the certificate passes an exact re-check against every type, no
+cell of the class vanishes and none is evaluated.  A class without one,
+and a class of at most `LISTED_CELLS_PER_CLASS` cells, is enumerated: one
+cell per count vector.
 
 The analytic ingredients enter as axioms with machine-checked hypotheses:
 
@@ -89,6 +101,10 @@ MAX_SUPPORT_ENTRIES_PER_CLASS = 2 ** 20
 # Depth of the complexity self-check, whose cost grows about quadratically
 # with the depth.
 MAX_CMAX = 100
+# A class of at most this many count vectors (two single-copy slot types,
+# as in one knot K # -tK) is enumerated and its cells listed even when cells
+# are not requested: they are as short to read as a certificate.
+LISTED_CELLS_PER_CLASS = 3
 
 
 class ObstructionError(ValueError):
@@ -498,6 +514,122 @@ def _accumulate(expr: RhoExpr, comp: Companion, sign: int, mode: str) -> RhoExpr
 
 
 # ---------------------------------------------------------------------------
+# Transposition certificates
+# ---------------------------------------------------------------------------
+
+
+class Certificate(NamedTuple):
+    """y in Q^s and alpha, beta >= 0 with margin y.s_t + alpha*lo_t -
+    beta*hi_t > 0 for the symbol part s_t and constant interval [lo_t, hi_t]
+    of every slot type t of a class.  A vanishing count vector k has
+    sum_t k_t s_t = 0 and sum_t k_t lo_t <= 0 <= sum_t k_t hi_t, so its
+    weighted sum of margins would be both > 0 and <= 0: no cell vanishes."""
+
+    y: tuple[tuple[str, Fraction], ...]
+    alpha: Fraction
+    beta: Fraction
+
+    def margin(self, expr: RhoExpr) -> Fraction:
+        y = dict(self.y)
+        return (sum((y.get(name, 0) * v for name, v in expr.coeffs),
+                    self.alpha * expr.const_lo) - self.beta * expr.const_hi)
+
+    def proves(self, exprs) -> bool:
+        """The exact re-check: nonnegative alpha and beta, and a positive
+        margin on every expression."""
+        return (self.alpha >= 0 and self.beta >= 0
+                and all(self.margin(e) > 0 for e in exprs))
+
+    def __str__(self):
+        y = ", ".join(f"{name}: {v}" for name, v in self.y)
+        return f"y = {{{y}}}, alpha = {self.alpha}, beta = {self.beta}"
+
+    def to_json(self):
+        return {"y": {name: str(v) for name, v in self.y},
+                "alpha": str(self.alpha), "beta": str(self.beta)}
+
+
+def _simplex(rows: list[list[Fraction]], rhs: list[Fraction],
+             cost: list[Fraction]) -> list[Fraction] | None:
+    """A vertex x >= 0 of rows . x = rhs that minimizes cost . x, or None
+    when no x >= 0 solves the rows.  Needs rhs >= 0 and cost >= 0, so that
+    the minimum exists whenever a solution does.
+
+    Exact two-phase simplex over Fraction on a dense tableau: phase 1
+    minimizes the sum of one artificial variable per row, starting from the
+    artificial basis; the artificials left basic at zero are pivoted out
+    (or their redundant rows dropped); phase 2 minimizes the cost.  Bland's
+    rule (the least column with negative reduced cost enters; the least
+    basic index leaves among tied ratios) rules out cycling."""
+    m, n = len(rows), len(cost)
+    tab = [list(row) + [Fraction(i == j) for j in range(m)] + [b]
+           for i, (row, b) in enumerate(zip(rows, rhs))]
+    basis = list(range(n, n + m))
+    # reduced costs of phase 1, and minus its objective value, last
+    z = [-sum(col) for col in zip(*tab)]
+    z[n:-1] = [Fraction(0)] * m
+
+    def pivot(r: int, col: int) -> None:
+        p = tab[r][col]
+        tab[r][:] = [v / p for v in tab[r]]
+        for row in tab + [z]:
+            f = row[col]
+            if f and row is not tab[r]:
+                row[:] = [a - f * b for a, b in zip(row, tab[r])]
+        basis[r] = col
+
+    def minimize(width: int) -> None:
+        while (col := next((j for j in range(width) if z[j] < 0),
+                           None)) is not None:
+            pivot(min((i for i, row in enumerate(tab) if row[col] > 0),
+                      key=lambda i: (tab[i][-1] / tab[i][col], basis[i])),
+                  col)
+
+    minimize(n + m)
+    if z[-1]:
+        return None
+    for r in reversed(range(len(tab))):
+        if basis[r] >= n:
+            col = next((j for j in range(n) if tab[r][j]), None)
+            if col is None:
+                del tab[r], basis[r]
+            else:
+                pivot(r, col)
+    full = list(cost) + [Fraction(0)] * m
+    z[:] = [c - sum(full[b] * row[j] for b, row in zip(basis, tab))
+            for j, c in enumerate(full + [Fraction(0)])]
+    minimize(n)
+    x = [Fraction(0)] * n
+    for b, row in zip(basis, tab):
+        x[b] = row[-1]
+    return x
+
+
+def _certificate(exprs: tuple[RhoExpr, ...]) -> Certificate | None:
+    """The certificate of least sum |y_j| + alpha + beta with every margin
+    at least 1, or None when the slot types admit none (then some nonzero
+    k >= 0 has sum_t k_t s_t = 0 and sum_t k_t lo_t <= 0 <= sum_t k_t hi_t).
+
+    Columns: y+ and y- per symbol, alpha, beta, one surplus per type."""
+    names = sorted({name for e in exprs for name, _ in e.coeffs})
+    s, m = len(names), len(exprs)
+    rows = []
+    for t, e in enumerate(exprs):
+        coeff = dict(e.coeffs)
+        ys = [coeff.get(name, Fraction(0)) for name in names]
+        rows.append(ys + [-v for v in ys] + [e.const_lo, -e.const_hi]
+                    + [-Fraction(t == u) for u in range(m)])
+    x = _simplex(rows, [Fraction(1)] * m,
+                 [Fraction(1)] * (2 * s + 2) + [Fraction(0)] * m)
+    if x is None:
+        return None
+    return Certificate(tuple((name, x[j] - x[s + j])
+                             for j, name in enumerate(names)
+                             if x[j] != x[s + j]),
+                       x[2 * s], x[2 * s + 1])
+
+
+# ---------------------------------------------------------------------------
 # The verdict
 # ---------------------------------------------------------------------------
 
@@ -529,13 +661,15 @@ class ReportCell(NamedTuple):
 
 class SlotTypeTable(NamedTuple):
     """The slot types of one isotypic class at one complexity: each type's
-    slot labels (copy 1 first) and the expression each of its copies adds."""
+    slot labels (copy 1 first) and the expression each of its copies adds,
+    with the class's certificate, or None when it was enumerated."""
 
     complexity: int
     class_key: str
     prime: str
     slots: tuple[tuple[str, ...], ...]
     rho: tuple[RhoExpr, ...]
+    certificate: Certificate | None = None
 
     def to_json(self):
         return {
@@ -544,6 +678,8 @@ class SlotTypeTable(NamedTuple):
             "prime": self.prime,
             "types": [{"slots": list(labels), "rho": expr.to_json()}
                       for labels, expr in zip(self.slots, self.rho)],
+            "certificate": (self.certificate.to_json()
+                            if self.certificate else None),
         }
 
 
@@ -551,7 +687,7 @@ class ObstructionReport(NamedTuple):
     verdict: str                 # "OBSTRUCTED" | "INCONCLUSIVE"
     c_max: int
     mode: str
-    cells: tuple[ReportCell, ...]
+    cells: tuple[ReportCell, ...]      # the listed cells
     witnesses: tuple[ReportCell, ...]
     audit: tuple[str, ...]
     uniform_in_c: bool
@@ -564,7 +700,7 @@ class ObstructionReport(NamedTuple):
 
     def to_json(self):
         return {
-            "schema": "rhoslice.report/3",
+            "schema": "rhoslice.report/4",
             "verdict": self.verdict,
             "c_max": self.c_max,
             "mode": self.mode,
@@ -577,18 +713,13 @@ class ObstructionReport(NamedTuple):
         }
 
 
-def _sweep_class(assembly: Assembly, prime: LaurentPoly, key: str,
-                 types: list[Slot], mode: str, audit: dict[str, None]
-                 ) -> tuple[SlotTypeTable, list[ReportCell]]:
-    """The slot-type table and the cells of one isotypic class.
-
-    Each slot type's facts are computed and audited once, on copy 1.  Cells
-    come sorted by (support size, slot positions of the representative
-    support), which for one copy per type is the order of the supports
-    themselves.
-    """
+def _slot_table(assembly: Assembly, prime: LaurentPoly, key: str,
+                types: list[Slot], mode: str, audit: dict[str, None]
+                ) -> tuple[SlotTypeTable, list[list[int]], list[str]]:
+    """The slot-type table of one isotypic class, with every copy's slot
+    position and the labels in slot order.  Each slot type's facts are
+    computed and audited once, on copy 1."""
     spec = assembly.spec
-    prime_name = str(prime)
     exprs = []
     for slot in types:
         expr, lines = _slot_expr(assembly, prime, slot, mode)
@@ -609,7 +740,18 @@ def _sweep_class(assembly: Assembly, prime: LaurentPoly, key: str,
             for j in group:
                 positions[j].append(len(labels))
                 labels.append(types[j]._replace(copy=copy).label(spec))
+    table = SlotTypeTable(1, key, str(prime),
+                          tuple(tuple(labels[i] for i in p) for p in positions),
+                          tuple(exprs))
+    audit.setdefault(_count_line(table))
+    return table, positions, labels
 
+
+def _sweep_class(table: SlotTypeTable, positions: list[list[int]],
+                 labels: list[str]) -> list[ReportCell]:
+    """The cells of one isotypic class, one per count vector, sorted by
+    (support size, slot positions of the representative support), which
+    for one copy per type is the order of the supports themselves."""
     counted = itertools.product(*(range(len(p) + 1) for p in positions))
     zero = next(counted)
 
@@ -620,21 +762,17 @@ def _sweep_class(assembly: Assembly, prime: LaurentPoly, key: str,
     for counts in counted:
         last = max(j for j, k in enumerate(counts) if k)
         lower = counts[:last] + (counts[last] - 1,) + counts[last + 1:]
-        value[counts] = value[lower] + exprs[last]
+        value[counts] = value[lower] + table.rho[last]
         support = sorted(i for p, k in zip(positions, counts) for i in p[:k])
         rows.append((len(support), support, counts))
     rows.sort()
     cells = []
     for _, support, counts in rows:
         expr = value[counts]
-        cells.append(ReportCell(1, key, prime_name, counts,
+        cells.append(ReportCell(1, table.class_key, table.prime, counts,
                                 tuple(labels[i] for i in support), expr,
                                 expr.is_verifiably_nonzero()))
-    table = SlotTypeTable(1, key, prime_name,
-                          tuple(tuple(labels[i] for i in p) for p in positions),
-                          tuple(exprs))
-    audit.setdefault(_count_line(table))
-    return table, cells
+    return cells
 
 
 def _count_line(table: SlotTypeTable) -> str:
@@ -646,12 +784,10 @@ def _count_line(table: SlotTypeTable) -> str:
             f"its 2^{sum(sizes)} - 1 supports")
 
 
-def _sweep(assembly: Assembly, mode: str, audit: dict[str, None]
-           ) -> list[tuple[SlotTypeTable, list[ReportCell]]]:
-    """(slot-type table, cells) of every isotypic class with slots, in class
-    order, each class keyed by its prime in the knot's variable s.  The cell
-    and support bounds are checked for every class before any slot is
-    evaluated."""
+def _classes(assembly: Assembly) -> list[tuple[LaurentPoly, list[Slot], int]]:
+    """(prime, slot types, count vectors) of every isotypic class with
+    slots, in class order.  The cell and support bounds are checked for
+    every class before any slot is evaluated."""
     classes = []
     for prime in assembly.primes:
         types = _slots_for_prime(assembly, prime)
@@ -670,31 +806,78 @@ def _sweep(assembly: Assembly, mode: str, audit: dict[str, None]
                 "slot labels, more than MAX_SUPPORT_ENTRIES_PER_CLASS = "
                 f"{MAX_SUPPORT_ENTRIES_PER_CLASS}")
         if types:
-            classes.append((prime, types))
-    return [_sweep_class(assembly, prime, str(prime.rename("s")), types,
-                         mode, audit)
-            for prime, types in classes]
+            classes.append((prime, types, n_cells))
+    return classes
 
 
-def verify_obstructed(spec: FamilySpec, c_max: int,
-                      mode: str = "symbolic") -> ObstructionReport:
-    """Evaluate, at complexity 1, every count vector of the slot types of
+def _decide(assembly: Assembly, mode: str, cells: bool,
+            audit: dict[str, None]
+            ) -> list[tuple[SlotTypeTable, list[ReportCell], list[ReportCell]]]:
+    """(slot-type table, listed cells, witnesses) of every isotypic class
+    with slots, each keyed by its prime in the knot's variable s.
+
+    A class of more than LISTED_CELLS_PER_CLASS count vectors is decided by
+    its certificate when it has one; every other class is enumerated.  The
+    cells of an enumerated class are listed when `cells` is set or the
+    class is that small, and otherwise only its witnesses are kept.  With
+    `cells`, a certified class is enumerated too, and a vanishing cell
+    there refutes the certificate."""
+    out = []
+    for prime, types, n_cells in _classes(assembly):
+        table, positions, labels = _slot_table(
+            assembly, prime, str(prime.rename("s")), types, mode, audit)
+        cert = (_certificate(table.rho)
+                if n_cells > LISTED_CELLS_PER_CLASS else None)
+        if cert is not None:
+            if not cert.proves(table.rho):
+                raise ObstructionError(
+                    f"c=1: the certificate {cert} of the ({table.prime}) "
+                    "class fails its exact re-check")
+            table = table._replace(certificate=cert)
+            audit.setdefault(
+                f"c=1: ({table.prime}) class: certificate {cert} re-checked "
+                "exactly: y.s_t + alpha*lo_t - beta*hi_t > 0 on each of its "
+                f"{len(types)} slot types, so none of its {n_cells} count "
+                "vectors vanishes (Motzkin's transposition theorem)")
+        if cert is not None and not cells:
+            out.append((table, [], []))
+            continue
+        class_cells = _sweep_class(table, positions, labels)
+        witnesses = [cell for cell in class_cells if not cell.nonvanishing]
+        if cert is not None and witnesses:
+            raise ObstructionError(
+                f"c=1: the certificate {cert} of the ({table.prime}) class "
+                f"is refuted by the vanishing cell {witnesses[0].support}")
+        listed = cells or n_cells <= LISTED_CELLS_PER_CLASS
+        out.append((table, class_cells if listed else [], witnesses))
+    return out
+
+
+def verify_obstructed(spec: FamilySpec, c_max: int, mode: str = "symbolic",
+                      cells: bool = False) -> ObstructionReport:
+    """Decide, at complexity 1, every count vector of the slot types of
     each isotypic class, and carry the verdict to every complexity by the
     complexity-free certificate.
 
-    OBSTRUCTED iff every cell's expression is verifiably nonzero; any
-    unverifiable cell (exact zero, or an interval through zero) yields
-    INCONCLUSIVE with witnesses.  The enumeration discharges the
+    OBSTRUCTED iff no count vector's expression can vanish: each class
+    either has a transposition certificate, re-checked exactly, or is
+    enumerated with every cell verifiably nonzero.  Any unverifiable cell
+    (exact zero, or an interval through zero) yields INCONCLUSIVE with
+    witnesses.  The count vectors discharge the
     self-annihilating-submodule quantifier: a nonzero element of such a
     submodule reduces, by multiplying with the complementary primes, to a
     unit-coordinate element supported on a set of slots, whose value is
     that of its count vector's cell; and a self-annihilating submodule is
     nonzero because the form is nonsingular (validated at assembly).
 
-    A refused certificate raises ObstructionError if any class has a slot.
-    For c = 2..c_max each distinct block form is rebuilt by substituting
-    t^c into its c=1 summands and Gram entries and validated; nothing else
-    is computed at those complexities.
+    The report lists the cells of every class when `cells` is set; without
+    it, only those of enumerated classes of at most LISTED_CELLS_PER_CLASS
+    count vectors, and a certified class evaluates no cell.
+
+    A refused complexity-free certificate raises ObstructionError if any
+    class has a slot.  For c = 2..c_max each distinct block form is rebuilt
+    by substituting t^c into its c=1 summands and Gram entries and
+    validated; nothing else is computed at those complexities.
     """
     if c_max < 1:
         raise ObstructionError("c_max must be at least 1")
@@ -710,7 +893,7 @@ def verify_obstructed(spec: FamilySpec, c_max: int,
         "hermitian, annihilating and nonsingular blockwise; by "
         "construction: the assembled form is the block sum of the "
         "copies' forms": None}
-    found = _sweep(assembly, mode, audit)
+    found = _decide(assembly, mode, cells, audit)
     refused = [p for p in assembly.primes if not capelli_certified(p)]
     if found and refused:
         raise ObstructionError(
@@ -730,12 +913,13 @@ def verify_obstructed(spec: FamilySpec, c_max: int,
               f"substituting t^{c} into the c=1 summands and Gram entries; "
               "validated hermitian, annihilating and nonsingular"] = None
 
-    cells = tuple(cell for _, class_cells in found for cell in class_cells)
-    witnesses = tuple(cell for cell in cells if not cell.nonvanishing)
+    listed = tuple(cell for _, class_cells, _ in found for cell in class_cells)
+    witnesses = tuple(cell for _, _, class_witnesses in found
+                      for cell in class_witnesses)
     certified = bool(assembly.primes) and not refused
-    verdict = "OBSTRUCTED" if cells and not witnesses else "INCONCLUSIVE"
+    verdict = "OBSTRUCTED" if found and not witnesses else "INCONCLUSIVE"
     notes: list[str] = []
-    if not cells:
+    if not found:
         notes.append("no admissible patterns: every curve class is zero in "
                      "the module, so no complexity has a slot; nothing to "
                      "obstruct")
@@ -752,6 +936,20 @@ def verify_obstructed(spec: FamilySpec, c_max: int,
         + (f"the block forms at c = 2..{c_max} were rebuilt by substituting "
            "t^c and validated" if c_max > 1 else "none requested (c_max = 1)")
         + "; cells and slot types are listed at c=1 only")
+    if any(table.certificate for table, _, _ in found):
+        notes.append(
+            "transposition certificate: a class with a certificate (y, alpha, "
+            "beta) has y.s_t + alpha*lo_t - beta*hi_t > 0 on each slot type t, "
+            "whose expression has symbol part s_t and constant interval "
+            "[lo_t, hi_t]; a vanishing count vector k would make the sum of "
+            "k_t times these margins both > 0 and <= 0 (Motzkin's "
+            "transposition theorem), so no cell of the class vanishes")
+    if any(not class_cells for _, class_cells, _ in found):
+        notes.append(
+            f"cells: listed only for enumerated classes of at most "
+            f"{LISTED_CELLS_PER_CLASS} count vectors; a certified class "
+            "evaluates none, and a larger enumerated class keeps only its "
+            "witnesses; cells=True (obstruct --cells) lists every count vector")
     notes.append(
         "quantifier discharge: any nonzero element of a self-annihilating "
         "submodule reduces, by the coprime isotypic multipliers, to a "
@@ -763,7 +961,6 @@ def verify_obstructed(spec: FamilySpec, c_max: int,
         "the audit trail")
 
     return ObstructionReport(
-        verdict=verdict, c_max=c_max, mode=mode, cells=cells,
+        verdict=verdict, c_max=c_max, mode=mode, cells=listed,
         witnesses=witnesses, audit=tuple(audit), uniform_in_c=certified,
-        notes=tuple(notes),
-        slot_types=tuple(table for table, _ in found))
+        notes=tuple(notes), slot_types=tuple(table for table, _, _ in found))

@@ -203,10 +203,11 @@ def test_criterion_7_family(capsys):
                 "beta": Companion.symbol(f"rB{i}")})
             members.append(FamilyMember(K, n))
         spec = FamilySpec(tuple(members), ("K1", "K2", "K3"))
-        report = verify_obstructed(spec, 4)
+        report = verify_obstructed(spec, 4, cells=True)
         assert report.verdict == "OBSTRUCTED"
         assert all(any(v != 0 for _, v in cell.rho.coeffs)
                    for cell in report.cells)
+        assert len(report.cells) == 2 * (2 * 2 * 3 * 3 * 4 * 4 - 1)
 
 
 def test_criterion_8_soundness_negatives():

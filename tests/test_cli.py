@@ -209,7 +209,7 @@ def test_obstruct_structured_deterministic(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     data = json.loads(first)
-    assert data["schema"] == "rhoslice.report/3"
+    assert data["schema"] == "rhoslice.report/4"
     assert data["verdict"] == "OBSTRUCTED"
     assert data["c_max"] == 2
     # cells and slot types are listed at c = 1 only
@@ -217,6 +217,8 @@ def test_obstruct_structured_deterministic(tmp_path, capsys):
     assert {cell["c"] for cell in data["cells"]} == {1}
     assert [len(t["types"]) for t in data["slot_types"]] == [2, 2]
     assert all(len(cell["counts"]) == 2 for cell in data["cells"])
+    # three count vectors per class: enumerated and listed, no certificate
+    assert [t["certificate"] for t in data["slot_types"]] == [None, None]
     assert data["uniform_in_c"] is True
     assert data["audit"]
 
@@ -319,9 +321,10 @@ def test_streamed_report_is_byte_identical(tmp_path, capsys, monkeypatch):
         path = write_doc(tmp_path, wide_family(rng, kind), f"{kind}.json")
         mode = "numeric" if kind == "numeric" else "symbolic"
         code = main(["obstruct", path, "--cmax", "2", "--mode", mode,
-                     "--output", "structured"])
+                     "--output", "structured", "--cells"])
         assert code == (2 if kind == "shared" else 0)
-        report = verify_obstructed(family_spec(load_document(path)), 2, mode)
+        report = verify_obstructed(family_spec(load_document(path)), 2, mode,
+                                   cells=True)
         obj = report.to_json()
         expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
         assert capsys.readouterr().out == expected
@@ -378,6 +381,16 @@ def with_companion(beta):
     (dict(FAMILY_DOC, family=[{"knot": "K1", "multiplicity": True}]), [],
      "family[0]: multiplicity must be a nonzero integer"),
     (K946_DOC, ["--cmax", "101"], "MAX_CMAX = 100"),
+    (dict(K946_DOC, knots="ab"), ["--cmax", "1"], "knots: expected an object"),
+    (dict(FAMILY_DOC, family=[{"knot": ["K1"], "multiplicity": 1}]),
+     ["--cmax", "1"], "family[0]: knot must be a string"),
+    (dict(K946_DOC, companions={}, pattern=dict(K946_DOC["pattern"], curves=[
+        {"name": ["alpha"], "class": ["1", "0"]}])), ["--cmax", "1"],
+     "pattern.curves[0]: name must be a string"),
+    (with_companion({"symbol": ["x"]}), ["--cmax", "1"],
+     "companions.beta: symbol must be a string"),
+    (dict(K946_DOC, pattern=dict(K946_DOC["pattern"], name=["9_46"])),
+     ["--cmax", "1"], "pattern.name: expected a string"),
 ])
 def test_bad_input_exits_1_without_a_traceback(tmp_path, doc, argv, message):
     proc = subprocess.run(

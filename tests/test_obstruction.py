@@ -367,7 +367,8 @@ def test_single_example_obstructed():
 
 
 def test_family_obstructed():
-    report = verify_obstructed(family_spec((1, -2)), 2)
+    report = verify_obstructed(family_spec((1, -2)), 2, cells=True)
+    assert all(t.certificate for t in report.slot_types)
     assert report.verdict == "OBSTRUCTED"
     assert all(any(v != 0 for _, v in cell.rho.coeffs) for cell in report.cells)
 
@@ -625,6 +626,18 @@ CERTIFICATE_NOTE = (
     "every c >= 1")
 NO_SLOT_NOTE = ("no admissible patterns: every curve class is zero in the "
                 "module, so no complexity has a slot; nothing to obstruct")
+TRANSPOSITION_NOTE = (
+    "transposition certificate: a class with a certificate (y, alpha, beta) "
+    "has y.s_t + alpha*lo_t - beta*hi_t > 0 on each slot type t, whose "
+    "expression has symbol part s_t and constant interval [lo_t, hi_t]; a "
+    "vanishing count vector k would make the sum of k_t times these margins "
+    "both > 0 and <= 0 (Motzkin's transposition theorem), so no cell of the "
+    "class vanishes")
+CHECKED_LINE = re.compile(
+    r"^c=1: \((.*)\) class: certificate y = \{.*\}, alpha = \S+, beta = "
+    r"\S+ re-checked exactly: y\.s_t \+ alpha\*lo_t - beta\*hi_t > 0 on "
+    r"each of its \d+ slot types, so none of its \d+ count vectors vanishes "
+    r"\(Motzkin's transposition theorem\)$")
 SELF_CHECK_LINE = re.compile(
     r"^c=(\d+): \d+ distinct block forms rebuilt by substituting t\^\1 into "
     r"the c=1 summands and Gram entries; validated hermitian, annihilating "
@@ -646,6 +659,10 @@ COUNT_WORDS = ("; the slot facts of each type ran once, on copy 1, as its "
                "copies share one block form;")
 
 
+def without_certificates(tables):
+    return tuple(t._replace(certificate=None) for t in tables)
+
+
 def assert_same_answers(report, old):
     """The c = 1 report answers as a per-complexity sweep does: the same
     verdict and certificate, and its cells, witnesses and slot-type tables
@@ -658,6 +675,8 @@ def assert_same_answers(report, old):
     prime_at_one = {t.class_key: t.prime for t in report.slot_types}
     for name in ("cells", "witnesses", "slot_types"):
         mine, theirs = getattr(report, name), getattr(old, name)
+        if name == "slot_types":
+            mine = without_certificates(mine)
         assert mine == tuple(x for x in theirs if x.complexity == 1), name
         for c in range(2, old.c_max + 1):
             at_c = [x for x in theirs if x.complexity == c]
@@ -670,14 +689,25 @@ def assert_same_answers(report, old):
     if report.uniform_in_c:
         expected.append(CERTIFICATE_NOTE)
     expected.append(self_check_note(report.c_max))
+    certified = [t for t in report.slot_types if t.certificate]
+    if certified:
+        expected.append(TRANSPOSITION_NOTE)
     assert report.notes == tuple(expected) + old.notes[-2:]
     at_one = tuple(line.replace(SWEEP_COUNT_WORDS, COUNT_WORDS)
                    for line in old.audit if line.startswith("c=1: ")
                    and not LATER_COPY_LINE.match(line))
-    assert report.audit[:len(at_one)] == at_one
+    audit = [line for line in report.audit if not CHECKED_LINE.match(line)]
+    assert audit[:len(at_one)] == list(at_one)
     assert [int(SELF_CHECK_LINE.match(line).group(1))
-            for line in report.audit[len(at_one):]] == \
+            for line in audit[len(at_one):]] == \
         list(range(2, report.c_max + 1))
+    # one re-check line per certified class, after that class's count line
+    checked = [line for line in report.audit if CHECKED_LINE.match(line)]
+    assert [CHECKED_LINE.match(line).group(1) for line in checked] == \
+        [t.prime for t in certified]
+    for line, table in zip(checked, certified):
+        assert report.audit[report.audit.index(line) - 1] == \
+            obstruction._count_line(table)
 
 
 def random_companion(rng, kinds):
@@ -728,7 +758,7 @@ def test_sweep_matches_oracle(seed):
     report = full_sweep(spec, c_max, mode)
     oracle = oracle_report(spec, c_max, mode)
     assert_matches_oracle(report, oracle)
-    mine = verify_obstructed(spec, c_max, mode)
+    mine = verify_obstructed(spec, c_max, mode, cells=True)
     assert_same_answers(mine, report)
     assert_same_answers(mine, certified_sweep(spec, c_max, mode))
     assert oracle_report(spec, c_max, mode, prefix_sums=True) == oracle
@@ -748,7 +778,7 @@ def test_twelve_slot_sweep_matches_oracle(mode):
             break
     report = full_sweep(spec, 1, mode)
     oracle = oracle_report(spec, 1, mode)
-    assert_same_answers(verify_obstructed(spec, 1, mode), report)
+    assert_same_answers(verify_obstructed(spec, 1, mode, cells=True), report)
     assert len(oracle.cells) == 2 * (2 ** 12 - 1)
     # each member gives a K and a -tK slot type of |n_i| copies per class
     assert len(report.cells) == 2 * (math.prod(
@@ -766,7 +796,8 @@ def test_repeated_copies_sweep_matches_oracle(mode):
         report = full_sweep(spec, c_max, mode)
         assert_matches_oracle(
             report, oracle_report(spec, c_max, mode, prefix_sums=True))
-        assert_same_answers(verify_obstructed(spec, c_max, mode), report)
+        assert_same_answers(verify_obstructed(spec, c_max, mode, cells=True),
+                            report)
         witnessed += bool(report.witnesses)
         repeated += any(abs(m.multiplicity) > 1 for m in spec.members)
     assert witnessed >= 2 and repeated >= 3
@@ -788,7 +819,8 @@ def test_single_copy_cells_match_oracle_in_order(mode):
         report = full_sweep(spec, c_max, mode)
         oracle = oracle_report(spec, c_max, mode)
         assert_matches_oracle(report, oracle)
-        assert_same_answers(verify_obstructed(spec, c_max, mode), report)
+        assert_same_answers(verify_obstructed(spec, c_max, mode, cells=True),
+                            report)
         assert without_counts(report.cells) == without_counts(oracle.cells)
         assert without_counts(report.witnesses) == \
             without_counts(oracle.witnesses)
@@ -839,7 +871,7 @@ def test_support_bound_is_checked_before_any_cell(monkeypatch):
 
 
 def test_support_bound_counts_the_listed_labels():
-    report = verify_obstructed(family_spec((1, -2, 3)), 1)
+    report = verify_obstructed(family_spec((1, -2, 3)), 1, cells=True)
     for table in report.slot_types:
         sizes = [len(labels) for labels in table.slots]
         listed = sum(len(cell.support) for cell in report.cells
@@ -849,7 +881,7 @@ def test_support_bound_counts_the_listed_labels():
 
 def test_multiplicity_forty_member_runs():
     # 80 slots per class, once refused by a bound of 20 slots
-    report = verify_obstructed(family_spec((40,)), 1)
+    report = verify_obstructed(family_spec((40,)), 1, cells=True)
     assert report.verdict == "OBSTRUCTED"
     assert len(report.cells) == 2 * (41 ** 2 - 1)
     assert [len(slots) for t in report.slot_types for slots in t.slots] == \
@@ -928,7 +960,7 @@ def test_certificate_sweep_matches_full_sweep(seed):
         kinds = SYMBOLIC_KINDS if mode == "symbolic" else NUMERIC_KINDS
         spec = random_family(rng, 3, kinds, shared=0.4)
         c_max = rng.randint(2, 6)
-    report = verify_obstructed(spec, c_max, mode)
+    report = verify_obstructed(spec, c_max, mode, cells=True)
     assert report.uniform_in_c
     assert_same_answers(report, full_sweep(spec, c_max, mode))
     assert_same_answers(report, certified_sweep(spec, c_max, mode))
@@ -1015,7 +1047,7 @@ def test_slot_facts_run_at_c1_only_under_the_certificate(monkeypatch):
     monkeypatch.setattr(obstruction, "_slot_contributions", counted)
     spec = family_spec((1, -2))
     # 2 members, each with a K and a -tK slot type per class, 2 classes
-    report = verify_obstructed(spec, 4)
+    report = verify_obstructed(spec, 4, cells=True)
     assert calls == [(1, 1)] * 8
     calls.clear()
     # the per-complexity sweep evaluates all 6 slots per class at every c
@@ -1036,11 +1068,12 @@ def test_one_block_per_member_part(monkeypatch):
     spec = family_spec((40,))
     assert len(obstruction._assemble_full(spec).blocks) == 2
     monkeypatch.setattr(obstruction, "_slot_contributions", counted)
-    report = verify_obstructed(spec, 1)
+    report = verify_obstructed(spec, 1, cells=True)
     assert len(calls) == 4 and {slot.copy for slot in calls} == {1}
     monkeypatch.undo()
     old = full_sweep(spec, 1)
-    assert (report.cells, report.slot_types) == (old.cells, old.slot_types)
+    assert (report.cells, without_certificates(report.slot_types)) == \
+        (old.cells, old.slot_types)
     assert_same_answers(report, old)
 
 

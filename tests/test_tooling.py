@@ -172,10 +172,12 @@ def test_benchmark_checks_pass(command):
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
-def test_obstruct_output_is_independent_of_hash_seed(tmp_path):
-    # Slot types come from blocks keyed by (member, block) and slot
-    # positions from a grouping by member; the report must not depend on
-    # the iteration order of hashed containers.
+@pytest.mark.parametrize("cells", ([], ["--cells"]), ids=("default", "cells"))
+def test_obstruct_output_is_independent_of_hash_seed(tmp_path, cells):
+    # Slot types come from blocks keyed by (member, block), slot positions
+    # from a grouping by member and certificates from the sorted symbols;
+    # the report must not depend on the iteration order of hashed
+    # containers, with the cells listed or not.
     curves = [{"name": "alpha", "class": ["1", "0"]},
               {"name": "beta", "class": ["0", "1"]}]
     doc = {
@@ -196,20 +198,38 @@ def test_obstruct_output_is_independent_of_hash_seed(tmp_path):
                    {"knot": "K3", "multiplicity": 1},
                    {"knot": "K4", "multiplicity": -2}],
     }
-    path = tmp_path / "family.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    runs = []
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(
-                       [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
-                                              if "PYTHONPATH" in os.environ
-                                              else [])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rhoslice.cli", "obstruct", str(path),
-             "--cmax", "2", "--output", "structured"],
-            cwd=tmp_path, env=env, capture_output=True, timeout=300)
-        runs.append((proc.returncode, proc.stdout, proc.stderr))
-    assert runs[0] == runs[1]
-    assert runs[0][0] == 2
-    assert json.loads(runs[0][1])["verdict"] == "INCONCLUSIVE"
+    # the same members with companions of one sign per class, and K3 (whose
+    # trivial beta companion vanishes) left out: both classes certified
+    knots = dict(doc["knots"],
+                 K1={"companions": {"alpha": {"symbol": "r"},
+                                    "beta": {"symbol": "p"}}},
+                 K2={"companions": {"alpha": {"rho0": "-1/3"},
+                                    "beta": {"rho0_interval": ["1/5", "1/4"]}}},
+                 K4={"companions": {"alpha": {"symbol": "q"},
+                                    "beta": {"rho0": "1/2"}}})
+    certified = dict(doc, knots=knots, family=[
+        m for m in doc["family"] if m["knot"] != "K3"])
+    env = {seed: dict(os.environ, PYTHONHASHSEED=seed,
+                      PYTHONPATH=os.pathsep.join(
+                          [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
+                                                 if "PYTHONPATH" in os.environ
+                                                 else [])))
+           for seed in ("0", "1")}
+    for family, code, verdict in ((doc, 2, "INCONCLUSIVE"),
+                                  (certified, 0, "OBSTRUCTED")):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(family), encoding="utf-8")
+        runs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "rhoslice.cli", "obstruct", str(path),
+                 "--cmax", "2", "--output", "structured", *cells],
+                cwd=tmp_path, env=env[seed], capture_output=True, timeout=300)
+            runs.append((proc.returncode, proc.stdout, proc.stderr))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code
+        report = json.loads(runs[0][1])
+        assert report["verdict"] == verdict
+        assert bool(report["cells"]) == bool(cells)
+        assert all(bool(t["certificate"]) == (verdict == "OBSTRUCTED")
+                   for t in report["slot_types"])
