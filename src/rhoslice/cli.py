@@ -20,7 +20,9 @@ or a pattern with infection data, optionally a whole family:
 Companion values are {"symbol": name}, {"rho0": "p/q"},
 {"rho0_interval": ["lo", "hi"]} or {"seifert": [[...]]} (signature integral
 computed from the matrix).  Curve classes are rational strings or
-serialized polynomials ({"coefficients": {"0": "1"}}).
+serialized polynomials ({"coefficients": {"0": "1"}}), with exponents of at
+most MAX_CURVE_EXPONENT in absolute value.  JSON integers are rationals;
+JSON floats and booleans are refused, as 0.1 would be read in binary.
 
 Subcommands: info, obstruct, signature.  Exit codes for obstruct: 0 when
 OBSTRUCTED, 2 when INCONCLUSIVE, 1 on errors.  `obstruct --output
@@ -37,12 +39,11 @@ the types, a representative `support` and its expression), as report/3
 did, and a certified class is enumerated too and must agree.  Then come
 the audit trail and the notes.  `uniform_in_c` is true when the
 complexity-free certificate carries the verdict to every complexity, and
-`c_max` echoes the depth of the complexity self-check.  The text output
-lists the same.  A reader that
-closes the output early (`rhoslice ... | head -1`) ends the command with
-exit code 1 and no traceback.  The environment variable
-RHOSLICE_PRECISION bounds the width of certified intervals (default
-1/1000000).
+`c_max` echoes `--cmax`, for which nothing is computed.  The text output
+lists the same.  A reader that closes the output early (`rhoslice ... |
+head -1`) ends the command with exit code 1 and no traceback.  The
+environment variable RHOSLICE_PRECISION bounds the width of certified
+intervals (default 1/1000000).
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from typing import NamedTuple
 
 from .blanchfield import blanchfield_form
 from .obstruction import (
-    MAX_CMAX,
     Companion,
     FamilyMember,
     FamilySpec,
@@ -70,6 +70,9 @@ from .seifert import PatternKnot, SeifertError, SeifertMatrix, alexander_polynom
 from .signatures import SignatureError, precision_budget, rho0_from_signature, signature_function
 
 SCHEMA = "rhoslice.knot/1"
+# Largest |exponent| in a curve class: reducing a class modulo its
+# summand's annihilator costs about the square of its exponents.
+MAX_CURVE_EXPONENT = 1000
 
 
 class DocumentError(ValueError):
@@ -147,6 +150,8 @@ def _parse_matrix(data, where: str) -> SeifertMatrix:
 
 
 def _parse_rational(value, where: str) -> Fraction:
+    _require(not isinstance(value, (bool, float)), where,
+             f"{value!r} is not exact; write a rational as a \"p/q\" string")
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
@@ -154,12 +159,20 @@ def _parse_rational(value, where: str) -> Fraction:
 
 
 def _parse_poly(data, where: str) -> LaurentPoly:
-    if isinstance(data, (str, int)):
+    if not isinstance(data, dict):
         return LaurentPoly.constant(_parse_rational(data, where), "s")
+    coeffs = data.get("coefficients", {})
+    _require(isinstance(coeffs, dict), where, f"bad polynomial {data!r}: "
+             "coefficients must map exponents to rationals")
     try:
-        return LaurentPoly.from_json(data, variable="s").rename("s")
-    except (PolyalgError, ValueError, TypeError, ZeroDivisionError) as exc:
+        terms = {int(e): _parse_rational(c, f"exponent {e}")
+                 for e, c in coeffs.items()}
+    except ValueError as exc:
         raise DocumentError(f"{where}: bad polynomial {data!r}: {exc}") from exc
+    top = max(map(abs, terms), default=0)
+    _require(top <= MAX_CURVE_EXPONENT, where,
+             f"exponent {top} exceeds MAX_CURVE_EXPONENT = {MAX_CURVE_EXPONENT}")
+    return LaurentPoly(terms, "s")
 
 
 def _parse_pattern(data, where: str) -> PatternKnot:
@@ -481,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ob = sub.add_parser("obstruct", help="run the obstruction sweep")
     p_ob.add_argument("file")
     p_ob.add_argument("--cmax", type=int, default=5,
-                      help="depth of the complexity self-check (default 5, "
-                      f"at most {MAX_CMAX})")
+                      help="echoed as c_max in the report; nothing is "
+                      "computed for it (default 5)")
     p_ob.add_argument("--mode", choices=("symbolic", "numeric"),
                       default="symbolic")
     p_ob.add_argument("--output", choices=("text", "structured"),

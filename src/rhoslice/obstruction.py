@@ -58,8 +58,8 @@ substituted, zero exactly when it is, and every slot fact and cell at
 complexity c is the c=1 one with its prime renamed.  Base change keeps the
 form nonsingular, as Q[t] is free over Q[t^c] on 1, t, ..., t^(c-1) and
 Q(t)/Q[t^{±1}] splits the same way.  So the cells are evaluated and listed
-at c = 1 only.  `c_max` is the depth of a self-check: for c = 2..c_max each
-distinct block form is rebuilt by substituting t^c and validated.
+at c = 1 only, and nothing is computed at any later complexity: `c_max` is
+only echoed in the report.
 
 Every genus-one pattern with a metabolizer passes the certificate: its
 Alexander polynomial is (at - b)(bt - a) with |a - b| = 1, and b/a, a
@@ -98,9 +98,6 @@ MAX_CELLS_PER_CLASS = 2 ** 20 - 1
 # Slot labels the representative supports of one class list in all; they
 # grow with the cube of a member's multiplicity, the cells with its square.
 MAX_SUPPORT_ENTRIES_PER_CLASS = 2 ** 20
-# Depth of the complexity self-check, whose cost grows about quadratically
-# with the depth.
-MAX_CMAX = 100
 # A class of at most this many count vectors (two single-copy slot types,
 # as in one knot K # -tK) is enumerated and its cells listed even when cells
 # are not requested: they are as short to read as a certificate.
@@ -748,10 +745,11 @@ def _slot_table(assembly: Assembly, prime: LaurentPoly, key: str,
 
 
 def _sweep_class(table: SlotTypeTable, positions: list[list[int]],
-                 labels: list[str]) -> list[ReportCell]:
-    """The cells of one isotypic class, one per count vector, sorted by
-    (support size, slot positions of the representative support), which
-    for one copy per type is the order of the supports themselves."""
+                 labels: list[str], listed: bool) -> list[ReportCell]:
+    """The cells of one isotypic class, one per count vector when `listed`
+    and otherwise only the vanishing ones, sorted by (support size, slot
+    positions of the representative support), which for one copy per type
+    is the order of the supports themselves."""
     counted = itertools.product(*(range(len(p) + 1) for p in positions))
     zero = next(counted)
 
@@ -762,17 +760,17 @@ def _sweep_class(table: SlotTypeTable, positions: list[list[int]],
     for counts in counted:
         last = max(j for j, k in enumerate(counts) if k)
         lower = counts[:last] + (counts[last] - 1,) + counts[last + 1:]
-        value[counts] = value[lower] + table.rho[last]
-        support = sorted(i for p, k in zip(positions, counts) for i in p[:k])
-        rows.append((len(support), support, counts))
+        expr = value[counts] = value[lower] + table.rho[last]
+        nonzero = expr.is_verifiably_nonzero()
+        if listed or not nonzero:
+            support = sorted(i for p, k in zip(positions, counts)
+                             for i in p[:k])
+            rows.append((len(support), support, counts, nonzero))
     rows.sort()
-    cells = []
-    for _, support, counts in rows:
-        expr = value[counts]
-        cells.append(ReportCell(1, table.class_key, table.prime, counts,
-                                tuple(labels[i] for i in support), expr,
-                                expr.is_verifiably_nonzero()))
-    return cells
+    return [ReportCell(1, table.class_key, table.prime, counts,
+                       tuple(labels[i] for i in support), value[counts],
+                       nonzero)
+            for _, support, counts, nonzero in rows]
 
 
 def _count_line(table: SlotTypeTable) -> str:
@@ -842,13 +840,13 @@ def _decide(assembly: Assembly, mode: str, cells: bool,
         if cert is not None and not cells:
             out.append((table, [], []))
             continue
-        class_cells = _sweep_class(table, positions, labels)
+        listed = cells or n_cells <= LISTED_CELLS_PER_CLASS
+        class_cells = _sweep_class(table, positions, labels, listed)
         witnesses = [cell for cell in class_cells if not cell.nonvanishing]
         if cert is not None and witnesses:
             raise ObstructionError(
                 f"c=1: the certificate {cert} of the ({table.prime}) class "
                 f"is refuted by the vanishing cell {witnesses[0].support}")
-        listed = cells or n_cells <= LISTED_CELLS_PER_CLASS
         out.append((table, class_cells if listed else [], witnesses))
     return out
 
@@ -875,15 +873,10 @@ def verify_obstructed(spec: FamilySpec, c_max: int, mode: str = "symbolic",
     count vectors, and a certified class evaluates no cell.
 
     A refused complexity-free certificate raises ObstructionError if any
-    class has a slot.  For c = 2..c_max each distinct block form is rebuilt
-    by substituting t^c into its c=1 summands and Gram entries and
-    validated; nothing else is computed at those complexities.
+    class has a slot.  `c_max` is only echoed: nothing is computed for it.
     """
     if c_max < 1:
         raise ObstructionError("c_max must be at least 1")
-    if c_max > MAX_CMAX:
-        raise ObstructionError(
-            f"c_max {c_max} exceeds the self-check bound MAX_CMAX = {MAX_CMAX}")
     if mode not in ("symbolic", "numeric"):
         raise ObstructionError(f"unknown mode {mode!r}")
     assembly = _assemble_full(spec)
@@ -905,14 +898,6 @@ def verify_obstructed(spec: FamilySpec, c_max: int, mode: str = "symbolic",
             "has such a prime: its Alexander polynomial is (at - b)(bt - a) "
             "with |a - b| = 1, and b/a is positive, not 1 and no k-th power")
 
-    patterns = dict.fromkeys(b.pattern for b in assembly.blocks.values())
-    for c in range(2, c_max + 1):
-        for pattern in patterns:
-            _block_form(pattern)[0].subs_power(c).validate()
-        audit[f"c={c}: {len(patterns)} distinct block forms rebuilt by "
-              f"substituting t^{c} into the c=1 summands and Gram entries; "
-              "validated hermitian, annihilating and nonsingular"] = None
-
     listed = tuple(cell for _, class_cells, _ in found for cell in class_cells)
     witnesses = tuple(cell for _, _, class_witnesses in found
                       for cell in class_witnesses)
@@ -931,11 +916,8 @@ def verify_obstructed(spec: FamilySpec, c_max: int, mode: str = "symbolic",
             "block form at complexity c is its c=1 form under t -> t^c, "
             "every cell at complexity c is its c=1 cell with the prime "
             "renamed, and the verdict holds for every c >= 1")
-    notes.append(
-        "complexity self-check: "
-        + (f"the block forms at c = 2..{c_max} were rebuilt by substituting "
-           "t^c and validated" if c_max > 1 else "none requested (c_max = 1)")
-        + "; cells and slot types are listed at c=1 only")
+    notes.append("c_max: echoed only, and nothing is computed for it; "
+                 "cells and slot types are listed at c=1 only")
     if any(table.certificate for table, _, _ in found):
         notes.append(
             "transposition certificate: a class with a certificate (y, alpha, "

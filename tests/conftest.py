@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from rhoslice.almodule import AlexanderModule, Summand
+from rhoslice.blanchfield import LinkingForm
 from rhoslice.linalg import PolyMatrix, poly_mat_identity
-from rhoslice.polyalg import LaurentPoly, divides
+from rhoslice.polyalg import FracCoset, LaurentPoly, coset_reduce, divides
 from rhoslice.seifert import SeifertMatrix
 from rhoslice.signatures import GaussianRational
 
@@ -146,6 +148,21 @@ def snf_is_valid(A, U, D, W, U_inv):
             assert b.is_zero() or divides(a, b)
         else:
             assert b.is_zero()
+
+
+def hyperbolic_form(prime: LaurentPoly):
+    """A validated hyperbolic form on Q[t]/(p) (+) Q[t]/(p*), p* the
+    normalized p(t^{-1}), with curves alpha and beta on the two generators
+    and Bl(alpha, beta) = 1/p, shaped like the form of 9_46: (form, curve
+    classes)."""
+    first, second = prime.monic(), prime.conj().monic()
+    module = AlexanderModule("t", 1, (
+        Summand(first, first, 1, "alpha"), Summand(second, second, 1, "beta")))
+    z = coset_reduce(LaurentPoly.one("t"), first)
+    zero = FracCoset.zero("t")
+    form = LinkingForm(module, ((zero, z), (z.conj(), zero)))
+    form.validate()
+    return form, {"alpha": module.generator(0), "beta": module.generator(1)}
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rhoslice import linalg
 from rhoslice.almodule import Submodule, direct_sum
@@ -15,7 +17,7 @@ from rhoslice.blanchfield import (
     blanchfield_form,
     is_self_annihilating,
 )
-from rhoslice.polyalg import FracCoset, LaurentPoly, coset_reduce, gcd_laurent, reduce_mod
+from rhoslice.polyalg import FracCoset, LaurentPoly, capelli_certified, coset_reduce, gcd_laurent, reduce_mod
 from rhoslice.seifert import (
     PatternKnot,
     SeifertMatrix,
@@ -25,7 +27,7 @@ from rhoslice.seifert import (
     unknot,
 )
 
-from conftest import cofactor_adjugate, cofactor_det, random_laurent, random_seifert
+from conftest import cofactor_adjugate, cofactor_det, hyperbolic_form, random_laurent, random_seifert
 from sweep_oracle import basechange_form, direct_sum_forms
 
 S = LaurentPoly.var("s")
@@ -236,6 +238,65 @@ def test_subs_power_validates_and_matches_basechange_without_splitting(rng):
             else:
                 split += 1
     assert split   # the trefoil's t^2 - t + 1 splits at c = 5
+
+
+# -- substitution t -> t^c as a property ----------------------------------------
+
+
+T = LaurentPoly.var("t")
+
+# linear primes t - r, and nonlinear ones, none equal to its own reverse;
+# the certificate accepts r = 2, -2 and 3/2 and refuses the powers 4, 1/4
+# and -8, the members -4 and -4/81 of -4Q^4, and every nonlinear prime
+HYPERBOLIC_PRIMES = tuple(T - r for r in (2, -2, Fraction(3, 2), 4,
+                                          Fraction(1, 4), -8, -4,
+                                          Fraction(-4, 81))) + (
+    T * T + 2, T ** 3 - 2, T * T + T + 3)
+
+
+def _recipe_form(recipe) -> LinkingForm:
+    kind, arg = recipe
+    if kind == "hyperbolic":
+        return hyperbolic_form(HYPERBOLIC_PRIMES[arg])[0]
+    if kind == "pattern":   # (nt - (n+1))((n+1)t - n): certified primes
+        return blanchfield_form(SeifertMatrix([[0, arg], [arg + 1, 0]]))[0]
+    genus, seed = arg
+    return blanchfield_form(random_seifert(random.Random(seed), genus))[0]
+
+
+form_recipes = st.one_of(
+    st.tuples(st.just("seifert"),
+              st.tuples(st.sampled_from((1, 2)), st.integers(0, 2 ** 32 - 1))),
+    st.tuples(st.just("pattern"), st.integers(1, 40)),
+    st.tuples(st.just("hyperbolic"),
+              st.integers(0, len(HYPERBOLIC_PRIMES) - 1)))
+
+
+@given(form_recipes, st.integers(2, 100))
+@settings(max_examples=80, deadline=None)
+@example(("seifert", (1, 5)), 100)      # s^2 - 7/4*s + 1, refused
+@example(("seifert", (2, 4)), 100)      # two quadratic primes, refused
+@example(("pattern", 1), 100)           # 9_46
+@example(("hyperbolic", 3), 100)        # t - 4, refused
+@example(("hyperbolic", 6), 97)         # t + 4, refused
+@example(("hyperbolic", 8), 100)        # t^2 + 2, refused
+def test_substitution_keeps_every_validated_form_valid(recipe, c):
+    """Hermitian symmetry and annihilation commute with t -> t^c, and
+    nonsingularity survives as Q[t] is free over Q[t^c]: a validated form
+    stays valid under the substitution, whether or not the certificate
+    accepts its primes, so no complexity needs its forms rebuilt."""
+    B = _recipe_form(recipe)
+    B.validate()
+    Bc = B.subs_power(c, "t")
+    Bc.validate()
+    assert Bc.module.dim_q() == c * B.module.dim_q()
+    assert Bc.module.complexity == c
+    assert _cyclic_nonsingular(Bc) == _cyclic_nonsingular(B)
+
+
+def test_hyperbolic_primes_meet_both_answers_of_the_certificate():
+    answers = [capelli_certified(p) for p in HYPERBOLIC_PRIMES]
+    assert answers == [True] * 3 + [False] * 8
 
 
 # -- orthogonal complements --------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -363,6 +364,12 @@ def with_companion(beta):
                                       "beta": beta})
 
 
+def with_alpha_class(entry):
+    return dict(K946_DOC, pattern=dict(K946_DOC["pattern"], curves=[
+        {"name": "alpha", "class": [entry, "0"]},
+        {"name": "beta", "class": ["0", "1"]}]))
+
+
 @pytest.mark.parametrize("doc, argv, message", [
     (with_companion({"rho0": "1/0"}), [], "companions.beta: bad rational"),
     (with_companion({"rho0_interval": ["a", "1"]}), [],
@@ -380,7 +387,8 @@ def with_companion(beta):
      [], "pattern.curves[0]: bad polynomial"),
     (dict(FAMILY_DOC, family=[{"knot": "K1", "multiplicity": True}]), [],
      "family[0]: multiplicity must be a nonzero integer"),
-    (K946_DOC, ["--cmax", "101"], "MAX_CMAX = 100"),
+    (with_alpha_class({"coefficients": [1]}), [],
+     "pattern.curves[0]: bad polynomial"),
     (dict(K946_DOC, knots="ab"), ["--cmax", "1"], "knots: expected an object"),
     (dict(FAMILY_DOC, family=[{"knot": ["K1"], "multiplicity": 1}]),
      ["--cmax", "1"], "family[0]: knot must be a string"),
@@ -391,6 +399,25 @@ def with_companion(beta):
      "companions.beta: symbol must be a string"),
     (dict(K946_DOC, pattern=dict(K946_DOC["pattern"], name=["9_46"])),
      ["--cmax", "1"], "pattern.name: expected a string"),
+    (with_alpha_class({"coefficients": "1"}), [],
+     "pattern.curves[0]: bad polynomial"),
+    (with_alpha_class({"coefficients": None}), [],
+     "pattern.curves[0]: bad polynomial"),
+    (with_alpha_class(None), [], "pattern.curves[0]: bad rational None"),
+    (with_alpha_class({"coefficients": {"1001": "1"}}), [],
+     "exponent 1001 exceeds MAX_CURVE_EXPONENT = 1000"),
+    (with_alpha_class({"coefficients": {"-100000000": "1"}}), [],
+     "exponent 100000000 exceeds MAX_CURVE_EXPONENT = 1000"),
+    (with_alpha_class(0.5), [], "pattern.curves[0]: 0.5 is not exact"),
+    (with_alpha_class({"coefficients": {"0": 0.5}}), [],
+     "exponent 0: 0.5 is not exact"),
+    (with_alpha_class({"coefficients": {"0": True}}), [],
+     "exponent 0: True is not exact"),
+    (with_companion({"rho0": 0.1}), [],
+     'companions.beta: 0.1 is not exact; write a rational as a "p/q" string'),
+    (with_companion({"rho0_interval": ["0", 1.5]}), [],
+     "companions.beta: 1.5 is not exact"),
+    (with_companion({"rho0": False}), [], "companions.beta: False is not exact"),
 ])
 def test_bad_input_exits_1_without_a_traceback(tmp_path, doc, argv, message):
     proc = subprocess.run(
@@ -400,3 +427,44 @@ def test_bad_input_exits_1_without_a_traceback(tmp_path, doc, argv, message):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def float_family(alpha1, alpha2):
+    """K1 x3 and K2 x-1 with exact companions; 3*alpha1 - alpha2 is the
+    alpha sum of their copies."""
+    return dict(FAMILY_DOC, knots={
+        "K1": {"companions": {"alpha": {"rho0": alpha1}, "beta": {"rho0": "1"}}},
+        "K2": {"companions": {"alpha": {"rho0": alpha2},
+                              "beta": {"rho0": "1000/7"}}}},
+        family=[{"knot": "K1", "multiplicity": 3},
+                {"knot": "K2", "multiplicity": -1}])
+
+
+def test_json_floats_are_refused_not_read_in_binary(tmp_path, capsys):
+    # as binary floats 3 * 0.1 - 0.3 is 2^-55, not 0, which once turned
+    # this INCONCLUSIVE family into a false OBSTRUCTED
+    path = write_doc(tmp_path, float_family("1/10", "3/10"))
+    argv = ["obstruct", path, "--mode", "numeric", "--output", "structured"]
+    assert main(argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "INCONCLUSIVE"
+    assert report["witnesses"][0]["support"] == [
+        "K1[1].beta", "K1[2].beta", "K1[3].beta", "K2[1].beta"]
+    write_doc(tmp_path, float_family(0.1, 0.3))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ('error: knots.K1.companions.alpha: 0.1 is not '
+                            'exact; write a rational as a "p/q" string\n')
+    with pytest.raises(DocumentError, match="0.1 is not exact"):
+        load_document(path)
+
+
+def test_curve_exponents_at_the_bound_run_in_seconds(tmp_path, capsys):
+    for exponent in (cli.MAX_CURVE_EXPONENT, -cli.MAX_CURVE_EXPONENT):
+        path = write_doc(tmp_path, with_alpha_class(
+            {"coefficients": {str(exponent): "1"}}))
+        start = time.perf_counter()
+        assert main(["obstruct", path]) == 0
+        assert time.perf_counter() - start < 10.0
+        assert "verdict: OBSTRUCTED" in capsys.readouterr().out

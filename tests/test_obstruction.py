@@ -18,10 +18,9 @@ from rhoslice.almodule import (
     isotypic_decompose,
     reduce_to_isotypic,
 )
-from rhoslice.blanchfield import FormError, LinkingForm
+from rhoslice.blanchfield import FormError, LinkingForm, blanchfield_form
 from rhoslice.obstruction import (
     MAX_CELLS_PER_CLASS,
-    MAX_CMAX,
     MAX_SUPPORT_ENTRIES_PER_CLASS,
     Companion,
     FamilyMember,
@@ -38,9 +37,11 @@ from rhoslice.obstruction import (
     _unit_coordinate,
     verify_obstructed,
 )
-from rhoslice.polyalg import FracCoset, LaurentPoly, capelli_certified, coset_reduce, factor_laurent
+from rhoslice.polyalg import FracCoset, LaurentPoly, capelli_certified, factor_laurent
 from rhoslice.seifert import PatternKnot, SeifertMatrix, metabolizer_search, pattern_9_46, trefoil_right
 from rhoslice.signatures import Rho0Value
+
+from conftest import hyperbolic_form
 
 T = LaurentPoly.var("t")
 
@@ -373,12 +374,30 @@ def test_family_obstructed():
     assert all(any(v != 0 for _, v in cell.rho.coeffs) for cell in report.cells)
 
 
-def test_monotone_in_cmax():
-    spec = single_spec()
-    big = verify_obstructed(spec, 4)
-    assert big.verdict == "OBSTRUCTED"
-    for c_max in (1, 2, 3):
-        assert verify_obstructed(spec, c_max).verdict == "OBSTRUCTED"
+def test_nothing_is_computed_for_cmax(monkeypatch):
+    # the report echoes c_max and is otherwise the same at every c_max, and
+    # no form is substituted past c = 1 however large c_max is
+    substituted = []
+    real = LinkingForm.subs_power
+
+    def spy(self, c, variable=None):
+        substituted.append(c)
+        return real(self, c, variable)
+
+    monkeypatch.setattr(LinkingForm, "subs_power", spy)
+    for spec in (single_spec(), family_spec((1, -2))):
+        obstruction._assemble_full.cache_clear()
+        obstruction._block_form.cache_clear()
+        reports = []
+        for c_max in (1, 2, 5, 100, 10 ** 6):
+            report = verify_obstructed(spec, c_max).to_json()
+            assert report.pop("c_max") == c_max
+            reports.append(report)
+        assert all(report == reports[0] for report in reports)
+        assert reports[0]["verdict"] == "OBSTRUCTED"
+    assert set(substituted) == {1}
+    obstruction._assemble_full.cache_clear()
+    obstruction._block_form.cache_clear()
 
 
 def test_equal_companions_inconclusive():
@@ -638,17 +657,8 @@ CHECKED_LINE = re.compile(
     r"\S+ re-checked exactly: y\.s_t \+ alpha\*lo_t - beta\*hi_t > 0 on "
     r"each of its \d+ slot types, so none of its \d+ count vectors vanishes "
     r"\(Motzkin's transposition theorem\)$")
-SELF_CHECK_LINE = re.compile(
-    r"^c=(\d+): \d+ distinct block forms rebuilt by substituting t\^\1 into "
-    r"the c=1 summands and Gram entries; validated hermitian, annihilating "
-    r"and nonsingular$")
-
-
-def self_check_note(c_max):
-    done = (f"the block forms at c = 2..{c_max} were rebuilt by substituting "
-            "t^c and validated" if c_max > 1 else "none requested (c_max = 1)")
-    return (f"complexity self-check: {done}; cells and slot types are listed "
-            "at c=1 only")
+CMAX_NOTE = ("c_max: echoed only, and nothing is computed for it; cells and "
+             "slot types are listed at c=1 only")
 
 
 # The per-copy sweep audits every copy and words its count lines for that;
@@ -668,8 +678,8 @@ def assert_same_answers(report, old):
     verdict and certificate, and its cells, witnesses and slot-type tables
     are the sweep's c = 1 ones, which the sweep repeats at every later c
     with the prime renamed.  Its notes replace the sweep's per-complexity
-    notes, and its audit keeps the c = 1 lines of copy 1, with the count
-    lines reworded, and names the validation at each later c."""
+    notes, and its audit is the sweep's c = 1 lines of copy 1, with the
+    count lines reworded, and has no line for any later c."""
     for name in ("verdict", "c_max", "mode", "uniform_in_c"):
         assert getattr(report, name) == getattr(old, name), name
     prime_at_one = {t.class_key: t.prime for t in report.slot_types}
@@ -688,7 +698,7 @@ def assert_same_answers(report, old):
     expected = [NO_SLOT_NOTE] if not report.cells else []
     if report.uniform_in_c:
         expected.append(CERTIFICATE_NOTE)
-    expected.append(self_check_note(report.c_max))
+    expected.append(CMAX_NOTE)
     certified = [t for t in report.slot_types if t.certificate]
     if certified:
         expected.append(TRANSPOSITION_NOTE)
@@ -697,10 +707,7 @@ def assert_same_answers(report, old):
                    for line in old.audit if line.startswith("c=1: ")
                    and not LATER_COPY_LINE.match(line))
     audit = [line for line in report.audit if not CHECKED_LINE.match(line)]
-    assert audit[:len(at_one)] == list(at_one)
-    assert [int(SELF_CHECK_LINE.match(line).group(1))
-            for line in audit[len(at_one):]] == \
-        list(range(2, report.c_max + 1))
+    assert audit == list(at_one)
     # one re-check line per certified class, after that class's count line
     checked = [line for line in report.audit if CHECKED_LINE.match(line)]
     assert [CHECKED_LINE.match(line).group(1) for line in checked] == \
@@ -888,20 +895,6 @@ def test_multiplicity_forty_member_runs():
         [40] * 4
 
 
-def test_cmax_is_bounded_before_any_work(monkeypatch):
-    assert MAX_CMAX == 100
-
-    def unreachable(pattern):
-        raise AssertionError("a block form was built")
-
-    obstruction._assemble_full.cache_clear()
-    with monkeypatch.context() as m:
-        m.setattr(obstruction, "_block_form", unreachable)
-        with pytest.raises(ObstructionError, match="MAX_CMAX = 100"):
-            verify_obstructed(single_spec(), MAX_CMAX + 1)
-    assert verify_obstructed(single_spec(), MAX_CMAX).obstructed
-
-
 def test_numeric_symbol_error_matches_oracle():
     rng = random.Random(7300)
     for _ in range(6):
@@ -984,26 +977,13 @@ def test_random_metabolic_conjugates_are_certified():
             (V, primes)
 
 
-def hand_built(first, second):
-    """A hyperbolic form on Q[t]/(p) (+) Q[t]/(p*), p* the normalized
-    p(t^{-1}), with curves alpha and beta on the two generators and
-    Bl(alpha, beta) = 1/p, shaped like the form of 9_46."""
-    module = AlexanderModule("t", 1, (
-        Summand(first, first, 1, "alpha"), Summand(second, second, 1, "beta")))
-    z = coset_reduce(LaurentPoly.one("t"), first)
-    zero = FracCoset.zero("t")
-    form = LinkingForm(module, ((zero, z), (z.conj(), zero)))
-    form.validate()
-    return form, {"alpha": module.generator(0), "beta": module.generator(1)}
-
-
 def test_certificate_is_refused_for_splitting_and_nonlinear_primes(
         monkeypatch):
     # 4t - 1 splits at c = 2: t^2 - 1/4 = (t - 1/2)(t + 1/2)
     assert len(factor_laurent((4 * T - 1).subs_power(2))) == 2
     for prime in (T - 2, 4 * T - 1, T * T + 2):
         first = prime.monic()
-        block = hand_built(first, first.conj().monic())
+        block = hyperbolic_form(prime)
         obstruction._assemble_full.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(obstruction, "_block_form", lambda pattern: block)
@@ -1078,9 +1058,12 @@ def test_one_block_per_member_part(monkeypatch):
 
 
 def test_validation_runs_at_every_complexity(monkeypatch):
-    # a mutant substitution that makes every block form at c = bad_c zero,
-    # so singular: validation at that complexity refuses it
+    # a mutant substitution that makes every Gram entry at c = bad_c zero,
+    # so the form singular: validation at that complexity refuses it, in
+    # the substituted form and in the per-complexity sweep, while the
+    # report computes nothing past c = 1 and is unchanged
     real = FracCoset.subs_power
+    form = blanchfield_form(pattern_9_46())[0]
     for bad_c in (2, 3):
         def singular(self, c, variable=None):
             if c == bad_c:
@@ -1090,11 +1073,13 @@ def test_validation_runs_at_every_complexity(monkeypatch):
         sweep_oracle.block_form_at_c.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(FracCoset, "subs_power", singular)
-            assert verify_obstructed(single_spec(), bad_c - 1).obstructed
+            form.subs_power(bad_c - 1).validate()
             with pytest.raises(FormError, match="form is singular"):
-                verify_obstructed(single_spec(), 3)
+                form.subs_power(bad_c).validate()
+            full_sweep(single_spec(), bad_c - 1)
             with pytest.raises(FormError, match="form is singular"):
                 full_sweep(single_spec(), 3)
+            assert verify_obstructed(single_spec(), 3).obstructed
     sweep_oracle.block_form_at_c.cache_clear()
 
 
