@@ -40,8 +40,10 @@ did, and a certified class is enumerated too and must agree.  Then come
 the audit trail and the notes.  `uniform_in_c` is true when the
 complexity-free certificate carries the verdict to every complexity, and
 `c_max` echoes `--cmax`, for which nothing is computed.  The text output
-lists the same.  A reader that closes the output early (`rhoslice ... |
-head -1`) ends the command with exit code 1 and no traceback.  The
+lists the same; its verdict line reads "(every c >= 1, mode)" under that
+certificate and "(c = 1, mode)" otherwise.  A reader that closes the
+output early (`rhoslice ... | head -1`) ends the command with exit code 1
+and no traceback.  The
 environment variable RHOSLICE_PRECISION bounds the width of certified
 intervals (default 1/1000000).
 """
@@ -415,7 +417,8 @@ def cmd_obstruct(args) -> int:
     if args.output == "structured":
         _print_json(report.to_json())
     else:
-        print(f"verdict: {report.verdict} (c <= {report.c_max}, {report.mode})")
+        scope = "every c >= 1" if report.uniform_in_c else "c = 1"
+        print(f"verdict: {report.verdict} ({scope}, {report.mode})")
         if report.uniform_in_c:
             print("uniform-in-c certificate: every cell holds at every "
                   "complexity c >= 1")

@@ -304,15 +304,6 @@ class LaurentPoly:
             "coefficients": {str(e): str(c) for e, c in self.items()},
         }
 
-    @classmethod
-    def from_json(cls, data, variable: str = "t") -> "LaurentPoly":
-        if isinstance(data, (str, int)):
-            return cls.constant(Fraction(data), variable)
-        if not isinstance(data, dict):
-            raise PolyalgError(f"cannot parse polynomial from {data!r}")
-        coeffs = {int(e): Fraction(c) for e, c in data.get("coefficients", {}).items()}
-        return cls(coeffs, data.get("variable", variable))
-
 
 def equal_up_to_unit(a: LaurentPoly, b: LaurentPoly) -> bool:
     """Equality modulo the unit group {q*v^k}."""
@@ -956,11 +947,6 @@ class FracCoset:
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FracCoset":
-        return cls(LaurentPoly.from_json(data["num"]),
-                   LaurentPoly.from_json(data["den"]))
 
 
 def coset_reduce(n: LaurentPoly, d: LaurentPoly) -> FracCoset:

@@ -1,9 +1,11 @@
 """Levine-Tristram signatures and the signature integral, exactly.
 
 Circle points are parametrized as w(u) = (1 - iu)/(1 + iu) for rational u
-(with u = None standing for w = -1), so every signature evaluation happens
-in Gaussian-rational arithmetic; the signature itself comes from an exact
-congruence-based inertia count, never from numerical eigenvalues.
+(with u = None standing for w = -1).  At such a point the hermitian form
+(1-w)V + (1-conj(w))V^T is a real multiple of uS + iK (S = V + V^T,
+K = V - V^T), so every signature evaluation is the inertia of one integer
+symmetric matrix, counted by exact congruence reduction, never from
+numerical eigenvalues.
 
 Jump locations are the unit-circle roots of the Alexander polynomial.  With
 x = w + w^{-1} they become the real roots in (-2, 2) of a rational
@@ -60,133 +62,82 @@ def precision_budget() -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian rationals and exact hermitian inertia
+# Exact symmetric inertia and the signature at a circle point
 # ---------------------------------------------------------------------------
 
 
-class GaussianRational(NamedTuple):
-    """Element of Q(i)."""
+def symmetric_inertia(M: list[list[int]]) -> tuple[int, int, int]:
+    """(n_plus, n_minus, n_zero) of an integer symmetric matrix by exact
+    congruence reduction (Sylvester's law of inertia).
 
-    re: Fraction
-    im: Fraction
-
-    @classmethod
-    def of(cls, re, im=0) -> "GaussianRational":
-        return cls(Fraction(re), Fraction(im))
-
-    def __add__(self, o):
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o):
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, o):
-        if isinstance(o, (int, Fraction)):
-            return GaussianRational(self.re * o, self.im * o)
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self) -> "GaussianRational":
-        n = self.norm2()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-
-def circle_point(u: Fraction | None) -> GaussianRational:
-    """w(u) = (1 - iu)/(1 + iu) on the unit circle; u = None gives w = -1."""
-    if u is None:
-        return GaussianRational.of(-1, 0)
-    u = Fraction(u)
-    d = 1 + u * u
-    return GaussianRational((1 - u * u) / d, Fraction(-2) * u / d)
-
-
-def hermitian_inertia(H: list[list[GaussianRational]]) -> tuple[int, int, int]:
-    """(n_plus, n_minus, n_zero) of a hermitian Gaussian-rational matrix by
-    exact congruence reduction (Sylvester's law of inertia)."""
-    n = len(H)
-    A = [[H[i][j] for j in range(n)] for i in range(n)]
-    active = list(range(n))
-    pos = neg = zero = 0
-    imag_unit = GaussianRational.of(0, 1)
+    The reduction is fraction-free (Bareiss): after each pivot the active
+    block is d times the Schur complement, d the last pivot, so the next
+    pivot p stands for p/d, and the entries are minors of the matrix, which
+    makes every division by d exact.  The pair step, a congruence on the active indices
+    alone, keeps this, as it commutes with the eliminations before it.
+    """
+    A = [list(row) for row in M]
+    active = list(range(len(A)))
+    pos = neg = 0
+    d = 1
     while active:
-        k = next((i for i in active if not A[i][i].is_zero()), None)
+        k = next((i for i in active if A[i][i]), None)
         if k is None:
-            pair = None
-            for i in active:
-                for j in active:
-                    if i != j and not A[i][j].is_zero():
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in active for j in active
+                         if i != j and A[i][j]), None)
             if pair is None:
-                zero += len(active)
                 break
             i, j = pair
-            h = A[i][j]
-            lam = GaussianRational.of(1) if h.re != 0 else imag_unit
-            # congruence with T = I + lam E_ij makes A[i][i] = 2 Re(conj(lam) h) != 0
+            # congruence with T = I + E_ij makes A[i][i] = 2 A[i][j] != 0
             for m in active:
-                A[i][m] = A[i][m] + lam * A[j][m]
+                A[i][m] += A[j][m]
             for m in active:
-                A[m][i] = A[m][i] + lam.conj() * A[m][j]
+                A[m][i] += A[m][j]
             continue
-        a = A[k][k]
-        if a.im != 0:
-            raise SignatureError("hermitian matrix must have real diagonal")
-        if a.re > 0:
+        p = A[k][k]
+        if (p > 0) == (d > 0):
             pos += 1
         else:
             neg += 1
         active.remove(k)
-        inv = Fraction(1) / a.re
-        col = {i: A[i][k] for i in active}
         for i in active:
-            if col[i].is_zero():
-                continue
             for j in active:
-                A[i][j] = A[i][j] - col[i] * col[j].conj() * inv
-    return pos, neg, zero
+                A[i][j] = (p * A[i][j] - A[i][k] * A[k][j]) // d
+        d = p
+    return pos, neg, len(active)
 
 
 def lt_signature_at(V: SeifertMatrix, u: Fraction | None) -> int:
-    """Signature of (1-w)V + (1-conj(w))V^T at w = w(u), exactly.
+    """Signature of (1-w)V + (1-conj(w))V^T at w = (1 - iu)/(1 + iu),
+    exactly; u = None stands for w = -1.
 
     u = 0 (w = 1) is rejected, as is any w where the Alexander polynomial
     vanishes (a jump point).  For |w| = 1, w != 1 the matrix is
     (1-w) w^{-1} (wV - V^T), so it is singular exactly at those w.
+
+    With S = V + V^T, K = V - V^T and u = p/q the matrix is 2S at w = -1
+    and otherwise 2u/(q(1 + u^2)) times pS + iqK, a multiple with the sign
+    of p; a hermitian A + iB has half the inertia of the real symmetric
+    [[A, -B], [B, A]].
     """
     if u is not None and Fraction(u) == 0:
         raise SignatureError("w = 1 is excluded")
-    if V.dim == 0:
-        return 0
-    w = circle_point(u)
     n = V.dim
-    one = GaussianRational.of(1)
-    f = one - w
-    g = one - w.conj()
-    H = [[f * V[i, j] + g * V[j, i] for j in range(n)] for i in range(n)]
-    pos, negc, nil = hermitian_inertia(H)
+    S = [[V[i, j] + V[j, i] for j in range(n)] for i in range(n)]
+    if u is None:
+        M, scale = S, 1
+    else:
+        p, q = Fraction(u).as_integer_ratio()
+        pS = [[p * x for x in row] for row in S]
+        qK = [[q * (V[i, j] - V[j, i]) for j in range(n)] for i in range(n)]
+        M = ([a + [-x for x in b] for a, b in zip(pS, qK)]
+             + [b + a for a, b in zip(pS, qK)])
+        scale = 2 if p > 0 else -2
+    pos, negc, nil = symmetric_inertia(M)
     if nil:
         raise SignatureError(
             "w is a root of the Alexander polynomial (jump point)")
-    return pos - negc
+    return (pos - negc) // scale
 
 
 # ---------------------------------------------------------------------------
@@ -389,38 +340,6 @@ class SignatureFunction(_SignatureFunctionFields):
                      ("mirror", r.x_interval), -r.jump)
                     for r in reversed(self.roots)]
         return first + mirrored
-
-    def value_at_angle(self, theta: Fraction) -> int:
-        """Value at an exact rational angle strictly inside (0, 1), assuming
-        theta is not a jump location; irrational-root arcs are located via
-        their x-intervals."""
-        theta = Fraction(theta)
-        if not 0 < theta < 1:
-            raise SignatureError("angle must be in (0, 1)")
-        if theta > Fraction(1, 2):
-            theta = 1 - theta
-        idx = 0
-        for r in self.roots:
-            if r.angle is not None:
-                if r.angle == theta:
-                    raise SignatureError("angle is a jump location")
-                if r.angle < theta:
-                    idx += 1
-            else:
-                # compare via x = 2cos(2 pi theta): theta above the root iff
-                # x below the whole isolating interval; undecided -> refine
-                a, b = r.x_interval
-                x_lo, x_hi = _cos_enclosure(theta)
-                steps = 0
-                while not (x_hi < a or x_lo > b):
-                    a, b = refine_interval(list(r.factor), (a, b), (b - a) / 4)
-                    x_lo, x_hi = _cos_enclosure(theta, extra=steps)
-                    steps += 1
-                    if steps > 60:
-                        raise SignatureError("cannot separate angle from jump")
-                if x_hi < a:
-                    idx += 1
-        return self.arc_values[idx]
 
     def is_zero(self) -> bool:
         return not self.roots and all(v == 0 for v in self.arc_values)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -8,7 +9,6 @@ from rhoslice.blanchfield import LinkingForm
 from rhoslice.linalg import PolyMatrix, poly_mat_identity
 from rhoslice.polyalg import FracCoset, LaurentPoly, coset_reduce, divides
 from rhoslice.seifert import SeifertMatrix
-from rhoslice.signatures import GaussianRational
 
 
 def random_seifert(rng: random.Random, genus: int = 1,
@@ -39,6 +39,72 @@ def random_laurent(rng: random.Random, variable: str = "t", max_deg: int = 3,
     if p.is_zero() and not allow_zero:
         return LaurentPoly({0: 1}, variable)
     return p
+
+
+# Gaussian rationals: the complex arithmetic that signatures were once
+# computed in, kept as an independent reference for the real symmetric
+# inertia the package uses.
+
+
+class GaussianRational(NamedTuple):
+    """Element of Q(i)."""
+
+    re: Fraction
+    im: Fraction
+
+    @classmethod
+    def of(cls, re, im=0) -> "GaussianRational":
+        return cls(Fraction(re), Fraction(im))
+
+    def __add__(self, o):
+        return GaussianRational(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return GaussianRational(self.re - o.re, self.im - o.im)
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def __mul__(self, o):
+        if isinstance(o, (int, Fraction)):
+            return GaussianRational(self.re * o, self.im * o)
+        return GaussianRational(self.re * o.re - self.im * o.im,
+                                self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def conj(self) -> "GaussianRational":
+        return GaussianRational(self.re, -self.im)
+
+    def norm2(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+    def inverse(self) -> "GaussianRational":
+        n = self.norm2()
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero Gaussian rational")
+        return GaussianRational(self.re / n, -self.im / n)
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+
+def circle_point(u: Fraction | None) -> GaussianRational:
+    """w(u) = (1 - iu)/(1 + iu) on the unit circle; u = None gives w = -1."""
+    if u is None:
+        return GaussianRational.of(-1, 0)
+    u = Fraction(u)
+    d = 1 + u * u
+    return GaussianRational((1 - u * u) / d, Fraction(-2) * u / d)
+
+
+def lt_hermitian(V: SeifertMatrix, u: Fraction | None):
+    """The hermitian (1-w)V + (1-conj(w))V^T at w = circle_point(u)."""
+    w = circle_point(u)
+    one = GaussianRational.of(1)
+    f, g = one - w, one - w.conj()
+    n = V.dim
+    return [[f * V[i, j] + g * V[j, i] for j in range(n)] for i in range(n)]
 
 
 def _gauss_pow(w: GaussianRational, n: int) -> GaussianRational:

@@ -41,7 +41,14 @@ from rhoslice.seifert import (
 )
 from rhoslice.signatures import Rho0Value, lt_signature_at, rho0, signature_function
 
-from conftest import eval_gaussian, random_laurent, random_seifert, snf_is_valid
+from conftest import (
+    circle_point,
+    eval_gaussian,
+    lt_hermitian,
+    random_laurent,
+    random_seifert,
+    snf_is_valid,
+)
 from test_signatures import signature_via_charpoly
 from test_blanchfield import _random_element
 from sweep_oracle import basechange_form
@@ -272,7 +279,6 @@ def test_criterion_9_oracle_equivalence():
                                 assert f.evaluate(cand) != 0
 
         # exact inertia vs characteristic-polynomial root counting
-        from rhoslice.signatures import GaussianRational, circle_point
         from rhoslice.seifert import alexander_polynomial
 
         checked = 0
@@ -281,15 +287,11 @@ def test_criterion_9_oracle_equivalence():
             u = Fraction(rng.randint(-8, 8), rng.randint(1, 8))
             if u == 0:
                 u = None
-            w = circle_point(u)
-            if eval_gaussian(alexander_polynomial(V), w).is_zero():
+            if eval_gaussian(alexander_polynomial(V),
+                             circle_point(u)).is_zero():
                 continue
-            one = GaussianRational.of(1)
-            f, g = one - w, one - w.conj()
-            ndim = V.dim
-            H = [[f * V[i, j] + g * V[j, i] for j in range(ndim)]
-                 for i in range(ndim)]
-            assert lt_signature_at(V, u) == signature_via_charpoly(H)
+            assert lt_signature_at(V, u) == \
+                signature_via_charpoly(lt_hermitian(V, u))
             checked += 1
 
         # orthogonal complements: direct pairing re-check and dim formula

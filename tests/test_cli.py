@@ -224,6 +224,25 @@ def test_obstruct_structured_deterministic(tmp_path, capsys):
     assert data["audit"]
 
 
+def test_text_verdict_names_the_complexities_decided(tmp_path, capsys):
+    # nothing is computed for --cmax, so the verdict line does not echo it
+    path = write_doc(tmp_path, K946_DOC)
+    assert main(["obstruct", path, "--cmax", "1000000"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("verdict: OBSTRUCTED (every c >= 1, symbolic)\n")
+    assert "1000000" not in out
+    # the trefoil's prime is refused by the certificate: only c = 1 is decided
+    quiet = {"schema": "rhoslice.knot/1",
+             "pattern": {"name": "trefoil", "seifert": [[-1, 1], [0, -1]],
+                         "curves": [{"name": "c1", "class": ["0", "0"]}]},
+             "companions": {"c1": {"symbol": "rA"}}}
+    path = write_doc(tmp_path, quiet, "quiet.json")
+    assert main(["obstruct", path, "--cmax", "1000000"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("verdict: INCONCLUSIVE (c = 1, symbolic)\n")
+    assert "1000000" not in out
+
+
 def test_obstruct_numeric_mode(tmp_path, capsys):
     doc = json.loads(json.dumps(K946_DOC))
     doc["companions"] = {

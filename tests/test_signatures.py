@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rhoslice import signatures
 from rhoslice.polyalg import LaurentPoly, divides, factor_laurent
@@ -15,13 +16,11 @@ from rhoslice.seifert import (
     unknot,
 )
 from rhoslice.signatures import (
-    GaussianRational,
     Rho0Value,
     SignatureError,
     _cos_enclosure,
     _cyclotomic_index,
     _theta_enclosure,
-    circle_point,
     circle_polynomial,
     cos_minimal_polynomial,
     isolate_roots,
@@ -31,9 +30,16 @@ from rhoslice.signatures import (
     signature_function,
     sturm_chain,
     sturm_count,
+    symmetric_inertia,
 )
 
-from conftest import eval_gaussian, random_seifert
+from conftest import (
+    GaussianRational,
+    circle_point,
+    eval_gaussian,
+    lt_hermitian,
+    random_seifert,
+)
 
 R946 = SeifertMatrix([[0, 1], [2, 0]])
 NONCYCLO = SeifertMatrix([[1, 1], [2, 4]])  # jump at x = 3/2, irrational angle
@@ -64,7 +70,7 @@ def test_signature_rejects_bad_points():
 def test_jump_point_guard_fires_on_nullity(monkeypatch):
     # ... and fires on any nonzero nullity of the inertia count, which for
     # |w| = 1, w != 1 is exactly Delta(w) = 0
-    monkeypatch.setattr(signatures, "hermitian_inertia", lambda H: (1, 0, 1))
+    monkeypatch.setattr(signatures, "symmetric_inertia", lambda M: (1, 0, 1))
     with pytest.raises(SignatureError, match="jump point"):
         lt_signature_at(NONCYCLO, Fraction(1, 2))
 
@@ -110,43 +116,83 @@ def char_poly(H):
     return [coeffs[i] for i in range(n + 1)]
 
 
-def signature_via_charpoly(H):
-    """Signature as (#positive - #negative eigenvalues) counted with
-    multiplicity, via square-free decomposition and Sturm counts."""
-    p = char_poly(H)
-    poly = LaurentPoly({i: c for i, c in enumerate(p)}, "t")
-    assert poly[0] != 0, "oracle requires a nonsingular matrix"
+def inertia_via_charpoly(H):
+    """(#positive, #negative, #zero) eigenvalues counted with multiplicity:
+    the zero count is the order of the root 0 of the characteristic
+    polynomial, the others come from its square-free decomposition and
+    Sturm counts."""
     from rhoslice.polyalg import _squarefree_parts
 
+    p = char_poly(H)
+    zero = next(i for i, c in enumerate(p) if c != 0)
+    poly = LaurentPoly({i: c for i, c in enumerate(p[zero:])}, "t")
     bound = Fraction(1) + max(abs(c) for c in p)
-    total = 0
+    pos = neg = 0
     for part, mult in _squarefree_parts(poly.monic()):
-        dense = part.poly_coeffs()
-        chain = sturm_chain(dense)
-        pos = sturm_count(chain, Fraction(0), bound)
-        neg = sturm_count(chain, -bound, Fraction(0))
-        total += mult * (pos - neg)
-    return total
+        chain = sturm_chain(part.poly_coeffs())
+        pos += mult * sturm_count(chain, Fraction(0), bound)
+        neg += mult * sturm_count(chain, -bound, Fraction(0))
+    return pos, neg, zero
+
+
+def signature_via_charpoly(H):
+    """Signature as (#positive - #negative eigenvalues) of a nonsingular
+    hermitian matrix."""
+    pos, neg, zero = inertia_via_charpoly(H)
+    assert zero == 0, "oracle requires a nonsingular matrix"
+    return pos - neg
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Integer symmetric matrices of size 1..6; some with an all-zero
+    diagonal, which forces the pair step, and some singular, with a row
+    and column repeated."""
+    n = draw(st.integers(1, 6))
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            M[i][j] = M[j][i] = draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        for i in range(n):
+            M[i][i] = 0
+    if n > 1 and draw(st.booleans()):
+        j = draw(st.integers(0, n - 2))
+        M[n - 1] = list(M[j])
+        for i in range(n):
+            M[i][n - 1] = M[i][j]
+    return M
+
+
+@given(symmetric_matrices())
+@example([[0, 1], [1, 0]])
+@example([[0, 0], [0, 0]])
+@example([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+@example([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
+@example([[1, 1, 0], [1, 1, 0], [0, 0, 0]])
+@settings(max_examples=150, deadline=None)
+def test_symmetric_inertia_against_charpoly_oracle(M):
+    ours = symmetric_inertia(M)
+    assert sum(ours) == len(M)
+    H = [[GaussianRational.of(x) for x in row] for row in M]
+    assert ours == inertia_via_charpoly(H)
 
 
 def test_inertia_against_charpoly_oracle(rng):
+    # lt_signature_at reads a real symmetric matrix; the oracle counts the
+    # eigenvalues of the hermitian matrix itself, in Gaussian rationals
     cases = 0
-    for _ in range(60):
-        V = random_seifert(rng, genus=rng.choice([1, 2]))
-        u = Fraction(rng.randint(-8, 8), rng.randint(1, 8))
-        if u == 0:
-            u = None
-        w = circle_point(u)
-        if eval_gaussian(alexander_polynomial(V), w).is_zero():
-            continue
-        n = V.dim
-        one = GaussianRational.of(1)
-        f, g = one - w, one - w.conj()
-        H = [[f * V[i, j] + g * V[j, i] for j in range(n)] for i in range(n)]
-        ours = lt_signature_at(V, u)
-        assert ours == signature_via_charpoly(H)
-        cases += 1
-    assert cases >= 50
+    for _ in range(25):
+        V = random_seifert(rng, genus=rng.choice([1, 2, 3]))
+        u = Fraction(rng.randint(1, 8), rng.randint(1, 8))
+        for point in (u, -u, None):
+            if eval_gaussian(alexander_polynomial(V),
+                             circle_point(point)).is_zero():
+                continue
+            assert lt_signature_at(V, point) == \
+                signature_via_charpoly(lt_hermitian(V, point))
+            cases += 1
+    assert cases >= 70
 
 
 # -- signature function ----------------------------------------------------------
@@ -157,9 +203,15 @@ def test_signature_function_trefoil():
     assert [(r.angle, r.jump) for r in sf.roots] == [(Fraction(1, 6), -2)]
     assert sf.arc_values == (0, -2)
     assert sf.jumps() == [(Fraction(1, 6), -2), (Fraction(5, 6), 2)]
-    assert sf.value_at_angle(Fraction(1, 2)) == -2
-    assert sf.value_at_angle(Fraction(1, 12)) == 0
-    assert sf.value_at_angle(Fraction(11, 12)) == 0
+
+    def value(theta):
+        # the arc value past the jumps below theta, mirrored past 1/2
+        theta = min(theta, 1 - theta)
+        return sf.arc_values[sum(r.angle < theta for r in sf.roots)]
+
+    assert value(Fraction(1, 2)) == -2 == lt_signature_at(trefoil_right(), None)
+    assert value(Fraction(1, 12)) == 0
+    assert value(Fraction(11, 12)) == 0
 
 
 def test_signature_function_946_and_unknot():
