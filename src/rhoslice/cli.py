@@ -18,8 +18,9 @@ or a pattern with infection data, optionally a whole family:
     }
 
 Companion values are {"symbol": name}, {"rho0": "p/q"},
-{"rho0_interval": ["lo", "hi"]} or {"seifert": [[...]]} (signature integral
-computed from the matrix).  Curve classes are rational strings or
+{"rho0_interval": ["lo", "hi"]} or {"seifert": [[...]]}.  Each is parsed
+once, into a Rho0Value or a SeifertMatrix, whose signature integral only
+`obstruct` computes.  Curve classes are rational strings or
 serialized polynomials ({"coefficients": {"0": "1"}}), with exponents of at
 most MAX_CURVE_EXPONENT in absolute value.  JSON integers are rationals;
 JSON floats and booleans are refused, as 0.1 would be read in binary.
@@ -69,7 +70,7 @@ from .obstruction import (
 )
 from .polyalg import LaurentPoly, PolyalgError
 from .seifert import PatternKnot, SeifertError, SeifertMatrix, alexander_polynomial, metabolizer_search
-from .signatures import SignatureError, precision_budget, rho0_from_signature, signature_function
+from .signatures import Rho0Value, SignatureError, precision_budget, rho0_from_signature, signature_function
 
 SCHEMA = "rhoslice.knot/1"
 # Largest |exponent| in a curve class: reducing a class modulo its
@@ -86,51 +87,25 @@ class DocumentError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# A parsed companion: its signature integral or symbol, or the Seifert
+# matrix whose integral only `obstruct` computes.
+CompanionValue = Rho0Value | SeifertMatrix
+
+
 class KnotDocument(NamedTuple):
     """Parsed and validated knot description."""
 
     seifert: SeifertMatrix | None = None
     pattern: PatternKnot | None = None
-    companions: tuple[tuple[str, dict], ...] = ()
+    companions: tuple[tuple[str, CompanionValue], ...] = ()
     knots: tuple[tuple[str, "KnotEntry"], ...] = ()
     family: tuple[tuple[str, int], ...] = ()
     assembly: str = "difference-with-reverse"
 
-    def to_json(self) -> dict:
-        out: dict = {"schema": SCHEMA}
-        if self.seifert is not None:
-            out["seifert"] = self.seifert.to_json()
-        if self.pattern is not None:
-            out["pattern"] = _pattern_to_json(self.pattern)
-        if self.companions:
-            out["companions"] = {k: dict(v) for k, v in self.companions}
-        if self.knots:
-            out["knots"] = {name: entry.to_json() for name, entry in self.knots}
-        if self.family:
-            out["family"] = [{"knot": n, "multiplicity": m} for n, m in self.family]
-        if self.assembly != "difference-with-reverse":
-            out["assembly"] = self.assembly
-        return out
-
 
 class KnotEntry(NamedTuple):
     pattern: PatternKnot | None
-    companions: tuple[tuple[str, dict], ...]
-
-    def to_json(self) -> dict:
-        out: dict = {"companions": {k: dict(v) for k, v in self.companions}}
-        if self.pattern is not None:
-            out["pattern"] = _pattern_to_json(self.pattern)
-        return out
-
-
-def _pattern_to_json(p: PatternKnot) -> dict:
-    return {
-        "name": p.name,
-        "seifert": p.seifert.to_json(),
-        "curves": [{"name": n, "class": [c.to_json() for c in vec]}
-                   for n, vec in p.curves],
-    }
+    companions: tuple[tuple[str, CompanionValue], ...]
 
 
 def _require(cond: bool, where: str, msg: str) -> None:
@@ -204,7 +179,7 @@ def _parse_pattern(data, where: str) -> PatternKnot:
 _COMPANION_KEYS = {"symbol", "rho0", "rho0_interval", "seifert"}
 
 
-def _check_companion_spec(data, where: str) -> dict:
+def _parse_companion(data, where: str) -> CompanionValue:
     _require(isinstance(data, dict), where, "expected an object")
     keys = set(data)
     _require(len(keys) == 1 and keys <= _COMPANION_KEYS, where,
@@ -212,17 +187,17 @@ def _check_companion_spec(data, where: str) -> dict:
     if "symbol" in data:
         _require(isinstance(data["symbol"], str), where,
                  "symbol must be a string")
+        return Rho0Value.of_symbol(data["symbol"])
     if "rho0" in data:
-        _parse_rational(data["rho0"], where)
+        return Rho0Value.of_exact(_parse_rational(data["rho0"], where))
     if "rho0_interval" in data:
         iv = data["rho0_interval"]
         _require(isinstance(iv, list) and len(iv) == 2, where,
                  "interval must be [lo, hi]")
         lo, hi = (_parse_rational(x, where) for x in iv)
         _require(lo <= hi, where, "interval lower end exceeds upper end")
-    if "seifert" in data:
-        _parse_matrix(data["seifert"], where)
-    return data
+        return Rho0Value.of_interval(lo, hi)
+    return _parse_matrix(data["seifert"], where)
 
 
 def parse_document(data: dict) -> KnotDocument:
@@ -245,14 +220,14 @@ def parse_document(data: dict) -> KnotDocument:
 
     curve_names = set(pattern.curve_names()) if pattern else set()
 
-    def parse_companions(raw, where, names) -> tuple[tuple[str, dict], ...]:
+    def parse_companions(raw, where, names) -> tuple[tuple[str, CompanionValue], ...]:
         _require(isinstance(raw, dict), where, "expected an object")
         out = []
         for cname in sorted(raw):
             _require(cname in names, f"{where}.{cname}",
                      f"no such curve; pattern has {sorted(names)}")
-            out.append((cname, _check_companion_spec(raw[cname],
-                                                     f"{where}.{cname}")))
+            out.append((cname, _parse_companion(raw[cname],
+                                                f"{where}.{cname}")))
         return tuple(out)
 
     companions = parse_companions(data.get("companions", {}), "companions",
@@ -319,19 +294,12 @@ def load_document(path: str) -> KnotDocument:
     return parse_document(data)
 
 
-def render_document(doc: KnotDocument) -> str:
-    return json.dumps(doc.to_json(), sort_keys=True, indent=2) + "\n"
-
-
-def _build_companion(name: str, spec: dict) -> Companion:
-    if "symbol" in spec:
-        return Companion.symbol(spec["symbol"])
-    if "rho0" in spec:
-        return Companion.exact(name, Fraction(spec["rho0"]))
-    if "rho0_interval" in spec:
-        lo, hi = spec["rho0_interval"]
-        return Companion.interval(name, Fraction(lo), Fraction(hi))
-    return Companion.from_seifert(name, SeifertMatrix(spec["seifert"]))
+def _build_companion(name: str, value: CompanionValue) -> Companion:
+    """The companion on curve `name`; a symbol names its companion, and a
+    Seifert matrix has its signature integral computed here."""
+    if isinstance(value, SeifertMatrix):
+        return Companion.from_seifert(name, value)
+    return Companion(value.symbol if value.kind == "symbol" else name, value)
 
 
 def family_spec(doc: KnotDocument) -> FamilySpec:
@@ -340,8 +308,8 @@ def family_spec(doc: KnotDocument) -> FamilySpec:
     with_reverse = doc.assembly != "bare"
 
     def infected(pattern: PatternKnot, companions) -> InfectedKnot:
-        comp_map = {cname: _build_companion(cname, spec)
-                    for cname, spec in companions}
+        comp_map = {cname: _build_companion(cname, value)
+                    for cname, value in companions}
         return InfectedKnot.build(pattern, comp_map)
 
     if doc.family:
@@ -391,8 +359,7 @@ def cmd_info(args) -> int:
         out = {
             "schema": "rhoslice.info/1",
             "alexander_polynomial": delta.to_json(),
-            "module": module.to_json(),
-            "gram": [[z.to_json() for z in row] for row in form.gram],
+            **form.to_json(),
             "metabolizer": list(metab) if metab else None,
         }
         _print_json(out)

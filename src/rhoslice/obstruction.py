@@ -29,7 +29,9 @@ weights k_t of a vanishing cell, these margins would be both > 0 and <= 0,
 so once the certificate passes an exact re-check against every type, no
 cell of the class vanishes and none is evaluated.  A class without one,
 and a class of at most `LISTED_CELLS_PER_CLASS` cells, is enumerated: one
-cell per count vector.
+cell per count vector.  Every class is held to `MAX_SLOT_TYPES_PER_CLASS`
+before any slot is evaluated, and only a class about to be enumerated to
+the cell and support bounds.
 
 The analytic ingredients enter as axioms with machine-checked hypotheses:
 
@@ -97,7 +99,11 @@ from .signatures import Rho0Value, rho0 as rho0_of_seifert
 MAX_CELLS_PER_CLASS = 2 ** 20 - 1
 # Slot labels the representative supports of one class list in all; they
 # grow with the cube of a member's multiplicity, the cells with its square.
+# The slot types' own labels, which every report lists, are checked first.
 MAX_SUPPORT_ENTRIES_PER_CLASS = 2 ** 20
+# Slot types of one class, checked before any slot is evaluated: the
+# simplex that looks for a certificate grows with their number.
+MAX_SLOT_TYPES_PER_CLASS = 32
 # A class of at most this many count vectors (two single-copy slot types,
 # as in one knot K # -tK) is enumerated and its cells listed even when cells
 # are not requested: they are as short to read as a certificate.
@@ -362,7 +368,6 @@ def _block_form(pattern: PatternKnot):
     return form, classes
 
 
-@lru_cache(maxsize=64)
 def _assemble_full(spec: FamilySpec) -> Assembly:
     blocks: dict[tuple[int, bool], _Block] = {}
     for mi, member in enumerate(spec.members):
@@ -784,28 +789,41 @@ def _count_line(table: SlotTypeTable) -> str:
 
 def _classes(assembly: Assembly) -> list[tuple[LaurentPoly, list[Slot], int]]:
     """(prime, slot types, count vectors) of every isotypic class with
-    slots, in class order.  The cell and support bounds are checked for
-    every class before any slot is evaluated."""
+    slots, in class order.  The slot-type bound, and the support bound on
+    the labels of the slot types, are checked for every class before any
+    slot is evaluated."""
     classes = []
     for prime in assembly.primes:
         types = _slots_for_prime(assembly, prime)
+        if len(types) > MAX_SLOT_TYPES_PER_CLASS:
+            raise ObstructionError(
+                f"c=1: the ({prime}) class has {len(types)} slot types, more "
+                f"than MAX_SLOT_TYPES_PER_CLASS = {MAX_SLOT_TYPES_PER_CLASS}")
         sizes = [assembly.blocks[(s.member, s.reversed_part)].copies
                  for s in types]
-        n_cells = math.prod(n + 1 for n in sizes) - 1
-        if n_cells > MAX_CELLS_PER_CLASS:
+        if sum(sizes) > MAX_SUPPORT_ENTRIES_PER_CLASS:
             raise ObstructionError(
-                f"c=1: {n_cells} count vectors in the ({prime}) class exceed "
-                f"the enumeration bound {MAX_CELLS_PER_CLASS}")
-        # over all count vectors, each type's count averages half its copies
-        n_entries = (n_cells + 1) * sum(sizes) // 2
-        if n_entries > MAX_SUPPORT_ENTRIES_PER_CLASS:
-            raise ObstructionError(
-                f"c=1: the supports of the ({prime}) class list {n_entries} "
+                f"c=1: the slot types of the ({prime}) class list {sum(sizes)} "
                 "slot labels, more than MAX_SUPPORT_ENTRIES_PER_CLASS = "
                 f"{MAX_SUPPORT_ENTRIES_PER_CLASS}")
         if types:
-            classes.append((prime, types, n_cells))
+            classes.append((prime, types, math.prod(n + 1 for n in sizes) - 1))
     return classes
+
+
+def _check_enumerable(table: SlotTypeTable, n_cells: int) -> None:
+    """The cell and support bounds of a class about to be enumerated."""
+    if n_cells > MAX_CELLS_PER_CLASS:
+        raise ObstructionError(
+            f"c=1: {n_cells} count vectors in the ({table.prime}) class "
+            f"exceed the enumeration bound {MAX_CELLS_PER_CLASS}")
+    # over all count vectors, each type's count averages half its copies
+    n_entries = (n_cells + 1) * sum(map(len, table.slots)) // 2
+    if n_entries > MAX_SUPPORT_ENTRIES_PER_CLASS:
+        raise ObstructionError(
+            f"c=1: the supports of the ({table.prime}) class list {n_entries} "
+            "slot labels, more than MAX_SUPPORT_ENTRIES_PER_CLASS = "
+            f"{MAX_SUPPORT_ENTRIES_PER_CLASS}")
 
 
 def _decide(assembly: Assembly, mode: str, cells: bool,
@@ -819,7 +837,8 @@ def _decide(assembly: Assembly, mode: str, cells: bool,
     cells of an enumerated class are listed when `cells` is set or the
     class is that small, and otherwise only its witnesses are kept.  With
     `cells`, a certified class is enumerated too, and a vanishing cell
-    there refutes the certificate."""
+    there refutes the certificate.  The cell and support bounds are checked
+    right before a class is enumerated."""
     out = []
     for prime, types, n_cells in _classes(assembly):
         table, positions, labels = _slot_table(
@@ -841,6 +860,7 @@ def _decide(assembly: Assembly, mode: str, cells: bool,
             out.append((table, [], []))
             continue
         listed = cells or n_cells <= LISTED_CELLS_PER_CLASS
+        _check_enumerable(table, n_cells)
         class_cells = _sweep_class(table, positions, labels, listed)
         witnesses = [cell for cell in class_cells if not cell.nonvanishing]
         if cert is not None and witnesses:

@@ -216,12 +216,18 @@ class LaurentPoly:
         return LaurentPoly(self.coeffs, variable)
 
     def evaluate(self, x) -> Fraction:
+        """The value at x, by Horner's rule on the coefficients from the
+        degree down to the lowest exponent, times x^low."""
         x = as_fraction(x)
-        if x == 0:
-            if self.coeffs and self.low < 0:
-                raise PolyalgError("cannot evaluate negative exponents at 0")
-            return self[0]
-        return sum((c * x ** e for e, c in self.coeffs.items()), Fraction(0))
+        if not self.coeffs:
+            return Fraction(0)
+        low = self.low
+        if x == 0 and low < 0:
+            raise PolyalgError("cannot evaluate negative exponents at 0")
+        acc = Fraction(0)
+        for e in range(self.degree, low - 1, -1):
+            acc = acc * x + self.coeffs.get(e, 0)
+        return acc * x ** low
 
     def derivative(self) -> "LaurentPoly":
         return LaurentPoly({e - 1: c * e for e, c in self.coeffs.items() if e != 0},
@@ -400,29 +406,17 @@ def _poly_xgcd(a: LaurentPoly, b: LaurentPoly):
 def reduce_mod(a: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
     """Reduce a modulo m into the window 0 <= exponents, deg < deg(m).
 
-    Negative exponents are cleared via the inverse of v modulo m, which
-    exists whenever m has a nonzero constant term.
+    Negative exponents are cleared from below: while the lowest exponent
+    k is negative, subtracting a[k]/m(0) * v^k * m removes that term; the
+    monic m has lowest exponent 0, so m(0) != 0.
     """
     mm = m.monic()
     if mm.is_zero():
         return a
     if mm.is_one():
         return LaurentPoly.zero(a.variable)
-    if a.is_zero():
-        return a
-    var = a.variable
-    if a.low < 0:
-        if mm[0] == 0:
-            raise PolyalgError("v is not invertible modulo a multiple of v")
-        g, u, _ = _poly_xgcd(LaurentPoly.var(var), mm)
-        if not g.is_one():
-            raise PolyalgError("v is not invertible modulo m")
-        tinv = poly_divmod(u, mm)[1]
-        k = -a.low
-        a = poly_divmod(a.shift(k), mm)[1]
-        for _ in range(k):
-            a = poly_divmod(a * tinv, mm)[1]
-        return a
+    while a and a.low < 0:
+        a = a - mm.shift(a.low) * (a[a.low] / mm[0])
     return poly_divmod(a, mm)[1]
 
 
@@ -557,35 +551,6 @@ def _newton_interpolate(xs: list[int], ys) -> list[int] | None:
         coeffs = [dd[k] - x * coeffs[0]] + [
             a - x * b for a, b in zip(coeffs, coeffs[1:] + [0])]
     return coeffs
-
-
-def _dpoly_eval(p: list, x):
-    """Horner evaluation of the dense polynomial p[0] + p[1] x + ...; exact
-    in ints for integer input, in Fractions otherwise."""
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _dpoly_deriv(p: list[Fraction]) -> list[Fraction]:
-    return [c * k for k, c in enumerate(p)][1:] or [Fraction(0)]
-
-
-def _dpoly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        c = a[-1] / b[-1]
-        k = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[i + k] -= c * bc
-        while a and a[-1] == 0:
-            a.pop()
-    return a or [Fraction(0)]
 
 
 def _squarefree_parts(p: LaurentPoly) -> list[tuple[LaurentPoly, int]]:

@@ -80,9 +80,6 @@ class SeifertMatrix:
     def __repr__(self):
         return f"SeifertMatrix({[list(r) for r in self.rows]})"
 
-    def to_json(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
-
     def presentation(self, variable: str = "t"):
         """The matrix vV - V^T over Q[v^{±1}] whose rows present H_1 of the
         infinite cyclic cover."""

@@ -9,11 +9,12 @@ numerical eigenvalues.
 
 Jump locations are the unit-circle roots of the Alexander polynomial.  With
 x = w + w^{-1} they become the real roots in (-2, 2) of a rational
-polynomial; those are isolated by Sturm sequences, and roots of cyclotomic
-factors are recognized exactly as angles k/n (against the minimal
-polynomials of 2cos(2*pi/n) for n up to a configurable bound).  Jump sizes
-are differences of arc values sampled at rational parameters on both sides,
-never derivative heuristics.
+polynomial; those are isolated by Sturm sequences of LaurentPoly
+remainders (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry,
+ch. 2), and roots of cyclotomic factors are recognized exactly as angles
+k/n (against the minimal polynomials of 2cos(2*pi/n) for n up to a
+configurable bound).  Jump sizes are differences of arc values sampled at
+rational parameters on both sides, never derivative heuristics.
 
 The signature integral over the circle (normalized to length one) is a
 finite sum of jump * arc-length terms: an exact rational when every jump
@@ -34,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .polyalg import LaurentPoly, _dpoly_deriv, _dpoly_eval, _dpoly_rem, cyclotomic, factor_laurent
+from .polyalg import LaurentPoly, cyclotomic, factor_laurent, poly_divmod
 from .seifert import SeifertMatrix, alexander_polynomial
 
 DEFAULT_ANGLE_DENOMINATOR_BOUND = 120
@@ -145,12 +146,13 @@ def lt_signature_at(V: SeifertMatrix, u: Fraction | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [p, _dpoly_deriv(p)]
-    while any(chain[-1]) and len(chain[-1]) > 1:
-        r = _dpoly_rem(chain[-2], chain[-1])
-        chain.append([-c for c in r])
-    if not any(chain[-1]):
+def sturm_chain(p: LaurentPoly) -> list[LaurentPoly]:
+    """p, p' and the negated remainders of Euclid's algorithm on them, for
+    an ordinary polynomial p, down to the last nonzero one."""
+    chain = [p, p.derivative()]
+    while chain[-1] and chain[-1].degree > 0:
+        chain.append(-poly_divmod(chain[-2], chain[-1])[1])
+    if not chain[-1]:
         chain.pop()
     return chain
 
@@ -162,22 +164,21 @@ def _sign_changes(vals: list[Fraction]) -> int:
 
 def sturm_count(chain, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi]."""
-    at_lo = _sign_changes([_dpoly_eval(q, lo) for q in chain])
-    at_hi = _sign_changes([_dpoly_eval(q, hi) for q in chain])
+    at_lo = _sign_changes([q.evaluate(lo) for q in chain])
+    at_hi = _sign_changes([q.evaluate(hi) for q in chain])
     return at_lo - at_hi
 
 
-def isolate_roots(p: list[Fraction], lo: Fraction, hi: Fraction):
+def isolate_roots(p: LaurentPoly, lo: Fraction, hi: Fraction):
     """Disjoint isolating intervals for the distinct roots of a square-free
-    p in (lo, hi].
+    ordinary polynomial p in (lo, hi].
 
-    Rational roots come back as degenerate point intervals (r, r); all other
-    intervals (a, b) have non-root rational endpoints and the root strictly
-    inside.
+    A root found at the upper end of a bisection interval, and the root of
+    a linear p, come back as point intervals (r, r); every other interval
+    (a, b) holds its root strictly inside, and of its ends only a = lo may
+    be a root.
     """
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    if len(p) == 2:
+    if p.degree == 1:
         r = -p[0] / p[1]
         return [(r, r)] if lo < r <= hi else []
     chain = sturm_chain(p)
@@ -186,9 +187,9 @@ def isolate_roots(p: list[Fraction], lo: Fraction, hi: Fraction):
     def split_point(a, b):
         # a rational in (a, b) that is not a root; p has at most deg roots,
         # so one of deg+1 distinct candidates works
-        for k in range(2, len(p) + 3):
+        for k in range(2, p.degree + 4):
             cand = a + (b - a) / k
-            if _dpoly_eval(p, cand) != 0:
+            if p.evaluate(cand) != 0:
                 return cand
         raise SignatureError("could not find a non-root split point")
 
@@ -197,7 +198,7 @@ def isolate_roots(p: list[Fraction], lo: Fraction, hi: Fraction):
         if n == 0:
             return
         if n == 1:
-            out.append((b, b) if _dpoly_eval(p, b) == 0 else (a, b))
+            out.append((b, b) if p.evaluate(b) == 0 else (a, b))
             return
         mid = split_point(a, b)
         rec(a, mid)
@@ -207,7 +208,7 @@ def isolate_roots(p: list[Fraction], lo: Fraction, hi: Fraction):
     return sorted(out)
 
 
-def refine_interval(p: list[Fraction], interval, width: Fraction):
+def refine_interval(p: LaurentPoly, interval, width: Fraction):
     """Shrink an isolating interval of p below `width` by Sturm bisection."""
     a, b = interval
     if a == b:
@@ -215,7 +216,7 @@ def refine_interval(p: list[Fraction], interval, width: Fraction):
     chain = sturm_chain(p)
     while b - a > width:
         mid = (a + b) / 2
-        if _dpoly_eval(p, mid) == 0:
+        if p.evaluate(mid) == 0:
             return (mid, mid)
         if sturm_count(chain, a, mid) == 1:
             b = mid
@@ -291,14 +292,14 @@ class CircleRoot(NamedTuple):
 
     `angle` is the exact rational theta = k/n for recognized cyclotomic
     roots, else None; `x_interval` is an exact isolating interval (point
-    interval for exact-x roots) for x = 2cos(2*pi*theta); `factor` the dense
-    coefficients of the irreducible factor of the circle polynomial whose
-    root this is; `jump` the change of the signature as theta crosses the
-    location upward."""
+    interval for exact-x roots) for x = 2cos(2*pi*theta); `factor` the
+    monic irreducible factor, of lowest exponent 0, of the circle polynomial
+    whose root this is; `jump` the change of the signature as theta crosses
+    the location upward."""
 
     angle: Fraction | None
     x_interval: tuple[Fraction, Fraction]
-    factor: tuple[Fraction, ...]
+    factor: LaurentPoly
     jump: int
 
 
@@ -326,29 +327,6 @@ class SignatureFunction(_SignatureFunctionFields):
         if any(v % 2 for v in self.arc_values):
             raise SignatureError("signature values must be even")
         return self
-
-    def jumps(self) -> list[tuple[object, int]]:
-        """Full-circle jump list: (location descriptor, jump), ascending.
-
-        Locations are exact Fractions or x-isolating intervals (a, b) for
-        irrational angles; the mirror jumps at 1 - theta carry opposite
-        signs.
-        """
-        first = [(r.angle if r.angle is not None else r.x_interval, r.jump)
-                 for r in self.roots]
-        mirrored = [((1 - r.angle) if r.angle is not None else
-                     ("mirror", r.x_interval), -r.jump)
-                    for r in reversed(self.roots)]
-        return first + mirrored
-
-    def is_zero(self) -> bool:
-        return not self.roots and all(v == 0 for v in self.arc_values)
-
-    def negate(self) -> "SignatureFunction":
-        return SignatureFunction(
-            tuple(CircleRoot(r.angle, r.x_interval, r.factor, -r.jump)
-                  for r in self.roots),
-            tuple(-v for v in self.arc_values))
 
     def to_json(self) -> dict:
         jump_rows = []
@@ -568,12 +546,11 @@ def signature_function(V: SeifertMatrix) -> SignatureFunction:
         raise SignatureError("unit-circle root data inconsistent with a "
                              "valid Seifert matrix")
 
-    records: list[tuple[Fraction | None, tuple[Fraction, Fraction], tuple[Fraction, ...]]] = []
+    records: list[tuple[Fraction | None, tuple[Fraction, Fraction], LaurentPoly]] = []
     two = Fraction(2)
     for psi, _mult in factor_laurent(q):
-        dense = tuple(psi.shift(-psi.low).poly_coeffs())
         n = _cyclotomic_index(psi, DEFAULT_ANGLE_DENOMINATOR_BOUND)
-        intervals = isolate_roots(list(dense), -two, two)
+        intervals = isolate_roots(psi, -two, two)
         if n is not None:
             ks = sorted((k for k in range(1, n // 2 + 1) if math.gcd(k, n) == 1),
                         reverse=True)
@@ -581,10 +558,10 @@ def signature_function(V: SeifertMatrix) -> SignatureFunction:
                 raise SignatureError("cyclotomic root bookkeeping failed")
             # x ascending <-> theta = k/n descending
             for (a, b), k in zip(intervals, ks):
-                records.append((Fraction(k, n), (a, b), dense))
+                records.append((Fraction(k, n), (a, b), psi))
         else:
             for (a, b) in intervals:
-                records.append((None, (a, b), dense))
+                records.append((None, (a, b), psi))
 
     # refine until isolating intervals are strictly separated and stay away
     # from the endpoints ±2
@@ -603,7 +580,7 @@ def signature_function(V: SeifertMatrix) -> SignatureFunction:
     for _ in range(80):
         if separated(records):
             break
-        records = [(ang, refine_interval(list(f), iv, width), f)
+        records = [(ang, refine_interval(f, iv, width), f)
                    for ang, iv, f in records]
         width /= 2
     else:
@@ -664,13 +641,6 @@ class Rho0Value(NamedTuple):
     def of_symbol(cls, name: str) -> "Rho0Value":
         return cls("symbol", symbol=name)
 
-    def negate(self) -> "Rho0Value":
-        if self.kind == "exact":
-            return Rho0Value.of_exact(-self.exact)
-        if self.kind == "interval":
-            return Rho0Value.of_interval(-self.interval[1], -self.interval[0])
-        raise SignatureError("cannot negate a symbol numerically")
-
     def __str__(self):
         if self.kind == "exact":
             return str(self.exact)
@@ -723,7 +693,7 @@ def rho0_from_signature(sf: SignatureFunction,
         if hi_sum - lo_sum <= budget:
             return Rho0Value.of_interval(lo_sum, hi_sum)
         roots = [CircleRoot(r.angle,
-                            refine_interval(list(r.factor), r.x_interval,
+                            refine_interval(r.factor, r.x_interval,
                                             (r.x_interval[1] - r.x_interval[0]) / 4
                                             if r.x_interval[1] > r.x_interval[0]
                                             else Fraction(1)),

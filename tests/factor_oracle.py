@@ -19,7 +19,6 @@ from rhoslice.polyalg import (
     LaurentPoly,
     PolyalgError,
     _cyclotomic_int,
-    _dpoly_eval,
     _int_content_primitive,
     _int_div_exact,
     _newton_interpolate,
@@ -133,7 +132,8 @@ def _kronecker_factor(ints: list[int]) -> tuple[list[int], list[int]] | None:
     earlier in the search, so the first factor found is the one that
     division over Q would find."""
     deg = len(ints) - 1
-    divisors = {x: _divisors(_dpoly_eval(ints, x)) for x in range(-8, 9)}
+    poly = LaurentPoly.from_coeffs(ints)
+    divisors = {x: _divisors(int(poly.evaluate(x))) for x in range(-8, 9)}
     pool = sorted(divisors, key=lambda x: (len(divisors[x]), abs(x)))
     for d in range(2, deg // 2 + 1):
         points = pool[: d + 1]

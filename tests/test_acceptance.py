@@ -154,7 +154,8 @@ def test_criterion_5_signatures():
         tr = trefoil_right()
         assert lt_signature_at(tr, None) == -2
         sf = signature_function(tr)
-        assert [loc for loc, _ in sf.jumps()] == [Fraction(1, 6), Fraction(5, 6)]
+        assert [(r.angle, r.jump) for r in sf.roots] == [(Fraction(1, 6), -2)]
+        assert sf.to_json()["jumps"] == [{"jump": -2, "theta": "1/6"}]
         assert rho0(tr) == Rho0Value.of_exact(Fraction(-4, 3))
         # additivity, mirror, reverse: exact identities
         assert rho0(connected_sum([tr, tr])).exact == Fraction(-8, 3)

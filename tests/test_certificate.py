@@ -377,6 +377,36 @@ def test_eight_single_copy_members_evaluate_no_cells(monkeypatch, tmp_path,
     assert all(entry["certificate"] for entry in json.loads(out)["slot_types"])
 
 
+def test_ten_single_copy_members_are_certified(tmp_path, capsys):
+    # 20 single-copy slot types per class: 2^20 - 1 count vectors, whose
+    # supports would list 10,485,760 slot labels; the certificates decide
+    # them, and only --cells meets the support bound
+    curves = [{"name": "alpha", "class": ["1", "0"]},
+              {"name": "beta", "class": ["0", "1"]}]
+    doc = {"schema": "rhoslice.knot/1",
+           "pattern": {"name": "9_46", "seifert": [[0, 1], [2, 0]],
+                       "curves": curves},
+           "knots": {f"K{i}": {"companions": {
+               "alpha": {"symbol": f"rA{i}"}, "beta": {"symbol": f"rB{i}"}}}
+               for i in range(1, 11)},
+           "family": [{"knot": f"K{i}", "multiplicity": 1}
+                      for i in range(1, 11)]}
+    path = tmp_path / "ten.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["obstruct", str(path), "--cmax", "1", "--output", "structured"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "OBSTRUCTED" and report["cells"] == []
+    assert [len(entry["types"]) for entry in report["slot_types"]] == [20, 20]
+    assert all(independent_check(entry) for entry in report["slot_types"])
+    assert main(argv + ["--cells"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: c=1: the supports of the (t - 2) class list 10485760 slot "
+        "labels, more than MAX_SUPPORT_ENTRIES_PER_CLASS = 1048576\n")
+
+
 def test_text_output_names_each_class_decision(tmp_path, capsys):
     path = tmp_path / "family.json"
     doc = shared_family_doc()

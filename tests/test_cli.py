@@ -17,10 +17,12 @@ from rhoslice.cli import (
     load_document,
     main,
     parse_document,
-    render_document,
 )
 
+from rhoslice import obstruction
 from rhoslice.obstruction import verify_obstructed
+from rhoslice.seifert import SeifertMatrix
+from rhoslice.signatures import Rho0Value, rho0
 
 from conftest import random_seifert
 
@@ -64,12 +66,34 @@ def write_doc(tmp_path, doc, name="knot.json"):
 # -- parsing and round trips --------------------------------------------------
 
 
-@pytest.mark.parametrize("doc", [K946_DOC, FAMILY_DOC, TREFOIL_DOC])
-def test_parse_render_round_trip(doc):
+def test_companions_are_parsed_once(monkeypatch, tmp_path, capsys):
+    doc = dict(K946_DOC, companions={"alpha": {"rho0": "1/3"},
+                                     "beta": {"seifert": [[-1, 1], [0, -1]]}})
     parsed = parse_document(doc)
-    again = parse_document(json.loads(render_document(parsed)))
-    assert again == parsed
-    assert render_document(again) == render_document(parsed)
+    trefoil = SeifertMatrix([[-1, 1], [0, -1]])
+    assert parsed.companions == (("alpha", Rho0Value.of_exact(Fraction(1, 3))),
+                                 ("beta", trefoil))
+    want = rho0(trefoil)
+
+    def unreachable(*args):
+        raise AssertionError("parsed or computed again")
+
+    # family_spec builds the companions from the parsed values alone
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse_matrix", unreachable)
+        m.setattr(cli, "_parse_rational", unreachable)
+        knot = family_spec(parsed).members[0].knot
+    assert knot.companion("alpha") == ("alpha", Rho0Value.of_exact(
+        Fraction(1, 3)))
+    assert knot.companion("beta") == ("beta", want)
+    knot = family_spec(parse_document(K946_DOC)).members[0].knot
+    assert knot.companion("alpha") == ("rA", Rho0Value.of_symbol("rA"))
+    # only obstruct computes the signature integral of a companion
+    monkeypatch.setattr(obstruction, "rho0_of_seifert", unreachable)
+    path = write_doc(tmp_path, doc)
+    for command in ("info", "signature"):
+        assert main([command, path]) == 0
+    capsys.readouterr()
 
 
 def test_family_spec_construction():

@@ -21,6 +21,7 @@ from rhoslice.almodule import (
 from rhoslice.blanchfield import FormError, LinkingForm, blanchfield_form
 from rhoslice.obstruction import (
     MAX_CELLS_PER_CLASS,
+    MAX_SLOT_TYPES_PER_CLASS,
     MAX_SUPPORT_ENTRIES_PER_CLASS,
     Companion,
     FamilyMember,
@@ -386,7 +387,6 @@ def test_nothing_is_computed_for_cmax(monkeypatch):
 
     monkeypatch.setattr(LinkingForm, "subs_power", spy)
     for spec in (single_spec(), family_spec((1, -2))):
-        obstruction._assemble_full.cache_clear()
         obstruction._block_form.cache_clear()
         reports = []
         for c_max in (1, 2, 5, 100, 10 ** 6):
@@ -396,7 +396,6 @@ def test_nothing_is_computed_for_cmax(monkeypatch):
         assert all(report == reports[0] for report in reports)
         assert reports[0]["verdict"] == "OBSTRUCTED"
     assert set(substituted) == {1}
-    obstruction._assemble_full.cache_clear()
     obstruction._block_form.cache_clear()
 
 
@@ -834,47 +833,96 @@ def test_single_copy_cells_match_oracle_in_order(mode):
         assert all(set(cell.counts) <= {0, 1} for cell in report.cells)
 
 
-def test_count_vector_bound_is_checked_before_any_cell(monkeypatch):
-    assert MAX_CELLS_PER_CLASS == 2 ** 20 - 1
+def test_slot_type_bound_is_checked_before_any_slot(monkeypatch):
+    assert MAX_SLOT_TYPES_PER_CLASS == 32
 
     def unreachable(*args):
         raise AssertionError("a slot was evaluated")
 
-    # eleven single-copy members: 22 slot types, 2^22 - 1 count vectors
+    # seventeen single-copy members: 34 slot types per class
     with monkeypatch.context() as m:
         m.setattr(obstruction, "_slot_expr", unreachable)
+        with pytest.raises(ObstructionError, match=r"\(t - 2\) class has 34 "
+                           "slot types, more than MAX_SLOT_TYPES_PER_CLASS = "
+                           "32"):
+            verify_obstructed(family_spec((1,) * 17), 1)
+        m.setattr(obstruction, "MAX_SLOT_TYPES_PER_CLASS", 4)
+        with pytest.raises(ObstructionError, match="has 6 slot types"):
+            verify_obstructed(family_spec((1, -1, 1)), 1)
+    # the bound admits exactly its own number
+    report = verify_obstructed(family_spec((1, -1) * 8), 1)
+    assert [len(t.slots) for t in report.slot_types] == [32, 32]
+    assert report.obstructed
+    monkeypatch.setattr(obstruction, "MAX_SLOT_TYPES_PER_CLASS", 4)
+    assert verify_obstructed(family_spec((1, -1)), 1).obstructed
+
+
+def test_count_vector_bound_is_checked_before_any_cell(monkeypatch):
+    assert MAX_CELLS_PER_CLASS == 2 ** 20 - 1
+
+    def unreachable(*args):
+        raise AssertionError("a class was enumerated")
+
+    # eleven single-copy members: 22 slot types, 2^22 - 1 count vectors;
+    # the certificate decides them, and only cells=True enumerates them
+    with monkeypatch.context() as m:
+        m.setattr(obstruction, "_sweep_class", unreachable)
+        assert verify_obstructed(family_spec((1,) * 11), 1).obstructed
         with pytest.raises(ObstructionError, match="4194303 count vectors"):
-            verify_obstructed(family_spec((1,) * 11), 1)
+            verify_obstructed(family_spec((1,) * 11), 1, cells=True)
     # the bound admits exactly its own number: two single-copy members give
     # 2^4 - 1 count vectors per class
     monkeypatch.setattr(obstruction, "MAX_CELLS_PER_CLASS", 15)
-    assert verify_obstructed(family_spec((1, -1)), 1).obstructed
+    assert verify_obstructed(family_spec((1, -1)), 1, cells=True).obstructed
     monkeypatch.setattr(obstruction, "MAX_CELLS_PER_CLASS", 14)
+    assert verify_obstructed(family_spec((1, -1)), 1).obstructed
     with pytest.raises(ObstructionError, match="15 count vectors"):
-        verify_obstructed(family_spec((1, -1)), 1)
+        verify_obstructed(family_spec((1, -1)), 1, cells=True)
 
 
 def test_support_bound_is_checked_before_any_cell(monkeypatch):
     assert MAX_SUPPORT_ENTRIES_PER_CLASS == 2 ** 20
 
     def unreachable(*args):
-        raise AssertionError("a slot was evaluated")
+        raise AssertionError("a class was enumerated")
 
     # one member of multiplicity 101: two slot types of 101 copies per
     # class, 102^2 count vectors whose supports list 102^2 * 202 / 2 labels
-    # (multiplicity 100 gives 1,020,100)
+    # (multiplicity 100 gives 1,020,100); the certificate decides them
     with monkeypatch.context() as m:
-        m.setattr(obstruction, "_slot_expr", unreachable)
+        m.setattr(obstruction, "_sweep_class", unreachable)
+        assert verify_obstructed(family_spec((101,)), 1).obstructed
         with pytest.raises(ObstructionError, match="list 1050804 slot labels, "
                            "more than MAX_SUPPORT_ENTRIES_PER_CLASS = 1048576"):
-            verify_obstructed(family_spec((101,)), 1)
+            verify_obstructed(family_spec((101,)), 1, cells=True)
     # the bound admits exactly its own number: two single-copy members give
     # 2^4 count vectors per class, whose supports list 2^4 * 4 / 2 labels
     monkeypatch.setattr(obstruction, "MAX_SUPPORT_ENTRIES_PER_CLASS", 32)
-    assert verify_obstructed(family_spec((1, -1)), 1).obstructed
+    assert verify_obstructed(family_spec((1, -1)), 1, cells=True).obstructed
     monkeypatch.setattr(obstruction, "MAX_SUPPORT_ENTRIES_PER_CLASS", 31)
+    assert verify_obstructed(family_spec((1, -1)), 1).obstructed
     with pytest.raises(ObstructionError, match="list 32 slot labels"):
-        verify_obstructed(family_spec((1, -1)), 1)
+        verify_obstructed(family_spec((1, -1)), 1, cells=True)
+
+
+def test_slot_labels_are_bounded_before_any_slot(monkeypatch):
+    # every report lists each slot type's labels, one per copy: a member of
+    # multiplicity 2^19 + 1 gives 2^20 + 2 of them per class
+    def unreachable(*args):
+        raise AssertionError("a slot was evaluated")
+
+    with monkeypatch.context() as m:
+        m.setattr(obstruction, "_slot_expr", unreachable)
+        with pytest.raises(ObstructionError, match=r"the slot types of the "
+                           r"\(t - 2\) class list 1048578 slot labels, more "
+                           "than MAX_SUPPORT_ENTRIES_PER_CLASS = 1048576"):
+            verify_obstructed(family_spec((2 ** 19 + 1,)), 1)
+        m.setattr(obstruction, "MAX_SUPPORT_ENTRIES_PER_CLASS", 3)
+        with pytest.raises(ObstructionError, match="list 4 slot labels"):
+            verify_obstructed(family_spec((1, -1)), 1)
+    # the bound admits exactly its own number: the classes are certified
+    monkeypatch.setattr(obstruction, "MAX_SUPPORT_ENTRIES_PER_CLASS", 4)
+    assert verify_obstructed(family_spec((1, -1)), 1).obstructed
 
 
 def test_support_bound_counts_the_listed_labels():
@@ -984,7 +1032,6 @@ def test_certificate_is_refused_for_splitting_and_nonlinear_primes(
     for prime in (T - 2, 4 * T - 1, T * T + 2):
         first = prime.monic()
         block = hyperbolic_form(prime)
-        obstruction._assemble_full.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(obstruction, "_block_form", lambda pattern: block)
             if prime == T - 2:
@@ -996,7 +1043,6 @@ def test_certificate_is_refused_for_splitting_and_nonlinear_primes(
                 verify_obstructed(single_spec(), 3)
         assert f"({first})" in str(err.value)
         assert "(at - b)(bt - a) with |a - b| = 1" in str(err.value)
-    obstruction._assemble_full.cache_clear()
 
 
 def test_refused_certificate_without_slots_is_inconclusive():

@@ -6,7 +6,7 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rhoslice import polyalg
 from rhoslice.almodule import alexander_module
@@ -22,7 +22,9 @@ from rhoslice.polyalg import (
     factor_laurent,
     gcd_laurent,
     inverse_mod,
+    reduce_mod,
 )
+from rhoslice.cli import MAX_CURVE_EXPONENT
 from rhoslice.seifert import alexander_polynomial
 
 import factor_oracle
@@ -67,6 +69,24 @@ def test_conj_and_shift_are_ring_maps(a):
     assert (a * a).conj() == a.conj() * a.conj()
 
 
+@given(st.dictionaries(st.integers(-8, 8), small_fractions, max_size=5),
+       st.one_of(st.just(Fraction(0)), small_fractions))
+@example({-2: Fraction(1), 3: Fraction(5)}, Fraction(0))
+@example({0: Fraction(4), 2: Fraction(-1)}, Fraction(0))
+@example({-3: Fraction(2), 1: Fraction(-1, 3)}, Fraction(-3, 2))
+@settings(max_examples=200, deadline=None)
+def test_evaluate_is_the_term_by_term_sum(terms, x):
+    p = poly(terms)
+    if x == 0 and any(e < 0 and c for e, c in terms.items()):
+        with pytest.raises(PolyalgError, match="negative exponents at 0"):
+            p.evaluate(x)
+        return
+    want = sum((c * x ** e for e, c in terms.items() if e >= 0 or x),
+               Fraction(0))
+    assert p.evaluate(x) == want
+    assert isinstance(p.evaluate(x), Fraction)
+
+
 def test_variable_mismatch_rejected():
     s = LaurentPoly.var("s")
     with pytest.raises(PolyalgError, match="variable mismatch"):
@@ -102,6 +122,42 @@ def test_inverse_mod():
     assert r.is_zero()
     with pytest.raises(PolyalgError, match="not invertible"):
         inverse_mod(2 * T - 1, (2 * T - 1) * (T - 2))
+
+
+def reduce_mod_oracle(a, m):
+    """a modulo m through the inverse u of v modulo m: v^k a is reduced
+    and multiplied by u^k, with u^k taken by repeated squaring."""
+    mm = m.monic()
+    k = max(0, -a.low)
+    _, u, _ = polyalg._poly_xgcd(T, mm)
+    power, base = ONE, polyalg.poly_divmod(u, mm)[1]
+    while k:
+        if k & 1:
+            power = polyalg.poly_divmod(power * base, mm)[1]
+        base = polyalg.poly_divmod(base * base, mm)[1]
+        k >>= 1
+    reduced = polyalg.poly_divmod(a.shift(max(0, -a.low)), mm)[1]
+    return polyalg.poly_divmod(reduced * power, mm)[1]
+
+
+def test_reduce_mod_matches_the_inverse_oracle():
+    # exponents down to -MAX_CURVE_EXPONENT, as curve classes allow
+    rng = random.Random(2020)
+    for trial in range(300):
+        deg = rng.randint(1, 3)
+        m = poly({e: rng.randint(-5, 5) for e in range(deg)}
+                 | {0: rng.choice([1, -1, 2, -3]), deg: rng.randint(1, 4)})
+        low = (-MAX_CURVE_EXPONENT if trial % 30 == 0
+               else rng.randint(-40, 0))
+        a = poly({rng.randint(low, 12): Fraction(rng.randint(-9, 9),
+                                                 rng.randint(1, 5))
+                  for _ in range(rng.randint(0, 5))} | {low: 1})
+        got = reduce_mod(a, m)
+        assert got == reduce_mod_oracle(a, m)
+        assert got.is_zero() or (got.low >= 0 and got.degree < deg)
+        assert divides(m, a - got)
+    # a unit factor v^k of m does not change the ideal
+    assert reduce_mod(T.inverse_unit(), T * T + T) == poly({0: -1})
 
 
 # -- factorization ----------------------------------------------------------
@@ -293,7 +349,7 @@ def test_newton_interpolation_matches_lagrange_oracle():
         xs = rng.sample(range(-8, 9), n)
         coeffs = [rng.randint(-20, 20) for _ in range(n)]
         if trial % 2:
-            ys = [polyalg._dpoly_eval(coeffs, x) for x in xs]
+            ys = [int(LaurentPoly.from_coeffs(coeffs).evaluate(x)) for x in xs]
         else:
             ys = [rng.randint(-60, 60) for _ in range(n)]
         got = polyalg._newton_interpolate(xs, ys)
@@ -302,7 +358,7 @@ def test_newton_interpolation_matches_lagrange_oracle():
             continue
         integral += 1
         assert len(got) == n
-        assert [polyalg._dpoly_eval(got, x) for x in xs] == ys
+        assert [LaurentPoly.from_coeffs(got).evaluate(x) for x in xs] == ys
         if trial % 2:
             assert got == coeffs
         while len(got) > 1 and got[-1] == 0:

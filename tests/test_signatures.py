@@ -129,7 +129,7 @@ def inertia_via_charpoly(H):
     bound = Fraction(1) + max(abs(c) for c in p)
     pos = neg = 0
     for part, mult in _squarefree_parts(poly.monic()):
-        chain = sturm_chain(part.poly_coeffs())
+        chain = sturm_chain(part)
         pos += mult * sturm_count(chain, Fraction(0), bound)
         neg += mult * sturm_count(chain, -bound, Fraction(0))
     return pos, neg, zero
@@ -202,7 +202,8 @@ def test_signature_function_trefoil():
     sf = signature_function(trefoil_right())
     assert [(r.angle, r.jump) for r in sf.roots] == [(Fraction(1, 6), -2)]
     assert sf.arc_values == (0, -2)
-    assert sf.jumps() == [(Fraction(1, 6), -2), (Fraction(5, 6), 2)]
+    assert sf.to_json() == {"jumps": [{"jump": -2, "theta": "1/6"}],
+                            "arc_values": [0, -2]}
 
     def value(theta):
         # the arc value past the jumps below theta, mirrored past 1/2
@@ -215,8 +216,9 @@ def test_signature_function_trefoil():
 
 
 def test_signature_function_946_and_unknot():
-    assert signature_function(R946).is_zero()
-    assert signature_function(unknot()).is_zero()
+    for V in (R946, unknot()):
+        sf = signature_function(V)
+        assert (sf.roots, sf.arc_values) == ((), (0,))
 
 
 def test_signature_function_mirror_pointwise(rng):
@@ -237,8 +239,8 @@ def test_jump_locations_are_alexander_roots():
                 n = r.angle.denominator
                 assert divides(cos_minimal_polynomial(n), q)
             else:
-                factor = LaurentPoly({i: c for i, c in enumerate(r.factor)}, "t")
-                assert divides(factor, q)
+                assert r.factor.low == 0 and r.factor == r.factor.monic()
+                assert divides(r.factor, q)
 
 
 # -- the integral ------------------------------------------------------------------
@@ -480,11 +482,57 @@ def test_cos_enclosure_leaves_global_mpmath_alone(monkeypatch):
 
 def test_isolate_roots_basic():
     # (x-1)(x+1)x has roots -1, 0, 1
-    p = [Fraction(0), Fraction(-1), Fraction(0), Fraction(1)]
+    p = LaurentPoly({1: -1, 3: 1})
     roots = isolate_roots(p, Fraction(-2), Fraction(2))
     assert len(roots) == 3
     for (a, b), target in zip(roots, (-1, 0, 1)):
         assert a <= target <= b
+
+
+def below(x, root):
+    """Whether x < root exactly, for a rational root or a pair (b, D, s)
+    standing for the root (-b + s*sqrt(D))/2 of t^2 + bt + (b^2 - D)/4."""
+    if isinstance(root, Fraction):
+        return x < root
+    b, D, s = root
+    y = 2 * x + b
+    return (y < 0 or y * y < D) if s > 0 else (y < 0 and y * y > D)
+
+
+def test_isolate_roots_of_random_products(rng):
+    t = LaurentPoly.var("t")
+    lo, hi = Fraction(-3), Fraction(2)  # both often roots themselves
+    for _ in range(150):
+        p, roots = LaurentPoly.one("t"), []
+        for r in {Fraction(rng.randint(-24, 24), rng.randint(1, 6))
+                  for _ in range(rng.randint(0, 3))}:
+            p *= t - r
+            roots.append(r)
+        quadratics = set()
+        while len(quadratics) < rng.randint(0, 2):
+            b = Fraction(rng.randint(-12, 12), rng.randint(1, 3))
+            D = Fraction(rng.randint(-20, 40), rng.randint(1, 4))
+            if D < 0 or math.isqrt(D.numerator) ** 2 != D.numerator or \
+                    math.isqrt(D.denominator) ** 2 != D.denominator:
+                quadratics.add((b, D))  # irreducible over Q
+        for b, D in quadratics:
+            p *= t * t + b * t + (b * b - D) / 4
+            if D > 0:
+                roots += [(b, D, -1), (b, D, 1)]
+        if p.degree == 0:
+            continue
+        inside = [r for r in roots if below(lo, r) and not below(hi, r)]
+        intervals = isolate_roots(p, lo, hi)
+        assert len(intervals) == len(inside)
+        assert all(b1 <= a2 for (_, b1), (a2, _) in zip(intervals, intervals[1:]))
+        for a, b2 in intervals:
+            if a == b2:
+                hits = [r for r in inside if r == a]
+            else:
+                hits = [r for r in inside if below(a, r) and not below(b2, r)]
+                # only the window's own lower end may be a root
+                assert (a == lo or p.evaluate(a) != 0) and p.evaluate(b2) != 0
+            assert len(hits) == 1
 
 
 def test_cos_minimal_polynomials():
