@@ -27,18 +27,19 @@ JSON floats and booleans are refused, as 0.1 would be read in binary.
 
 Subcommands: info, obstruct, signature.  Exit codes for obstruct: 0 when
 OBSTRUCTED, 2 when INCONCLUSIVE, 1 on errors.  `obstruct --output
-structured` prints a "rhoslice.report/4" document.  Per isotypic class at
-complexity c = 1 only, `slot_types` holds each type's slot labels, the
-expression each copy adds, and the class's `certificate`: y, alpha and
-beta with y.s_t + alpha*lo_t - beta*hi_t > 0 on every type t, which proves
-that no count vector of the class vanishes, or null when the class was
-enumerated.  A certified class evaluates no cells.  `witnesses` lists the
-vanishing cells of enumerated classes, and `cells` lists the cells of
-enumerated classes of at most three count vectors; under `--cells` it
+structured` prints a "rhoslice.report/5" document.  Per isotypic class at
+complexity c = 1 only, `slot_types` lists each distinct expression `rho`
+that a slot's copies add, with its types (copy-1 label and copy count)
+and its total copies, and the class's `certificate`: y, alpha and beta
+with y.s_e + alpha*lo_e - beta*hi_e > 0 on every expression e, which
+proves that no count vector of the class vanishes, or null when the class
+was enumerated.  A certified class evaluates no cells.  `witnesses` lists
+every vanishing count vector of enumerated classes, and `cells` the cells
+of enumerated classes of at most three count vectors; under `--cells` it
 lists one cell per count vector of every class (its `counts`, indexed like
-the types, a representative `support` and its expression), as report/3
-did, and a certified class is enumerated too and must agree.  Then come
-the audit trail and the notes.  `uniform_in_c` is true when the
+the expressions, a representative `support` and its expression), and a
+certified class is enumerated too and must agree.  Then come the audit
+trail and the notes.  `uniform_in_c` is true when the
 complexity-free certificate carries the verdict to every complexity, and
 `c_max` echoes `--cmax`, for which nothing is computed.  The text output
 lists the same; its verdict line reads "(every c >= 1, mode)" under that
@@ -389,13 +390,14 @@ def cmd_obstruct(args) -> int:
         if report.uniform_in_c:
             print("uniform-in-c certificate: every cell holds at every "
                   "complexity c >= 1")
-        print("slot types (copies of one type add the same expression):")
+        print("distinct expressions (copy-1 label x copies of each type):")
         for table in report.slot_types:
-            for i, (slots, rho) in enumerate(zip(table.slots, table.rho), 1):
+            for i, (types, rho) in enumerate(zip(table.types, table.rho), 1):
+                listed = ", ".join(f"{label} x{n}" for label, n in types)
                 print(f"  c={table.complexity} class=({table.prime}) "
-                      f"type {i}: {{{', '.join(slots)}}} rho = {rho}")
+                      f"expression {i}: {{{listed}}} rho = {rho}")
         print("class decisions (a certificate y, alpha, beta has "
-              "y.s_t + alpha*lo_t - beta*hi_t > 0 on every slot type t):")
+              "y.s_e + alpha*lo_e - beta*hi_e > 0 on every expression e):")
         for table in report.slot_types:
             print(f"  c={table.complexity} class=({table.prime}): "
                   + (f"certificate {table.certificate}" if table.certificate

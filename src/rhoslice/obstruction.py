@@ -14,24 +14,27 @@ The |n_i| copies of one member are identical, so the slots of a class
 fall into slot types (member, K or -tK block, curve) of n_t = |n_i| copies
 each.  The engine assembles one block per member and part, which all its
 copies share, so every copy of a type adds the expression e_t of copy 1,
-and each type is evaluated once.  A support of k_t copies of each type
-then has the value sum_t k_t * e_t, which depends only on its count vector
-k.  A count vector 0 <= k_t <= n_t (not all zero) stands for its supports,
-so prod(n_t + 1) - 1 cells stand for the 2^(sum n_t) - 1 supports.
+and each type is evaluated once.  Types of equal expression are merged: a
+distinct expression e of N_e copies in all, over its types, and a support
+that takes K_e of them has the value sum_e K_e * e, which depends only on
+its count vector K.  A count vector 0 <= K_e <= N_e (not all zero) stands
+for its supports, so prod(N_e + 1) - 1 cells stand for the 2^(sum N_e) - 1
+supports; K_e may be split among e's types in any way.
 
-With s_t the symbol part of e_t and [lo_t, hi_t] its constant interval, the
-cell k vanishes iff sum_t k_t s_t = 0 and sum_t k_t lo_t <= 0 <= sum_t k_t
-hi_t.  Each class is first offered to Motzkin's transposition theorem
+With s_e the symbol part of e and [lo_e, hi_e] its constant interval, the
+cell K vanishes iff sum_e K_e s_e = 0 and sum_e K_e lo_e <= 0 <= sum_e K_e
+hi_e.  Each class is first offered to Motzkin's transposition theorem
 (Schrijver, Theory of Linear and Integer Programming, 1986, 7.8): an exact
 two-phase simplex looks for y in Q^s and alpha, beta >= 0 with
-y.s_t + alpha lo_t - beta hi_t > 0 for every type t.  Summed with the
-weights k_t of a vanishing cell, these margins would be both > 0 and <= 0,
-so once the certificate passes an exact re-check against every type, no
-cell of the class vanishes and none is evaluated.  A class without one,
-and a class of at most `LISTED_CELLS_PER_CLASS` cells, is enumerated: one
-cell per count vector.  Every class is held to `MAX_SLOT_TYPES_PER_CLASS`
-before any slot is evaluated, and only a class about to be enumerated to
-the cell and support bounds.
+y.s_e + alpha lo_e - beta hi_e > 0 for every distinct expression e.
+Summed with the weights K_e of a vanishing cell, these margins would be
+both > 0 and <= 0, so once the certificate passes an exact re-check
+against every expression, no cell of the class vanishes and none is
+evaluated.  A class without one, and a class of at most
+`LISTED_CELLS_PER_CLASS` cells, is enumerated: one cell per count vector.
+Every class is held to `MAX_SLOT_TYPES_PER_CLASS` before any slot is
+evaluated, and only a class about to be enumerated to the cell and support
+bounds.
 
 The analytic ingredients enter as axioms with machine-checked hypotheses:
 
@@ -99,7 +102,6 @@ from .signatures import Rho0Value, rho0 as rho0_of_seifert
 MAX_CELLS_PER_CLASS = 2 ** 20 - 1
 # Slot labels the representative supports of one class list in all; they
 # grow with the cube of a member's multiplicity, the cells with its square.
-# The slot types' own labels, which every report lists, are checked first.
 MAX_SUPPORT_ENTRIES_PER_CLASS = 2 ** 20
 # Slot types of one class, checked before any slot is evaluated: the
 # simplex that looks for a certificate grows with their number.
@@ -125,18 +127,6 @@ class Companion(NamedTuple):
 
     name: str
     rho: Rho0Value
-
-    @classmethod
-    def symbol(cls, name: str) -> "Companion":
-        return cls(name, Rho0Value.of_symbol(name))
-
-    @classmethod
-    def exact(cls, name: str, value) -> "Companion":
-        return cls(name, Rho0Value.of_exact(value))
-
-    @classmethod
-    def interval(cls, name: str, lo, hi) -> "Companion":
-        return cls(name, Rho0Value.of_interval(lo, hi))
 
     @classmethod
     def from_seifert(cls, name: str, V: SeifertMatrix) -> "Companion":
@@ -303,7 +293,8 @@ class RhoExpr(NamedTuple):
                 parts.append(f"+ {c}" if (parts and c >= 0)
                              else (f"- {-c}" if parts else str(c)))
         else:
-            parts.append(f"+ [{self.const_lo}, {self.const_hi}]")
+            interval = f"[{self.const_lo}, {self.const_hi}]"
+            parts.append(f"+ {interval}" if parts else interval)
         return " ".join(parts)
 
     def to_json(self):
@@ -521,10 +512,10 @@ def _accumulate(expr: RhoExpr, comp: Companion, sign: int, mode: str) -> RhoExpr
 
 
 class Certificate(NamedTuple):
-    """y in Q^s and alpha, beta >= 0 with margin y.s_t + alpha*lo_t -
-    beta*hi_t > 0 for the symbol part s_t and constant interval [lo_t, hi_t]
-    of every slot type t of a class.  A vanishing count vector k has
-    sum_t k_t s_t = 0 and sum_t k_t lo_t <= 0 <= sum_t k_t hi_t, so its
+    """y in Q^s and alpha, beta >= 0 with margin y.s_e + alpha*lo_e -
+    beta*hi_e > 0 for the symbol part s_e and constant interval [lo_e, hi_e]
+    of every distinct expression e of a class.  A vanishing count vector K
+    has sum_e K_e s_e = 0 and sum_e K_e lo_e <= 0 <= sum_e K_e hi_e, so its
     weighted sum of margins would be both > 0 and <= 0: no cell vanishes."""
 
     y: tuple[tuple[str, Fraction], ...]
@@ -609,10 +600,10 @@ def _simplex(rows: list[list[Fraction]], rhs: list[Fraction],
 
 def _certificate(exprs: tuple[RhoExpr, ...]) -> Certificate | None:
     """The certificate of least sum |y_j| + alpha + beta with every margin
-    at least 1, or None when the slot types admit none (then some nonzero
-    k >= 0 has sum_t k_t s_t = 0 and sum_t k_t lo_t <= 0 <= sum_t k_t hi_t).
+    at least 1, or None when the expressions admit none (then some nonzero
+    K >= 0 has sum_e K_e s_e = 0 and sum_e K_e lo_e <= 0 <= sum_e K_e hi_e).
 
-    Columns: y+ and y- per symbol, alpha, beta, one surplus per type."""
+    Columns: y+ and y- per symbol, alpha, beta, a surplus per expression."""
     names = sorted({name for e in exprs for name, _ in e.coeffs})
     s, m = len(names), len(exprs)
     rows = []
@@ -638,8 +629,9 @@ def _certificate(exprs: tuple[RhoExpr, ...]) -> Certificate | None:
 
 class ReportCell(NamedTuple):
     """One count vector of one isotypic class at one complexity.  `counts`
-    is indexed like the class's slot types; `support` is the representative
-    support, copies 1..k_t of each type in slot order."""
+    is indexed like the class's distinct expressions; `support` is the
+    representative support, which takes each expression's copies from its
+    types in type order, copies 1..k_t of each, listed in slot order."""
 
     complexity: int
     class_key: str
@@ -662,24 +654,33 @@ class ReportCell(NamedTuple):
 
 
 class SlotTypeTable(NamedTuple):
-    """The slot types of one isotypic class at one complexity: each type's
-    slot labels (copy 1 first) and the expression each of its copies adds,
+    """The slot types of one isotypic class at one complexity, merged by
+    expression: per distinct expression, the copy-1 label and copy count of
+    each of its types, in slot order, and the expression each copy adds;
     with the class's certificate, or None when it was enumerated."""
 
     complexity: int
     class_key: str
     prime: str
-    slots: tuple[tuple[str, ...], ...]
+    types: tuple[tuple[tuple[str, int], ...], ...]
     rho: tuple[RhoExpr, ...]
     certificate: Certificate | None = None
+
+    @property
+    def copies(self) -> tuple[int, ...]:
+        """N_e, the copies of each distinct expression over its types."""
+        return tuple(sum(n for _, n in types) for types in self.types)
 
     def to_json(self):
         return {
             "c": self.complexity,
             "class": self.class_key,
             "prime": self.prime,
-            "types": [{"slots": list(labels), "rho": expr.to_json()}
-                      for labels, expr in zip(self.slots, self.rho)],
+            "types": [{"types": [{"label": label, "copies": n}
+                                 for label, n in types],
+                       "copies": copies, "rho": expr.to_json()}
+                      for types, copies, expr
+                      in zip(self.types, self.copies, self.rho)],
             "certificate": (self.certificate.to_json()
                             if self.certificate else None),
         }
@@ -702,7 +703,7 @@ class ObstructionReport(NamedTuple):
 
     def to_json(self):
         return {
-            "schema": "rhoslice.report/4",
+            "schema": "rhoslice.report/5",
             "verdict": self.verdict,
             "c_max": self.c_max,
             "mode": self.mode,
@@ -717,45 +718,43 @@ class ObstructionReport(NamedTuple):
 
 def _slot_table(assembly: Assembly, prime: LaurentPoly, key: str,
                 types: list[Slot], mode: str, audit: dict[str, None]
-                ) -> tuple[SlotTypeTable, list[list[int]], list[str]]:
-    """The slot-type table of one isotypic class, with every copy's slot
-    position and the labels in slot order.  Each slot type's facts are
-    computed and audited once, on copy 1."""
-    spec = assembly.spec
-    exprs = []
-    for slot in types:
+                ) -> tuple[SlotTypeTable, list[list[int]]]:
+    """The slot-type table of one isotypic class, with the indices into
+    `types` of each distinct expression's types.  Each slot type's facts
+    are computed and audited once, on copy 1, and types of equal
+    expression are merged in order of first appearance."""
+    groups: dict[RhoExpr, list[int]] = {}
+    for j, slot in enumerate(types):
         expr, lines = _slot_expr(assembly, prime, slot, mode)
         for line in lines:
             audit.setdefault(f"c=1: {line}")
-        exprs.append(expr)
-
-    # every copy's slot position, in slot order: member, copy, K before -tK,
-    # curve; a member's types are adjacent in `types`
-    positions: list[list[int]] = [[] for _ in types]
-    labels: list[str] = []
-    for _, group in itertools.groupby(range(len(types)),
-                                      key=lambda j: types[j].member):
-        group = list(group)
-        first = types[group[0]]
-        block = assembly.blocks[(first.member, first.reversed_part)]
-        for copy in range(1, block.copies + 1):
-            for j in group:
-                positions[j].append(len(labels))
-                labels.append(types[j]._replace(copy=copy).label(spec))
-    table = SlotTypeTable(1, key, str(prime),
-                          tuple(tuple(labels[i] for i in p) for p in positions),
-                          tuple(exprs))
+        groups.setdefault(expr, []).append(j)
+    table = SlotTypeTable(1, key, str(prime), tuple(
+        tuple((types[j].label(assembly.spec),
+               assembly.blocks[types[j].member, types[j].reversed_part].copies)
+              for j in group)
+        for group in groups.values()), tuple(groups))
     audit.setdefault(_count_line(table))
-    return table, positions, labels
+    return table, list(groups.values())
 
 
-def _sweep_class(table: SlotTypeTable, positions: list[list[int]],
-                 labels: list[str], listed: bool) -> list[ReportCell]:
-    """The cells of one isotypic class, one per count vector when `listed`
-    and otherwise only the vanishing ones, sorted by (support size, slot
-    positions of the representative support), which for one copy per type
-    is the order of the supports themselves."""
-    counted = itertools.product(*(range(len(p) + 1) for p in positions))
+def _sweep_class(table: SlotTypeTable, types: list[Slot],
+                 groups: list[list[int]], spec: FamilySpec,
+                 listed: bool) -> list[ReportCell]:
+    """The cells of one isotypic class, one per count vector over its
+    distinct expressions when `listed` and otherwise only the vanishing
+    ones, sorted by (support size, slot positions of the representative
+    support).  The representative takes the first K_e copies of each
+    expression e: its types in type order, copies 1..n_t of each.  Copy c
+    of type j sits at slot position (member, c, j), as a member's types
+    are adjacent in `types`, K before -tK, in curve order."""
+    keys = [[(types[j].member, copy, j) for j, (_, n) in zip(group, sized)
+             for copy in range(1, n + 1)]
+            for group, sized in zip(groups, table.types)]
+    order = sorted(itertools.chain(*keys))
+    rank = {key: i for i, key in enumerate(order)}
+    copies = [[rank[key] for key in group] for group in keys]
+    counted = itertools.product(*(range(len(c) + 1) for c in copies))
     zero = next(counted)
 
     # In product order a count vector comes after the vector with its last
@@ -768,10 +767,11 @@ def _sweep_class(table: SlotTypeTable, positions: list[list[int]],
         expr = value[counts] = value[lower] + table.rho[last]
         nonzero = expr.is_verifiably_nonzero()
         if listed or not nonzero:
-            support = sorted(i for p, k in zip(positions, counts)
-                             for i in p[:k])
+            support = sorted(i for c, k in zip(copies, counts) for i in c[:k])
             rows.append((len(support), support, counts, nonzero))
     rows.sort()
+    labels = [types[j]._replace(copy=copy).label(spec)
+              for _, copy, j in order]
     return [ReportCell(1, table.class_key, table.prime, counts,
                        tuple(labels[i] for i in support), value[counts],
                        nonzero)
@@ -779,19 +779,19 @@ def _sweep_class(table: SlotTypeTable, positions: list[list[int]],
 
 
 def _count_line(table: SlotTypeTable) -> str:
-    sizes = [len(labels) for labels in table.slots]
-    return (f"c=1: ({table.prime}) class: {sum(sizes)} slots in {len(sizes)} "
-            "slot types; the slot facts of each type ran once, on copy 1, as "
-            f"its copies share one block form; "
-            f"{math.prod(n + 1 for n in sizes) - 1} count vectors stand for "
-            f"its 2^{sum(sizes)} - 1 supports")
+    sizes = table.copies
+    return (f"c=1: ({table.prime}) class: {sum(sizes)} slots in "
+            f"{sum(map(len, table.types))} slot types of {len(sizes)} "
+            "distinct expressions; the slot facts of each type ran once, on "
+            "copy 1, as its copies share one block form; "
+            f"{math.prod(n + 1 for n in sizes) - 1} count vectors over the "
+            f"distinct expressions stand for its 2^{sum(sizes)} - 1 supports")
 
 
-def _classes(assembly: Assembly) -> list[tuple[LaurentPoly, list[Slot], int]]:
-    """(prime, slot types, count vectors) of every isotypic class with
-    slots, in class order.  The slot-type bound, and the support bound on
-    the labels of the slot types, are checked for every class before any
-    slot is evaluated."""
+def _classes(assembly: Assembly) -> list[tuple[LaurentPoly, list[Slot]]]:
+    """(prime, slot types) of every isotypic class with slots, in class
+    order.  The slot-type bound is checked for every class before any slot
+    is evaluated."""
     classes = []
     for prime in assembly.primes:
         types = _slots_for_prime(assembly, prime)
@@ -799,15 +799,8 @@ def _classes(assembly: Assembly) -> list[tuple[LaurentPoly, list[Slot], int]]:
             raise ObstructionError(
                 f"c=1: the ({prime}) class has {len(types)} slot types, more "
                 f"than MAX_SLOT_TYPES_PER_CLASS = {MAX_SLOT_TYPES_PER_CLASS}")
-        sizes = [assembly.blocks[(s.member, s.reversed_part)].copies
-                 for s in types]
-        if sum(sizes) > MAX_SUPPORT_ENTRIES_PER_CLASS:
-            raise ObstructionError(
-                f"c=1: the slot types of the ({prime}) class list {sum(sizes)} "
-                "slot labels, more than MAX_SUPPORT_ENTRIES_PER_CLASS = "
-                f"{MAX_SUPPORT_ENTRIES_PER_CLASS}")
         if types:
-            classes.append((prime, types, math.prod(n + 1 for n in sizes) - 1))
+            classes.append((prime, types))
     return classes
 
 
@@ -817,8 +810,8 @@ def _check_enumerable(table: SlotTypeTable, n_cells: int) -> None:
         raise ObstructionError(
             f"c=1: {n_cells} count vectors in the ({table.prime}) class "
             f"exceed the enumeration bound {MAX_CELLS_PER_CLASS}")
-    # over all count vectors, each type's count averages half its copies
-    n_entries = (n_cells + 1) * sum(map(len, table.slots)) // 2
+    # over all count vectors, each count averages half its expression's copies
+    n_entries = (n_cells + 1) * sum(table.copies) // 2
     if n_entries > MAX_SUPPORT_ENTRIES_PER_CLASS:
         raise ObstructionError(
             f"c=1: the supports of the ({table.prime}) class list {n_entries} "
@@ -833,16 +826,17 @@ def _decide(assembly: Assembly, mode: str, cells: bool,
     with slots, each keyed by its prime in the knot's variable s.
 
     A class of more than LISTED_CELLS_PER_CLASS count vectors is decided by
-    its certificate when it has one; every other class is enumerated.  The
-    cells of an enumerated class are listed when `cells` is set or the
-    class is that small, and otherwise only its witnesses are kept.  With
-    `cells`, a certified class is enumerated too, and a vanishing cell
-    there refutes the certificate.  The cell and support bounds are checked
-    right before a class is enumerated."""
+    its certificate when it has one; every other class is enumerated, and
+    each of its vanishing count vectors is a witness.  Its cells are listed
+    when `cells` is set or the class is that small.  With `cells`, a
+    certified class is enumerated too, and a vanishing cell there refutes
+    the certificate.  The cell and support bounds are checked right before
+    a class is enumerated."""
     out = []
-    for prime, types, n_cells in _classes(assembly):
-        table, positions, labels = _slot_table(
+    for prime, types in _classes(assembly):
+        table, groups = _slot_table(
             assembly, prime, str(prime.rename("s")), types, mode, audit)
+        n_cells = math.prod(n + 1 for n in table.copies) - 1
         cert = (_certificate(table.rho)
                 if n_cells > LISTED_CELLS_PER_CLASS else None)
         if cert is not None:
@@ -853,15 +847,16 @@ def _decide(assembly: Assembly, mode: str, cells: bool,
             table = table._replace(certificate=cert)
             audit.setdefault(
                 f"c=1: ({table.prime}) class: certificate {cert} re-checked "
-                "exactly: y.s_t + alpha*lo_t - beta*hi_t > 0 on each of its "
-                f"{len(types)} slot types, so none of its {n_cells} count "
-                "vectors vanishes (Motzkin's transposition theorem)")
+                "exactly: y.s_e + alpha*lo_e - beta*hi_e > 0 on each of its "
+                f"{len(table.rho)} distinct expressions, so none of its "
+                f"{n_cells} count vectors vanishes (Motzkin's transposition "
+                "theorem)")
         if cert is not None and not cells:
             out.append((table, [], []))
             continue
         listed = cells or n_cells <= LISTED_CELLS_PER_CLASS
         _check_enumerable(table, n_cells)
-        class_cells = _sweep_class(table, positions, labels, listed)
+        class_cells = _sweep_class(table, types, groups, assembly.spec, listed)
         witnesses = [cell for cell in class_cells if not cell.nonvanishing]
         if cert is not None and witnesses:
             raise ObstructionError(
@@ -873,20 +868,21 @@ def _decide(assembly: Assembly, mode: str, cells: bool,
 
 def verify_obstructed(spec: FamilySpec, c_max: int, mode: str = "symbolic",
                       cells: bool = False) -> ObstructionReport:
-    """Decide, at complexity 1, every count vector of the slot types of
-    each isotypic class, and carry the verdict to every complexity by the
-    complexity-free certificate.
+    """Decide, at complexity 1, every count vector over the distinct slot
+    expressions of each isotypic class, and carry the verdict to every
+    complexity by the complexity-free certificate.
 
     OBSTRUCTED iff no count vector's expression can vanish: each class
     either has a transposition certificate, re-checked exactly, or is
     enumerated with every cell verifiably nonzero.  Any unverifiable cell
-    (exact zero, or an interval through zero) yields INCONCLUSIVE with
-    witnesses.  The count vectors discharge the
-    self-annihilating-submodule quantifier: a nonzero element of such a
-    submodule reduces, by multiplying with the complementary primes, to a
-    unit-coordinate element supported on a set of slots, whose value is
-    that of its count vector's cell; and a self-annihilating submodule is
-    nonzero because the form is nonsingular (validated at assembly).
+    (exact zero, or an interval through zero) yields INCONCLUSIVE, and
+    every such cell of an enumerated class is listed as a witness.  The
+    count vectors discharge the self-annihilating-submodule quantifier: a
+    nonzero element of such a submodule reduces, by multiplying with the
+    complementary primes, to a unit-coordinate element supported on a set
+    of slots, whose value is that of its count vector's cell; and a
+    self-annihilating submodule is nonzero because the form is nonsingular
+    (validated at assembly).
 
     The report lists the cells of every class when `cells` is set; without
     it, only those of enumerated classes of at most LISTED_CELLS_PER_CLASS
@@ -941,11 +937,12 @@ def verify_obstructed(spec: FamilySpec, c_max: int, mode: str = "symbolic",
     if any(table.certificate for table, _, _ in found):
         notes.append(
             "transposition certificate: a class with a certificate (y, alpha, "
-            "beta) has y.s_t + alpha*lo_t - beta*hi_t > 0 on each slot type t, "
-            "whose expression has symbol part s_t and constant interval "
-            "[lo_t, hi_t]; a vanishing count vector k would make the sum of "
-            "k_t times these margins both > 0 and <= 0 (Motzkin's "
-            "transposition theorem), so no cell of the class vanishes")
+            "beta) has y.s_e + alpha*lo_e - beta*hi_e > 0 on each distinct "
+            "expression e of its slot types, with symbol part s_e and "
+            "constant interval [lo_e, hi_e]; a vanishing count vector K would "
+            "make the sum of K_e times these margins both > 0 and <= 0 "
+            "(Motzkin's transposition theorem), so no cell of the class "
+            "vanishes")
     if any(not class_cells for _, class_cells, _ in found):
         notes.append(
             f"cells: listed only for enumerated classes of at most "

@@ -21,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from rhoslice import obstruction
 from rhoslice.almodule import (
@@ -39,7 +40,6 @@ from rhoslice.obstruction import (
     ReportCell,
     RhoExpr,
     Slot,
-    SlotTypeTable,
     _slot_expr,
 )
 from rhoslice.polyalg import (
@@ -249,7 +249,20 @@ def slot_types(slots: list[Slot]) -> list[list[int]]:
     return list(types.values())
 
 
-def count_line(table: SlotTypeTable) -> str:
+class TypeTable(NamedTuple):
+    """The slot types of one isotypic class at one complexity, unmerged:
+    each type's slot labels (copy 1 first) and the expression each of its
+    copies adds."""
+
+    complexity: int
+    class_key: str
+    prime: str
+    slots: tuple[tuple[str, ...], ...]
+    rho: tuple[RhoExpr, ...]
+    certificate: None = None
+
+
+def count_line(table: TypeTable) -> str:
     sizes = [len(labels) for labels in table.slots]
     return (f"c={table.complexity}: ({table.prime}) class: {sum(sizes)} slots "
             f"in {len(sizes)} slot types, and the copies of each type give "
@@ -290,9 +303,9 @@ def sweep_class(assembly: CopyAssembly, prime: LaurentPoly, key: str,
         cells.append(ReportCell(c, key, prime_name, counts,
                                 tuple(labels[i] for i in support), expr,
                                 expr.is_verifiably_nonzero()))
-    table = SlotTypeTable(c, key, prime_name,
-                          tuple(tuple(labels[i] for i in t) for t in types),
-                          tuple(type_exprs))
+    table = TypeTable(c, key, prime_name,
+                      tuple(tuple(labels[i] for i in t) for t in types),
+                      tuple(type_exprs))
     audit.setdefault(count_line(table))
     return table, cells
 
@@ -335,11 +348,11 @@ def sweep(assembly: CopyAssembly, mode: str, audit: dict[str, None]):
             for prime, key, slots, types in classes]
 
 
-def transported(c: int, prime: LaurentPoly, table: SlotTypeTable, cells):
+def transported(c: int, prime: LaurentPoly, table: TypeTable, cells):
     """A class's c=1 table and cells at complexity c, with the prime
     renamed to p(t^c)."""
     name = str(prime.subs_power(c).monic())
-    return (SlotTypeTable(c, table.class_key, name, table.slots, table.rho),
+    return (TypeTable(c, table.class_key, name, table.slots, table.rho),
             [ReportCell(c, cell.class_key, name, cell.counts, cell.support,
                         cell.rho, cell.nonvanishing) for cell in cells])
 

@@ -207,8 +207,8 @@ def test_criterion_7_family(capsys):
         members = []
         for i, n in enumerate((1, -2, 3), start=1):
             K = InfectedKnot.build(pattern_9_46(), {
-                "alpha": Companion.symbol(f"rA{i}"),
-                "beta": Companion.symbol(f"rB{i}")})
+                "alpha": Companion(f"rA{i}", Rho0Value.of_symbol(f"rA{i}")),
+                "beta": Companion(f"rB{i}", Rho0Value.of_symbol(f"rB{i}"))})
             members.append(FamilyMember(K, n))
         spec = FamilySpec(tuple(members), ("K1", "K2", "K3"))
         report = verify_obstructed(spec, 4, cells=True)
@@ -220,7 +220,7 @@ def test_criterion_7_family(capsys):
 
 def test_criterion_8_soundness_negatives():
     with timed("8 (soundness negatives)", 20.0):
-        r = Companion.symbol("r")
+        r = Companion("r", Rho0Value.of_symbol("r"))
         equal = InfectedKnot.build(pattern_9_46(), {"alpha": r, "beta": r})
         rep = verify_obstructed(FamilySpec.single(equal), 2)
         assert rep.verdict == "INCONCLUSIVE"
@@ -232,7 +232,8 @@ def test_criterion_8_soundness_negatives():
 
         bad = PatternKnot.from_int_vectors(R946, {"gamma": (1, 1)},
                                            name="bad-curve")
-        K = InfectedKnot.build(bad, {"gamma": Companion.symbol("rG")})
+        K = InfectedKnot.build(bad, {
+            "gamma": Companion("rG", Rho0Value.of_symbol("rG"))})
         with pytest.raises(ObstructionError):
             verify_obstructed(FamilySpec.single(K), 1)
 

@@ -234,7 +234,7 @@ def test_obstruct_structured_deterministic(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     data = json.loads(first)
-    assert data["schema"] == "rhoslice.report/4"
+    assert data["schema"] == "rhoslice.report/5"
     assert data["verdict"] == "OBSTRUCTED"
     assert data["c_max"] == 2
     # cells and slot types are listed at c = 1 only

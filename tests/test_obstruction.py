@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -19,6 +20,7 @@ from rhoslice.almodule import (
     reduce_to_isotypic,
 )
 from rhoslice.blanchfield import FormError, LinkingForm, blanchfield_form
+from rhoslice.cli import main
 from rhoslice.obstruction import (
     MAX_CELLS_PER_CLASS,
     MAX_SLOT_TYPES_PER_CLASS,
@@ -32,6 +34,7 @@ from rhoslice.obstruction import (
     ReportCell,
     RhoExpr,
     Slot,
+    SlotTypeTable,
     _accumulate,
     _slot_contributions,
     _slot_expr,
@@ -49,7 +52,8 @@ T = LaurentPoly.var("t")
 
 def single_spec(alpha="rA", beta="rB"):
     K = InfectedKnot.build(pattern_9_46(), {
-        "alpha": Companion.symbol(alpha), "beta": Companion.symbol(beta)})
+        "alpha": Companion(alpha, Rho0Value.of_symbol(alpha)),
+        "beta": Companion(beta, Rho0Value.of_symbol(beta))})
     return FamilySpec.single(K)
 
 
@@ -57,8 +61,8 @@ def family_spec(multiplicities=(1, -2, 3)):
     members = []
     for i, n in enumerate(multiplicities, start=1):
         K = InfectedKnot.build(pattern_9_46(), {
-            "alpha": Companion.symbol(f"rA{i}"),
-            "beta": Companion.symbol(f"rB{i}")})
+            "alpha": Companion(f"rA{i}", Rho0Value.of_symbol(f"rA{i}")),
+            "beta": Companion(f"rB{i}", Rho0Value.of_symbol(f"rB{i}"))})
         members.append(FamilyMember(K, n))
     return FamilySpec(tuple(members),
                       tuple(f"K{i}" for i in range(1, len(members) + 1)))
@@ -85,6 +89,16 @@ def test_rhoexpr_intervals():
     assert e2.is_verifiably_nonzero()
     e3 = e2.add_value(Rho0Value.of_interval(Fraction(1, 10), Fraction(2, 10)), -1)
     assert not e3.is_verifiably_nonzero()
+
+
+def test_rhoexpr_str():
+    interval = Rho0Value.of_interval(Fraction(-1, 2), Fraction(1, 3))
+    assert str(RhoExpr.zero().add_value(interval, 1)) == "[-1/2, 1/3]"
+    assert str(RhoExpr.of(x=1).add_value(interval, 1)) == "x + [-1/2, 1/3]"
+    assert str(RhoExpr.of(x=-2).add_value(interval, -1)) == \
+        "-2*x + [-1/3, 1/2]"
+    assert str(RhoExpr.of(Fraction(-1, 2), x=1, y=-3)) == "x - 3*y - 1/2"
+    assert str(RhoExpr.zero()) == "0"
 
 
 def random_rho(rng):
@@ -312,8 +326,8 @@ def test_numeric_mode_requires_values():
 
 def test_numeric_cancellation():
     K = InfectedKnot.build(pattern_9_46(), {
-        "alpha": Companion.exact("J", Fraction(2, 3)),
-        "beta": Companion.exact("J", Fraction(2, 3))})
+        "alpha": Companion("J", Rho0Value.of_exact(Fraction(2, 3))),
+        "beta": Companion("J", Rho0Value.of_exact(Fraction(2, 3)))})
     spec = FamilySpec.single(K)
     vals = [evaluate_rho(spec, p, 1, mode="numeric")
             for p in admissible_patterns(spec, 1)]
@@ -342,7 +356,8 @@ def test_coordinate_check_rejects_a_multiple_of_the_prime():
 def test_bad_curve_self_pairing_raises():
     V = SeifertMatrix([[0, 1], [2, 0]])
     bad = PatternKnot.from_int_vectors(V, {"gamma": (1, 1)}, name="bad")
-    K = InfectedKnot.build(bad, {"gamma": Companion.symbol("rG")})
+    K = InfectedKnot.build(bad, {
+        "gamma": Companion("rG", Rho0Value.of_symbol("rG"))})
     with pytest.raises(ObstructionError, match="does not extend"):
         verify_obstructed(FamilySpec.single(K), 1)
 
@@ -350,7 +365,8 @@ def test_bad_curve_self_pairing_raises():
 def test_non_slice_pattern_raises():
     tp = PatternKnot.from_int_vectors(trefoil_right(), {"c1": (1, 0)},
                                       name="trefoil")
-    K = InfectedKnot.build(tp, {"c1": Companion.symbol("rT")})
+    K = InfectedKnot.build(tp, {
+        "c1": Companion("rT", Rho0Value.of_symbol("rT"))})
     with pytest.raises(ObstructionError, match="metabolizer"):
         verify_obstructed(FamilySpec.single(K), 1)
 
@@ -423,8 +439,10 @@ def test_symbolic_numeric_consistency():
     members = []
     for i, n in enumerate((1, -1), start=1):
         K = InfectedKnot.build(pattern_9_46(), {
-            "alpha": Companion.exact(f"rA{i}", stand_ins[f"rA{i}"]),
-            "beta": Companion.exact(f"rB{i}", stand_ins[f"rB{i}"])})
+            "alpha": Companion(f"rA{i}",
+                               Rho0Value.of_exact(stand_ins[f"rA{i}"])),
+            "beta": Companion(f"rB{i}",
+                              Rho0Value.of_exact(stand_ins[f"rB{i}"]))})
         members.append(FamilyMember(K, n))
     numeric = verify_obstructed(FamilySpec(tuple(members)), 2, mode="numeric")
     symbolic = verify_obstructed(family_spec((1, -1)), 2, mode="symbolic")
@@ -433,8 +451,10 @@ def test_symbolic_numeric_consistency():
 
 def test_interval_through_zero_is_inconclusive():
     K = InfectedKnot.build(pattern_9_46(), {
-        "alpha": Companion.interval("JA", Fraction(-1, 100), Fraction(1, 100)),
-        "beta": Companion.interval("JB", Fraction(-1, 100), Fraction(1, 100))})
+        "alpha": Companion("JA", Rho0Value.of_interval(Fraction(-1, 100),
+                                                       Fraction(1, 100))),
+        "beta": Companion("JB", Rho0Value.of_interval(Fraction(-1, 100),
+                                                      Fraction(1, 100)))})
     report = verify_obstructed(FamilySpec.single(K), 1, mode="numeric")
     assert report.verdict == "INCONCLUSIVE"
 
@@ -445,13 +465,15 @@ def test_other_patterns_and_mixed_family():
     V2 = SeifertMatrix([[0, 2], [3, 0]])
     p2 = PatternKnot.from_int_vectors(V2, {"alpha": (1, 0), "beta": (0, 1)},
                                       name="p23")
-    K2 = InfectedKnot.build(p2, {"alpha": Companion.symbol("sA"),
-                                 "beta": Companion.symbol("sB")})
+    K2 = InfectedKnot.build(p2, {
+        "alpha": Companion("sA", Rho0Value.of_symbol("sA")),
+        "beta": Companion("sB", Rho0Value.of_symbol("sB"))})
     rep = verify_obstructed(FamilySpec.single(K2), 3)
     assert rep.verdict == "OBSTRUCTED" and rep.uniform_in_c
 
     K1 = InfectedKnot.build(pattern_9_46(), {
-        "alpha": Companion.symbol("rA"), "beta": Companion.symbol("rB")})
+        "alpha": Companion("rA", Rho0Value.of_symbol("rA")),
+        "beta": Companion("rB", Rho0Value.of_symbol("rB"))})
     mix = FamilySpec((FamilyMember(K1, 1), FamilyMember(K2, -1)), ("K1", "K2"))
     repm = verify_obstructed(mix, 2)
     assert repm.verdict == "OBSTRUCTED"
@@ -468,7 +490,8 @@ def test_bad_inputs():
     with pytest.raises(ObstructionError):
         FamilyMember(InfectedKnot.build(pattern_9_46(), {}), 0)
     with pytest.raises(ObstructionError):
-        InfectedKnot.build(pattern_9_46(), {"delta": Companion.symbol("x")})
+        InfectedKnot.build(pattern_9_46(), {
+            "delta": Companion("x", Rho0Value.of_symbol("x"))})
 
 
 # -- the sweep against the one-companion-at-a-time oracle ---------------------------
@@ -565,26 +588,75 @@ def oracle_report(spec, c_max, mode, prefix_sums=False):
         uniform_in_c=uniform, notes=tuple(notes))
 
 
-COUNT_LINE = re.compile(r"^c=\d+: \(.*\) class: .* count vectors stand for")
+COUNT_LINE = re.compile(r"^c=\d+: \(.*\) class: .* count vectors .*stand for")
+
+
+def copy_labels(label, n):
+    """The labels of copies 1..n of the slot type whose copy-1 label is
+    `label`; no member name here holds "[1]"."""
+    head, tail = label.split("[1]", 1)
+    return [f"{head}[{k}]{tail}" for k in range(1, n + 1)]
+
+
+def counted_slots(table):
+    """The slots that each entry of a cell's `counts` takes from: every copy
+    of the types of one distinct expression, or of one type of the
+    unmerged tables of the per-copy sweep."""
+    if isinstance(table, sweep_oracle.TypeTable):
+        return [list(slots) for slots in table.slots]
+    return [[slot for label, n in types for slot in copy_labels(label, n)]
+            for types in table.types]
+
+
+def merged(table):
+    """A per-copy sweep's table with its types of equal expression merged,
+    in order of first appearance, as the report lists them."""
+    groups = {}
+    for slots, expr in zip(table.slots, table.rho):
+        groups.setdefault(expr, []).append((slots[0], len(slots)))
+    return SlotTypeTable(table.complexity, table.class_key, table.prime,
+                         tuple(map(tuple, groups.values())), tuple(groups))
 
 
 def expand(cells, report):
     """{(c, class, support set): rho} of the supports the cells stand for:
-    each count vector k expands into the prod C(n_t, k_t) supports that
-    take k_t of the n_t slots of each type t."""
-    tables = {(t.complexity, t.class_key): t for t in report.slot_types}
+    each count vector K expands into the prod C(N_e, K_e) supports that
+    take K_e of the N_e slots of each entry e of `counts`."""
+    tables = {(t.complexity, t.class_key): counted_slots(t)
+              for t in report.slot_types}
     out = {}
     for cell in cells:
-        table = tables[(cell.complexity, cell.class_key)]
-        assert len(cell.counts) == len(table.slots)
+        counted = tables[(cell.complexity, cell.class_key)]
+        assert len(cell.counts) == len(counted)
         for parts in itertools.product(*(
                 itertools.combinations(slots, k)
-                for slots, k in zip(table.slots, cell.counts))):
+                for slots, k in zip(counted, cell.counts))):
             key = (cell.complexity, cell.class_key,
                    frozenset(itertools.chain(*parts)))
             assert key not in out
             out[key] = cell.rho
     return out
+
+
+def assert_representatives(report, order):
+    """Each listed cell's representative support takes the count of each
+    distinct expression from its types in type order, copies 1..k_t of
+    each, and lists them in slot order, given as {class: {slot: index}}."""
+    tables = {t.class_key: t for t in report.slot_types}
+    for cell in report.cells + report.witnesses:
+        table = tables[cell.class_key]
+        assert list(cell.support) == sorted(cell.support,
+                                            key=order[cell.class_key].get)
+        for types, k in zip(table.types, cell.counts):
+            taken = []
+            for label, n in types:
+                taken += copy_labels(label, min(k, n))
+                k -= min(k, n)
+            slots = {slot for label, n in types
+                     for slot in copy_labels(label, n)}
+            assert {slot for slot in cell.support if slot in slots} == \
+                set(taken)
+        assert len(cell.support) == sum(cell.counts)
 
 
 def copy_number(label):
@@ -646,16 +718,16 @@ NO_SLOT_NOTE = ("no admissible patterns: every curve class is zero in the "
                 "module, so no complexity has a slot; nothing to obstruct")
 TRANSPOSITION_NOTE = (
     "transposition certificate: a class with a certificate (y, alpha, beta) "
-    "has y.s_t + alpha*lo_t - beta*hi_t > 0 on each slot type t, whose "
-    "expression has symbol part s_t and constant interval [lo_t, hi_t]; a "
-    "vanishing count vector k would make the sum of k_t times these margins "
-    "both > 0 and <= 0 (Motzkin's transposition theorem), so no cell of the "
-    "class vanishes")
+    "has y.s_e + alpha*lo_e - beta*hi_e > 0 on each distinct expression e of "
+    "its slot types, with symbol part s_e and constant interval [lo_e, "
+    "hi_e]; a vanishing count vector K would make the sum of K_e times these "
+    "margins both > 0 and <= 0 (Motzkin's transposition theorem), so no cell "
+    "of the class vanishes")
 CHECKED_LINE = re.compile(
     r"^c=1: \((.*)\) class: certificate y = \{.*\}, alpha = \S+, beta = "
-    r"\S+ re-checked exactly: y\.s_t \+ alpha\*lo_t - beta\*hi_t > 0 on "
-    r"each of its \d+ slot types, so none of its \d+ count vectors vanishes "
-    r"\(Motzkin's transposition theorem\)$")
+    r"\S+ re-checked exactly: y\.s_e \+ alpha\*lo_e - beta\*hi_e > 0 on "
+    r"each of its \d+ distinct expressions, so none of its \d+ count vectors "
+    r"vanishes \(Motzkin's transposition theorem\)$")
 CMAX_NOTE = ("c_max: echoed only, and nothing is computed for it; cells and "
              "slot types are listed at c=1 only")
 
@@ -663,9 +735,6 @@ CMAX_NOTE = ("c_max: echoed only, and nothing is computed for it; cells and "
 # The per-copy sweep audits every copy and words its count lines for that;
 # the report audits copy 1 of each slot type.
 LATER_COPY_LINE = re.compile(r"^c=1: [^\s\[]*\[([2-9]|\d\d+)\]")
-SWEEP_COUNT_WORDS = ", and the copies of each type give equal expressions;"
-COUNT_WORDS = ("; the slot facts of each type ran once, on copy 1, as its "
-               "copies share one block form;")
 
 
 def without_certificates(tables):
@@ -674,27 +743,51 @@ def without_certificates(tables):
 
 def assert_same_answers(report, old):
     """The c = 1 report answers as a per-complexity sweep does: the same
-    verdict and certificate, and its cells, witnesses and slot-type tables
-    are the sweep's c = 1 ones, which the sweep repeats at every later c
-    with the prime renamed.  Its notes replace the sweep's per-complexity
+    verdict and certificate; its slot-type tables are the sweep's c = 1
+    ones with the types of equal expression merged, and its cells and
+    witnesses stand for the same supports and values as the sweep's c = 1
+    ones, and equal them in a class whose expressions are distinct.  The
+    sweep repeats its c = 1 tables and cells at every later c with the
+    prime renamed.  The report's notes replace the sweep's per-complexity
     notes, and its audit is the sweep's c = 1 lines of copy 1, with the
-    count lines reworded, and has no line for any later c."""
+    count lines replaced, and has no line for any later c."""
     for name in ("verdict", "c_max", "mode", "uniform_in_c"):
         assert getattr(report, name) == getattr(old, name), name
     prime_at_one = {t.class_key: t.prime for t in report.slot_types}
     for name in ("cells", "witnesses", "slot_types"):
-        mine, theirs = getattr(report, name), getattr(old, name)
-        if name == "slot_types":
-            mine = without_certificates(mine)
-        assert mine == tuple(x for x in theirs if x.complexity == 1), name
+        theirs = getattr(old, name)
+        at_one = [x for x in theirs if x.complexity == 1]
         for c in range(2, old.c_max + 1):
             at_c = [x for x in theirs if x.complexity == c]
             assert [x.prime for x in at_c] == [
                 prime_at_one[x.class_key].replace("t", f"t^{c}")
                 for x in at_c]
             assert [x._replace(complexity=1, prime=prime_at_one[x.class_key])
-                    for x in at_c] == list(mine), (name, c)
-    expected = [NO_SLOT_NOTE] if not report.cells else []
+                    for x in at_c] == at_one, (name, c)
+    tables = [t for t in old.slot_types if t.complexity == 1]
+    assert without_certificates(report.slot_types) == \
+        tuple(merged(t) for t in tables)
+    # a class of distinct expressions has the sweep's cells; any other is
+    # compared support by support
+    distinct = {t.class_key for t in report.slot_types
+                if all(len(types) == 1 for types in t.types)}
+    for name in ("cells", "witnesses"):
+        mine = getattr(report, name)
+        theirs = tuple(x for x in getattr(old, name) if x.complexity == 1)
+        assert [x for x in mine if x.class_key in distinct] == \
+            [x for x in theirs if x.class_key in distinct], name
+        assert expand([x for x in mine if x.class_key not in distinct],
+                      report) == \
+            expand([x for x in theirs if x.class_key not in distinct],
+                   old), name
+    # the oracle's largest cell of a class takes every slot, in slot order
+    order = {}
+    for cell in old.cells:
+        if cell.complexity == 1 and len(cell.support) >= len(
+                order.get(cell.class_key, ())):
+            order[cell.class_key] = {s: i for i, s in enumerate(cell.support)}
+    assert_representatives(report, order)
+    expected = [NO_SLOT_NOTE] if not report.slot_types else []
     if report.uniform_in_c:
         expected.append(CERTIFICATE_NOTE)
     expected.append(CMAX_NOTE)
@@ -702,11 +795,13 @@ def assert_same_answers(report, old):
     if certified:
         expected.append(TRANSPOSITION_NOTE)
     assert report.notes == tuple(expected) + old.notes[-2:]
-    at_one = tuple(line.replace(SWEEP_COUNT_WORDS, COUNT_WORDS)
-                   for line in old.audit if line.startswith("c=1: ")
-                   and not LATER_COPY_LINE.match(line))
+    counted = iter(report.slot_types)
+    at_one = [obstruction._count_line(next(counted)) if COUNT_LINE.match(line)
+              else line for line in old.audit if line.startswith("c=1: ")
+              and not LATER_COPY_LINE.match(line)]
+    assert next(counted, None) is None
     audit = [line for line in report.audit if not CHECKED_LINE.match(line)]
-    assert audit == list(at_one)
+    assert audit == at_one
     # one re-check line per certified class, after that class's count line
     checked = [line for line in report.audit if CHECKED_LINE.match(line)]
     assert [CHECKED_LINE.match(line).group(1) for line in checked] == \
@@ -719,13 +814,15 @@ def assert_same_answers(report, old):
 def random_companion(rng, kinds):
     kind = rng.choice(kinds)
     if kind == "symbol":
-        return Companion.symbol(rng.choice(("ra", "rb", "rc")))
+        name = rng.choice(("ra", "rb", "rc"))
+        return Companion(name, Rho0Value.of_symbol(name))
     if kind == "trivial":
         return None
     v = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5)))
     if kind == "exact":
-        return Companion.exact("J", v)
-    return Companion.interval("I", v, v + Fraction(rng.randint(0, 2), 100))
+        return Companion("J", Rho0Value.of_exact(v))
+    return Companion("I", Rho0Value.of_interval(
+        v, v + Fraction(rng.randint(0, 2), 100)))
 
 
 def random_family(rng, max_copies, kinds, most=None, shared=0.0):
@@ -833,6 +930,106 @@ def test_single_copy_cells_match_oracle_in_order(mode):
         assert all(set(cell.counts) <= {0, 1} for cell in report.cells)
 
 
+def negated_rho(rho):
+    if rho.kind == "exact":
+        return Rho0Value.of_exact(-rho.exact)
+    return Rho0Value.of_interval(-rho.interval[1], -rho.interval[0])
+
+
+def merging_family(rng):
+    """A 9_46 family of up to four members and five copies whose slot types
+    share expressions: companions come from small pools of symbols, exact
+    values and intervals of both signs, so that types of different members
+    coincide, and a member that carries a on alpha and -a on beta gives
+    its K and -tK types one expression in each class."""
+    pool = [Rho0Value.of_symbol("ra"), Rho0Value.of_symbol("rb"),
+            Rho0Value.of_exact(Fraction(1, 3)),
+            Rho0Value.of_exact(Fraction(-1, 2)),
+            Rho0Value.of_interval(Fraction(1, 5), Fraction(1, 4)),
+            Rho0Value.of_interval(Fraction(-1, 10), Fraction(1, 10))]
+    members, left = [], rng.randint(2, 5)
+    while left:
+        n = rng.randint(1, min(left, 3))
+        left -= n
+        alpha = rng.choice(pool)
+        beta = (negated_rho(alpha) if alpha.kind != "symbol"
+                and rng.random() < 0.4 else rng.choice(pool))
+        K = InfectedKnot.build(pattern_9_46(), {
+            "alpha": Companion("A", alpha), "beta": Companion("B", beta)})
+        members.append(FamilyMember(K, n * rng.choice((1, -1))))
+    return FamilySpec(tuple(members[:4]),
+                      tuple(f"K{i}" for i in range(1, len(members[:4]) + 1)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_merged_sweep_matches_oracle(seed):
+    # the sweep over distinct expressions against the per-copy sweep over
+    # every type's copies: equal verdicts, the same supports and values
+    # once each cell is expanded into its prod C(N_e, K_e) supports, and a
+    # vanishing representative support for every witness
+    rng = random.Random(7800 + seed)
+    seen = {"joined": 0, "spanning": 0, "INCONCLUSIVE": 0, "OBSTRUCTED": 0}
+    for _ in range(12):
+        spec = merging_family(rng)
+        report = verify_obstructed(spec, 1, cells=True)
+        oracle = sweep_oracle.verify_obstructed(spec, 1)
+        assert report.verdict == oracle.verdict
+        assert report.witnesses == \
+            verify_obstructed(spec, 1).witnesses == \
+            tuple(cell for cell in report.cells if not cell.nonvanishing)
+        assert_same_answers(report, oracle)
+        # a witness's representative support, evaluated slot by slot from
+        # the per-copy sweep's types, vanishes
+        value = {(t.class_key, slot): expr for t in oracle.slot_types
+                 for slots, expr in zip(t.slots, t.rho) for slot in slots}
+        for cell in report.witnesses:
+            rho = sum((value[(cell.class_key, slot)] for slot in cell.support),
+                      RhoExpr.zero())
+            assert rho == cell.rho and not rho.is_verifiably_nonzero()
+        for table in report.slot_types:
+            for types in table.types:
+                members = [label.split("[", 1)[0] for label, _ in types]
+                seen["joined"] += len(members) > len(set(members))
+                seen["spanning"] += len(set(members)) > 1
+        seen[report.verdict] += 1
+    assert min(seen.values()) >= 2, seen
+
+
+def test_ten_alternating_members_are_decided_on_merged_vectors(tmp_path,
+                                                               capsys):
+    # ten single-copy members with exact 1/3 and -1/2 companions: four
+    # distinct expressions of five copies per class, so 6^4 - 1 count
+    # vectors stand for 2^20 - 1 supports, and 3 * 1/3 - 2 * 1/2 = 0
+    curves = [{"name": "alpha", "class": ["1", "0"]},
+              {"name": "beta", "class": ["0", "1"]}]
+    value = {i: "1/3" if i % 2 else "-1/2" for i in range(1, 11)}
+    doc = {"schema": "rhoslice.knot/1",
+           "pattern": {"name": "9_46", "seifert": [[0, 1], [2, 0]],
+                       "curves": curves},
+           "knots": {f"K{i}": {"companions": {"alpha": {"rho0": value[i]},
+                                              "beta": {"rho0": value[i]}}}
+                     for i in value},
+           "family": [{"knot": f"K{i}", "multiplicity": 1} for i in value]}
+    path = tmp_path / "alternating.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["obstruct", str(path), "--output", "structured"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "INCONCLUSIVE" and report["cells"] == []
+    for table in report["slot_types"]:
+        assert table["certificate"] is None
+        assert [entry["copies"] for entry in table["types"]] == [5] * 4
+        assert [len(entry["types"]) for entry in table["types"]] == [5] * 4
+    for w in report["witnesses"]:
+        assert w["rho"] == {"coefficients": {}, "constant": "0"}
+        assert len(w["support"]) == sum(w["counts"])
+    # (3 of 1/3 and 2 of -1/2, or 3 of -1/3 and 2 of 1/2, and multiples
+    # up to five copies) in each class
+    assert {tuple(w["counts"]) for w in report["witnesses"]} >= \
+        {(3, 0, 2, 0), (0, 3, 0, 2), (3, 3, 2, 2)}
+    assert any("1295 count vectors over the distinct expressions stand for "
+               "its 2^20 - 1 supports" in line for line in report["audit"])
+
+
 def test_slot_type_bound_is_checked_before_any_slot(monkeypatch):
     assert MAX_SLOT_TYPES_PER_CLASS == 32
 
@@ -851,7 +1048,7 @@ def test_slot_type_bound_is_checked_before_any_slot(monkeypatch):
             verify_obstructed(family_spec((1, -1, 1)), 1)
     # the bound admits exactly its own number
     report = verify_obstructed(family_spec((1, -1) * 8), 1)
-    assert [len(t.slots) for t in report.slot_types] == [32, 32]
+    assert [len(t.types) for t in report.slot_types] == [32, 32]
     assert report.obstructed
     monkeypatch.setattr(obstruction, "MAX_SLOT_TYPES_PER_CLASS", 4)
     assert verify_obstructed(family_spec((1, -1)), 1).obstructed
@@ -905,30 +1102,29 @@ def test_support_bound_is_checked_before_any_cell(monkeypatch):
         verify_obstructed(family_spec((1, -1)), 1, cells=True)
 
 
-def test_slot_labels_are_bounded_before_any_slot(monkeypatch):
-    # every report lists each slot type's labels, one per copy: a member of
-    # multiplicity 2^19 + 1 gives 2^20 + 2 of them per class
+def test_certified_multiplicities_list_one_label_per_type(monkeypatch):
+    # a slot type lists its copy-1 label and its copy count, so a certified
+    # member of any multiplicity gives a report of constant size
     def unreachable(*args):
-        raise AssertionError("a slot was evaluated")
+        raise AssertionError("a class was enumerated")
 
-    with monkeypatch.context() as m:
-        m.setattr(obstruction, "_slot_expr", unreachable)
-        with pytest.raises(ObstructionError, match=r"the slot types of the "
-                           r"\(t - 2\) class list 1048578 slot labels, more "
-                           "than MAX_SUPPORT_ENTRIES_PER_CLASS = 1048576"):
-            verify_obstructed(family_spec((2 ** 19 + 1,)), 1)
-        m.setattr(obstruction, "MAX_SUPPORT_ENTRIES_PER_CLASS", 3)
-        with pytest.raises(ObstructionError, match="list 4 slot labels"):
-            verify_obstructed(family_spec((1, -1)), 1)
-    # the bound admits exactly its own number: the classes are certified
-    monkeypatch.setattr(obstruction, "MAX_SUPPORT_ENTRIES_PER_CLASS", 4)
-    assert verify_obstructed(family_spec((1, -1)), 1).obstructed
+    monkeypatch.setattr(obstruction, "_sweep_class", unreachable)
+    for n in (2 ** 19, 10 ** 12):
+        report = verify_obstructed(family_spec((n,)), 1)
+        assert (report.verdict, report.cells, report.witnesses) == \
+            ("OBSTRUCTED", (), ())
+        assert [t.types for t in report.slot_types] == [
+            ((("K1[1].beta", n),), (("K1[1]~.alpha", n),)),
+            ((("K1[1].alpha", n),), (("K1[1]~.beta", n),))]
+        assert all(t.certificate for t in report.slot_types)
+        assert len(json.dumps(report.to_json())) < 10 ** 6
+        assert f"c=1: assembled {2 * n} blocks;" in report.audit[0]
 
 
 def test_support_bound_counts_the_listed_labels():
     report = verify_obstructed(family_spec((1, -2, 3)), 1, cells=True)
     for table in report.slot_types:
-        sizes = [len(labels) for labels in table.slots]
+        sizes = table.copies
         listed = sum(len(cell.support) for cell in report.cells
                      if cell.class_key == table.class_key)
         assert listed == math.prod(n + 1 for n in sizes) * sum(sizes) // 2
@@ -939,8 +1135,7 @@ def test_multiplicity_forty_member_runs():
     report = verify_obstructed(family_spec((40,)), 1, cells=True)
     assert report.verdict == "OBSTRUCTED"
     assert len(report.cells) == 2 * (41 ** 2 - 1)
-    assert [len(slots) for t in report.slot_types for slots in t.slots] == \
-        [40] * 4
+    assert [t.copies for t in report.slot_types] == [(40, 40)] * 2
 
 
 def test_numeric_symbol_error_matches_oracle():
@@ -1054,7 +1249,7 @@ def test_refused_certificate_without_slots_is_inconclusive():
                                          name="trefoil")
     for pattern, curve in ((trivial, "alpha"), (quiet, "c1")):
         spec = FamilySpec.single(InfectedKnot.build(
-            pattern, {curve: Companion.symbol("rA")}))
+            pattern, {curve: Companion("rA", Rho0Value.of_symbol("rA"))}))
         report = verify_obstructed(spec, 3)
         assert (report.verdict, report.cells, report.uniform_in_c) == \
             ("INCONCLUSIVE", (), False)
@@ -1099,7 +1294,7 @@ def test_one_block_per_member_part(monkeypatch):
     monkeypatch.undo()
     old = full_sweep(spec, 1)
     assert (report.cells, without_certificates(report.slot_types)) == \
-        (old.cells, old.slot_types)
+        (old.cells, tuple(map(merged, old.slot_types)))
     assert_same_answers(report, old)
 
 
@@ -1137,7 +1332,8 @@ def test_large_coefficient_pattern_runs_in_seconds():
         SeifertMatrix([[0, p], [p + 1, 0]]), {"alpha": (1, 0), "beta": (0, 1)},
         name="P")
     spec = FamilySpec.single(InfectedKnot.build(pattern, {
-        "alpha": Companion.symbol("rA"), "beta": Companion.symbol("rB")}))
+        "alpha": Companion("rA", Rho0Value.of_symbol("rA")),
+        "beta": Companion("rB", Rho0Value.of_symbol("rB"))}))
     start = time.perf_counter()
     for c_max in (1, 12):
         report = verify_obstructed(spec, c_max)

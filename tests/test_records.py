@@ -19,14 +19,15 @@ from rhoslice.obstruction import (
 )
 from rhoslice.polyalg import LaurentPoly
 from rhoslice.seifert import PatternKnot, SeifertError, pattern_9_46, trefoil_right
-from rhoslice.signatures import SignatureError, SignatureFunction, signature_function
+from rhoslice.signatures import Rho0Value, SignatureError, SignatureFunction, signature_function
 
 S = LaurentPoly.var("s")
 
 
 def knot():
     return InfectedKnot.build(pattern_9_46(), {
-        "alpha": Companion.symbol("rA"), "beta": Companion.exact("rB", 1)})
+        "alpha": Companion("rA", Rho0Value.of_symbol("rA")),
+        "beta": Companion("rB", Rho0Value.of_exact(1))})
 
 
 def summand(label):

@@ -174,10 +174,11 @@ def test_benchmark_checks_pass(command):
 
 @pytest.mark.parametrize("cells", ([], ["--cells"]), ids=("default", "cells"))
 def test_obstruct_output_is_independent_of_hash_seed(tmp_path, cells):
-    # Slot types come from blocks keyed by (member, block), slot positions
-    # from a grouping by member and certificates from the sorted symbols;
-    # the report must not depend on the iteration order of hashed
-    # containers, with the cells listed or not.
+    # Slot types come from blocks keyed by (member, block), the distinct
+    # expressions from a grouping of the types by expression (K3 and K5
+    # share theirs), slot positions from the member order and certificates
+    # from the sorted symbols; the report must not depend on the iteration
+    # order of hashed containers, with the cells listed or not.
     curves = [{"name": "alpha", "class": ["1", "0"]},
               {"name": "beta", "class": ["0", "1"]}]
     doc = {
@@ -192,23 +193,27 @@ def test_obstruct_output_is_independent_of_hash_seed(tmp_path, cells):
             "K3": {"companions": {"alpha": {"symbol": "q"}}},
             "K4": {"companions": {"alpha": {"symbol": "q"},
                                   "beta": {"rho0": "-1/2"}}},
+            "K5": {"companions": {"alpha": {"symbol": "q"}}},
         },
         "family": [{"knot": "K1", "multiplicity": 2},
                    {"knot": "K2", "multiplicity": -3},
                    {"knot": "K3", "multiplicity": 1},
-                   {"knot": "K4", "multiplicity": -2}],
+                   {"knot": "K4", "multiplicity": -2},
+                   {"knot": "K5", "multiplicity": 1}],
     }
     # the same members with companions of one sign per class, and K3 (whose
-    # trivial beta companion vanishes) left out: both classes certified
+    # trivial beta companion vanishes) left out: both classes certified,
+    # with K5 sharing K4's expressions
+    k4 = {"companions": {"alpha": {"symbol": "q"}, "beta": {"rho0": "1/2"}}}
     knots = dict(doc["knots"],
                  K1={"companions": {"alpha": {"symbol": "r"},
                                     "beta": {"symbol": "p"}}},
                  K2={"companions": {"alpha": {"rho0": "-1/3"},
                                     "beta": {"rho0_interval": ["1/5", "1/4"]}}},
-                 K4={"companions": {"alpha": {"symbol": "q"},
-                                    "beta": {"rho0": "1/2"}}})
+                 K4=k4, K5=k4)
     certified = dict(doc, knots=knots, family=[
-        m for m in doc["family"] if m["knot"] != "K3"])
+        dict(m, multiplicity=-1) if m["knot"] == "K5" else m
+        for m in doc["family"] if m["knot"] != "K3"])
     env = {seed: dict(os.environ, PYTHONHASHSEED=seed,
                       PYTHONPATH=os.pathsep.join(
                           [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
@@ -232,4 +237,6 @@ def test_obstruct_output_is_independent_of_hash_seed(tmp_path, cells):
         assert report["verdict"] == verdict
         assert bool(report["cells"]) == bool(cells)
         assert all(bool(t["certificate"]) == (verdict == "OBSTRUCTED")
+                   for t in report["slot_types"])
+        assert all(any(len(entry["types"]) > 1 for entry in t["types"])
                    for t in report["slot_types"])
