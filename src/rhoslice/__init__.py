@@ -4,62 +4,63 @@ Everything is computed in exact rational (or certified-interval)
 arithmetic: Laurent polynomials over Q, homology of infinite cyclic covers
 via Smith normal form, linking forms, Levine-Tristram signatures, and the
 metabelian obstruction sweep for satellite families.
+
+Importing the package compiles none of its layers.  Each layer is put in
+`sys.modules` and on the package by `importlib.util.LazyLoader`, and its
+source is compiled on the first attribute access: a command pays only for
+the layers it uses (`signature` never compiles `obstruction`).  The public
+names below resolve through the export table, `rhoslice.X` loading the
+layer that defines X.
 """
 
-from .almodule import (
-    AlexanderModule,
-    ModuleElement,
-    Submodule,
-    alexander_module,
-    direct_sum,
-    isotypic_decompose,
-    reduce_to_isotypic,
-    reverse_module,
-    smith_normal_form,
-)
-from .blanchfield import (
-    LinkingForm,
-    annihilator_submodule,
-    blanchfield_form,
-    is_self_annihilating,
-)
-from .obstruction import (
-    Companion,
-    FamilyMember,
-    FamilySpec,
-    InfectedKnot,
-    ObstructionError,
-    ObstructionReport,
-    RhoExpr,
-    verify_obstructed,
-)
-from .polyalg import (
-    FracCoset,
-    LaurentPoly,
-    PolyalgError,
-    coset_reduce,
-    equal_up_to_unit,
-    factor_laurent,
-    gcd_laurent,
-)
-from .seifert import (
-    PatternKnot,
-    SeifertMatrix,
-    alexander_polynomial,
-    connected_sum,
-    knot_transform,
-    metabolizer_search,
-    pattern_9_46,
-    trefoil_left,
-    trefoil_right,
-    unknot,
-)
-from .signatures import (
-    Rho0Value,
-    SignatureFunction,
-    lt_signature_at,
-    rho0,
-    signature_function,
-)
+import importlib.util
+import sys
 
+# the layers, registered below without compiling any of them
+_LAYERS = ("polyalg", "linalg", "seifert", "signatures", "almodule",
+           "blanchfield", "obstruction")
+
+# the public API: each layer's exported names
+_EXPORTS = {
+    "almodule": ("AlexanderModule", "ModuleElement", "Submodule",
+                 "alexander_module", "direct_sum", "isotypic_decompose",
+                 "reduce_to_isotypic", "reverse_module", "smith_normal_form"),
+    "blanchfield": ("LinkingForm", "annihilator_submodule", "blanchfield_form",
+                    "is_self_annihilating"),
+    "obstruction": ("Companion", "FamilyMember", "FamilySpec", "InfectedKnot",
+                    "ObstructionError", "ObstructionReport", "RhoExpr",
+                    "verify_obstructed"),
+    "polyalg": ("FracCoset", "LaurentPoly", "PolyalgError", "coset_reduce",
+                "equal_up_to_unit", "factor_laurent", "gcd_laurent"),
+    "seifert": ("PatternKnot", "SeifertMatrix", "alexander_polynomial",
+                "connected_sum", "knot_transform", "metabolizer_search",
+                "pattern_9_46", "trefoil_left", "trefoil_right", "unknot"),
+    "signatures": ("Rho0Value", "SignatureFunction", "lt_signature_at", "rho0",
+                   "signature_function"),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items()
+             for name in names}
+__all__ = list(_LAYER_OF)
 __version__ = "0.1.0"
+
+
+def _register_lazily(layers: tuple[str, ...]) -> None:
+    """Put each layer in `sys.modules` and on the package, its source not
+    yet compiled."""
+    for layer in layers:
+        spec = importlib.util.find_spec(f"{__name__}.{layer}")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+        globals()[layer] = module
+
+
+_register_lazily(_LAYERS)
+
+
+def __getattr__(name: str):
+    """PEP 562: a public name is read from its layer, which loads it."""
+    if name in _LAYER_OF:
+        return getattr(globals()[_LAYER_OF[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -48,6 +48,13 @@ output early (`rhoslice ... | head -1`) ends the command with exit code 1
 and no traceback.  The
 environment variable RHOSLICE_PRECISION bounds the width of certified
 intervals (default 1/1000000).
+
+The package registers its layers lazily (see `rhoslice/__init__`), and
+this module reads their names at call time (`obstruction.verify_obstructed`)
+and never at import, so a command compiles only the layers it calls into:
+`signature` polyalg, linalg, seifert and signatures; `info` polyalg,
+linalg, seifert, almodule and blanchfield; `obstruct` every layer.  An
+error message loads every layer, as `main` catches each layer's error.
 """
 
 from __future__ import annotations
@@ -60,18 +67,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .blanchfield import blanchfield_form
-from .obstruction import (
-    Companion,
-    FamilyMember,
-    FamilySpec,
-    InfectedKnot,
-    ObstructionError,
-    verify_obstructed,
-)
-from .polyalg import LaurentPoly, PolyalgError
-from .seifert import PatternKnot, SeifertError, SeifertMatrix, alexander_polynomial, metabolizer_search
-from .signatures import Rho0Value, SignatureError, precision_budget, rho0_from_signature, signature_function
+from . import blanchfield, obstruction, polyalg, seifert, signatures
 
 SCHEMA = "rhoslice.knot/1"
 # Largest |exponent| in a curve class: reducing a class modulo its
@@ -89,15 +85,16 @@ class DocumentError(ValueError):
 
 
 # A parsed companion: its signature integral or symbol, or the Seifert
-# matrix whose integral only `obstruct` computes.
-CompanionValue = Rho0Value | SeifertMatrix
+# matrix whose integral only `obstruct` computes.  A string, read only as an
+# annotation: no layer is loaded to define it.
+CompanionValue = "signatures.Rho0Value | seifert.SeifertMatrix"
 
 
 class KnotDocument(NamedTuple):
     """Parsed and validated knot description."""
 
-    seifert: SeifertMatrix | None = None
-    pattern: PatternKnot | None = None
+    seifert: seifert.SeifertMatrix | None = None
+    pattern: seifert.PatternKnot | None = None
     companions: tuple[tuple[str, CompanionValue], ...] = ()
     knots: tuple[tuple[str, "KnotEntry"], ...] = ()
     family: tuple[tuple[str, int], ...] = ()
@@ -105,7 +102,7 @@ class KnotDocument(NamedTuple):
 
 
 class KnotEntry(NamedTuple):
-    pattern: PatternKnot | None
+    pattern: seifert.PatternKnot | None
     companions: tuple[tuple[str, CompanionValue], ...]
 
 
@@ -114,7 +111,7 @@ def _require(cond: bool, where: str, msg: str) -> None:
         raise DocumentError(f"{where}: {msg}")
 
 
-def _parse_matrix(data, where: str) -> SeifertMatrix:
+def _parse_matrix(data, where: str) -> seifert.SeifertMatrix:
     _require(isinstance(data, list) and all(isinstance(r, list) for r in data),
              where, "expected a list of integer rows")
     for r in data:
@@ -122,8 +119,8 @@ def _parse_matrix(data, where: str) -> SeifertMatrix:
             _require(isinstance(x, int) and not isinstance(x, bool),
                      where, f"non-integer entry {x!r}")
     try:
-        return SeifertMatrix(data)
-    except SeifertError as exc:
+        return seifert.SeifertMatrix(data)
+    except seifert.SeifertError as exc:
         raise DocumentError(f"{where}: {exc}") from exc
 
 
@@ -136,9 +133,9 @@ def _parse_rational(value, where: str) -> Fraction:
         raise DocumentError(f"{where}: bad rational {value!r}") from exc
 
 
-def _parse_poly(data, where: str) -> LaurentPoly:
+def _parse_poly(data, where: str) -> polyalg.LaurentPoly:
     if not isinstance(data, dict):
-        return LaurentPoly.constant(_parse_rational(data, where), "s")
+        return polyalg.LaurentPoly.constant(_parse_rational(data, where), "s")
     coeffs = data.get("coefficients", {})
     _require(isinstance(coeffs, dict), where, f"bad polynomial {data!r}: "
              "coefficients must map exponents to rationals")
@@ -150,13 +147,13 @@ def _parse_poly(data, where: str) -> LaurentPoly:
     top = max(map(abs, terms), default=0)
     _require(top <= MAX_CURVE_EXPONENT, where,
              f"exponent {top} exceeds MAX_CURVE_EXPONENT = {MAX_CURVE_EXPONENT}")
-    return LaurentPoly(terms, "s")
+    return polyalg.LaurentPoly(terms, "s")
 
 
-def _parse_pattern(data, where: str) -> PatternKnot:
+def _parse_pattern(data, where: str) -> seifert.PatternKnot:
     _require(isinstance(data, dict), where, "expected an object")
     _require("seifert" in data, where, "missing 'seifert'")
-    seifert = _parse_matrix(data["seifert"], f"{where}.seifert")
+    matrix = _parse_matrix(data["seifert"], f"{where}.seifert")
     curves_raw = data.get("curves", [])
     _require(isinstance(curves_raw, list), f"{where}.curves", "expected a list")
     curves = []
@@ -166,14 +163,14 @@ def _parse_pattern(data, where: str) -> PatternKnot:
                  w, "expected {name, class}")
         _require(isinstance(cv["name"], str), w, "name must be a string")
         vec = cv["class"]
-        _require(isinstance(vec, list) and len(vec) == seifert.dim,
-                 w, f"class must be a vector of length {seifert.dim}")
+        _require(isinstance(vec, list) and len(vec) == matrix.dim,
+                 w, f"class must be a vector of length {matrix.dim}")
         curves.append((cv["name"], tuple(_parse_poly(x, w) for x in vec)))
     name = data.get("name", "pattern")
     _require(isinstance(name, str), f"{where}.name", "expected a string")
     try:
-        return PatternKnot(seifert, tuple(curves), name=name)
-    except SeifertError as exc:
+        return seifert.PatternKnot(matrix, tuple(curves), name=name)
+    except seifert.SeifertError as exc:
         raise DocumentError(f"{where}: {exc}") from exc
 
 
@@ -188,16 +185,17 @@ def _parse_companion(data, where: str) -> CompanionValue:
     if "symbol" in data:
         _require(isinstance(data["symbol"], str), where,
                  "symbol must be a string")
-        return Rho0Value.of_symbol(data["symbol"])
+        return signatures.Rho0Value.of_symbol(data["symbol"])
     if "rho0" in data:
-        return Rho0Value.of_exact(_parse_rational(data["rho0"], where))
+        return signatures.Rho0Value.of_exact(
+            _parse_rational(data["rho0"], where))
     if "rho0_interval" in data:
         iv = data["rho0_interval"]
         _require(isinstance(iv, list) and len(iv) == 2, where,
                  "interval must be [lo, hi]")
         lo, hi = (_parse_rational(x, where) for x in iv)
         _require(lo <= hi, where, "interval lower end exceeds upper end")
-        return Rho0Value.of_interval(lo, hi)
+        return signatures.Rho0Value.of_interval(lo, hi)
     return _parse_matrix(data["seifert"], where)
 
 
@@ -209,14 +207,14 @@ def parse_document(data: dict) -> KnotDocument:
              "assembly"}
     for key in data:
         _require(key in known, key, "unknown field")
-    seifert = pattern = None
+    matrix = pattern = None
     if "seifert" in data:
-        seifert = _parse_matrix(data["seifert"], "seifert")
+        matrix = _parse_matrix(data["seifert"], "seifert")
     if "pattern" in data:
         pattern = _parse_pattern(data["pattern"], "pattern")
-    _require(seifert is not None or pattern is not None,
+    _require(matrix is not None or pattern is not None,
              "document", "needs 'seifert' or 'pattern'")
-    _require(not (seifert is not None and pattern is not None),
+    _require(not (matrix is not None and pattern is not None),
              "document", "'seifert' and 'pattern' are mutually exclusive")
 
     curve_names = set(pattern.curve_names()) if pattern else set()
@@ -277,7 +275,7 @@ def parse_document(data: dict) -> KnotDocument:
     _require(assembly in ("difference-with-reverse", "bare"), "assembly",
              "must be 'difference-with-reverse' or 'bare'")
 
-    return KnotDocument(seifert=seifert, pattern=pattern,
+    return KnotDocument(seifert=matrix, pattern=pattern,
                         companions=companions, knots=tuple(knots),
                         family=tuple(family), assembly=assembly)
 
@@ -295,23 +293,26 @@ def load_document(path: str) -> KnotDocument:
     return parse_document(data)
 
 
-def _build_companion(name: str, value: CompanionValue) -> Companion:
+def _build_companion(name: str,
+                     value: CompanionValue) -> obstruction.Companion:
     """The companion on curve `name`; a symbol names its companion, and a
     Seifert matrix has its signature integral computed here."""
-    if isinstance(value, SeifertMatrix):
-        return Companion.from_seifert(name, value)
-    return Companion(value.symbol if value.kind == "symbol" else name, value)
+    if isinstance(value, seifert.SeifertMatrix):
+        return obstruction.Companion.from_seifert(name, value)
+    return obstruction.Companion(
+        value.symbol if value.kind == "symbol" else name, value)
 
 
-def family_spec(doc: KnotDocument) -> FamilySpec:
+def family_spec(doc: KnotDocument) -> obstruction.FamilySpec:
     if doc.pattern is None:
         raise DocumentError("obstruction needs a pattern document")
     with_reverse = doc.assembly != "bare"
 
-    def infected(pattern: PatternKnot, companions) -> InfectedKnot:
+    def infected(pattern: seifert.PatternKnot,
+                 companions) -> obstruction.InfectedKnot:
         comp_map = {cname: _build_companion(cname, value)
                     for cname, value in companions}
-        return InfectedKnot.build(pattern, comp_map)
+        return obstruction.InfectedKnot.build(pattern, comp_map)
 
     if doc.family:
         entries = dict(doc.knots)
@@ -320,13 +321,14 @@ def family_spec(doc: KnotDocument) -> FamilySpec:
         for knot_name, mult in doc.family:
             entry = entries[knot_name]
             pattern = entry.pattern or doc.pattern
-            members.append(FamilyMember(infected(pattern, entry.companions),
-                                        mult, with_reverse=with_reverse))
+            members.append(obstruction.FamilyMember(
+                infected(pattern, entry.companions), mult,
+                with_reverse=with_reverse))
             names.append(knot_name)
-        return FamilySpec(tuple(members), tuple(names))
-    member = FamilyMember(infected(doc.pattern, doc.companions), 1,
-                          with_reverse=with_reverse)
-    return FamilySpec((member,), ("K",))
+        return obstruction.FamilySpec(tuple(members), tuple(names))
+    member = obstruction.FamilyMember(
+        infected(doc.pattern, doc.companions), 1, with_reverse=with_reverse)
+    return obstruction.FamilySpec((member,), ("K",))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +336,7 @@ def family_spec(doc: KnotDocument) -> FamilySpec:
 # ---------------------------------------------------------------------------
 
 
-def _doc_matrix(doc: KnotDocument) -> SeifertMatrix:
+def _doc_matrix(doc: KnotDocument) -> seifert.SeifertMatrix:
     return doc.seifert if doc.seifert is not None else doc.pattern.seifert
 
 
@@ -351,10 +353,10 @@ def cmd_info(args) -> int:
     doc = load_document(args.file)
     target = doc.pattern if doc.pattern is not None else _doc_matrix(doc)
     V = _doc_matrix(doc)
-    delta = alexander_polynomial(V)
-    form, _dec = blanchfield_form(target)
+    delta = seifert.alexander_polynomial(V)
+    form, _dec = blanchfield.blanchfield_form(target)
     module = form.module
-    metab = metabolizer_search(V) if V.dim == 2 else None
+    metab = seifert.metabolizer_search(V) if V.dim == 2 else None
 
     if args.output == "structured":
         out = {
@@ -380,8 +382,8 @@ def cmd_info(args) -> int:
 def cmd_obstruct(args) -> int:
     doc = load_document(args.file)
     spec = family_spec(doc)
-    report = verify_obstructed(spec, args.cmax, mode=args.mode,
-                               cells=args.cells)
+    report = obstruction.verify_obstructed(spec, args.cmax, mode=args.mode,
+                                           cells=args.cells)
     if args.output == "structured":
         _print_json(report.to_json())
     else:
@@ -426,8 +428,8 @@ def cmd_obstruct(args) -> int:
 def cmd_signature(args) -> int:
     doc = load_document(args.file)
     V = _doc_matrix(doc)
-    sf = signature_function(V)
-    rho = rho0_from_signature(sf, precision_budget())
+    sf = signatures.signature_function(V)
+    rho = signatures.rho0_from_signature(sf, signatures.precision_budget())
     if args.emit == "jumps":
         out = {
             "schema": "rhoslice.signature/1",
@@ -500,8 +502,8 @@ def main(argv=None) -> int:
         # interpreter's final flush does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (DocumentError, ObstructionError, SeifertError, SignatureError,
-            PolyalgError) as exc:
+    except (DocumentError, obstruction.ObstructionError, seifert.SeifertError,
+            signatures.SignatureError, polyalg.PolyalgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -34,7 +34,8 @@ evaluated.  A class without one, and a class of at most
 `LISTED_CELLS_PER_CLASS` cells, is enumerated: one cell per count vector.
 Every class is held to `MAX_SLOT_TYPES_PER_CLASS` before any slot is
 evaluated, and only a class about to be enumerated to the cell and support
-bounds.
+bounds; the support bound charges every cell when the cells are listed, and
+otherwise the witnesses' supports as they are built.
 
 The analytic ingredients enter as axioms with machine-checked hypotheses:
 
@@ -100,8 +101,9 @@ from .signatures import Rho0Value, rho0 as rho0_of_seifert
 # Count vectors the sweep evaluates in one isotypic class: as many as the
 # supports of 20 slots.
 MAX_CELLS_PER_CLASS = 2 ** 20 - 1
-# Slot labels the representative supports of one class list in all; they
-# grow with the cube of a member's multiplicity, the cells with its square.
+# Slot labels in the supports one class lists: its witnesses', or every
+# cell's when its cells are listed, which grow with the cube of a member's
+# multiplicity (the cells with its square).
 MAX_SUPPORT_ENTRIES_PER_CLASS = 2 ** 20
 # Slot types of one class, checked before any slot is evaluated: the
 # simplex that looks for a certificate grows with their number.
@@ -747,7 +749,8 @@ def _sweep_class(table: SlotTypeTable, types: list[Slot],
     support).  The representative takes the first K_e copies of each
     expression e: its types in type order, copies 1..n_t of each.  Copy c
     of type j sits at slot position (member, c, j), as a member's types
-    are adjacent in `types`, K before -tK, in curve order."""
+    are adjacent in `types`, K before -tK, in curve order.  The support
+    bound is checked as each support is built, before any is returned."""
     keys = [[(types[j].member, copy, j) for j, (_, n) in zip(group, sized)
              for copy in range(1, n + 1)]
             for group, sized in zip(groups, table.types)]
@@ -761,6 +764,7 @@ def _sweep_class(table: SlotTypeTable, types: list[Slot],
     # nonzero count lowered by one, whose value it extends by one merge.
     value = {zero: RhoExpr.zero()}
     rows = []
+    n_entries = 0
     for counts in counted:
         last = max(j for j, k in enumerate(counts) if k)
         lower = counts[:last] + (counts[last] - 1,) + counts[last + 1:]
@@ -768,6 +772,13 @@ def _sweep_class(table: SlotTypeTable, types: list[Slot],
         nonzero = expr.is_verifiably_nonzero()
         if listed or not nonzero:
             support = sorted(i for c, k in zip(copies, counts) for i in c[:k])
+            # listed cells were charged in full by `_check_enumerable`
+            n_entries += len(support)
+            if n_entries > MAX_SUPPORT_ENTRIES_PER_CLASS:
+                raise ObstructionError(
+                    f"c=1: the witnesses of the ({table.prime}) class list "
+                    "more than MAX_SUPPORT_ENTRIES_PER_CLASS = "
+                    f"{MAX_SUPPORT_ENTRIES_PER_CLASS} slot labels")
             rows.append((len(support), support, counts, nonzero))
     rows.sort()
     labels = [types[j]._replace(copy=copy).label(spec)
@@ -804,15 +815,18 @@ def _classes(assembly: Assembly) -> list[tuple[LaurentPoly, list[Slot]]]:
     return classes
 
 
-def _check_enumerable(table: SlotTypeTable, n_cells: int) -> None:
-    """The cell and support bounds of a class about to be enumerated."""
+def _check_enumerable(table: SlotTypeTable, n_cells: int,
+                      listed: bool) -> None:
+    """The cell bound of a class about to be enumerated, and the support
+    bound when all its cells are to be listed.  Otherwise only its
+    witnesses' supports are built, and `_sweep_class` bounds them."""
     if n_cells > MAX_CELLS_PER_CLASS:
         raise ObstructionError(
             f"c=1: {n_cells} count vectors in the ({table.prime}) class "
             f"exceed the enumeration bound {MAX_CELLS_PER_CLASS}")
     # over all count vectors, each count averages half its expression's copies
     n_entries = (n_cells + 1) * sum(table.copies) // 2
-    if n_entries > MAX_SUPPORT_ENTRIES_PER_CLASS:
+    if listed and n_entries > MAX_SUPPORT_ENTRIES_PER_CLASS:
         raise ObstructionError(
             f"c=1: the supports of the ({table.prime}) class list {n_entries} "
             "slot labels, more than MAX_SUPPORT_ENTRIES_PER_CLASS = "
@@ -830,8 +844,9 @@ def _decide(assembly: Assembly, mode: str, cells: bool,
     each of its vanishing count vectors is a witness.  Its cells are listed
     when `cells` is set or the class is that small.  With `cells`, a
     certified class is enumerated too, and a vanishing cell there refutes
-    the certificate.  The cell and support bounds are checked right before
-    a class is enumerated."""
+    the certificate.  The cell bound, and the support bound of listed
+    cells, are checked right before a class is enumerated; the supports of
+    witnesses alone are bounded as the sweep builds them."""
     out = []
     for prime, types in _classes(assembly):
         table, groups = _slot_table(
@@ -855,7 +870,7 @@ def _decide(assembly: Assembly, mode: str, cells: bool,
             out.append((table, [], []))
             continue
         listed = cells or n_cells <= LISTED_CELLS_PER_CLASS
-        _check_enumerable(table, n_cells)
+        _check_enumerable(table, n_cells, listed)
         class_cells = _sweep_class(table, types, groups, assembly.spec, listed)
         witnesses = [cell for cell in class_cells if not cell.nonvanishing]
         if cert is not None and witnesses:

@@ -1130,6 +1130,62 @@ def test_support_bound_counts_the_listed_labels():
         assert listed == math.prod(n + 1 for n in sizes) * sum(sizes) // 2
 
 
+def exact_member_doc(multiplicity):
+    """One 9_46 member with exact companions 1/3 and 1/2: per class, two
+    slot types of `multiplicity` copies, and 3 * 1/3 - 2 * 1/2 = 0."""
+    curves = [{"name": "alpha", "class": ["1", "0"]},
+              {"name": "beta", "class": ["0", "1"]}]
+    return {"schema": "rhoslice.knot/1",
+            "pattern": {"name": "9_46", "seifert": [[0, 1], [2, 0]],
+                        "curves": curves},
+            "knots": {"K1": {"companions": {"alpha": {"rho0": "1/3"},
+                                            "beta": {"rho0": "1/2"}}}},
+            "family": [{"knot": "K1", "multiplicity": multiplicity}]}
+
+
+def test_support_bound_charges_only_the_witnesses_without_cells(tmp_path,
+                                                                capsys):
+    # multiplicity 101: 102^2 - 1 count vectors per class, whose supports
+    # would list 1,050,804 slot labels; without --cells only the 33
+    # witnesses of each class are built, 2,805 labels
+    path = tmp_path / "m101.json"
+    path.write_text(json.dumps(exact_member_doc(101)), encoding="utf-8")
+    argv = ["obstruct", str(path), "--output", "structured"]
+    assert main(argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "INCONCLUSIVE" and report["cells"] == []
+    for table in report["slot_types"]:
+        assert table["certificate"] is None
+        assert [entry["copies"] for entry in table["types"]] == [101, 101]
+        witnesses = [w for w in report["witnesses"]
+                     if w["prime"] == table["prime"]]
+        assert len(witnesses) == 33
+        assert sum(len(w["support"]) for w in witnesses) == 2805
+    assert main(argv + ["--cells"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: c=1: the supports of the (t - 2) class list 1050804 slot "
+        "labels, more than MAX_SUPPORT_ENTRIES_PER_CLASS = 1048576\n")
+
+
+def test_support_bound_refuses_many_witnesses(monkeypatch, capsys, tmp_path):
+    # the witnesses' labels are counted as they are built, and the run
+    # fails before anything is printed; the bound admits its own number
+    path = tmp_path / "m101.json"
+    path.write_text(json.dumps(exact_member_doc(101)), encoding="utf-8")
+    monkeypatch.setattr(obstruction, "MAX_SUPPORT_ENTRIES_PER_CLASS", 2805)
+    assert main(["obstruct", str(path)]) == 2
+    assert "verdict: INCONCLUSIVE" in capsys.readouterr().out
+    monkeypatch.setattr(obstruction, "MAX_SUPPORT_ENTRIES_PER_CLASS", 2804)
+    assert main(["obstruct", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: c=1: the witnesses of the (t - 2) class list more than "
+        "MAX_SUPPORT_ENTRIES_PER_CLASS = 2804 slot labels\n")
+
+
 def test_multiplicity_forty_member_runs():
     # 80 slots per class, once refused by a bound of 20 slots
     report = verify_obstructed(family_spec((40,)), 1, cells=True)

@@ -3,11 +3,15 @@
 import ast
 import json
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+import rhoslice
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rhoslice"
@@ -65,15 +69,31 @@ def _bound_names(node: ast.stmt, constants: bool) -> list[str]:
             if isinstance(t, ast.Name) and t.id.lstrip("_").isupper()]
 
 
+def init_tables() -> tuple[tuple[str, ...], list[tuple[str, str]]]:
+    """rhoslice/__init__'s lazily registered layers and its export table,
+    as (public name, the layer that defines it) pairs, as written in its
+    source."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    values = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in tree.body if isinstance(node, ast.Assign)
+              and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("_LAYERS", "_EXPORTS")}
+    return values["_LAYERS"], [(name, layer)
+                               for layer, names in values["_EXPORTS"].items()
+                               for name in names]
+
+
 def unreferenced_definitions(public: bool, constants: bool = False) -> list[str]:
     """Module-level defs and classes of src/ (with `constants`, its
     UPPER_CASE constants), private (_name) or public, that nothing in src/
     refers to; a reference from inside its own definition (recursion) does
-    not count, and an import does."""
+    not count, and an import or an entry of rhoslice/__init__'s export
+    table does.  Module-level dunder hooks (`__getattr__`), which the
+    interpreter calls, are not listed."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"),
                                   filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
-    references = []
+    references = [("__init__.py", 0, name) for name, _ in init_tables()[1]]
     for name, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -87,6 +107,8 @@ def unreferenced_definitions(public: bool, constants: bool = False) -> list[str]
     for name, tree in trees.items():
         for node in tree.body:
             for bound in _bound_names(node, constants):
+                if bound.startswith("__") and bound.endswith("__"):
+                    continue
                 if (bound.startswith("_") != public
                         and not any(ref == bound and not (
                             where == name
@@ -107,6 +129,29 @@ def test_public_definitions_are_used_or_exported():
     # cli's public functions are the command and document interface
     assert [found for found in unreferenced_definitions(public=True)
             if not found.startswith("cli.py:")] == []
+
+
+def test_export_table_names_are_defined_in_their_layers():
+    # each public name of the package is listed once, as a module-level
+    # def, class or constant of the layer the table names, and every layer
+    # but the cli is registered
+    layers, exports = init_tables()
+    assert set(layers) == {path.stem for path in SRC.glob("*.py")} - {
+        "__init__", "cli"}
+    defined = {}
+    for layer in layers:
+        tree = ast.parse((SRC / f"{layer}.py").read_text(encoding="utf-8"))
+        defined[layer] = {
+            name for node in tree.body
+            for name in _bound_names(node, constants=False) + [
+                t.id for t in (node.targets if isinstance(node, ast.Assign)
+                               else [])
+                if isinstance(t, ast.Name)]}
+    assert exports
+    names = [name for name, _ in exports]
+    assert len(names) == len(set(names))
+    assert [f"{layer}.{name}" for name, layer in exports
+            if layer not in defined or name not in defined[layer]] == []
 
 
 def test_module_constants_have_a_reader():
@@ -148,6 +193,117 @@ def test_cli_import_leaves_mpmath_unloaded():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def src_env(**extra) -> dict[str, str]:
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
+                               if "PYTHONPATH" in os.environ else [])))
+
+
+# Runs `rhoslice.cli` as `python -m rhoslice.cli` does, or imports it, and
+# prints the src/rhoslice/*.py module bodies that ran, as a JSON list on the
+# last line of stderr.  A module body runs by exec(), which raises the
+# "exec" audit event with its code object, from source or bytecode cache.
+RAN_PROBE = """
+import json, os, runpy, sys
+ran = set()
+src = os.path.join(sys.argv[1], "")
+
+def hook(event, args):
+    if event == "exec" and getattr(args[0], "co_filename", "").startswith(src):
+        ran.add(os.path.basename(args[0].co_filename)[:-3])
+
+sys.addaudithook(hook)
+try:
+    if sys.argv[2:] == ["--import"]:
+        import rhoslice.cli
+    else:
+        sys.argv[1:] = sys.argv[2:]
+        runpy.run_module("rhoslice.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(json.dumps(sorted(ran)), file=sys.stderr)
+"""
+
+
+def test_each_command_loads_only_its_layers(tmp_path):
+    # import rhoslice compiles no layer; each command loads the layers it
+    # calls into, and only obstruct loads the obstruction engine
+    bare = tmp_path / "trefoil.json"
+    bare.write_text(json.dumps({"schema": "rhoslice.knot/1",
+                                "seifert": [[-1, 1], [0, -1]]}),
+                    encoding="utf-8")
+    pattern = tmp_path / "9_46.json"
+    pattern.write_text(json.dumps({
+        "schema": "rhoslice.knot/1",
+        "pattern": {"name": "9_46", "seifert": [[0, 1], [2, 0]],
+                    "curves": [{"name": "alpha", "class": ["1", "0"]},
+                               {"name": "beta", "class": ["0", "1"]}]},
+        "companions": {"alpha": {"symbol": "rA"}, "beta": {"symbol": "rB"}}}),
+        encoding="utf-8")
+    front = {"__init__", "cli"}
+    algebra = front | {"polyalg", "linalg", "seifert"}
+    cases = [
+        (["--import"], front),
+        (["--help"], front),
+        (["signature", str(bare)], algebra | {"signatures"}),
+        (["signature", str(bare), "--emit", "table"],
+         algebra | {"signatures"}),
+        (["info", str(bare)], algebra | {"almodule", "blanchfield"}),
+        (["info", str(bare), "--output", "structured"],
+         algebra | {"almodule", "blanchfield"}),
+        (["obstruct", str(pattern)], {path.stem for path in SRC.glob("*.py")}),
+    ]
+    assert len(cases[-1][1]) == 9
+    # compiled from source, then read from a bytecode cache that the first
+    # obstruct run fills
+    cache = tmp_path / "pycache"
+    compiled = src_env(PYTHONDONTWRITEBYTECODE="1")
+    cached = {key: value for key, value in src_env(
+        PYTHONPYCACHEPREFIX=str(cache)).items()
+        if key != "PYTHONDONTWRITEBYTECODE"}
+    for env in (compiled, cached):
+        if env is cached:
+            subprocess.run(
+                [sys.executable, "-m", "rhoslice.cli", *cases[-1][0]],
+                cwd=tmp_path, env=env, capture_output=True, timeout=120,
+                check=True)
+            assert len(list(cache.rglob("*.pyc"))) >= 9
+        for argv, layers in cases:
+            proc = subprocess.run(
+                [sys.executable, "-c", RAN_PROBE, str(SRC), *argv],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+                timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert set(json.loads(proc.stderr.splitlines()[-1])) == layers, \
+                argv
+
+
+def test_public_names_resolve_and_records_pickle_in_a_fresh_process():
+    # every name of __all__ is its layer's object, and a report unpickles
+    # in an interpreter that has not imported rhoslice: the pickle names
+    # rhoslice.obstruction, which loads on first use
+    spec = rhoslice.FamilySpec.single(rhoslice.InfectedKnot.build(
+        rhoslice.pattern_9_46(),
+        {"alpha": rhoslice.Companion("rA", rhoslice.Rho0Value.of_symbol("rA")),
+         "beta": rhoslice.Companion("rB", rhoslice.Rho0Value.of_exact(
+             Fraction(-4, 3)))}))
+    report = rhoslice.verify_obstructed(spec, 1)
+    script = (
+        "import json, pickle, sys\n"
+        "report = pickle.loads(sys.stdin.buffer.read())\n"
+        "import rhoslice\n"
+        "assert type(report) is rhoslice.ObstructionReport\n"
+        "names = [name for name in rhoslice.__all__ if getattr(\n"
+        "    rhoslice, name) is not getattr(getattr(\n"
+        "    rhoslice, rhoslice._LAYER_OF[name]), name)]\n"
+        "print(json.dumps([names, report.to_json()]))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          input=pickle.dumps(report), env=src_env(),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(rhoslice.__all__) == len(set(rhoslice.__all__)) > 0
+    assert json.loads(proc.stdout) == [[], report.to_json()]
 
 
 def test_no_dataclasses_import():
