@@ -10,7 +10,8 @@ Importing the package compiles none of its layers.  Each layer is put in
 source is compiled on the first attribute access: a command pays only for
 the layers it uses (`signature` never compiles `obstruction`).  The public
 names below resolve through the export table, `rhoslice.X` loading the
-layer that defines X.
+layer that defines X.  Every error the package raises derives from
+`RhosliceError`, defined here, so that catching it loads no layer.
 """
 
 import importlib.util
@@ -40,7 +41,7 @@ _EXPORTS = {
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items()
              for name in names}
-__all__ = list(_LAYER_OF)
+__all__ = [*_LAYER_OF, "RhosliceError"]
 __version__ = "0.1.0"
 
 
@@ -54,6 +55,11 @@ def _register_lazily(layers: tuple[str, ...]) -> None:
         sys.modules[spec.name] = module
         spec.loader.exec_module(module)
         globals()[layer] = module
+
+
+class RhosliceError(ValueError):
+    """An input the package refuses or a check that failed; the command
+    line prints its message and exits 1."""
 
 
 _register_lazily(_LAYERS)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import linalg
+from . import RhosliceError, linalg
 from .linalg import PolyMatrix, poly_mat_apply, poly_mat_identity
 from .polyalg import (
     FracCoset,
@@ -36,7 +36,7 @@ from .polyalg import (
 from .seifert import PatternKnot, SeifertMatrix
 
 
-class ModuleError(ValueError):
+class ModuleError(RhosliceError):
     pass
 
 
@@ -48,10 +48,11 @@ class ModuleError(ValueError):
 def smith_normal_form(A: PolyMatrix):
     """Smith normal form over Q[v^{±1}] (via the Euclidean ring Q[v]).
 
-    Returns (U, D, W, U_inv) with U*A*W = D exactly, U and W invertible
-    over the Laurent ring (unit determinant), D diagonal with monic exp-0
-    entries satisfying d_1 | d_2 | ..., and U_inv = U^{-1}: each row
-    operation on U is applied to U_inv as the inverse column operation.
+    Returns (U, D, W) with U*A*W = D exactly, U and W invertible over the
+    Laurent ring (unit determinant), and D diagonal with monic exp-0
+    entries satisfying d_1 | d_2 | ....  U^{-1} is not carried along: as
+    A*W = U^{-1}*D, column i of U^{-1} is column i of A*W divided exactly
+    by a nonzero d_i.
     """
     if not A or not A[0]:
         raise ModuleError("smith_normal_form requires a nonempty matrix")
@@ -59,21 +60,15 @@ def smith_normal_form(A: PolyMatrix):
     var = A[0][0].variable
     D = [list(row) for row in A]
     U = poly_mat_identity(m, var)
-    U_inv = poly_mat_identity(m, var)
     W = poly_mat_identity(n, var)
 
     def row_scale(i, unit):
         D[i] = [x * unit for x in D[i]]
         U[i] = [x * unit for x in U[i]]
-        inv = unit.inverse_unit()
-        for row in U_inv:
-            row[i] = row[i] * inv
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
         U[i], U[j] = U[j], U[i]
-        for row in U_inv:
-            row[i], row[j] = row[j], row[i]
 
     def col_swap(i, j):
         for row in D:
@@ -85,9 +80,6 @@ def smith_normal_form(A: PolyMatrix):
         # row_i += f * row_j
         D[i] = [a + f * b for a, b in zip(D[i], D[j])]
         U[i] = [a + f * b for a, b in zip(U[i], U[j])]
-        # so U_inv's col_j -= f * col_i
-        for row in U_inv:
-            row[j] = row[j] - f * row[i]
 
     def col_addmul(i, j, f):
         # col_i += f * col_j
@@ -161,7 +153,7 @@ def smith_normal_form(A: PolyMatrix):
             unit = LaurentPoly.monomial(-k, Fraction(1) / q, var)
             row_scale(p, unit)
 
-    return U, D, W, U_inv
+    return U, D, W
 
 
 def _poly_divmod_shifted(a: LaurentPoly, b: LaurentPoly):
@@ -421,41 +413,41 @@ class Decomposition(NamedTuple):
     """Smith-normal-form data connecting a Seifert presentation with the
     canonical module.  With A = (vV - V^T)^T and U*A*W = D = diag(d_i), the
     generator of a summand split off d_i is its CRT cofactor times column i
-    of U^{-1}; `project` maps presentation vectors to summand coordinates
-    through U, and `inverse_form` evaluates (vV - V^T)^{-1} = U^T D^{-1} W^T.
-    Only this class and `_decompose` know that convention."""
+    of U^{-1}, which is column i of A*W divided by d_i.  Only the rows of U
+    and W^T at the non-unit d_i are kept, as the others meet no summand:
+    `project` maps presentation vectors to summand coordinates through U,
+    and `inverse_gram` evaluates (vV - V^T)^{-1} = U^T D^{-1} W^T.  Only
+    this class and `_decompose` know that convention."""
 
     module: AlexanderModule
     gen_coords: tuple[tuple[LaurentPoly, ...], ...]  # e-basis coords per summand
-    umatrix: PolyMatrix            # U
-    wtmatrix: PolyMatrix           # W^T
-    invariants: tuple[LaurentPoly, ...]      # d_1 | d_2 | ... | d_n
-    snf_index: tuple[int, ...]     # which SNF diagonal each summand came from
+    umatrix: PolyMatrix            # rows of U at the non-unit d_i
+    wtmatrix: PolyMatrix           # rows of W^T at the non-unit d_i
+    invariants: tuple[LaurentPoly, ...]      # the non-unit d_i, each dividing the next
+    snf_index: tuple[int, ...]     # which of them each summand came from
     cofactor_inv: tuple[LaurentPoly, ...]    # inverse of d_i / ann_i mod ann_i
 
     def project(self, evec) -> ModuleElement:
-        """Class of a presentation-basis vector in the canonical module."""
-        evec = [x if isinstance(x, LaurentPoly)
-                else LaurentPoly.constant(x, self.module.variable) for x in evec]
-        z = poly_mat_apply(self.umatrix, list(evec))
-        coords = []
-        for k, s in enumerate(self.module.summands):
-            i = self.snf_index[k]
-            a = reduce_mod(z[i] * self.cofactor_inv[k], s.annihilator)
-            coords.append(a)
-        return ModuleElement(self.module, tuple(coords))
+        """Class of a presentation-basis vector (Laurent polynomials or
+        rationals) in the canonical module."""
+        z = poly_mat_apply(self.umatrix, evec)
+        return ModuleElement(self.module, tuple(
+            reduce_mod(z[i] * f, s.annihilator) for i, f, s in zip(
+                self.snf_index, self.cofactor_inv, self.module.summands)))
 
-    def inverse_form(self, x, y) -> FracCoset:
-        """x^T (vV - V^T)^{-1} y for presentation vectors x and y, as the
-        coset sum_i (Ux)_i (W^T y)_i / d_i put over the last invariant
-        factor."""
+    def inverse_gram(self, xs, ys) -> tuple[tuple[FracCoset, ...], ...]:
+        """[[x^T (vV - V^T)^{-1} y for y in ys] for x in xs]: each entry is
+        the coset sum_i (Ux)_i (W^T y)_i / d_i over the last invariant
+        factor, read off one matrix of the rows (W^T y)_i * last / d_i, so
+        U is applied once to each x and W^T once to each y."""
+        if not xs:  # no summand, so no invariant factor either
+            return ()
         last = self.invariants[-1]
-        acc = LaurentPoly.zero(self.module.variable)
-        for a, b, d in zip(poly_mat_apply(self.umatrix, x),
-                           poly_mat_apply(self.wtmatrix, y), self.invariants):
-            if not (d.is_unit() or a.is_zero() or b.is_zero()):
-                acc = acc + a * b * div_exact(last, d)
-        return FracCoset(acc, last)
+        scales = [div_exact(last, d) for d in self.invariants]
+        wys = [[b * f for b, f in zip(poly_mat_apply(self.wtmatrix, y), scales)]
+               for y in ys]
+        return tuple(tuple(FracCoset(z, last) for z in poly_mat_apply(
+            wys, poly_mat_apply(self.umatrix, x))) for x in xs)
 
 
 def _decompose(V: SeifertMatrix, variable: str = "s",
@@ -467,34 +459,32 @@ def _decompose(V: SeifertMatrix, variable: str = "s",
         return Decomposition(module, (), [], [], (), (), ())
     pres = V.presentation(variable)
     A = [list(col) for col in zip(*pres)]  # relations = rows of pres = columns of A
-    U, D, W, U_inv = smith_normal_form(A)
+    U, D, W = smith_normal_form(A)
 
     summands: list[Summand] = []
     gen_coords: list[tuple[LaurentPoly, ...]] = []
     snf_index: list[int] = []
     cofactor_inv: list[LaurentPoly] = []
-    auto = 0
-    for i in range(n):
+    rows = [i for i in range(n) if not D[i][i].is_unit()]  # give the summands
+    for r, i in enumerate(rows):
         d = D[i][i]
         if d.is_zero():
             raise ModuleError("presentation is not torsion (zero diagonal)")
-        if d.is_unit():
-            continue
-        d = d.monic()
+        # column i of U^{-1}, as A*W = U^{-1}*D
+        u_inv = [div_exact(x, d)
+                 for x in poly_mat_apply(A, [row[i] for row in W])]
         for base, mult in factor_laurent(d):
             ann = (base ** mult).monic()
             comp = div_exact(d, ann).monic()
-            comp_inv = inverse_mod(comp, ann)
-            auto += 1
-            summands.append(Summand(ann, base, mult, f"g{auto}"))
-            gen_coords.append(tuple(U_inv[r][i] * comp for r in range(n)))
-            snf_index.append(i)
-            cofactor_inv.append(comp_inv)
+            summands.append(Summand(ann, base, mult, f"g{len(summands) + 1}"))
+            gen_coords.append(tuple(x * comp for x in u_inv))
+            snf_index.append(r)
+            cofactor_inv.append(inverse_mod(comp, ann))
 
     module = AlexanderModule(variable, 1, tuple(summands))
-    dec = Decomposition(module, tuple(gen_coords), U,
-                        [list(col) for col in zip(*W)],
-                        tuple(D[i][i] for i in range(n)), tuple(snf_index),
+    dec = Decomposition(module, tuple(gen_coords), [U[i] for i in rows],
+                        [[row[i] for row in W] for i in rows],
+                        tuple(D[i][i] for i in rows), tuple(snf_index),
                         tuple(cofactor_inv))
     if curves is not None:
         dec = _label_from_curves(dec, curves)
@@ -518,14 +508,11 @@ def _label_from_curves(dec: Decomposition, pattern: PatternKnot) -> Decompositio
         k = hits[0]
         s = dec.module.summands[k]
         coord = elem.coords[k]
-        g = gcd_laurent(coord, s.base)
-        if not g.is_one():
+        if not gcd_laurent(coord, s.base).is_one():
             continue
         names[k] = cname
         claimed.add(k)
-        gens[k] = tuple(
-            x if isinstance(x, LaurentPoly)
-            else LaurentPoly.constant(x, dec.module.variable) for x in vec)
+        gens[k] = vec
         unit_inv = inverse_mod(coord, s.annihilator)
         cofinvs[k] = reduce_mod(cofinvs[k] * unit_inv, s.annihilator)
     if len(set(names)) != len(names):

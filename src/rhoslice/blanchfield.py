@@ -7,12 +7,13 @@ The form is computed from a Seifert matrix in presentation coordinates as
 with conj the coefficient-wise substitution v -> v^{-1}; values live in
 Q(v)/Q[v^{±1}].  The Smith normal form U A W = D of A = (vV - V^T)^T gives
 (vV - V^T)^{-1} = U^T D^{-1} W^T, so each Gram entry is a sum over the
-invariant factors d_i (`Decomposition.inverse_form`); no determinant or
-adjugate of the presentation is computed.  This convention is pinned by
-the validation suite run at construction time: hermitian symmetry,
-annihilation of each slot by the corresponding annihilator, and
-nonsingularity (the orthogonal complement of the whole module is zero).
-A form that fails any of these raises instead of existing.
+non-unit invariant factors d_i, with U and W^T applied once per generator
+(`Decomposition.inverse_gram`); no determinant or adjugate of the
+presentation is computed.  This convention is pinned by the validation
+suite run at construction time: hermitian symmetry, annihilation of each
+slot by the corresponding annihilator, and nonsingularity (the orthogonal
+complement of the whole module is zero).  A form that fails any of these
+raises instead of existing.
 
 `LinkingForm.subs_power` applies v -> t^c to the summands and the Gram
 entries, without splitting any summand.  `annihilator_submodule` computes
@@ -28,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import linalg
+from . import RhosliceError, linalg
 from .almodule import (
     AlexanderModule,
     Decomposition,
@@ -41,7 +42,7 @@ from .polyalg import FracCoset, LaurentPoly, div_exact, divides, reduce_mod
 from .seifert import PatternKnot, SeifertMatrix
 
 
-class FormError(ValueError):
+class FormError(RhosliceError):
     pass
 
 
@@ -164,8 +165,7 @@ def blanchfield_form(V: SeifertMatrix | PatternKnot,
     one_minus = LaurentPoly.one(variable) - LaurentPoly.var(variable)
     left = [[one_minus * c for c in g] for g in dec.gen_coords]
     right = [[c.conj() for c in g] for g in dec.gen_coords]
-    form = LinkingForm(dec.module, tuple(
-        tuple(dec.inverse_form(x, y) for y in right) for x in left))
+    form = LinkingForm(dec.module, dec.inverse_gram(left, right))
     form.validate()
     return form, dec
 

@@ -52,9 +52,10 @@ intervals (default 1/1000000).
 The package registers its layers lazily (see `rhoslice/__init__`), and
 this module reads their names at call time (`obstruction.verify_obstructed`)
 and never at import, so a command compiles only the layers it calls into:
-`signature` polyalg, linalg, seifert and signatures; `info` polyalg,
-linalg, seifert, almodule and blanchfield; `obstruct` every layer.  An
-error message loads every layer, as `main` catches each layer's error.
+on a bare document `signature` polyalg, linalg, seifert and signatures,
+`info` polyalg, linalg, seifert, almodule and blanchfield, and a pattern
+document's companions add signatures; `obstruct` every layer.  `main`
+catches only `RhosliceError`, so an error loads no layer that did not run.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import blanchfield, obstruction, polyalg, seifert, signatures
+from . import RhosliceError, blanchfield, obstruction, polyalg, seifert, signatures
 
 SCHEMA = "rhoslice.knot/1"
 # Largest |exponent| in a curve class: reducing a class modulo its
@@ -75,7 +76,7 @@ SCHEMA = "rhoslice.knot/1"
 MAX_CURVE_EXPONENT = 1000
 
 
-class DocumentError(ValueError):
+class DocumentError(RhosliceError):
     pass
 
 
@@ -502,8 +503,7 @@ def main(argv=None) -> int:
         # interpreter's final flush does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (DocumentError, obstruction.ObstructionError, seifert.SeifertError,
-            signatures.SignatureError, polyalg.PolyalgError) as exc:
+    except RhosliceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -85,6 +85,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+from . import RhosliceError
 from .almodule import (
     ModuleElement,
     ModuleError,
@@ -114,7 +115,7 @@ MAX_SLOT_TYPES_PER_CLASS = 32
 LISTED_CELLS_PER_CLASS = 3
 
 
-class ObstructionError(ValueError):
+class ObstructionError(RhosliceError):
     """A machine-checked hypothesis of an axiom failed, or the input is
     outside the engine's scope."""
 
@@ -347,7 +348,6 @@ class Assembly(NamedTuple):
     primes: tuple[LaurentPoly, ...]      # isotypic primes of the block sum
 
 
-@lru_cache(maxsize=32)
 def _block_form(pattern: PatternKnot):
     """(form, curve classes) of one pattern block at complexity 1 in the
     variable t; `blanchfield_form` builds and validates it in s."""
@@ -363,6 +363,8 @@ def _block_form(pattern: PatternKnot):
 
 def _assemble_full(spec: FamilySpec) -> Assembly:
     blocks: dict[tuple[int, bool], _Block] = {}
+    # members sharing a pattern share its form, built once in this call
+    block_form = lru_cache(maxsize=None)(_block_form)
     for mi, member in enumerate(spec.members):
         base = member.knot.pattern
         sign = 1 if member.multiplicity > 0 else -1
@@ -372,7 +374,7 @@ def _assemble_full(spec: FamilySpec) -> Assembly:
         if member.with_reverse:
             parts.append((True, base.transform("inverse")))
         for reversed_part, pat in parts:
-            form, classes = _block_form(pat)
+            form, classes = block_form(pat)
             # mirror the block form for negative multiplicity (the honest
             # orientation; zero/nonzero structure is unaffected)
             blocks[(mi, reversed_part)] = _Block(

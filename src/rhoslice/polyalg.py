@@ -26,8 +26,10 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Mapping
 
+from . import RhosliceError
 
-class PolyalgError(ValueError):
+
+class PolyalgError(RhosliceError):
     """Domain errors: zero denominators, variable mismatch, the
     recombination bound of factoring."""
 

@@ -16,13 +16,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from . import RhosliceError
 from .linalg import det_int
 from .polyalg import LaurentPoly, _int_content_primitive, _newton_interpolate
 
 Transform = str  # one of "mirror", "reverse", "inverse"
 
 
-class SeifertError(ValueError):
+class SeifertError(RhosliceError):
     pass
 
 

@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+from . import RhosliceError
 from .polyalg import LaurentPoly, cyclotomic, factor_laurent, poly_divmod
 from .seifert import SeifertMatrix, alexander_polynomial
 
@@ -43,7 +44,7 @@ PRECISION_ENV = "RHOSLICE_PRECISION"
 _DEFAULT_BUDGET = Fraction(1, 10 ** 6)
 
 
-class SignatureError(ValueError):
+class SignatureError(RhosliceError):
     pass
 
 

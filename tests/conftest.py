@@ -6,8 +6,14 @@ import pytest
 
 from rhoslice.almodule import AlexanderModule, Summand
 from rhoslice.blanchfield import LinkingForm
-from rhoslice.linalg import PolyMatrix, poly_mat_identity
-from rhoslice.polyalg import FracCoset, LaurentPoly, coset_reduce, divides
+from rhoslice.linalg import PolyMatrix, poly_mat_apply
+from rhoslice.polyalg import (
+    FracCoset,
+    LaurentPoly,
+    coset_reduce,
+    div_exact,
+    divides,
+)
 from rhoslice.seifert import SeifertMatrix
 
 
@@ -196,11 +202,12 @@ def cofactor_adjugate(a: PolyMatrix) -> PolyMatrix:
     return out
 
 
-def snf_is_valid(A, U, D, W, U_inv):
-    """U*A*W = D, U*U_inv = I, det U and det W units, D diagonal with
-    d_1 | d_2 | ..."""
+def snf_is_valid(A, U, D, W, dec=None):
+    """U*A*W = D, det U and det W units, D diagonal with d_1 | d_2 | ...;
+    with `dec`, the `_decompose` of the presentation A^T, also U*g = c*e_i
+    for each default generator g (label g1, g2, ...) split off the non-unit
+    d_i, c = d_i / ann its CRT cofactor."""
     assert poly_mat_mul(poly_mat_mul(U, A), W) == D
-    assert poly_mat_mul(U, U_inv) == poly_mat_identity(len(U), A[0][0].variable)
     assert cofactor_det(U).is_unit()
     assert cofactor_det(W).is_unit()
     n, m = len(D), len(D[0])
@@ -209,11 +216,36 @@ def snf_is_valid(A, U, D, W, U_inv):
         for j in range(m):
             if i != j:
                 assert D[i][j].is_zero()
+    assert all(d == d.monic() for d in diag)
     for a, b in zip(diag, diag[1:]):
         if not a.is_zero():
             assert b.is_zero() or divides(a, b)
         else:
             assert b.is_zero()
+    if dec is None:
+        return
+    rows = [i for i, d in enumerate(diag) if not d.is_unit()]
+    zero = LaurentPoly.zero(A[0][0].variable)
+    for k, s in enumerate(dec.module.summands):
+        if s.label != f"g{k + 1}":
+            continue
+        i = rows[dec.snf_index[k]]
+        cofactor = div_exact(diag[i], s.annihilator)
+        assert poly_mat_apply(U, list(dec.gen_coords[k])) == [
+            cofactor if r == i else zero for r in range(n)]
+
+
+def pairwise_inverse_form(U, D, W, x, y) -> FracCoset:
+    """x^T (vV - V^T)^{-1} y from the Smith form U*A*W = D of
+    A = (vV - V^T)^T: the coset sum_i (Ux)_i (W^T y)_i / d_i over the last
+    invariant factor, U and W^T applied afresh for each pair and every d_i
+    summed, units included."""
+    Wt = [list(col) for col in zip(*W)]
+    last = D[-1][-1]
+    acc = LaurentPoly.zero(last.variable)
+    for i, (a, b) in enumerate(zip(poly_mat_apply(U, x), poly_mat_apply(Wt, y))):
+        acc = acc + a * b * div_exact(last, D[i][i])
+    return FracCoset(acc, last)
 
 
 def hyperbolic_form(prime: LaurentPoly):

@@ -6,6 +6,7 @@ import pytest
 from rhoslice.almodule import (
     AlexanderModule,
     ModuleError,
+    _decompose,
     Submodule,
     Summand,
     alexander_module,
@@ -37,8 +38,8 @@ ZERO = LaurentPoly.zero("t")
 
 def test_snf_spec_presentation():
     A = [[ZERO, T - 2], [2 * T - 1, ZERO]]
-    U, D, W, U_inv = smith_normal_form(A)
-    snf_is_valid(A, U, D, W, U_inv)
+    U, D, W = smith_normal_form(A)
+    snf_is_valid(A, U, D, W)
     assert D[0][0].is_one()
     assert equal_up_to_unit(D[1][1], (T - 2) * (2 * T - 1))
 
@@ -46,8 +47,8 @@ def test_snf_spec_presentation():
 def test_snf_trivial_and_repeated():
     assert smith_normal_form([[LaurentPoly.one("t")]])[1] == [[LaurentPoly.one("t")]]
     A = [[T - 2, ZERO], [ZERO, T - 2]]
-    U, D, W, U_inv = smith_normal_form(A)
-    snf_is_valid(A, U, D, W, U_inv)
+    U, D, W = smith_normal_form(A)
+    snf_is_valid(A, U, D, W)
     assert D[0][0] == T - 2 and D[1][1] == T - 2
 
 
@@ -58,6 +59,23 @@ def test_snf_random(rng):
         A = [[random_laurent(rng, "t", max_deg=2, min_exp=-1)
               for _ in range(m)] for _ in range(n)]
         snf_is_valid(A, *smith_normal_form(A))
+
+
+def test_snf_of_presentations_and_default_generators(rng):
+    # U maps each default generator of `_decompose` to its cofactor times
+    # the unit vector of its invariant factor, as U * U^{-1} = I did; the
+    # Smith form is deterministic, so U is the one `_decompose` used
+    knots = [pattern_9_46().seifert, trefoil_right(),
+             connected_sum([pattern_9_46().seifert, pattern_9_46().seifert,
+                            trefoil_right()])]
+    knots += [random_seifert(rng, genus=g) for g in (1, 1, 1, 2, 2, 2, 3, 3)]
+    defaults = 0
+    for V in knots:
+        dec = _decompose(V)
+        A = [list(col) for col in zip(*V.presentation("s"))]
+        snf_is_valid(A, *smith_normal_form(A), dec=dec)
+        defaults += dec.module.rank
+    assert defaults >= 12
 
 
 def test_snf_empty_rejected():

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rhoslice import linalg
-from rhoslice.almodule import Submodule, direct_sum
+from rhoslice import almodule, linalg
+from rhoslice.almodule import Submodule, direct_sum, smith_normal_form
 from rhoslice.blanchfield import (
     FormError,
     LinkingForm,
@@ -27,7 +27,14 @@ from rhoslice.seifert import (
     unknot,
 )
 
-from conftest import cofactor_adjugate, cofactor_det, hyperbolic_form, random_laurent, random_seifert
+from conftest import (
+    cofactor_adjugate,
+    cofactor_det,
+    hyperbolic_form,
+    pairwise_inverse_form,
+    random_laurent,
+    random_seifert,
+)
 from sweep_oracle import basechange_form, direct_sum_forms
 
 S = LaurentPoly.var("s")
@@ -160,6 +167,62 @@ def test_gram_matches_adjugate_oracle(rng):
         curve_labelled += sum(s.label in ("alpha", "beta")
                               for s in B.module.summands)
     assert curve_labelled >= 2 * len(patterns)
+
+
+def _labelled_patterns():
+    """9_46, the patterns [[0, n], [n + 1, 0]] with curves on the two
+    generators, and their reverses."""
+    patterns = [pattern_9_46()]
+    for n in (1, 2, 3, 4):
+        V = SeifertMatrix([[0, n], [n + 1, 0]])
+        patterns.append(PatternKnot.from_int_vectors(
+            V, {"alpha": (1, 0), "beta": (0, 1)}, name=f"p{n}"))
+    return patterns + [p.transform("inverse") for p in patterns]
+
+
+def test_gram_matches_pairwise_inverse_form():
+    # the Gram matrix, U and W^T applied once per generator and only at the
+    # non-unit invariant factors, against the pairwise sum over every d_i of
+    # a fresh Smith form
+    rng = random.Random(2323)
+    knots = _labelled_patterns() + [random_seifert(rng, genus=1 + k % 4)
+                                    for k in range(100)]
+    nontrivial = 0
+    for K in knots:
+        B, dec = blanchfield_form(K)
+        V = K.seifert if isinstance(K, PatternKnot) else K
+        U, D, W = smith_normal_form([list(col) for col in zip(*V.presentation("s"))])
+        oracle = tuple(
+            tuple(pairwise_inverse_form(U, D, W, [(1 - S) * c for c in gi],
+                                        [c.conj() for c in gj])
+                  for gj in dec.gen_coords)
+            for gi in dec.gen_coords)
+        assert B.gram == oracle
+        nontrivial += not B.module.is_trivial()
+    assert nontrivial >= 80
+
+
+def test_gram_applies_each_transform_once_per_generator(monkeypatch):
+    # building a form applies U and W^T once per generator; U once more per
+    # curve, which `project` maps to its class while labelling
+    applied = []
+    real = almodule.poly_mat_apply
+
+    def spy(matrix, vec):
+        applied.append(matrix)
+        return real(matrix, vec)
+
+    monkeypatch.setattr(almodule, "poly_mat_apply", spy)
+    rng = random.Random(2324)
+    knots = _labelled_patterns() + [random_seifert(rng, genus=g)
+                                    for g in (1, 2, 2, 3, 3, 4)]
+    for K in knots:
+        applied.clear()
+        B, dec = blanchfield_form(K)
+        curves = len(K.curves) if isinstance(K, PatternKnot) else 0
+        assert sum(m is dec.umatrix for m in applied) == B.module.rank + curves
+        assert sum(m is dec.wtmatrix for m in applied) == B.module.rank
+        assert len(dec.umatrix) == len(dec.invariants) <= B.module.rank
 
 
 # -- base change -----------------------------------------------------------------

@@ -403,7 +403,6 @@ def test_nothing_is_computed_for_cmax(monkeypatch):
 
     monkeypatch.setattr(LinkingForm, "subs_power", spy)
     for spec in (single_spec(), family_spec((1, -2))):
-        obstruction._block_form.cache_clear()
         reports = []
         for c_max in (1, 2, 5, 100, 10 ** 6):
             report = verify_obstructed(spec, c_max).to_json()
@@ -412,7 +411,35 @@ def test_nothing_is_computed_for_cmax(monkeypatch):
         assert all(report == reports[0] for report in reports)
         assert reports[0]["verdict"] == "OBSTRUCTED"
     assert set(substituted) == {1}
-    obstruction._block_form.cache_clear()
+
+
+def test_each_block_pattern_is_built_once_per_call(monkeypatch):
+    # members sharing a pattern build its form once in a call, and nothing
+    # is kept between calls: a second call builds every form again
+    built = []
+
+    def spy(pattern, *args):
+        built.append(pattern)
+        return blanchfield_form(pattern, *args)
+
+    monkeypatch.setattr(obstruction, "blanchfield_form", spy)
+    p2 = PatternKnot.from_int_vectors(
+        SeifertMatrix([[0, 2], [3, 0]]), {"alpha": (1, 0), "beta": (0, 1)},
+        name="P2")
+    members = list(family_spec((1, -2, 3)).members) + [FamilyMember(
+        InfectedKnot.build(p2, {
+            "alpha": Companion("rC", Rho0Value.of_symbol("rC")),
+            "beta": Companion("rD", Rho0Value.of_symbol("rD"))}), 2)]
+    spec = FamilySpec(tuple(members), ("K1", "K2", "K3", "K4"))
+    patterns = {pattern_9_46(), pattern_9_46().transform("inverse"), p2,
+                p2.transform("inverse")}
+    assert len(patterns) == 4
+    for spec, distinct in ((single_spec(), 2), (spec, 4)):
+        for _ in range(2):
+            built.clear()
+            verify_obstructed(spec, 1)
+            assert len(built) == len(set(built)) == distinct
+            assert set(built) <= patterns
 
 
 def test_equal_companions_inconclusive():

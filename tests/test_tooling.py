@@ -131,6 +131,22 @@ def test_public_definitions_are_used_or_exported():
             if not found.startswith("cli.py:")] == []
 
 
+def test_error_classes_derive_from_the_package_error():
+    # `cli.main` catches RhosliceError alone, so that an error message
+    # loads no layer; every other error class of src/ must derive from it
+    errors = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Error"):
+                errors[f"{path.name}:{node.name}"] = [
+                    ast.unparse(base) for base in node.bases]
+    assert errors.pop("__init__.py:RhosliceError") == ["ValueError"]
+    assert len(errors) == 7
+    assert {name: bases for name, bases in errors.items()
+            if bases != ["RhosliceError"]} == {}
+
+
 def test_export_table_names_are_defined_in_their_layers():
     # each public name of the package is listed once, as a module-level
     # def, class or constant of the layer the table names, and every layer
@@ -228,7 +244,8 @@ finally:
 
 def test_each_command_loads_only_its_layers(tmp_path):
     # import rhoslice compiles no layer; each command loads the layers it
-    # calls into, and only obstruct loads the obstruction engine
+    # calls into, only obstruct loads the obstruction engine, and an error
+    # exit loads no layer beyond those that ran before the error
     bare = tmp_path / "trefoil.json"
     bare.write_text(json.dumps({"schema": "rhoslice.knot/1",
                                 "seifert": [[-1, 1], [0, -1]]}),
@@ -241,18 +258,35 @@ def test_each_command_loads_only_its_layers(tmp_path):
                                {"name": "beta", "class": ["0", "1"]}]},
         "companions": {"alpha": {"symbol": "rA"}, "beta": {"symbol": "rB"}}}),
         encoding="utf-8")
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text("{not json", encoding="utf-8")
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps({"schema": "rhoslice.knot/1",
+                                   "seifert": [[-1, 1], [0, -1]], "bogus": 1}),
+                       encoding="utf-8")
     front = {"__init__", "cli"}
     algebra = front | {"polyalg", "linalg", "seifert"}
+    # (argv, the modules that run, exit code)
     cases = [
-        (["--import"], front),
-        (["--help"], front),
-        (["signature", str(bare)], algebra | {"signatures"}),
+        (["--import"], front, 0),
+        (["--help"], front, 0),
+        (["signature", str(bare)], algebra | {"signatures"}, 0),
         (["signature", str(bare), "--emit", "table"],
-         algebra | {"signatures"}),
-        (["info", str(bare)], algebra | {"almodule", "blanchfield"}),
+         algebra | {"signatures"}, 0),
+        (["info", str(bare)], algebra | {"almodule", "blanchfield"}, 0),
         (["info", str(bare), "--output", "structured"],
-         algebra | {"almodule", "blanchfield"}),
-        (["obstruct", str(pattern)], {path.stem for path in SRC.glob("*.py")}),
+         algebra | {"almodule", "blanchfield"}, 0),
+        # a pattern document's companions are parsed into signature values
+        (["info", str(pattern)],
+         algebra | {"almodule", "blanchfield", "signatures"}, 0),
+        (["signature", str(pattern)], algebra | {"signatures"}, 0),
+        # error exits load no layer that did not run
+        (["info", str(tmp_path / "nosuch.json")], front, 1),
+        (["info", str(invalid)], front, 1),
+        (["info", str(unknown)], front, 1),
+        (["obstruct", str(bare)], algebra, 1),
+        (["obstruct", str(pattern)], {path.stem for path in SRC.glob("*.py")},
+         0),
     ]
     assert len(cases[-1][1]) == 9
     # compiled from source, then read from a bytecode cache that the first
@@ -269,18 +303,20 @@ def test_each_command_loads_only_its_layers(tmp_path):
                 cwd=tmp_path, env=env, capture_output=True, timeout=120,
                 check=True)
             assert len(list(cache.rglob("*.pyc"))) >= 9
-        for argv, layers in cases:
+        for argv, layers, code in cases:
             proc = subprocess.run(
                 [sys.executable, "-c", RAN_PROBE, str(SRC), *argv],
                 cwd=tmp_path, env=env, capture_output=True, text=True,
                 timeout=120)
-            assert proc.returncode == 0, proc.stderr
+            assert proc.returncode == code, proc.stderr
             assert set(json.loads(proc.stderr.splitlines()[-1])) == layers, \
                 argv
+            assert ("error: " in proc.stderr) == bool(code), argv
 
 
 def test_public_names_resolve_and_records_pickle_in_a_fresh_process():
-    # every name of __all__ is its layer's object, and a report unpickles
+    # every name of __all__ is its layer's object, or for the one name
+    # outside the export table, the package's own; and a report unpickles
     # in an interpreter that has not imported rhoslice: the pickle names
     # rhoslice.obstruction, which loads on first use
     spec = rhoslice.FamilySpec.single(rhoslice.InfectedKnot.build(
@@ -294,16 +330,21 @@ def test_public_names_resolve_and_records_pickle_in_a_fresh_process():
         "report = pickle.loads(sys.stdin.buffer.read())\n"
         "import rhoslice\n"
         "assert type(report) is rhoslice.ObstructionReport\n"
-        "names = [name for name in rhoslice.__all__ if getattr(\n"
-        "    rhoslice, name) is not getattr(getattr(\n"
-        "    rhoslice, rhoslice._LAYER_OF[name]), name)]\n"
-        "print(json.dumps([names, report.to_json()]))\n")
+        "outside = [name for name in rhoslice.__all__\n"
+        "           if name not in rhoslice._LAYER_OF]\n"
+        "assert all(getattr(rhoslice, name) is vars(rhoslice)[name]\n"
+        "           for name in outside)\n"
+        "names = [name for name in rhoslice.__all__ if name not in outside\n"
+        "         and getattr(rhoslice, name) is not getattr(getattr(\n"
+        "             rhoslice, rhoslice._LAYER_OF[name]), name)]\n"
+        "print(json.dumps([outside, names, report.to_json()]))\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           input=pickle.dumps(report), env=src_env(),
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(rhoslice.__all__) == len(set(rhoslice.__all__)) > 0
-    assert json.loads(proc.stdout) == [[], report.to_json()]
+    assert json.loads(proc.stdout) == [["RhosliceError"], [],
+                                       report.to_json()]
 
 
 def test_no_dataclasses_import():
