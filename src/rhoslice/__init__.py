@@ -23,20 +23,21 @@ _LAYERS = ("polyalg", "linalg", "seifert", "signatures", "almodule",
 
 # the public API: each layer's exported names
 _EXPORTS = {
-    "almodule": ("AlexanderModule", "ModuleElement", "Submodule",
-                 "alexander_module", "direct_sum", "isotypic_decompose",
+    "almodule": ("AlexanderModule", "FracCoset", "ModuleElement", "Submodule",
+                 "alexander_module", "coset_reduce", "direct_sum", "isotypic_decompose",
                  "reduce_to_isotypic", "reverse_module", "smith_normal_form"),
     "blanchfield": ("LinkingForm", "annihilator_submodule", "blanchfield_form",
                     "is_self_annihilating"),
     "obstruction": ("Companion", "FamilyMember", "FamilySpec", "InfectedKnot",
                     "ObstructionError", "ObstructionReport", "RhoExpr",
                     "verify_obstructed"),
-    "polyalg": ("FracCoset", "LaurentPoly", "PolyalgError", "coset_reduce",
-                "equal_up_to_unit", "factor_laurent", "gcd_laurent"),
-    "seifert": ("PatternKnot", "SeifertMatrix", "alexander_polynomial",
-                "connected_sum", "knot_transform", "metabolizer_search",
-                "pattern_9_46", "trefoil_left", "trefoil_right", "unknot"),
-    "signatures": ("Rho0Value", "SignatureFunction", "lt_signature_at", "rho0",
+    "polyalg": ("LaurentPoly", "PolyalgError", "equal_up_to_unit",
+                "factor_laurent", "gcd_laurent"),
+    "seifert": ("PatternKnot", "Rho0Value", "SeifertMatrix",
+                "alexander_polynomial", "connected_sum", "knot_transform",
+                "metabolizer_search", "pattern_9_46", "trefoil_left",
+                "trefoil_right", "unknot"),
+    "signatures": ("SignatureFunction", "lt_signature_at", "rho0",
                    "signature_function"),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items()

@@ -10,6 +10,12 @@ Module elements are per-summand coordinates reduced modulo the summand
 annihilator.  Submodules are stored by generators; membership is linear
 algebra over Q on the finite basis {v^k * generator_i}.
 
+The quotient Q(v)/Q[v^{±1}], where the linking form takes its values, is
+represented by `FracCoset`: a reduced fraction num/den with deg(num) <
+deg(den), den an integer-primitive ordinary polynomial with positive
+leading coefficient.  Canonical representatives are unique, so coset
+equality is plain `==`.
+
 The base change v -> t^c is substitution into the summands and the Gram
 entries (`LinkingForm.subs_power`); it multiplies Q-dimension by c.
 """
@@ -22,8 +28,10 @@ from typing import NamedTuple
 from . import RhosliceError, linalg
 from .linalg import PolyMatrix, poly_mat_apply, poly_mat_identity
 from .polyalg import (
-    FracCoset,
     LaurentPoly,
+    PolyalgError,
+    _poly,
+    _primitive,
     div_exact,
     divides,
     equal_up_to_unit,
@@ -165,6 +173,121 @@ def _poly_divmod_shifted(a: LaurentPoly, b: LaurentPoly):
     q = q0 * LaurentPoly.monomial(ak - bk, aq / bq, a.variable)
     r = r0 * LaurentPoly.monomial(ak, aq, a.variable)
     return q, r
+
+
+# ---------------------------------------------------------------------------
+# Cosets in Q(v)/Q[v^{±1}]
+# ---------------------------------------------------------------------------
+
+
+def _coset_canonicalize(n: LaurentPoly, d: LaurentPoly):
+    """(num, den) with num/den = n/d modulo Q[v^{±1}]: den integer-primitive
+    of lowest exponent 0 and positive leading coefficient, num and den
+    coprime, num reduced modulo den ((0, 1) for the zero coset).  Dividing
+    by a unit and reducing modulo den keep num coprime to den, so one gcd
+    suffices and the reduced num is nonzero."""
+    var = n.variable
+    zero = LaurentPoly.zero(var), LaurentPoly.one(var)
+    if n.is_zero():
+        return zero
+    g = gcd_laurent(n, d)
+    if g.span > 0:
+        n, d = div_exact(n, g), div_exact(d, g)
+    prim = _primitive(d.row)
+    if len(prim) == 1:
+        return zero
+    canon = _poly(prim, 0, 1, var)
+    return reduce_mod(n.shift(-d.start) * Fraction(d.den * prim[-1], d.row[-1]),
+                      canon), canon
+
+
+class FracCoset:
+    """Canonical representative of an element of Q(v)/Q[v^{±1}]."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: LaurentPoly, den: LaurentPoly, *, _canonical=False):
+        if den.is_zero():
+            raise PolyalgError("zero denominator")
+        num._check_var(den)
+        if not _canonical:
+            num, den = _coset_canonicalize(num, den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FracCoset is immutable")
+
+    def __reduce__(self):
+        return FracCoset, (self.num, self.den)
+
+    @classmethod
+    def zero(cls, variable: str = "t") -> "FracCoset":
+        return cls(LaurentPoly.zero(variable), LaurentPoly.one(variable),
+                   _canonical=True)
+
+    @property
+    def variable(self) -> str:
+        return self.den.variable
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def scale(self, f) -> "FracCoset":
+        """Multiply by a ring element (cosets form a Q[v^{±1}]-module)."""
+        if isinstance(f, (int, Fraction)):
+            f = LaurentPoly.constant(f, self.variable)
+        return FracCoset(self.num * f, self.den)
+
+    def __add__(self, other):
+        if not isinstance(other, FracCoset):
+            return NotImplemented
+        if self.is_zero() or other.is_zero():
+            self.den._check_var(other.den)
+            return other if self.is_zero() else self
+        return FracCoset(self.num * other.den + other.num * self.den,
+                         self.den * other.den)
+
+    def __neg__(self):
+        return FracCoset(-self.num, self.den, _canonical=True)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def conj(self) -> "FracCoset":
+        """Apply v -> v^{-1}."""
+        return FracCoset(self.num.conj(), self.den.conj())
+
+    def subs_power(self, c: int, variable: str | None = None) -> "FracCoset":
+        """The map induced by v -> w^c on the quotient.  The image of a
+        canonical coset is canonical: Bezout relations survive the
+        substitution, and every degree and exponent window scales by c."""
+        return FracCoset(self.num.subs_power(c, variable),
+                         self.den.subs_power(c, variable), _canonical=True)
+
+    def __eq__(self, other):
+        if not isinstance(other, FracCoset):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __str__(self):
+        if self.is_zero():
+            return "0"
+        return f"({self.num})/({self.den})"
+
+    def __repr__(self):
+        return f"FracCoset('{self}')"
+
+    def to_json(self) -> dict:
+        return {"num": self.num.to_json(), "den": self.den.to_json()}
+
+
+def coset_reduce(n: LaurentPoly, d: LaurentPoly) -> FracCoset:
+    """Canonical representative of n/d in Q(v)/Q[v^{±1}]."""
+    return FracCoset(n, d)
 
 
 # ---------------------------------------------------------------------------

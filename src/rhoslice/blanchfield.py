@@ -33,12 +33,13 @@ from . import RhosliceError, linalg
 from .almodule import (
     AlexanderModule,
     Decomposition,
+    FracCoset,
     ModuleElement,
     Submodule,
     Summand,
     _decompose,
 )
-from .polyalg import FracCoset, LaurentPoly, div_exact, divides, reduce_mod
+from .polyalg import LaurentPoly, div_exact, divides, reduce_mod
 from .seifert import PatternKnot, SeifertMatrix
 
 

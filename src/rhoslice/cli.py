@@ -52,9 +52,10 @@ intervals (default 1/1000000).
 The package registers its layers lazily (see `rhoslice/__init__`), and
 this module reads their names at call time (`obstruction.verify_obstructed`)
 and never at import, so a command compiles only the layers it calls into:
-on a bare document `signature` polyalg, linalg, seifert and signatures,
-`info` polyalg, linalg, seifert, almodule and blanchfield, and a pattern
-document's companions add signatures; `obstruct` every layer.  `main`
+`signature` polyalg, linalg, seifert and signatures, `info` polyalg,
+linalg, seifert, almodule and blanchfield, and `obstruct` every layer but
+signatures, which computes the signature integral of a companion given by
+its Seifert matrix and is compiled only for such a companion.  `main`
 catches only `RhosliceError`, so an error loads no layer that did not run.
 """
 
@@ -88,7 +89,7 @@ class DocumentError(RhosliceError):
 # A parsed companion: its signature integral or symbol, or the Seifert
 # matrix whose integral only `obstruct` computes.  A string, read only as an
 # annotation: no layer is loaded to define it.
-CompanionValue = "signatures.Rho0Value | seifert.SeifertMatrix"
+CompanionValue = "seifert.Rho0Value | seifert.SeifertMatrix"
 
 
 class KnotDocument(NamedTuple):
@@ -186,9 +187,9 @@ def _parse_companion(data, where: str) -> CompanionValue:
     if "symbol" in data:
         _require(isinstance(data["symbol"], str), where,
                  "symbol must be a string")
-        return signatures.Rho0Value.of_symbol(data["symbol"])
+        return seifert.Rho0Value.of_symbol(data["symbol"])
     if "rho0" in data:
-        return signatures.Rho0Value.of_exact(
+        return seifert.Rho0Value.of_exact(
             _parse_rational(data["rho0"], where))
     if "rho0_interval" in data:
         iv = data["rho0_interval"]
@@ -196,7 +197,7 @@ def _parse_companion(data, where: str) -> CompanionValue:
                  "interval must be [lo, hi]")
         lo, hi = (_parse_rational(x, where) for x in iv)
         _require(lo <= hi, where, "interval lower end exceeds upper end")
-        return signatures.Rho0Value.of_interval(lo, hi)
+        return seifert.Rho0Value.of_interval(lo, hi)
     return _parse_matrix(data["seifert"], where)
 
 
@@ -295,41 +296,37 @@ def load_document(path: str) -> KnotDocument:
 
 
 def _build_companion(name: str,
-                     value: CompanionValue) -> obstruction.Companion:
-    """The companion on curve `name`; a symbol names its companion, and a
-    Seifert matrix has its signature integral computed here."""
-    if isinstance(value, seifert.SeifertMatrix):
-        return obstruction.Companion.from_seifert(name, value)
+                     value: "seifert.Rho0Value") -> obstruction.Companion:
+    """The companion on curve `name`; a symbol names its companion."""
     return obstruction.Companion(
         value.symbol if value.kind == "symbol" else name, value)
 
 
 def family_spec(doc: KnotDocument) -> obstruction.FamilySpec:
+    """The family of a pattern document, its one knot named K when it lists
+    no family.  The signature integral of each matrix companion is computed
+    first, once per knot, so `signatures` is compiled before the
+    obstruction engine, on the smaller heap of the parse."""
     if doc.pattern is None:
         raise DocumentError("obstruction needs a pattern document")
     with_reverse = doc.assembly != "bare"
-
-    def infected(pattern: seifert.PatternKnot,
-                 companions) -> obstruction.InfectedKnot:
-        comp_map = {cname: _build_companion(cname, value)
-                    for cname, value in companions}
-        return obstruction.InfectedKnot.build(pattern, comp_map)
-
-    if doc.family:
-        entries = dict(doc.knots)
-        members = []
-        names = []
-        for knot_name, mult in doc.family:
-            entry = entries[knot_name]
-            pattern = entry.pattern or doc.pattern
-            members.append(obstruction.FamilyMember(
-                infected(pattern, entry.companions), mult,
-                with_reverse=with_reverse))
-            names.append(knot_name)
-        return obstruction.FamilySpec(tuple(members), tuple(names))
-    member = obstruction.FamilyMember(
-        infected(doc.pattern, doc.companions), 1, with_reverse=with_reverse)
-    return obstruction.FamilySpec((member,), ("K",))
+    entries = (dict(doc.knots) if doc.family
+               else {"K": KnotEntry(doc.pattern, doc.companions)})
+    family = doc.family or (("K", 1),)
+    values = {name: {cname: signatures.rho0(value)
+                     if isinstance(value, seifert.SeifertMatrix) else value
+                     for cname, value in entries[name].companions}
+              for name, _ in family}
+    members = []
+    for name, mult in family:
+        knot = obstruction.InfectedKnot.build(
+            entries[name].pattern or doc.pattern,
+            {cname: _build_companion(cname, value)
+             for cname, value in values[name].items()})
+        members.append(obstruction.FamilyMember(knot, mult,
+                                                with_reverse=with_reverse))
+    return obstruction.FamilySpec(tuple(members),
+                                  tuple(name for name, _ in family))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,9 @@ Summed with the weights K_e of a vanishing cell, these margins would be
 both > 0 and <= 0, so once the certificate passes an exact re-check
 against every expression, no cell of the class vanishes and none is
 evaluated.  A class without one, and a class of at most
-`LISTED_CELLS_PER_CLASS` cells, is enumerated: one cell per count vector.
+`LISTED_CELLS_PER_CLASS` cells, is enumerated: one cell per count vector,
+each the sum of one lower vector's value and one expression, added as
+integer vectors over the class's common denominator.
 Every class is held to `MAX_SLOT_TYPES_PER_CLASS` before any slot is
 evaluated, and only a class about to be enumerated to the cell and support
 bounds; the support bound charges every cell when the cells are listed, and
@@ -85,7 +87,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import RhosliceError
+from . import RhosliceError, signatures
 from .almodule import (
     ModuleElement,
     ModuleError,
@@ -96,8 +98,7 @@ from .almodule import (
 )
 from .blanchfield import LinkingForm, blanchfield_form
 from .polyalg import LaurentPoly, capelli_certified, divides
-from .seifert import PatternKnot, SeifertMatrix, metabolizer_search
-from .signatures import Rho0Value, rho0 as rho0_of_seifert
+from .seifert import PatternKnot, Rho0Value, SeifertMatrix, metabolizer_search
 
 # Count vectors the sweep evaluates in one isotypic class: as many as the
 # supports of 20 slots.
@@ -133,7 +134,7 @@ class Companion(NamedTuple):
 
     @classmethod
     def from_seifert(cls, name: str, V: SeifertMatrix) -> "Companion":
-        return cls(name, rho0_of_seifert(V))
+        return cls(name, signatures.rho0(V))
 
     @classmethod
     def trivial(cls) -> "Companion":
@@ -229,13 +230,6 @@ class RhoExpr(NamedTuple):
     def zero(cls) -> "RhoExpr":
         return cls()
 
-    @classmethod
-    def of(cls, const=0, **symbols) -> "RhoExpr":
-        c = Fraction(const)
-        packed = tuple(sorted((k, Fraction(v)) for k, v in symbols.items()
-                              if Fraction(v) != 0))
-        return cls(c, c, packed)
-
     def __add__(self, other: "RhoExpr") -> "RhoExpr":
         """The sum: symbol coefficients and interval ends add, and
         coefficients that cancel to zero are dropped."""
@@ -268,16 +262,6 @@ class RhoExpr(NamedTuple):
 
     def coefficient(self, name: str) -> Fraction:
         return dict(self.coeffs).get(name, Fraction(0))
-
-    def is_exactly_zero(self) -> bool:
-        return (not self.coeffs and self.const_lo == 0 and self.const_hi == 0)
-
-    def is_verifiably_nonzero(self) -> bool:
-        """Nonzero under the hypothesis that the symbols together with 1 are
-        linearly independent over Q, or by exact/interval arithmetic."""
-        if any(v != 0 for _, v in self.coeffs):
-            return True
-        return self.const_lo > 0 or self.const_hi < 0
 
     def __str__(self):
         parts = []
@@ -752,7 +736,14 @@ def _sweep_class(table: SlotTypeTable, types: list[Slot],
     expression e: its types in type order, copies 1..n_t of each.  Copy c
     of type j sits at slot position (member, c, j), as a member's types
     are adjacent in `types`, K before -tK, in curve order.  The support
-    bound is checked as each support is built, before any is returned."""
+    bound is checked as each support is built, before any is returned.
+
+    The sweep runs on integers: the distinct expressions are scaled to
+    integer vectors over one common denominator of all their entries, each
+    its symbol coefficients in sorted-name order, then lo, then hi.  A
+    count vector's value is one vector sum; it may vanish unless a symbol
+    coefficient is nonzero, lo > 0 or hi < 0; and a `RhoExpr` is built
+    only for the cells returned."""
     keys = [[(types[j].member, copy, j) for j, (_, n) in zip(group, sized)
              for copy in range(1, n + 1)]
             for group, sized in zip(groups, table.types)]
@@ -760,18 +751,23 @@ def _sweep_class(table: SlotTypeTable, types: list[Slot],
     rank = {key: i for i, key in enumerate(order)}
     copies = [[rank[key] for key in group] for group in keys]
     counted = itertools.product(*(range(len(c) + 1) for c in copies))
-    zero = next(counted)
+    names = sorted({name for e in table.rho for name, _ in e.coeffs})
+    scaled = [[*map(e.coefficient, names), e.const_lo, e.const_hi]
+              for e in table.rho]
+    den = math.lcm(*(v.denominator for row in scaled for v in row))
+    vectors = [tuple(int(v * den) for v in row) for row in scaled]
 
     # In product order a count vector comes after the vector with its last
-    # nonzero count lowered by one, whose value it extends by one merge.
-    value = {zero: RhoExpr.zero()}
+    # nonzero count lowered by one, whose value it extends by one vector.
+    value = {next(counted): (0,) * (len(names) + 2)}
     rows = []
     n_entries = 0
     for counts in counted:
         last = max(j for j, k in enumerate(counts) if k)
         lower = counts[:last] + (counts[last] - 1,) + counts[last + 1:]
-        expr = value[counts] = value[lower] + table.rho[last]
-        nonzero = expr.is_verifiably_nonzero()
+        vec = value[counts] = tuple(map(int.__add__, value[lower],
+                                        vectors[last]))
+        nonzero = any(vec[:-2]) or vec[-2] > 0 or vec[-1] < 0
         if listed or not nonzero:
             support = sorted(i for c, k in zip(copies, counts) for i in c[:k])
             # listed cells were charged in full by `_check_enumerable`
@@ -781,14 +777,17 @@ def _sweep_class(table: SlotTypeTable, types: list[Slot],
                     f"c=1: the witnesses of the ({table.prime}) class list "
                     "more than MAX_SUPPORT_ENTRIES_PER_CLASS = "
                     f"{MAX_SUPPORT_ENTRIES_PER_CLASS} slot labels")
-            rows.append((len(support), support, counts, nonzero))
+            rows.append((len(support), support, counts, vec, nonzero))
     rows.sort()
     labels = [types[j]._replace(copy=copy).label(spec)
               for _, copy, j in order]
     return [ReportCell(1, table.class_key, table.prime, counts,
-                       tuple(labels[i] for i in support), value[counts],
+                       tuple(labels[i] for i in support),
+                       RhoExpr(Fraction(vec[-2], den), Fraction(vec[-1], den),
+                               tuple((name, Fraction(v, den))
+                                     for name, v in zip(names, vec) if v)),
                        nonzero)
-            for _, support, counts, nonzero in rows]
+            for _, support, counts, vec, nonzero in rows]
 
 
 def _count_line(table: SlotTypeTable) -> str:

@@ -1,15 +1,16 @@
 """Exact arithmetic in the Laurent polynomial ring Q[t^{±1}].
 
-A Laurent polynomial is stored as a map from integer exponents to nonzero
-rational coefficients (`fractions.Fraction`); the empty map is zero.  The
-unit group of the ring is {q*t^k : q in Q, q != 0}, and "equal up to units"
-always means equality modulo exactly that set.  The canonical representative
-of a nonzero polynomial is monic with lowest exponent 0.
-
-The quotient Q(t)/Q[t^{±1}] is represented by `FracCoset`: a reduced
-fraction num/den with deg(num) < deg(den), den an integer-primitive
-ordinary polynomial with positive leading coefficient.  Canonical
-representatives are unique, so coset equality is plain `==`.
+A Laurent polynomial is stored fraction-free: a row of integer numerators
+over one positive integer denominator, the row running from the lowest
+exponent up, trimmed of zeros at both ends, and reduced so that the gcd of
+its entries and the denominator is 1; zero is the empty row over 1.  This
+representation is unique, so equality is equality of the stored fields.
+Coefficients are read back as `fractions.Fraction`s (`items`, `[e]`,
+`leading`), and the ring operations, Horner evaluation and division with
+remainder run on the integers.  The unit group of the ring is
+{q*t^k : q in Q, q != 0}, and "equal up to units" always means equality
+modulo exactly that set.  The canonical representative of a nonzero
+polynomial is monic with lowest exponent 0.
 
 Factorization into irreducibles over Q is one algorithm, Zassenhaus's, on
 an integer core: each square-free part becomes one integer-primitive dense
@@ -43,78 +44,125 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+_set = object.__setattr__
+
+
+def _trim(row):
+    """(row without its zero ends, the number of zeros cut from its start)."""
+    hi = len(row)
+    while hi and not row[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not row[lo]:
+        lo += 1
+    return row[lo:hi], lo
+
+
+def _primitive(row) -> list[int]:
+    """An integer row trimmed of its zero ends and divided by its content,
+    with a positive last entry; [] for zero."""
+    row = _trim(row)[0]
+    g = math.gcd(*row)
+    if row and row[-1] < 0:
+        g = -g
+    return [c // g for c in row]
+
+
+def _poly(row, start: int, den: int, variable: str) -> "LaurentPoly":
+    """The polynomial sum_i row[i]/den * v^(start + i), for integers row[i]
+    and a nonzero integer den, in the stored form."""
+    row, lo = _trim(row)
+    if not row:
+        start, den = 0, 1
+    elif den != 1:
+        g = math.gcd(den, *row)
+        if den < 0:
+            g = -g
+        if g != 1:
+            row, den = [c // g for c in row], den // g
+    p = object.__new__(LaurentPoly)
+    _set(p, "row", tuple(row))
+    _set(p, "start", start + lo)
+    _set(p, "den", den)
+    _set(p, "variable", variable)
+    _set(p, "_hash", None)
+    return p
+
+
 class LaurentPoly:
-    """An element of Q[v^{±1}] for a variable tag v (usually 's' or 't')."""
+    """An element of Q[v^{±1}] for a variable tag v (usually 's' or 't'):
+    the integers `row` over the positive integer `den`, row[i] the
+    numerator of the coefficient of v^(start + i)."""
 
-    __slots__ = ("coeffs", "variable", "_hash")
+    __slots__ = ("row", "start", "den", "variable", "_hash")
 
-    def __init__(self, coeffs: Mapping[int, object] | None = None, variable: str = "t"):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for exp, c in coeffs.items():
-                c = as_fraction(c)
-                if c != 0:
-                    clean[int(exp)] = c
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, coeffs: Mapping[int, object] | None = None,
+                variable: str = "t"):
+        terms = {int(e): as_fraction(c) for e, c in (coeffs or {}).items()}
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        start = min(terms, default=0)
+        row = [0] * (max(terms, default=start - 1) - start + 1)
+        for e, c in terms.items():
+            row[e - start] = c.numerator * (den // c.denominator)
+        return _poly(row, start, den, variable)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
     def __reduce__(self):
-        return LaurentPoly, (self.coeffs, self.variable)
+        return _poly, (self.row, self.start, self.den, self.variable)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, variable: str = "t") -> "LaurentPoly":
-        return cls({}, variable)
+        return _poly((), 0, 1, variable)
 
     @classmethod
     def one(cls, variable: str = "t") -> "LaurentPoly":
-        return cls({0: 1}, variable)
+        return _poly((1,), 0, 1, variable)
 
     @classmethod
     def constant(cls, value, variable: str = "t") -> "LaurentPoly":
-        return cls({0: as_fraction(value)}, variable)
+        return cls.monomial(0, value, variable)
 
     @classmethod
     def monomial(cls, exp: int, coeff=1, variable: str = "t") -> "LaurentPoly":
-        return cls({exp: as_fraction(coeff)}, variable)
+        q = as_fraction(coeff)
+        return _poly((q.numerator,), exp, q.denominator, variable)
 
     @classmethod
     def var(cls, variable: str = "t") -> "LaurentPoly":
-        return cls({1: 1}, variable)
+        return _poly((1,), 1, 1, variable)
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable, variable: str = "t") -> "LaurentPoly":
         """Build from a dense list [a0, a1, ...] of coefficients of v^0, v^1, ..."""
-        return cls({i: as_fraction(c) for i, c in enumerate(coeffs)}, variable)
+        return cls(dict(enumerate(coeffs)), variable)
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.row
 
     def is_unit(self) -> bool:
-        return len(self.coeffs) == 1
+        return len(self.row) == 1
 
     def is_one(self) -> bool:
-        return self.coeffs == {0: Fraction(1)}
+        return self.row == (1,) and self.start == 0 and self.den == 1
 
     @property
     def degree(self) -> int:
         """Highest exponent; raises on zero."""
-        if not self.coeffs:
+        if not self.row:
             raise PolyalgError("zero polynomial has no degree")
-        return max(self.coeffs)
+        return self.start + len(self.row) - 1
 
     @property
     def low(self) -> int:
-        if not self.coeffs:
+        if not self.row:
             raise PolyalgError("zero polynomial has no lowest exponent")
-        return min(self.coeffs)
+        return self.start
 
     @property
     def span(self) -> int:
@@ -122,13 +170,15 @@ class LaurentPoly:
         return self.degree - self.low
 
     def leading(self) -> Fraction:
-        return self.coeffs[self.degree]
+        return Fraction(self.row[self.span], self.den)
 
     def __getitem__(self, exp: int) -> Fraction:
-        return self.coeffs.get(exp, Fraction(0))
+        i = exp - self.start
+        return Fraction(self.row[i] if 0 <= i < len(self.row) else 0, self.den)
 
     def items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self.coeffs.items())
+        return [(self.start + i, Fraction(c, self.den))
+                for i, c in enumerate(self.row) if c]
 
     # -- ring operations ---------------------------------------------------
 
@@ -143,15 +193,20 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_var(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPoly(out, self.variable)
+        if not (self.row and other.row):
+            return self if other.is_zero() else other
+        g = math.gcd(self.den, other.den)
+        start = min(self.start, other.start)
+        out = [0] * (max(self.degree, other.degree) - start + 1)
+        for p, m in ((self, other.den // g), (other, self.den // g)):
+            for i, c in enumerate(p.row, p.start - start):
+                out[i] += c * m
+        return _poly(out, start, self.den * other.den // g, self.variable)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()}, self.variable)
+        return _poly([-c for c in self.row], self.start, self.den, self.variable)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -165,27 +220,25 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = as_fraction(other)
-            if q == 0:
-                return LaurentPoly.zero(self.variable)
-            return LaurentPoly({e: c * q for e, c in self.coeffs.items()}, self.variable)
+            other = LaurentPoly.constant(other, self.variable)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_var(other)
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(out, self.variable)
+        if not (self.row and other.row):
+            return LaurentPoly.zero(self.variable)
+        out = [0] * (len(self.row) + len(other.row) - 1)
+        for i, x in enumerate(self.row):
+            for j, y in enumerate(other.row, i):
+                out[j] += x * y
+        return _poly(out, self.start + other.start, self.den * other.den,
+                     self.variable)
 
     __rmul__ = __mul__
 
     def inverse_unit(self) -> "LaurentPoly":
         if not self.is_unit():
             raise PolyalgError("not a unit of the Laurent ring")
-        ((e, c),) = self.coeffs.items()
-        return LaurentPoly({-e: Fraction(1) / c}, self.variable)
+        return _poly((self.den,), -self.start, self.row[0], self.variable)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -201,39 +254,41 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by v^k."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()}, self.variable)
+        return _poly(self.row, self.start + k, self.den, self.variable)
 
     def subs_power(self, c: int, variable: str | None = None) -> "LaurentPoly":
         """Substitute v -> w^c (the base-change map on coefficients)."""
         if c <= 0:
             raise PolyalgError("substitution exponent must be positive")
-        return LaurentPoly({e * c: q for e, q in self.coeffs.items()},
-                           variable or self.variable)
+        out = [0] * (c * len(self.row) - c + 1)
+        out[::c] = self.row
+        return _poly(out, self.start * c, self.den, variable or self.variable)
 
     def conj(self) -> "LaurentPoly":
         """Substitute v -> v^{-1}."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()}, self.variable)
+        return _poly(self.row[::-1], 1 - self.start - len(self.row), self.den,
+                     self.variable)
 
     def rename(self, variable: str) -> "LaurentPoly":
-        return LaurentPoly(self.coeffs, variable)
+        return _poly(self.row, self.start, self.den, variable)
 
     def evaluate(self, x) -> Fraction:
-        """The value at x, by Horner's rule on the coefficients from the
-        degree down to the lowest exponent, times x^low."""
+        """The value at x = p/q: Horner's rule in integers on the row from
+        the top, homogeneous in p and q, times x^low."""
         x = as_fraction(x)
-        if not self.coeffs:
+        if not self.row:
             return Fraction(0)
-        low = self.low
-        if x == 0 and low < 0:
+        if x == 0 and self.start < 0:
             raise PolyalgError("cannot evaluate negative exponents at 0")
-        acc = Fraction(0)
-        for e in range(self.degree, low - 1, -1):
-            acc = acc * x + self.coeffs.get(e, 0)
-        return acc * x ** low
+        acc, qk = 0, 1
+        for c in reversed(self.row):
+            acc = acc * x.numerator + c * qk
+            qk *= x.denominator
+        return Fraction(acc * x.denominator, self.den * qk) * x ** self.start
 
     def derivative(self) -> "LaurentPoly":
-        return LaurentPoly({e - 1: c * e for e, c in self.coeffs.items() if e != 0},
-                           self.variable)
+        return _poly([c * e for e, c in enumerate(self.row, self.start)],
+                     self.start - 1, self.den, self.variable)
 
     # -- normalization -----------------------------------------------------
 
@@ -242,26 +297,19 @@ class LaurentPoly:
 
         Returns (m, q, k); for zero returns (0, 1, 0).
         """
-        if not self.coeffs:
+        if not self.row:
             return self, Fraction(1), 0
-        k = self.low
-        q = self.coeffs[self.degree]
-        m = LaurentPoly({e - k: c / q for e, c in self.coeffs.items()}, self.variable)
-        return m, q, k
+        return (_poly(self.row, 0, self.row[-1], self.variable),
+                self.leading(), self.start)
 
     def monic(self) -> "LaurentPoly":
         return self.unit_normal()[0]
 
     def poly_coeffs(self) -> list[Fraction]:
         """Dense coefficient list a0..adeg; requires lowest exponent >= 0."""
-        if not self.coeffs:
-            return []
-        if self.low < 0:
+        if self.start < 0:
             raise PolyalgError("not an ordinary polynomial")
-        out = [Fraction(0)] * (self.degree + 1)
-        for e, c in self.coeffs.items():
-            out[e] = c
-        return out
+        return [self[e] for e in range(self.start + len(self.row))]
 
     # -- comparison / hashing / rendering ----------------------------------
 
@@ -270,24 +318,25 @@ class LaurentPoly:
             other = LaurentPoly.constant(other, self.variable)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.variable == other.variable and self.coeffs == other.coeffs
+        return (self.row == other.row and self.start == other.start
+                and self.den == other.den and self.variable == other.variable)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.variable, tuple(sorted(self.coeffs.items()))))
-            object.__setattr__(self, "_hash", h)
+            h = hash((self.variable, self.start, self.den, self.row))
+            _set(self, "_hash", h)
         return h
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.row)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.row:
             return "0"
         v = self.variable
         parts = []
-        for e, c in sorted(self.coeffs.items(), reverse=True):
+        for e, c in reversed(self.items()):
             if e == 0:
                 term = str(c)
             else:
@@ -325,63 +374,68 @@ def equal_up_to_unit(a: LaurentPoly, b: LaurentPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _prem(a, b) -> tuple[list[int], list[int], int]:
+    """(quo, rem, s) with s*a = quo*b + rem and len(rem) = len(b) - 1, for
+    dense integer rows a and b with b[-1] != 0.  Fraction-free division:
+    before the step that clears the top entry c of the remainder, the
+    remainder and quotient are scaled by lc(b)/gcd(c, lc(b)) only."""
+    rem, db, s = list(a), len(b) - 1, 1
+    quo = [0] * max(len(a) - db, 0)
+    for top in range(len(a) - 1, db - 1, -1):
+        c = rem[top]
+        if c:
+            g = math.gcd(c, b[-1])
+            m = b[-1] // g
+            if m != 1:
+                rem, quo, s = [x * m for x in rem], [x * m for x in quo], s * m
+            quo[top - db] = f = c // g
+            for i, y in enumerate(b, top - db):
+                rem[i] -= f * y
+    return quo, rem[:db], s
+
+
 def poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Division with remainder for ordinary polynomials (lowest exponents >= 0)."""
     if b.is_zero():
         raise PolyalgError("division by zero polynomial")
     a._check_var(b)
-    if (not a.is_zero() and a.low < 0) or b.low < 0:
+    if a.start < 0 or b.start < 0:
         raise PolyalgError("divmod requires ordinary polynomials")
-    var = a.variable
-    rem = dict(a.coeffs)
-    quo: dict[int, Fraction] = {}
-    db = b.degree
-    lb = b.leading()
-    while rem and max(rem) >= db:
-        e = max(rem)
-        q = rem[e] / lb
-        quo[e - db] = q
-        for eb, cb in b.coeffs.items():
-            k = e - db + eb
-            val = rem.get(k, Fraction(0)) - q * cb
-            if val:
-                rem[k] = val
-            else:
-                rem.pop(k, None)
-    return LaurentPoly(quo, var), LaurentPoly(rem, var)
+    quo, rem, s = _prem((0,) * a.start + a.row, (0,) * b.start + b.row)
+    return (_poly([q * b.den for q in quo], 0, s * a.den, a.variable),
+            _poly(rem, 0, s * a.den, a.variable))
 
 
 def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact division in the Laurent ring; raises if b does not divide a."""
     if b.is_zero():
         raise PolyalgError("division by zero polynomial")
-    if a.is_zero():
-        return LaurentPoly.zero(a.variable)
     a._check_var(b)
-    am, aq, ak = a.unit_normal()
-    bm, bq, bk = b.unit_normal()
-    q, r = poly_divmod(am, bm)
-    if not r.is_zero():
+    quo, rem, s = _prem(a.row, b.row)
+    if any(rem):
         raise PolyalgError(f"({a}) is not divisible by ({b})")
-    return q.shift(ak - bk) * (aq / bq)
+    return _poly([q * b.den for q in quo], a.start - b.start, s * a.den,
+                 a.variable)
 
 
 def divides(b: LaurentPoly, a: LaurentPoly) -> bool:
     """True iff b | a in Q[v^{±1}]."""
     if b.is_zero():
         return a.is_zero()
-    if a.is_zero():
-        return True
-    return poly_divmod(a.monic(), b.monic())[1].is_zero()
+    return not any(_prem(a.row, b.row)[1])
 
 
 def gcd_laurent(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic-normalized generator of the ideal (a, b); 1 when coprime."""
+    """Monic-normalized generator of the ideal (a, b); 1 when coprime.
+
+    A primitive remainder sequence on the integer rows (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 6): each pseudo-remainder is
+    divided by its content, and the last nonzero one is made monic."""
     a._check_var(b)
-    x, y = a.monic(), b.monic()
-    while not y.is_zero():
-        x, y = y, poly_divmod(x, y)[1]
-    return x.monic()
+    x, y = _primitive(a.row), _primitive(b.row)
+    while y:
+        x, y = y, _primitive(_prem(x, y)[1])
+    return _poly(x, 0, x[-1] if x else 1, a.variable)
 
 
 def _poly_xgcd(a: LaurentPoly, b: LaurentPoly):
@@ -440,19 +494,6 @@ def inverse_mod(f: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
 # many in their number; the 16 of the degree-32 minimal polynomial of
 # sqrt(2) + sqrt(3) + sqrt(5) + sqrt(7) + sqrt(11) need 39,202.
 FACTOR_RECOMBINATION_BOUND = 2 ** 16
-
-
-def _int_content_primitive(p: LaurentPoly) -> list[int]:
-    """Integer-primitive dense coefficients of the exp-0 normalization,
-    with positive leading coefficient."""
-    coeffs = p.shift(-p.low).poly_coeffs()
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    g = math.gcd(*(abs(c) for c in ints))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
 
 
 def _nth_root_exact(n: int, r: int) -> int | None:
@@ -712,7 +753,7 @@ def _factor_squarefree(p: LaurentPoly) -> list[LaurentPoly]:
     constant term does not divide lc(f)*f(0) is skipped undivided.  The
     subsets tried are bounded by FACTOR_RECOMBINATION_BOUND, checked before
     the subsets of each size are started."""
-    f = _int_content_primitive(p)
+    f = _primitive(p.row)
     ell = 1
     while True:
         ell += 1
@@ -758,8 +799,7 @@ def _factor_squarefree(p: LaurentPoly) -> list[LaurentPoly]:
                 break
         else:
             size += 1
-    return [LaurentPoly.from_coeffs(g, p.variable).monic()
-            for g in factors + [f]]
+    return [_poly(g, 0, g[-1], p.variable) for g in factors + [f]]
 
 
 def _poly_sort_key(p: LaurentPoly):
@@ -799,123 +839,3 @@ def cyclotomic(n: int, variable: str = "t") -> LaurentPoly:
     if n < 1:
         raise PolyalgError("cyclotomic index must be positive")
     return LaurentPoly.from_coeffs(_cyclotomic_int(n), variable)
-
-
-# ---------------------------------------------------------------------------
-# Cosets in Q(t)/Q[t^{±1}]
-# ---------------------------------------------------------------------------
-
-
-def _den_canonical(d: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Normalize a denominator to integer-primitive, exp-0, positive leading
-    coefficient.  Returns (canonical_d, unit) with d = unit * canonical_d."""
-    ints = _int_content_primitive(d)
-    canon = LaurentPoly.from_coeffs(ints, d.variable)
-    return canon, LaurentPoly.monomial(d.low, d.leading() / ints[-1], d.variable)
-
-
-def _coset_canonicalize(n: LaurentPoly, d: LaurentPoly):
-    """(num, den) with num/den = n/d modulo Q[v^{±1}]: den canonical as in
-    _den_canonical, num and den coprime, num reduced modulo den ((0, 1) for
-    the zero coset).  Dividing by a unit and reducing modulo den keep num
-    coprime to den, so one gcd suffices and the reduced num is nonzero."""
-    var = n.variable
-    zero = LaurentPoly.zero(var), LaurentPoly.one(var)
-    if n.is_zero():
-        return zero
-    g = gcd_laurent(n, d)
-    if g.span > 0:
-        n, d = div_exact(n, g), div_exact(d, g)
-    d, unit = _den_canonical(d)
-    if d.span == 0:
-        return zero
-    return reduce_mod(n * unit.inverse_unit(), d), d
-
-
-class FracCoset:
-    """Canonical representative of an element of Q(v)/Q[v^{±1}]."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly, *, _canonical=False):
-        if den.is_zero():
-            raise PolyalgError("zero denominator")
-        num._check_var(den)
-        if not _canonical:
-            num, den = _coset_canonicalize(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FracCoset is immutable")
-
-    def __reduce__(self):
-        return FracCoset, (self.num, self.den)
-
-    @classmethod
-    def zero(cls, variable: str = "t") -> "FracCoset":
-        return cls(LaurentPoly.zero(variable), LaurentPoly.one(variable),
-                   _canonical=True)
-
-    @property
-    def variable(self) -> str:
-        return self.den.variable
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def scale(self, f) -> "FracCoset":
-        """Multiply by a ring element (cosets form a Q[v^{±1}]-module)."""
-        if isinstance(f, (int, Fraction)):
-            f = LaurentPoly.constant(f, self.variable)
-        return FracCoset(self.num * f, self.den)
-
-    def __add__(self, other):
-        if not isinstance(other, FracCoset):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            self.den._check_var(other.den)
-            return other if self.is_zero() else self
-        return FracCoset(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
-
-    def __neg__(self):
-        return FracCoset(-self.num, self.den, _canonical=True)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def conj(self) -> "FracCoset":
-        """Apply v -> v^{-1}."""
-        return FracCoset(self.num.conj(), self.den.conj())
-
-    def subs_power(self, c: int, variable: str | None = None) -> "FracCoset":
-        """The map induced by v -> w^c on the quotient.  The image of a
-        canonical coset is canonical: Bezout relations survive the
-        substitution, and every degree and exponent window scales by c."""
-        return FracCoset(self.num.subs_power(c, variable),
-                         self.den.subs_power(c, variable), _canonical=True)
-
-    def __eq__(self, other):
-        if not isinstance(other, FracCoset):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self):
-        return f"FracCoset('{self}')"
-
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-
-def coset_reduce(n: LaurentPoly, d: LaurentPoly) -> FracCoset:
-    """Canonical representative of n/d in Q(v)/Q[v^{±1}]."""
-    return FracCoset(n, d)

@@ -3,7 +3,9 @@
 A knot enters the toolkit as a square integer Seifert matrix V of even
 dimension with det(V - V^T) = ±1.  From V everything else is derived: the
 Alexander polynomial det(tV - V^T), the homology of the infinite cyclic
-cover, linking pairings and signatures.
+cover, linking pairings and signatures.  A companion knot enters the
+obstruction only through its signature integral, a `Rho0Value`; the
+`signatures` layer computes one from a Seifert matrix.
 
 `PatternKnot` decorates a genus-one Seifert matrix with named infection
 curves, given by coordinate vectors in the presentation basis of the
@@ -14,11 +16,12 @@ those curves.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 from . import RhosliceError
 from .linalg import det_int
-from .polyalg import LaurentPoly, _int_content_primitive, _newton_interpolate
+from .polyalg import LaurentPoly, _newton_interpolate, _primitive
 
 Transform = str  # one of "mirror", "reverse", "inverse"
 
@@ -137,9 +140,7 @@ def alexander_polynomial(V: SeifertMatrix, variable: str = "t") -> LaurentPoly:
         raise SeifertError(
             "determinant values do not interpolate to an integer polynomial")
     # integer-primitive, lowest exponent 0, positive leading coefficient
-    return LaurentPoly.from_coeffs(
-        _int_content_primitive(LaurentPoly.from_coeffs(coeffs, variable)),
-        variable)
+    return LaurentPoly.from_coeffs(_primitive(coeffs), variable)
 
 
 def metabolizer_search(V: SeifertMatrix | list) -> tuple[int, int] | None:
@@ -226,6 +227,50 @@ class PatternKnot(_PatternKnotFields):
         suffix = {"mirror": "-mirror", "reverse": "-reverse", "inverse": "-inverse"}
         return PatternKnot(knot_transform(self.seifert, op), self.curves,
                            self.name + suffix[op])
+
+
+# ---------------------------------------------------------------------------
+# Signature integrals
+# ---------------------------------------------------------------------------
+
+
+class Rho0Value(NamedTuple):
+    """Integral of the signature over the normalized circle: an exact
+    rational, a certified interval, or an opaque symbol."""
+
+    kind: str  # "exact" | "interval" | "symbol"
+    exact: Fraction | None = None
+    interval: tuple[Fraction, Fraction] | None = None
+    symbol: str | None = None
+
+    @classmethod
+    def of_exact(cls, v) -> "Rho0Value":
+        return cls("exact", exact=Fraction(v))
+
+    @classmethod
+    def of_interval(cls, lo, hi) -> "Rho0Value":
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise SeifertError("empty interval")
+        return cls("interval", interval=(lo, hi))
+
+    @classmethod
+    def of_symbol(cls, name: str) -> "Rho0Value":
+        return cls("symbol", symbol=name)
+
+    def __str__(self):
+        if self.kind == "exact":
+            return str(self.exact)
+        if self.kind == "interval":
+            return f"[{self.interval[0]}, {self.interval[1]}]"
+        return self.symbol
+
+    def to_json(self):
+        if self.kind == "exact":
+            return {"exact": str(self.exact)}
+        if self.kind == "interval":
+            return {"interval": [str(self.interval[0]), str(self.interval[1])]}
+        return {"symbol": self.symbol}
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from . import RhosliceError
 from .polyalg import LaurentPoly, cyclotomic, factor_laurent, poly_divmod
-from .seifert import SeifertMatrix, alexander_polynomial
+from .seifert import Rho0Value, SeifertMatrix, alexander_polynomial
 
 DEFAULT_ANGLE_DENOMINATOR_BOUND = 120
 PRECISION_ENV = "RHOSLICE_PRECISION"
@@ -616,45 +616,6 @@ def signature_function(V: SeifertMatrix) -> SignatureFunction:
 # ---------------------------------------------------------------------------
 # The signature integral
 # ---------------------------------------------------------------------------
-
-
-class Rho0Value(NamedTuple):
-    """Integral of the signature over the normalized circle: an exact
-    rational, a certified interval, or an opaque symbol."""
-
-    kind: str  # "exact" | "interval" | "symbol"
-    exact: Fraction | None = None
-    interval: tuple[Fraction, Fraction] | None = None
-    symbol: str | None = None
-
-    @classmethod
-    def of_exact(cls, v) -> "Rho0Value":
-        return cls("exact", exact=Fraction(v))
-
-    @classmethod
-    def of_interval(cls, lo, hi) -> "Rho0Value":
-        lo, hi = Fraction(lo), Fraction(hi)
-        if lo > hi:
-            raise SignatureError("empty interval")
-        return cls("interval", interval=(lo, hi))
-
-    @classmethod
-    def of_symbol(cls, name: str) -> "Rho0Value":
-        return cls("symbol", symbol=name)
-
-    def __str__(self):
-        if self.kind == "exact":
-            return str(self.exact)
-        if self.kind == "interval":
-            return f"[{self.interval[0]}, {self.interval[1]}]"
-        return self.symbol
-
-    def to_json(self):
-        if self.kind == "exact":
-            return {"exact": str(self.exact)}
-        if self.kind == "interval":
-            return {"interval": [str(self.interval[0]), str(self.interval[1])]}
-        return {"symbol": self.symbol}
 
 
 def rho0(V: SeifertMatrix, budget: Fraction | None = None) -> Rho0Value:

@@ -4,13 +4,12 @@ from typing import NamedTuple
 
 import pytest
 
-from rhoslice.almodule import AlexanderModule, Summand
+from rhoslice.almodule import AlexanderModule, FracCoset, Summand, coset_reduce
 from rhoslice.blanchfield import LinkingForm
 from rhoslice.linalg import PolyMatrix, poly_mat_apply
+from rhoslice.obstruction import RhoExpr
 from rhoslice.polyalg import (
-    FracCoset,
     LaurentPoly,
-    coset_reduce,
     div_exact,
     divides,
 )
@@ -45,6 +44,161 @@ def random_laurent(rng: random.Random, variable: str = "t", max_deg: int = 3,
     if p.is_zero() and not allow_zero:
         return LaurentPoly({0: 1}, variable)
     return p
+
+
+def rho_of(const=0, **symbols) -> RhoExpr:
+    """The exact expression const + sum of coefficient * symbol."""
+    c = Fraction(const)
+    return RhoExpr(c, c, tuple(sorted((k, Fraction(v))
+                                      for k, v in symbols.items() if v != 0)))
+
+
+def verifiably_nonzero(expr: RhoExpr) -> bool:
+    """Nonzero under the hypothesis that the symbols together with 1 are
+    linearly independent over Q, or by exact/interval arithmetic: the test
+    that `obstruction._sweep_class` makes on its integer vectors."""
+    return (any(v != 0 for _, v in expr.coeffs)
+            or expr.const_lo > 0 or expr.const_hi < 0)
+
+
+# The Fraction-dict Laurent polynomial: the representation `LaurentPoly`
+# had before it stored integer rows over one denominator, with the Euclid
+# over Q that `gcd_laurent` ran then.  An independent reference for the
+# integer arithmetic.
+
+
+class FractionPoly:
+    """An element of Q[v^{±1}] as a map from exponents to nonzero
+    Fractions."""
+
+    def __init__(self, coeffs=None, variable: str = "t"):
+        self.coeffs = {int(e): Fraction(c) for e, c in (coeffs or {}).items()
+                       if Fraction(c) != 0}
+        self.variable = variable
+
+    @classmethod
+    def of(cls, p: LaurentPoly) -> "FractionPoly":
+        return cls(dict(p.items()), p.variable)
+
+    def same(self, p: LaurentPoly) -> bool:
+        """The oracle and `p` hold the same polynomial."""
+        return (self.variable == p.variable
+                and sorted(self.coeffs.items()) == p.items())
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self) -> int:
+        return max(self.coeffs)
+
+    @property
+    def low(self) -> int:
+        return min(self.coeffs)
+
+    def leading(self) -> Fraction:
+        return self.coeffs[self.degree]
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return FractionPoly(out, self.variable)
+
+    def __neg__(self):
+        return FractionPoly({e: -c for e, c in self.coeffs.items()},
+                            self.variable)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionPoly({0: other}, self.variable)
+        out: dict[int, Fraction] = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+        return FractionPoly(out, self.variable)
+
+    def shift(self, k: int) -> "FractionPoly":
+        return FractionPoly({e + k: c for e, c in self.coeffs.items()},
+                            self.variable)
+
+    def evaluate(self, x) -> Fraction:
+        x = Fraction(x)
+        if x == 0 and any(e < 0 for e in self.coeffs):
+            raise ZeroDivisionError("negative exponent at 0")
+        return sum((c * x ** e for e, c in self.coeffs.items()), Fraction(0))
+
+    def unit_normal(self):
+        if not self.coeffs:
+            return self, Fraction(1), 0
+        k, q = self.low, self.leading()
+        return (FractionPoly({e - k: c / q for e, c in self.coeffs.items()},
+                             self.variable), q, k)
+
+    def monic(self) -> "FractionPoly":
+        return self.unit_normal()[0]
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        v = self.variable
+        parts = []
+        for e, c in sorted(self.coeffs.items(), reverse=True):
+            if e == 0:
+                term = str(c)
+            else:
+                mag = "" if abs(c) == 1 else f"{abs(c)}*"
+                sgn = "-" if c < 0 else ""
+                pw = v if e == 1 else f"{v}^{e}"
+                term = f"{sgn}{mag}{pw}"
+            if parts:
+                parts.append(f"- {term[1:]}" if term.startswith("-")
+                             else f"+ {term}")
+            else:
+                parts.append(term)
+        return " ".join(parts)
+
+    def to_json(self) -> dict:
+        return {"variable": self.variable,
+                "coefficients": {str(e): str(c)
+                                 for e, c in sorted(self.coeffs.items())}}
+
+
+def fraction_divmod(a: FractionPoly, b: FractionPoly):
+    """Division with remainder over Q of ordinary polynomials, one Fraction
+    quotient term at a time."""
+    rem, quo = dict(a.coeffs), {}
+    db, lb = b.degree, b.leading()
+    while rem and max(rem) >= db:
+        e = max(rem)
+        q = quo[e - db] = rem[e] / lb
+        for eb, cb in b.coeffs.items():
+            val = rem.get(e - db + eb, Fraction(0)) - q * cb
+            if val:
+                rem[e - db + eb] = val
+            else:
+                rem.pop(e - db + eb, None)
+    return FractionPoly(quo, a.variable), FractionPoly(rem, a.variable)
+
+
+def fraction_gcd(a: FractionPoly, b: FractionPoly) -> FractionPoly:
+    """The monic gcd by Euclid over Q on the exponent-0 normalizations."""
+    x, y = a.monic(), b.monic()
+    while not y.is_zero():
+        x, y = y, fraction_divmod(x, y)[1]
+    return x.monic()
+
+
+def fraction_reduce_mod(a: FractionPoly, m: FractionPoly) -> FractionPoly:
+    """a modulo m in the window 0 <= exponents < span(m): negative exponents
+    cleared from below with the monic m, then division with remainder."""
+    mm = m.monic()
+    while a.coeffs and a.low < 0:
+        a = a - mm.shift(a.low) * (a.coeffs[a.low] / mm.coeffs[0])
+    return fraction_divmod(a, mm)[1]
 
 
 # Gaussian rationals: the complex arithmetic that signatures were once

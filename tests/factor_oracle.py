@@ -19,11 +19,11 @@ from rhoslice.polyalg import (
     LaurentPoly,
     PolyalgError,
     _cyclotomic_int,
-    _int_content_primitive,
     _int_div_exact,
     _newton_interpolate,
     _nth_root_exact,
     _poly_sort_key,
+    _primitive,
     _rational_power_root,
     _squarefree_parts,
 )
@@ -107,7 +107,7 @@ def _binomial_split(ints: list[int]) -> list[list[int]] | None:
             # v^n - w^r = (v^m - w) * sum_{k<r} w^k v^{m(r-1-k)}
             first = LaurentPoly({m: 1, 0: -w})
             second = LaurentPoly({m * (r - 1 - k): w ** k for k in range(r)})
-            return [_int_content_primitive(first), _int_content_primitive(second)]
+            return [_primitive(first.row), _primitive(second.row)]
     if n % 4 == 0:
         w4 = _rational_power_root(-q / 4, 4)
         if w4 is not None:
@@ -115,7 +115,7 @@ def _binomial_split(ints: list[int]) -> list[list[int]] | None:
             # v^n + 4w^4 = (v^{2m} + 2w v^m + 2w^2)(v^{2m} - 2w v^m + 2w^2)
             f1 = LaurentPoly({2 * m: 1, m: 2 * w4, 0: 2 * w4 ** 2})
             f2 = LaurentPoly({2 * m: 1, m: -2 * w4, 0: 2 * w4 ** 2})
-            return [_int_content_primitive(f1), _int_content_primitive(f2)]
+            return [_primitive(f1.row), _primitive(f2.row)]
     return []
 
 
@@ -187,7 +187,7 @@ def _factor_squarefree(p: LaurentPoly) -> list[LaurentPoly]:
     every split is an exact integer division; the irreducible factors
     become monic Laurent polynomials at the end."""
     factors: list[list[int]] = []
-    work = [_int_content_primitive(p)]
+    work = [_primitive(p.row)]
     while work:
         f = work.pop()
         deg = len(f) - 1

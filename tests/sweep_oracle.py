@@ -26,6 +26,7 @@ from typing import NamedTuple
 from rhoslice import obstruction
 from rhoslice.almodule import (
     AlexanderModule,
+    FracCoset,
     ModuleElement,
     ModuleError,
     Summand,
@@ -43,7 +44,6 @@ from rhoslice.obstruction import (
     _slot_expr,
 )
 from rhoslice.polyalg import (
-    FracCoset,
     LaurentPoly,
     capelli_certified,
     div_exact,
@@ -52,6 +52,8 @@ from rhoslice.polyalg import (
     inverse_mod,
     reduce_mod,
 )
+
+from conftest import verifiably_nonzero
 
 
 # -- base change with splitting and CRT cofactors --------------------------------
@@ -302,7 +304,7 @@ def sweep_class(assembly: CopyAssembly, prime: LaurentPoly, key: str,
         expr = value[counts]
         cells.append(ReportCell(c, key, prime_name, counts,
                                 tuple(labels[i] for i in support), expr,
-                                expr.is_verifiably_nonzero()))
+                                verifiably_nonzero(expr)))
     table = TypeTable(c, key, prime_name,
                       tuple(tuple(labels[i] for i in t) for t in types),
                       tuple(type_exprs))

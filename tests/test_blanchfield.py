@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rhoslice import almodule, linalg
-from rhoslice.almodule import Submodule, direct_sum, smith_normal_form
+from rhoslice.almodule import (
+    FracCoset, Submodule, coset_reduce, direct_sum, smith_normal_form)
 from rhoslice.blanchfield import (
     FormError,
     LinkingForm,
@@ -17,7 +18,7 @@ from rhoslice.blanchfield import (
     blanchfield_form,
     is_self_annihilating,
 )
-from rhoslice.polyalg import FracCoset, LaurentPoly, capelli_certified, coset_reduce, gcd_laurent, reduce_mod
+from rhoslice.polyalg import LaurentPoly, capelli_certified, gcd_laurent, reduce_mod
 from rhoslice.seifert import (
     PatternKnot,
     SeifertMatrix,

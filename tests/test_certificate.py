@@ -23,6 +23,7 @@ from rhoslice.obstruction import (
     _simplex,
     verify_obstructed,
 )
+from conftest import rho_of
 from test_obstruction import (
     NUMERIC_KINDS,
     SYMBOLIC_KINDS,
@@ -144,23 +145,23 @@ def test_simplex_agrees_with_linprog():
 
 def test_certificate_of_hand_built_types():
     # a symbol and a negative constant: y = 1 on the symbol, beta = 3/4
-    cert = _certificate((RhoExpr.of(r=1), RhoExpr.of(Fraction(-4, 3))))
+    cert = _certificate((rho_of(r=1), rho_of(Fraction(-4, 3))))
     assert cert == Certificate((("r", Fraction(1)),), Fraction(0),
                                Fraction(3, 4))
     assert str(cert) == "y = {r: 1}, alpha = 0, beta = 3/4"
     # 3 * 1/3 + 2 * (-1/2) = 0 puts a point in the cone, although no count
     # vector of one copy per type vanishes
-    assert _certificate((RhoExpr.of(Fraction(1, 3)),
-                         RhoExpr.of(Fraction(-1, 2)))) is None
+    assert _certificate((rho_of(Fraction(1, 3)),
+                         rho_of(Fraction(-1, 2)))) is None
     # an interval through zero and an exact zero are points of the cone
     assert _certificate((RhoExpr(Fraction(-1), Fraction(1)),)) is None
-    assert _certificate((RhoExpr.of(r=1), RhoExpr.zero())) is None
+    assert _certificate((rho_of(r=1), RhoExpr.zero())) is None
     # intervals of one sign are certified by alpha
     cert = _certificate((RhoExpr(Fraction(1, 5), Fraction(1, 4)),
-                         RhoExpr.of(Fraction(1, 3), q=-2)))
+                         rho_of(Fraction(1, 3), q=-2)))
     assert cert is not None and cert.alpha > 0
     assert cert.proves((RhoExpr(Fraction(1, 5), Fraction(1, 4)),
-                        RhoExpr.of(Fraction(1, 3), q=-2)))
+                        rho_of(Fraction(1, 3), q=-2)))
 
 
 def class_tables(count):

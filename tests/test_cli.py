@@ -19,10 +19,10 @@ from rhoslice.cli import (
     parse_document,
 )
 
-from rhoslice import obstruction
+from rhoslice import signatures
 from rhoslice.obstruction import verify_obstructed
-from rhoslice.seifert import SeifertMatrix
-from rhoslice.signatures import Rho0Value, rho0
+from rhoslice.seifert import Rho0Value, SeifertMatrix
+from rhoslice.signatures import rho0
 
 from conftest import random_seifert
 
@@ -89,7 +89,7 @@ def test_companions_are_parsed_once(monkeypatch, tmp_path, capsys):
     knot = family_spec(parse_document(K946_DOC)).members[0].knot
     assert knot.companion("alpha") == ("rA", Rho0Value.of_symbol("rA"))
     # only obstruct computes the signature integral of a companion
-    monkeypatch.setattr(obstruction, "rho0_of_seifert", unreachable)
+    monkeypatch.setattr(signatures, "rho0", unreachable)
     path = write_doc(tmp_path, doc)
     for command in ("info", "signature"):
         assert main([command, path]) == 0

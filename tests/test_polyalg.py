@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import time
 import types
@@ -9,12 +10,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rhoslice import polyalg
-from rhoslice.almodule import alexander_module
+from rhoslice.almodule import FracCoset, alexander_module, coset_reduce
 from rhoslice.polyalg import (
-    FracCoset,
     LaurentPoly,
     PolyalgError,
-    coset_reduce,
     cyclotomic,
     div_exact,
     divides,
@@ -28,7 +27,13 @@ from rhoslice.cli import MAX_CURVE_EXPONENT
 from rhoslice.seifert import alexander_polynomial
 
 import factor_oracle
-from conftest import random_seifert
+from conftest import (
+    FractionPoly,
+    fraction_divmod,
+    fraction_gcd,
+    fraction_reduce_mod,
+    random_seifert,
+)
 
 T = LaurentPoly.var("t")
 ONE = LaurentPoly.one("t")
@@ -93,6 +98,137 @@ def test_variable_mismatch_rejected():
         _ = T + s
     with pytest.raises(PolyalgError, match="variable mismatch"):
         gcd_laurent(T, s)
+
+
+# -- the integer rows against the Fraction-dict oracle ------------------------
+
+
+def stored_form(p: LaurentPoly) -> bool:
+    """The row is trimmed at both ends, the denominator positive and
+    coprime to the row's content, and zero is the empty row over 1 at 0."""
+    if not p.row:
+        return p.start == 0 and p.den == 1
+    return (p.row[0] != 0 and p.row[-1] != 0 and p.den > 0
+            and math.gcd(p.den, *p.row) == 1)
+
+
+wide_fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+# negative exponents, rational coefficients, zero and units
+wide_laurents = st.dictionaries(st.integers(-6, 6), wide_fractions,
+                                max_size=6).map(lambda d: LaurentPoly(d, "t"))
+ordinary = st.dictionaries(st.integers(0, 7), wide_fractions, max_size=6).map(
+    lambda d: LaurentPoly(d, "t"))
+ZERO_TERMS = {}
+UNIT_TERMS = {-3: Fraction(-7, 4)}
+
+
+@given(wide_laurents, wide_laurents, wide_fractions)
+@example(poly(ZERO_TERMS), poly(UNIT_TERMS), Fraction(0))
+@example(poly(UNIT_TERMS), poly({3: Fraction(7, 4)}), Fraction(-1, 3))
+@example(poly({0: 1, 1: Fraction(1, 2)}), poly({1: Fraction(-1, 2)}),
+         Fraction(5))
+@settings(max_examples=200, deadline=None)
+def test_ring_operations_match_the_fraction_oracle(a, b, q):
+    fa, fb = FractionPoly.of(a), FractionPoly.of(b)
+    for got, want in ((a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb),
+                      (-a, -fa), (a * q, fa * q), (q * a, fa * q),
+                      (a + q, fa + FractionPoly({0: q})),
+                      (a.shift(-4), fa.shift(-4))):
+        assert stored_form(got)
+        assert want.same(got)
+    for got in (a.conj(), a.subs_power(3), a.derivative(), a.rename("s")):
+        assert stored_form(got)
+    assert FractionPoly({-e: c for e, c in fa.coeffs.items()}).same(a.conj())
+    assert FractionPoly({3 * e: c for e, c in fa.coeffs.items()}).same(
+        a.subs_power(3))
+    assert FractionPoly({e - 1: e * c for e, c in fa.coeffs.items()}).same(
+        a.derivative())
+
+
+@given(ordinary, ordinary.filter(bool))
+@example(poly(ZERO_TERMS), poly({0: Fraction(-3, 5)}))
+@example(poly({5: 2, 0: Fraction(1, 3)}), poly({2: -3, 1: 1}))
+@settings(max_examples=150, deadline=None)
+def test_divmod_matches_the_fraction_oracle(a, b):
+    q, r = polyalg.poly_divmod(a, b)
+    wq, wr = fraction_divmod(FractionPoly.of(a), FractionPoly.of(b))
+    assert stored_form(q) and stored_form(r)
+    assert wq.same(q) and wr.same(r)
+    assert q * b + r == a
+
+
+@given(wide_laurents, wide_laurents.filter(bool), wide_laurents.filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_div_exact_and_divides_match_the_oracle(c, b, other):
+    assert div_exact(c * b, b) == c
+    assert divides(b, c * b)
+    # divisibility over Q[v^{±1}] is that of the exponent-0 normalizations
+    fb, fo = FractionPoly.of(b).monic(), FractionPoly.of(other).monic()
+    want = fraction_divmod(fo, fb)[1].is_zero()
+    assert divides(b, other) == want
+    if not want:
+        with pytest.raises(PolyalgError, match="not divisible"):
+            div_exact(other, b)
+
+
+@given(wide_laurents, wide_laurents, wide_laurents.filter(bool))
+@example(poly(ZERO_TERMS), poly(ZERO_TERMS), poly(UNIT_TERMS))
+@example(poly(UNIT_TERMS), poly({0: 2, 1: -1}), poly({0: 1, 2: 1}))
+@settings(max_examples=120, deadline=None)
+def test_gcd_matches_the_euclid_oracle(a, b, common):
+    for x, y in ((a, b), (a * common, b * common), (common, ZERO)):
+        got = gcd_laurent(x, y)
+        assert stored_form(got)
+        assert fraction_gcd(FractionPoly.of(x), FractionPoly.of(y)).same(got)
+
+
+@given(wide_laurents, ordinary.filter(lambda m: m and m.span > 0))
+@settings(max_examples=120, deadline=None)
+def test_reduce_mod_matches_the_oracle(a, m):
+    m = m.shift(-m.low)
+    got = reduce_mod(a, m)
+    assert stored_form(got)
+    assert fraction_reduce_mod(FractionPoly.of(a), FractionPoly.of(m)).same(got)
+
+
+@given(wide_laurents, st.one_of(st.just(Fraction(0)), wide_fractions))
+@example(poly({-1: 1}), Fraction(0))
+@example(poly({0: Fraction(3, 2), 2: -1}), Fraction(0))
+@settings(max_examples=150, deadline=None)
+def test_evaluate_matches_the_oracle(a, x):
+    oracle = FractionPoly.of(a)
+    if x == 0 and not a.is_zero() and a.low < 0:
+        with pytest.raises(PolyalgError, match="negative exponents at 0"):
+            a.evaluate(x)
+        with pytest.raises(ZeroDivisionError):
+            oracle.evaluate(x)
+        return
+    assert a.evaluate(x) == oracle.evaluate(x)
+
+
+@given(wide_laurents)
+@example(poly(ZERO_TERMS))
+@example(poly(UNIT_TERMS))
+@settings(max_examples=150, deadline=None)
+def test_normal_form_text_json_hash_and_pickle(a):
+    oracle = FractionPoly.of(a)
+    m, q, k = a.unit_normal()
+    wm, wq, wk = oracle.unit_normal()
+    assert stored_form(m) and wm.same(m) and (q, k) == (wq, wk)
+    assert wm.same(a.monic())
+    assert str(a) == str(oracle)
+    assert a.to_json() == oracle.to_json()
+    assert a.items() == sorted(oracle.coeffs.items())
+    if a and a.low >= 0:
+        assert a.poly_coeffs() == [oracle.coeffs.get(e, Fraction(0))
+                                   for e in range(a.degree + 1)]
+    # one stored form, however the polynomial was reached
+    for twin in (LaurentPoly(dict(a.items()) | {9: 0}, "t"),
+                 (a * 6) * Fraction(1, 6), a + T - T,
+                 pickle.loads(pickle.dumps(a))):
+        assert twin == a and hash(twin) == hash(a)
+        assert (twin.row, twin.start, twin.den) == (a.row, a.start, a.den)
+    assert a != a + 1 and a.rename("s") != a
 
 
 # -- gcd --------------------------------------------------------------------
@@ -534,6 +670,25 @@ def test_factor_matches_sympy_on_random_products():
     rng = random.Random(2024)
     for _ in range(240):
         _assert_matches_sympy(sympy, _random_factorable(rng))
+
+
+def test_factor_matches_sympy_with_four_cyclotomics():
+    # up to four cyclotomics with multiplicities and linear factors: spans
+    # near 100, on which the square-free split's gcds once took seconds
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2028)
+    spans = []
+    for _ in range(40):
+        p = LaurentPoly.monomial(rng.randint(-3, 3),
+                                 Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        for _ in range(rng.randint(0, 3)):
+            p = p * LaurentPoly({1: rng.randint(1, 6), 0: rng.choice([-1, 1])
+                                 * rng.randint(1, 6)}) ** rng.randint(1, 3)
+        for _ in range(rng.randint(2, 4)):
+            p = p * cyclotomic(rng.randint(1, 30)) ** rng.randint(1, 3)
+        _assert_matches_sympy(sympy, p)
+        spans.append(p.span)
+    assert max(spans) >= 90
 
 
 def _random_past_the_cap(rng):

@@ -6,6 +6,7 @@ from rhoslice import seifert
 from rhoslice.polyalg import LaurentPoly, equal_up_to_unit
 from rhoslice.seifert import (
     PatternKnot,
+    Rho0Value,
     SeifertError,
     SeifertMatrix,
     alexander_polynomial,
@@ -217,3 +218,12 @@ def test_builtin_pattern():
     q = p.transform("inverse")
     assert q.seifert == knot_transform(p.seifert, "inverse")
     assert q.curve_names() == ["alpha", "beta"]
+
+
+def test_rho0_value_refuses_an_empty_interval():
+    # the record lives with the knots, so a companion's value needs no
+    # signature code; its error is the seifert layer's
+    assert Rho0Value.of_interval(0, 0) == Rho0Value("interval",
+                                                    interval=(0, 0))
+    with pytest.raises(SeifertError, match="empty interval"):
+        Rho0Value.of_interval(1, 0)

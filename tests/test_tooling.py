@@ -258,6 +258,12 @@ def test_each_command_loads_only_its_layers(tmp_path):
                                {"name": "beta", "class": ["0", "1"]}]},
         "companions": {"alpha": {"symbol": "rA"}, "beta": {"symbol": "rB"}}}),
         encoding="utf-8")
+    computed = tmp_path / "9_46-trefoil.json"
+    computed.write_text(json.dumps(dict(
+        json.loads(pattern.read_text(encoding="utf-8")),
+        companions={"alpha": {"symbol": "rA"},
+                    "beta": {"seifert": [[-1, 1], [0, -1]]}})),
+        encoding="utf-8")
     invalid = tmp_path / "invalid.json"
     invalid.write_text("{not json", encoding="utf-8")
     unknown = tmp_path / "unknown.json"
@@ -276,16 +282,19 @@ def test_each_command_loads_only_its_layers(tmp_path):
         (["info", str(bare)], algebra | {"almodule", "blanchfield"}, 0),
         (["info", str(bare), "--output", "structured"],
          algebra | {"almodule", "blanchfield"}, 0),
-        # a pattern document's companions are parsed into signature values
-        (["info", str(pattern)],
-         algebra | {"almodule", "blanchfield", "signatures"}, 0),
+        # a pattern document's companions are parsed into values that
+        # seifert defines
+        (["info", str(pattern)], algebra | {"almodule", "blanchfield"}, 0),
         (["signature", str(pattern)], algebra | {"signatures"}, 0),
         # error exits load no layer that did not run
         (["info", str(tmp_path / "nosuch.json")], front, 1),
         (["info", str(invalid)], front, 1),
         (["info", str(unknown)], front, 1),
         (["obstruct", str(bare)], algebra, 1),
-        (["obstruct", str(pattern)], {path.stem for path in SRC.glob("*.py")},
+        # signatures only computes a companion's integral from its matrix
+        (["obstruct", str(pattern)],
+         algebra | {"almodule", "blanchfield", "obstruction"}, 0),
+        (["obstruct", str(computed)], {path.stem for path in SRC.glob("*.py")},
          0),
     ]
     assert len(cases[-1][1]) == 9
