@@ -32,7 +32,7 @@ both > 0 and <= 0, so once the certificate passes an exact re-check
 against every expression, no cell of the class vanishes and none is
 evaluated.  A class without one, and a class of at most
 `LISTED_CELLS_PER_CLASS` cells, is enumerated: one cell per count vector,
-each the sum of one lower vector's value and one expression, added as
+each one expression added to a running sum, one kept per position, as
 integer vectors over the class's common denominator.
 Every class is held to `MAX_SLOT_TYPES_PER_CLASS` before any slot is
 evaluated, and only a class about to be enumerated to the cell and support
@@ -740,10 +740,10 @@ def _sweep_class(table: SlotTypeTable, types: list[Slot],
 
     The sweep runs on integers: the distinct expressions are scaled to
     integer vectors over one common denominator of all their entries, each
-    its symbol coefficients in sorted-name order, then lo, then hi.  A
-    count vector's value is one vector sum; it may vanish unless a symbol
-    coefficient is nonzero, lo > 0 or hi < 0; and a `RhoExpr` is built
-    only for the cells returned."""
+    its symbol coefficients in sorted-name order, then lo, then hi, and a
+    count vector's value may vanish unless a symbol coefficient is nonzero,
+    lo > 0 or hi < 0.  Each value is one vector sum on a running sum kept
+    per position, so only the cells returned grow with the count vectors."""
     keys = [[(types[j].member, copy, j) for j, (_, n) in zip(group, sized)
              for copy in range(1, n + 1)]
             for group, sized in zip(groups, table.types)]
@@ -757,16 +757,16 @@ def _sweep_class(table: SlotTypeTable, types: list[Slot],
     den = math.lcm(*(v.denominator for row in scaled for v in row))
     vectors = [tuple(int(v * den) for v in row) for row in scaled]
 
-    # In product order a count vector comes after the vector with its last
-    # nonzero count lowered by one, whose value it extends by one vector.
-    value = {next(counted): (0,) * (len(names) + 2)}
+    # Past the zero vector, which next() skips, each count vector in product
+    # order raises its last nonzero count by one and zeroes those after it.
+    # prefix[j] is the value of the previous vector's counts before position j.
+    prefix = [(0,) * (len(names) + 2)] * (len(next(counted)) + 1)
     rows = []
     n_entries = 0
     for counts in counted:
         last = max(j for j, k in enumerate(counts) if k)
-        lower = counts[:last] + (counts[last] - 1,) + counts[last + 1:]
-        vec = value[counts] = tuple(map(int.__add__, value[lower],
-                                        vectors[last]))
+        vec = tuple(map(int.__add__, prefix[last + 1], vectors[last]))
+        prefix[last + 1:] = [vec] * (len(vectors) - last)
         nonzero = any(vec[:-2]) or vec[-2] > 0 or vec[-1] < 0
         if listed or not nonzero:
             support = sorted(i for c, k in zip(copies, counts) for i in c[:k])

@@ -12,9 +12,9 @@ x = w + w^{-1} they become the real roots in (-2, 2) of a rational
 polynomial; those are isolated by Sturm sequences of LaurentPoly
 remainders (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry,
 ch. 2), and roots of cyclotomic factors are recognized exactly as angles
-k/n (against the minimal polynomials of 2cos(2*pi/n) for n up to a
-configurable bound).  Jump sizes are differences of arc values sampled at
-rational parameters on both sides, never derivative heuristics.
+k/n (against the minimal polynomials of 2cos(2*pi/n) for every n that
+the factor's degree admits).  Jump sizes are differences of arc values
+sampled at rational parameters on both sides, never derivative heuristics.
 
 The signature integral over the circle (normalized to length one) is a
 finite sum of jump * arc-length terms: an exact rational when every jump
@@ -39,7 +39,6 @@ from . import RhosliceError
 from .polyalg import LaurentPoly, cyclotomic, factor_laurent, poly_divmod
 from .seifert import Rho0Value, SeifertMatrix, alexander_polynomial
 
-DEFAULT_ANGLE_DENOMINATOR_BOUND = 120
 PRECISION_ENV = "RHOSLICE_PRECISION"
 _DEFAULT_BUDGET = Fraction(1, 10 ** 6)
 
@@ -267,17 +266,18 @@ def cos_minimal_polynomial(n: int) -> LaurentPoly:
     return q * (Fraction(1) / q.leading())
 
 
-@lru_cache(maxsize=None)
 def _euler_phi(n: int) -> int:
-    return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+    """phi(n) = phi(n/p) (p if p^2 | n else p - 1), p the least prime of n."""
+    p = next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
+    return 1 if n == 1 else _euler_phi(n // p) * (p - (n % (p * p) > 0))
 
 
-def _cyclotomic_index(psi: LaurentPoly, bound: int) -> int | None:
-    """The n in 3..bound whose cos_minimal_polynomial(n) is the monic form
-    of psi, else None.  Only the n with phi(n) = 2 deg psi can match, so
-    only their minimal polynomials are built."""
+def _cyclotomic_index(psi: LaurentPoly) -> int | None:
+    """The n >= 3 whose cos_minimal_polynomial(n) is the monic form of psi,
+    else None.  Only the n with phi(n) = 2 deg psi can match, and as
+    phi(n) >= sqrt(n/2), those n are at most 8 (deg psi)^2."""
     target = psi.monic()
-    for n in range(3, bound + 1):
+    for n in range(3, 8 * target.span ** 2 + 1):
         if _euler_phi(n) == 2 * target.span and cos_minimal_polynomial(n) == target:
             return n
     return None
@@ -550,7 +550,7 @@ def signature_function(V: SeifertMatrix) -> SignatureFunction:
     records: list[tuple[Fraction | None, tuple[Fraction, Fraction], LaurentPoly]] = []
     two = Fraction(2)
     for psi, _mult in factor_laurent(q):
-        n = _cyclotomic_index(psi, DEFAULT_ANGLE_DENOMINATOR_BOUND)
+        n = _cyclotomic_index(psi)
         intervals = isolate_roots(psi, -two, two)
         if n is not None:
             ks = sorted((k for k in range(1, n // 2 + 1) if math.gcd(k, n) == 1),

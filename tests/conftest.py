@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -51,6 +52,28 @@ def rho_of(const=0, **symbols) -> RhoExpr:
     c = Fraction(const)
     return RhoExpr(c, c, tuple(sorted((k, Fraction(v))
                                       for k, v in symbols.items() if v != 0)))
+
+
+def prime_family(k: int, beta_sign: int = 1) -> dict:
+    """A knot document of k single-copy 9_46 members over the first 2k
+    primes p_0 < p_1 < ...: member i has exact companions alpha = 1/p_2i
+    and beta = beta_sign/p_(2i+1).  No count vector's sum vanishes, and
+    with beta_sign = 1 no class has a transposition certificate, so each
+    class is enumerated on its 2^(2k) - 1 count vectors."""
+    primes = list(itertools.islice(
+        (p for p in itertools.count(2) if all(p % q for q in range(2, p))),
+        2 * k))
+    curves = [{"name": "alpha", "class": ["1", "0"]},
+              {"name": "beta", "class": ["0", "1"]}]
+    return {"schema": "rhoslice.knot/1",
+            "pattern": {"name": "9_46", "seifert": [[0, 1], [2, 0]],
+                        "curves": curves},
+            "knots": {f"K{i}": {"companions": {
+                "alpha": {"rho0": f"1/{primes[2 * i]}"},
+                "beta": {"rho0": f"{beta_sign}/{primes[2 * i + 1]}"}}}
+                for i in range(k)},
+            "family": [{"knot": f"K{i}", "multiplicity": 1}
+                       for i in range(k)]}
 
 
 def verifiably_nonzero(expr: RhoExpr) -> bool:

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sweep_oracle
-from rhoslice import obstruction
+from rhoslice import cli, obstruction
 from rhoslice.almodule import (
     AlexanderModule,
     FracCoset,
@@ -46,7 +47,7 @@ from rhoslice.polyalg import LaurentPoly, capelli_certified, factor_laurent
 from rhoslice.seifert import PatternKnot, SeifertMatrix, metabolizer_search, pattern_9_46, trefoil_right
 from rhoslice.signatures import Rho0Value
 
-from conftest import hyperbolic_form, rho_of, verifiably_nonzero
+from conftest import hyperbolic_form, prime_family, rho_of, verifiably_nonzero
 
 T = LaurentPoly.var("t")
 
@@ -1081,6 +1082,25 @@ def test_ten_alternating_members_are_decided_on_merged_vectors(tmp_path,
         {(3, 0, 2, 0), (0, 3, 0, 2), (3, 3, 2, 2)}
     assert any("1295 count vectors over the distinct expressions stand for "
                "its 2^20 - 1 supports" in line for line in report["audit"])
+
+
+def test_sweep_memory_does_not_grow_with_the_count_vectors():
+    # seven single-copy members over 1/p: no certificate, so each class is
+    # enumerated on its 2^14 - 1 count vectors, none of which vanishes; a
+    # table of every vector's value would peak at over 5 MB
+    spec = cli.family_spec(cli.parse_document(prime_family(7)))
+    obstruction._assemble_full(spec)
+    tracemalloc.start()
+    try:
+        report = verify_obstructed(spec, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.obstructed and not report.witnesses
+    assert [t.certificate for t in report.slot_types] == [None, None]
+    assert [math.prod(n + 1 for n in t.copies) - 1
+            for t in report.slot_types] == [2 ** 14 - 1] * 2
+    assert peak < 2_000_000, peak
 
 
 def test_slot_type_bound_is_checked_before_any_slot(monkeypatch):

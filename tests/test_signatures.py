@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rhoslice import signatures
-from rhoslice.polyalg import LaurentPoly, divides, factor_laurent
+from rhoslice.polyalg import LaurentPoly, cyclotomic, divides, factor_laurent
 from rhoslice.seifert import (
     SeifertMatrix,
     alexander_polynomial,
@@ -20,6 +20,7 @@ from rhoslice.signatures import (
     SignatureError,
     _cos_enclosure,
     _cyclotomic_index,
+    _euler_phi,
     _theta_enclosure,
     circle_polynomial,
     cos_minimal_polynomial,
@@ -545,12 +546,13 @@ def test_cos_minimal_polynomials():
 
 
 def test_cyclotomic_index_matches_table(rng):
-    # the lookup it replaced: a table of every minimal polynomial up to the
-    # bound, keyed by the polynomial
+    # a table of every minimal polynomial up to 300, keyed by the
+    # polynomial: the search bound 8 (deg psi)^2 reaches every index
     t = LaurentPoly.var("t")
+    table = {cos_minimal_polynomial(n): n for n in range(3, 301)}
     factors = []
-    for n in range(3, 121):
-        psi = cos_minimal_polynomial(n)
+    for psi, n in table.items():
+        assert _euler_phi(n) == sum(math.gcd(k, n) == 1 for k in range(n))
         factors += [psi, psi * Fraction(-3, 2), psi.shift(2)]
     for _ in range(20):
         q = circle_polynomial(alexander_polynomial(
@@ -558,11 +560,13 @@ def test_cyclotomic_index_matches_table(rng):
         if q.span:
             factors += [f for f, _mult in factor_laurent(q)]
     factors += [t * t - 2, t * t * t - 3 * t + 1, 2 * t - 3]
-    for bound in (120, 30):
-        table = {cos_minimal_polynomial(n): n for n in range(3, bound + 1)}
-        hits = 0
-        for psi in factors:
-            n = _cyclotomic_index(psi, bound)
-            assert n == table.get(psi.monic())
-            hits += n is not None
-        assert hits >= 3 * (bound - 3)
+    hits = 0
+    for psi in factors:
+        n = _cyclotomic_index(psi)
+        assert n == table.get(psi.monic())
+        hits += n is not None
+    assert hits >= 3 * 297
+    # Phi_126 has x-degree 18, the least of any index above 120: a fixed
+    # bound of 120 would give its jumps as intervals
+    assert min(psi.span for psi, n in table.items() if n > 120) == 18
+    assert _cyclotomic_index(circle_polynomial(cyclotomic(126)) * 7) == 126
