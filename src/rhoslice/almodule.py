@@ -4,7 +4,8 @@ The homology of the infinite cyclic cover is the cokernel of the relation
 rows of vV - V^T.  Smith normal form over the Euclidean ring Q[v] turns the
 presentation into a direct sum of cyclic modules Q[v]/(d_i); splitting each
 d_i into prime powers (CRT) gives the canonical decomposition stored in
-`AlexanderModule`.
+`AlexanderModule`.  The row transform U is never formed: the elimination
+carries the pattern's curves through its row operations instead.
 
 Module elements are per-summand coordinates reduced modulo the summand
 annihilator.  Submodules are stored by generators; membership is linear
@@ -53,30 +54,32 @@ class ModuleError(RhosliceError):
 # ---------------------------------------------------------------------------
 
 
-def smith_normal_form(A: PolyMatrix):
+def smith_normal_form(A: PolyMatrix, C: PolyMatrix):
     """Smith normal form over Q[v^{±1}] (via the Euclidean ring Q[v]).
 
-    Returns (U, D, W) with U*A*W = D exactly, U and W invertible over the
+    Returns (U*C, D, W) with U*A*W = D exactly, U and W invertible over the
     Laurent ring (unit determinant), and D diagonal with monic exp-0
-    entries satisfying d_1 | d_2 | ....  U^{-1} is not carried along: as
-    A*W = U^{-1}*D, column i of U^{-1} is column i of A*W divided exactly
-    by a nonzero d_i.
+    entries satisfying d_1 | d_2 | ....  C has one row per row of A, and
+    the row operations act on its rows, so U itself is never formed (pass
+    the identity for U).  Nor is U^{-1}: as A*W = U^{-1}*D, column i of
+    U^{-1} is column i of A*W divided exactly by a nonzero d_i.
     """
-    if not A or not A[0]:
-        raise ModuleError("smith_normal_form requires a nonempty matrix")
+    if not A or not A[0] or len(C) != len(A):
+        raise ModuleError("smith_normal_form requires a nonempty matrix A "
+                          "and one row of C per row of A")
     m, n = len(A), len(A[0])
     var = A[0][0].variable
     D = [list(row) for row in A]
-    U = poly_mat_identity(m, var)
+    UC = [list(row) for row in C]
     W = poly_mat_identity(n, var)
 
     def row_scale(i, unit):
         D[i] = [x * unit for x in D[i]]
-        U[i] = [x * unit for x in U[i]]
+        UC[i] = [x * unit for x in UC[i]]
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
+        UC[i], UC[j] = UC[j], UC[i]
 
     def col_swap(i, j):
         for row in D:
@@ -87,7 +90,7 @@ def smith_normal_form(A: PolyMatrix):
     def row_addmul(i, j, f):
         # row_i += f * row_j
         D[i] = [a + f * b for a, b in zip(D[i], D[j])]
-        U[i] = [a + f * b for a, b in zip(U[i], U[j])]
+        UC[i] = [a + f * b for a, b in zip(UC[i], UC[j])]
 
     def col_addmul(i, j, f):
         # col_i += f * col_j
@@ -161,7 +164,7 @@ def smith_normal_form(A: PolyMatrix):
             unit = LaurentPoly.monomial(-k, Fraction(1) / q, var)
             row_scale(p, unit)
 
-    return U, D, W
+    return UC, D, W
 
 
 def _poly_divmod_shifted(a: LaurentPoly, b: LaurentPoly):
@@ -536,59 +539,66 @@ class Decomposition(NamedTuple):
     """Smith-normal-form data connecting a Seifert presentation with the
     canonical module.  With A = (vV - V^T)^T and U*A*W = D = diag(d_i), the
     generator of a summand split off d_i is its CRT cofactor times column i
-    of U^{-1}, which is column i of A*W divided by d_i.  Only the rows of U
-    and W^T at the non-unit d_i are kept, as the others meet no summand:
-    `project` maps presentation vectors to summand coordinates through U,
-    and `inverse_gram` evaluates (vV - V^T)^{-1} = U^T D^{-1} W^T.  Only
-    this class and `_decompose` know that convention."""
+    of U^{-1}, which is column i of A*W divided by d_i, so its image under
+    U is that cofactor on coordinate i.  A pattern curve adopted as a
+    generator has the image the Smith form carried for it.  Only the
+    coordinates at the non-unit d_i are kept, as the others meet no
+    summand: `inverse_gram` evaluates (vV - V^T)^{-1} = U^T D^{-1} W^T from
+    the images and the rows of W^T there.  Only this class and `_decompose`
+    know that convention."""
 
     module: AlexanderModule
     gen_coords: tuple[tuple[LaurentPoly, ...], ...]  # e-basis coords per summand
-    umatrix: PolyMatrix            # rows of U at the non-unit d_i
+    images: tuple[tuple[LaurentPoly, ...], ...]  # U * generator, at the non-unit d_i
     wtmatrix: PolyMatrix           # rows of W^T at the non-unit d_i
     invariants: tuple[LaurentPoly, ...]      # the non-unit d_i, each dividing the next
     snf_index: tuple[int, ...]     # which of them each summand came from
-    cofactor_inv: tuple[LaurentPoly, ...]    # inverse of d_i / ann_i mod ann_i
+    curve_classes: dict[str, ModuleElement]  # pattern curve -> its class
 
-    def project(self, evec) -> ModuleElement:
-        """Class of a presentation-basis vector (Laurent polynomials or
-        rationals) in the canonical module."""
-        z = poly_mat_apply(self.umatrix, evec)
-        return ModuleElement(self.module, tuple(
-            reduce_mod(z[i] * f, s.annihilator) for i, f, s in zip(
-                self.snf_index, self.cofactor_inv, self.module.summands)))
-
-    def inverse_gram(self, xs, ys) -> tuple[tuple[FracCoset, ...], ...]:
-        """[[x^T (vV - V^T)^{-1} y for y in ys] for x in xs]: each entry is
-        the coset sum_i (Ux)_i (W^T y)_i / d_i over the last invariant
-        factor, read off one matrix of the rows (W^T y)_i * last / d_i, so
-        U is applied once to each x and W^T once to each y."""
-        if not xs:  # no summand, so no invariant factor either
+    def inverse_gram(self, uxs, ys) -> tuple[tuple[FracCoset, ...], ...]:
+        """[[x^T (vV - V^T)^{-1} y for y in ys] for x in xs], each x given by
+        its image U*x at the non-unit d_i: each entry is the coset
+        sum_i (Ux)_i (W^T y)_i / d_i over the last invariant factor, read off
+        one matrix of the rows (W^T y)_i * last / d_i, so W^T is applied
+        once to each y."""
+        if not uxs:  # no summand, so no invariant factor either
             return ()
         last = self.invariants[-1]
         scales = [div_exact(last, d) for d in self.invariants]
         wys = [[b * f for b, f in zip(poly_mat_apply(self.wtmatrix, y), scales)]
                for y in ys]
-        return tuple(tuple(FracCoset(z, last) for z in poly_mat_apply(
-            wys, poly_mat_apply(self.umatrix, x))) for x in xs)
+        return tuple(tuple(FracCoset(z, last) for z in poly_mat_apply(wys, ux))
+                     for ux in uxs)
 
 
 def _decompose(V: SeifertMatrix, variable: str = "s",
                curves: PatternKnot | None = None) -> Decomposition:
-    """Present H_1 of the infinite cyclic cover from vV - V^T and decompose."""
+    """Present H_1 of the infinite cyclic cover from vV - V^T and decompose.
+
+    The Smith form carries the pattern's curves, one column each.  The
+    class of a curve has coordinate k its column's entry on the row of
+    summand k divided, modulo ann_k, by the entry of the generator's image
+    there.  Curves that generate a summand outright (coordinate a unit on
+    one summand, zero on the others) are adopted as that summand's
+    generator and label, so curve classes have unit coordinates and
+    pairings are expressed on the curves themselves; if two summands would
+    then share a label, none is."""
     n = V.dim
     if n == 0:
         module = AlexanderModule(variable, 1, ())
-        return Decomposition(module, (), [], [], (), (), ())
+        return Decomposition(module, (), (), [], (), (), {})
     pres = V.presentation(variable)
     A = [list(col) for col in zip(*pres)]  # relations = rows of pres = columns of A
-    U, D, W = smith_normal_form(A)
+    named = curves.curves if curves is not None else ()
+    UC, D, W = smith_normal_form(A, [[vec[r] for _, vec in named]
+                                     for r in range(n)])
 
     summands: list[Summand] = []
     gen_coords: list[tuple[LaurentPoly, ...]] = []
+    images: list[tuple[LaurentPoly, ...]] = []
     snf_index: list[int] = []
-    cofactor_inv: list[LaurentPoly] = []
     rows = [i for i in range(n) if not D[i][i].is_unit()]  # give the summands
+    zero = LaurentPoly.zero(variable)
     for r, i in enumerate(rows):
         d = D[i][i]
         if d.is_zero():
@@ -601,52 +611,35 @@ def _decompose(V: SeifertMatrix, variable: str = "s",
             comp = div_exact(d, ann).monic()
             summands.append(Summand(ann, base, mult, f"g{len(summands) + 1}"))
             gen_coords.append(tuple(x * comp for x in u_inv))
+            images.append(tuple(comp if k == r else zero for k in range(len(rows))))
             snf_index.append(r)
-            cofactor_inv.append(inverse_mod(comp, ann))
 
+    def project(z):  # on the generators' images as they stand
+        return tuple(reduce_mod(z[r] * inverse_mod(g[r], s.annihilator),
+                                s.annihilator)
+                     for r, g, s in zip(snf_index, images, summands))
+
+    carried = [tuple(UC[i][c] for i in rows) for c in range(len(named))]
+    adopted = {}  # summand index -> (curve name, vector, carried column)
+    for (cname, vec), z in zip(named, carried):
+        coords = project(z)
+        hits = [k for k, c in enumerate(coords) if not c.is_zero()]
+        k = hits[0] if len(hits) == 1 else None
+        if (k is not None and k not in adopted
+                and gcd_laurent(coords[k], summands[k].base).is_one()):
+            adopted[k] = cname, vec, z
+    labels = [adopted[k][0] if k in adopted else s.label
+              for k, s in enumerate(summands)]
+    if len(set(labels)) == len(labels):  # else conflicting: keep the defaults
+        for k, (cname, vec, z) in adopted.items():
+            summands[k] = summands[k]._replace(label=cname)
+            gen_coords[k], images[k] = vec, z
     module = AlexanderModule(variable, 1, tuple(summands))
-    dec = Decomposition(module, tuple(gen_coords), [U[i] for i in rows],
-                        [[row[i] for row in W] for i in rows],
-                        tuple(D[i][i] for i in rows), tuple(snf_index),
-                        tuple(cofactor_inv))
-    if curves is not None:
-        dec = _label_from_curves(dec, curves)
-    return dec
-
-
-def _label_from_curves(dec: Decomposition, pattern: PatternKnot) -> Decomposition:
-    """Adopt curves that generate a summand outright (coordinate a unit on
-    one summand, zero on the others) as that summand's generator and label,
-    so curve classes have unit coordinates and pairings are expressed on the
-    curves themselves."""
-    names = list(s.label for s in dec.module.summands)
-    gens = list(dec.gen_coords)
-    cofinvs = list(dec.cofactor_inv)
-    claimed: set[int] = set()
-    for cname, vec in pattern.curves:
-        elem = dec.project(vec)
-        hits = [k for k, c in enumerate(elem.coords) if not c.is_zero()]
-        if len(hits) != 1 or hits[0] in claimed:
-            continue
-        k = hits[0]
-        s = dec.module.summands[k]
-        coord = elem.coords[k]
-        if not gcd_laurent(coord, s.base).is_one():
-            continue
-        names[k] = cname
-        claimed.add(k)
-        gens[k] = vec
-        unit_inv = inverse_mod(coord, s.annihilator)
-        cofinvs[k] = reduce_mod(cofinvs[k] * unit_inv, s.annihilator)
-    if len(set(names)) != len(names):
-        return dec  # conflicting labels: keep defaults
-    new_summands = tuple(
-        Summand(s.annihilator, s.base, s.mult, names[k])
-        for k, s in enumerate(dec.module.summands))
-    module = AlexanderModule(dec.module.variable, dec.module.complexity,
-                             new_summands)
-    return dec._replace(module=module, gen_coords=tuple(gens),
-                        cofactor_inv=tuple(cofinvs))
+    return Decomposition(
+        module, tuple(gen_coords), tuple(images),
+        [[row[i] for row in W] for i in rows], tuple(D[i][i] for i in rows),
+        tuple(snf_index), {cname: ModuleElement(module, project(z))
+                           for (cname, _), z in zip(named, carried)})
 
 
 def alexander_module(V: SeifertMatrix | PatternKnot, variable: str = "s") -> AlexanderModule:

@@ -7,7 +7,9 @@ The form is computed from a Seifert matrix in presentation coordinates as
 with conj the coefficient-wise substitution v -> v^{-1}; values live in
 Q(v)/Q[v^{±1}].  The Smith normal form U A W = D of A = (vV - V^T)^T gives
 (vV - V^T)^{-1} = U^T D^{-1} W^T, so each Gram entry is a sum over the
-non-unit invariant factors d_i, with U and W^T applied once per generator
+non-unit invariant factors d_i, with W^T applied once per generator and U
+never formed: a generator's image under U is its CRT cofactor on one
+coordinate, or a pattern curve's column carried by the Smith form
 (`Decomposition.inverse_gram`); no determinant or adjugate of the
 presentation is computed.  This convention is pinned by the validation
 suite run at construction time: hermitian symmetry, annihilation of each
@@ -164,7 +166,7 @@ def blanchfield_form(V: SeifertMatrix | PatternKnot,
     seifert = V.seifert if isinstance(V, PatternKnot) else V
     dec = _decompose(seifert, variable, curves=pattern)
     one_minus = LaurentPoly.one(variable) - LaurentPoly.var(variable)
-    left = [[one_minus * c for c in g] for g in dec.gen_coords]
+    left = [[one_minus * c for c in u] for u in dec.images]
     right = [[c.conj() for c in g] for g in dec.gen_coords]
     form = LinkingForm(dec.module, dec.inverse_gram(left, right))
     form.validate()

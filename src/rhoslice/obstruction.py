@@ -338,9 +338,8 @@ def _block_form(pattern: PatternKnot):
     form_s, dec = blanchfield_form(pattern)
     form = form_s.subs_power(1, "t")
     classes = {
-        cname: ModuleElement(form.module, tuple(
-            x.rename("t") for x in dec.project(vec).coords))
-        for cname, vec in pattern.curves
+        cname: ModuleElement(form.module, tuple(x.rename("t") for x in c.coords))
+        for cname, c in dec.curve_classes.items()
     }
     return form, classes
 
@@ -764,7 +763,9 @@ def _sweep_class(table: SlotTypeTable, types: list[Slot],
     rows = []
     n_entries = 0
     for counts in counted:
-        last = max(j for j, k in enumerate(counts) if k)
+        last = len(counts) - 1
+        while not counts[last]:
+            last -= 1
         vec = tuple(map(int.__add__, prefix[last + 1], vectors[last]))
         prefix[last + 1:] = [vec] * (len(vectors) - last)
         nonzero = any(vec[:-2]) or vec[-2] > 0 or vec[-1] < 0

@@ -5,14 +5,23 @@ from typing import NamedTuple
 
 import pytest
 
-from rhoslice.almodule import AlexanderModule, FracCoset, Summand, coset_reduce
+from rhoslice.almodule import (
+    AlexanderModule,
+    FracCoset,
+    ModuleElement,
+    Summand,
+    coset_reduce,
+    smith_normal_form,
+)
 from rhoslice.blanchfield import LinkingForm
-from rhoslice.linalg import PolyMatrix, poly_mat_apply
+from rhoslice.linalg import PolyMatrix, poly_mat_apply, poly_mat_identity
 from rhoslice.obstruction import RhoExpr
 from rhoslice.polyalg import (
     LaurentPoly,
     div_exact,
     divides,
+    inverse_mod,
+    reduce_mod,
 )
 from rhoslice.seifert import SeifertMatrix
 
@@ -379,11 +388,17 @@ def cofactor_adjugate(a: PolyMatrix) -> PolyMatrix:
     return out
 
 
+def smith_with_u(A):
+    """(U, D, W) with U*A*W = D: `smith_normal_form` carrying the identity."""
+    return smith_normal_form(A, poly_mat_identity(len(A), A[0][0].variable))
+
+
 def snf_is_valid(A, U, D, W, dec=None):
     """U*A*W = D, det U and det W units, D diagonal with d_1 | d_2 | ...;
     with `dec`, the `_decompose` of the presentation A^T, also U*g = c*e_i
     for each default generator g (label g1, g2, ...) split off the non-unit
-    d_i, c = d_i / ann its CRT cofactor."""
+    d_i, c = d_i / ann its CRT cofactor, and every generator's image in
+    `dec` is U*g at the non-unit d_i."""
     assert poly_mat_mul(poly_mat_mul(U, A), W) == D
     assert cofactor_det(U).is_unit()
     assert cofactor_det(W).is_unit()
@@ -404,12 +419,35 @@ def snf_is_valid(A, U, D, W, dec=None):
     rows = [i for i, d in enumerate(diag) if not d.is_unit()]
     zero = LaurentPoly.zero(A[0][0].variable)
     for k, s in enumerate(dec.module.summands):
+        image = poly_mat_apply(U, list(dec.gen_coords[k]))
+        assert tuple(image[i] for i in rows) == dec.images[k]
         if s.label != f"g{k + 1}":
             continue
         i = rows[dec.snf_index[k]]
         cofactor = div_exact(diag[i], s.annihilator)
         assert poly_mat_apply(U, list(dec.gen_coords[k])) == [
             cofactor if r == i else zero for r in range(n)]
+
+
+def project_oracle(V, dec, vec) -> ModuleElement:
+    """Class of a presentation vector (Laurent polynomials or rationals) in
+    `dec`'s module, through U itself: U comes from the Smith form of
+    A = (vV - V^T)^T carried from the identity, and coordinate k is
+    (U vec)_i times the inverse of (U g_k)_i modulo ann_k, for g_k the
+    generator of summand k and d_i its invariant factor, so g_k maps to
+    the k-th unit vector."""
+    var = dec.module.variable
+    U, D, _ = smith_with_u([list(col) for col in zip(*V.presentation(var))])
+    rows = [i for i in range(len(D)) if not D[i][i].is_unit()]
+    uvec = poly_mat_apply(U, [x if isinstance(x, LaurentPoly)
+                              else LaurentPoly.constant(x, var) for x in vec])
+    coords = []
+    for k, s in enumerate(dec.module.summands):
+        i = rows[dec.snf_index[k]]
+        unit = poly_mat_apply(U, list(dec.gen_coords[k]))[i]
+        coords.append(reduce_mod(uvec[i] * inverse_mod(unit, s.annihilator),
+                                 s.annihilator))
+    return ModuleElement(dec.module, tuple(coords))
 
 
 def pairwise_inverse_form(U, D, W, x, y) -> FracCoset:

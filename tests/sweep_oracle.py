@@ -53,7 +53,7 @@ from rhoslice.polyalg import (
     reduce_mod,
 )
 
-from conftest import verifiably_nonzero
+from conftest import project_oracle, verifiably_nonzero
 
 
 # -- base change with splitting and CRT cofactors --------------------------------
@@ -195,7 +195,7 @@ def block_form_at_c(pattern, c: int):
     """(form_c, curve classes at complexity c) for one pattern block."""
     form_s, dec = pattern_form(pattern)
     form_c, transport = basechange_form(form_s, c)
-    classes = {cname: transport.transport(dec.project(vec))
+    classes = {cname: transport.transport(project_oracle(pattern.seifert, dec, vec))
                for cname, vec in pattern.curves}
     return form_c, classes
 

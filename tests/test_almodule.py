@@ -25,7 +25,13 @@ from rhoslice.seifert import (
     unknot,
 )
 
-from conftest import random_laurent, random_seifert, snf_is_valid
+from conftest import (
+    poly_mat_mul,
+    random_laurent,
+    random_seifert,
+    smith_with_u,
+    snf_is_valid,
+)
 from sweep_oracle import reparametrize
 
 T = LaurentPoly.var("t")
@@ -38,16 +44,16 @@ ZERO = LaurentPoly.zero("t")
 
 def test_snf_spec_presentation():
     A = [[ZERO, T - 2], [2 * T - 1, ZERO]]
-    U, D, W = smith_normal_form(A)
+    U, D, W = smith_with_u(A)
     snf_is_valid(A, U, D, W)
     assert D[0][0].is_one()
     assert equal_up_to_unit(D[1][1], (T - 2) * (2 * T - 1))
 
 
 def test_snf_trivial_and_repeated():
-    assert smith_normal_form([[LaurentPoly.one("t")]])[1] == [[LaurentPoly.one("t")]]
+    assert smith_with_u([[LaurentPoly.one("t")]])[1] == [[LaurentPoly.one("t")]]
     A = [[T - 2, ZERO], [ZERO, T - 2]]
-    U, D, W = smith_normal_form(A)
+    U, D, W = smith_with_u(A)
     snf_is_valid(A, U, D, W)
     assert D[0][0] == T - 2 and D[1][1] == T - 2
 
@@ -58,7 +64,7 @@ def test_snf_random(rng):
         m = rng.choice([1, 2, 3])
         A = [[random_laurent(rng, "t", max_deg=2, min_exp=-1)
               for _ in range(m)] for _ in range(n)]
-        snf_is_valid(A, *smith_normal_form(A))
+        snf_is_valid(A, *smith_with_u(A))
 
 
 def test_snf_of_presentations_and_default_generators(rng):
@@ -73,14 +79,34 @@ def test_snf_of_presentations_and_default_generators(rng):
     for V in knots:
         dec = _decompose(V)
         A = [list(col) for col in zip(*V.presentation("s"))]
-        snf_is_valid(A, *smith_normal_form(A), dec=dec)
+        snf_is_valid(A, *smith_with_u(A), dec=dec)
         defaults += dec.module.rank
     assert defaults >= 12
 
 
+def test_snf_carries_u_times_c(rng):
+    # the rows of C take U's row operations, and nothing else changes: the
+    # carried matrix is U*C for the U carried from the identity
+    nonzero = 0
+    for genus in (1, 1, 2, 2, 3, 4):
+        V = random_seifert(rng, genus=genus)
+        A = [list(col) for col in zip(*V.presentation("s"))]
+        U, D, W = smith_with_u(A)
+        for cols in (0, 1, 2):
+            C = [[random_laurent(rng, "s", max_deg=2, min_exp=-1)
+                  for _ in range(cols)] for _ in A]
+            UC, D2, W2 = smith_normal_form(A, C)
+            assert UC == poly_mat_mul(U, C) and len(UC) == len(A)
+            assert (D2, W2) == (D, W)
+            nonzero += any(not x.is_zero() for row in C for x in row)
+    assert nonzero >= 10
+
+
 def test_snf_empty_rejected():
     with pytest.raises(ModuleError):
-        smith_normal_form([])
+        smith_normal_form([], [])
+    with pytest.raises(ModuleError, match="one row of C per row"):
+        smith_normal_form([[T]], [])
 
 
 # -- module decomposition -------------------------------------------------------

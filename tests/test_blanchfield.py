@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rhoslice import almodule, linalg
-from rhoslice.almodule import (
-    FracCoset, Submodule, coset_reduce, direct_sum, smith_normal_form)
+from rhoslice.almodule import FracCoset, Submodule, coset_reduce, direct_sum
 from rhoslice.blanchfield import (
     FormError,
     LinkingForm,
@@ -33,8 +32,10 @@ from conftest import (
     cofactor_det,
     hyperbolic_form,
     pairwise_inverse_form,
+    project_oracle,
     random_laurent,
     random_seifert,
+    smith_with_u,
 )
 from sweep_oracle import basechange_form, direct_sum_forms
 
@@ -192,7 +193,7 @@ def test_gram_matches_pairwise_inverse_form():
     for K in knots:
         B, dec = blanchfield_form(K)
         V = K.seifert if isinstance(K, PatternKnot) else K
-        U, D, W = smith_normal_form([list(col) for col in zip(*V.presentation("s"))])
+        U, D, W = smith_with_u([list(col) for col in zip(*V.presentation("s"))])
         oracle = tuple(
             tuple(pairwise_inverse_form(U, D, W, [(1 - S) * c for c in gi],
                                         [c.conj() for c in gj])
@@ -204,26 +205,73 @@ def test_gram_matches_pairwise_inverse_form():
 
 
 def test_gram_applies_each_transform_once_per_generator(monkeypatch):
-    # building a form applies U and W^T once per generator; U once more per
-    # curve, which `project` maps to its class while labelling
-    applied = []
-    real = almodule.poly_mat_apply
+    # building a form applies W^T once per generator and never forms U: the
+    # Smith form carries one column per pattern curve, none for a bare
+    # Seifert matrix
+    applied, carried = [], []
+    real_apply, real_snf = almodule.poly_mat_apply, almodule.smith_normal_form
 
-    def spy(matrix, vec):
+    def spy_apply(matrix, vec):
         applied.append(matrix)
-        return real(matrix, vec)
+        return real_apply(matrix, vec)
 
-    monkeypatch.setattr(almodule, "poly_mat_apply", spy)
+    def spy_snf(A, C):
+        carried.append(C)
+        return real_snf(A, C)
+
+    monkeypatch.setattr(almodule, "poly_mat_apply", spy_apply)
+    monkeypatch.setattr(almodule, "smith_normal_form", spy_snf)
     rng = random.Random(2324)
     knots = _labelled_patterns() + [random_seifert(rng, genus=g)
                                     for g in (1, 2, 2, 3, 3, 4)]
     for K in knots:
         applied.clear()
+        carried.clear()
         B, dec = blanchfield_form(K)
-        curves = len(K.curves) if isinstance(K, PatternKnot) else 0
-        assert sum(m is dec.umatrix for m in applied) == B.module.rank + curves
+        V, curves = ((K.seifert, len(K.curves)) if isinstance(K, PatternKnot)
+                     else (K, 0))
         assert sum(m is dec.wtmatrix for m in applied) == B.module.rank
-        assert len(dec.umatrix) == len(dec.invariants) <= B.module.rank
+        assert len(dec.wtmatrix) == len(dec.invariants) <= B.module.rank
+        assert [len(C) for C in carried] == [V.dim]
+        assert all(len(row) == curves for row in carried[0])
+        assert all(len(u) == len(dec.invariants) for u in dec.images)
+
+
+def _conflicting_pattern():
+    """9_46 with one curve named after the default label of the summand it
+    does not generate, so labelling would give two summands one name."""
+    return PatternKnot.from_int_vectors(pattern_9_46().seifert,
+                                        {"g2": (0, 1)}, name="conflict")
+
+
+def test_curve_classes_match_the_projection_oracle():
+    # each curve's class, read off the column the Smith form carried for
+    # it, against U itself and the cofactor inverses of the final module
+    rng = random.Random(2325)
+    patterns = _labelled_patterns()
+    for _ in range(24):
+        V = random_seifert(rng, genus=rng.choice((1, 1, 2, 2, 3)))
+        unit = [[int(i == j) for i in range(V.dim)] for j in range(V.dim)]
+        vectors = rng.sample(unit, min(2, V.dim)) + [
+            [rng.randint(-2, 2) for _ in range(V.dim)]]
+        patterns.append(PatternKnot.from_int_vectors(
+            V, {f"c{k}": vec for k, vec in enumerate(vectors)}))
+    labelled = 0
+    for K in patterns:
+        B, dec = blanchfield_form(K)
+        assert list(dec.curve_classes) == K.curve_names()
+        for cname, vec in K.curves:
+            assert dec.curve_classes[cname] == project_oracle(K.seifert, dec, vec)
+        labelled += sum(s.label in dec.curve_classes for s in B.module.summands)
+    assert labelled >= 2 * len(_labelled_patterns()) + 10
+    # conflicting labels are dropped, and the class keeps the default
+    # generator's inverse: g2 = (0, 1) is half the first default generator
+    K = _conflicting_pattern()
+    B, dec = blanchfield_form(K)
+    assert [s.label for s in B.module.summands] == ["g1", "g2"]
+    assert dec.curve_classes["g2"] == project_oracle(K.seifert, dec, (0, 1))
+    assert dec.curve_classes["g2"].coords == (
+        LaurentPoly.constant(Fraction(1, 2), "s"), LaurentPoly.zero("s"))
 
 
 # -- base change -----------------------------------------------------------------
@@ -232,8 +280,8 @@ def test_gram_applies_each_transform_once_per_generator(monkeypatch):
 def test_basechange_spec_values(form_946):
     B, dec = form_946
     B2, bc = basechange_form(B, 2)
-    a = bc.transport(dec.project([1, 0]))
-    b = bc.transport(dec.project([0, 1]))
+    a = bc.transport(dec.curve_classes["alpha"])
+    b = bc.transport(dec.curve_classes["beta"])
     t = LaurentPoly.var("t")
     assert B2.pairing(a, b) == coset_reduce(1 - t * t, 2 * t * t - 1)
     assert B2.pairing(a, a).is_zero()

@@ -368,6 +368,18 @@ def test_no_dataclasses_import():
     assert found == []
 
 
+def test_readme_library_snippet_runs(capsys):
+    # the README's "Library use" block is the only caller of
+    # `Companion.from_seifert`; run it as written
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["OBSTRUCTED", "-4/3"]
+    assert len(lines) > 2
+
+
 @pytest.mark.parametrize("command", (["bench/selftest.py"],
                                      ["bench/run.py", "--smoke"]))
 def test_benchmark_checks_pass(command):
