@@ -32,6 +32,7 @@ from .polyalg import (
     LaurentPoly,
     PolyalgError,
     _poly,
+    _poly_sort_key,
     _primitive,
     div_exact,
     divides,
@@ -381,7 +382,7 @@ class AlexanderModule(_AlexanderModuleFields):
 
     def annihilator_multiset(self) -> list[LaurentPoly]:
         return sorted((s.annihilator for s in self.summands),
-                      key=lambda p: (p.span, tuple(p.poly_coeffs())))
+                      key=_poly_sort_key)
 
     def order(self) -> LaurentPoly:
         """Product of all annihilators (the module's order ideal generator)."""
@@ -582,14 +583,17 @@ def _decompose(V: SeifertMatrix, variable: str = "s",
     one summand, zero on the others) are adopted as that summand's
     generator and label, so curve classes have unit coordinates and
     pairings are expressed on the curves themselves; if two summands would
-    then share a label, none is."""
+    then share a label, none is.  The curves are renamed into `variable`
+    first, so every output is in `variable`."""
+    named = [(cname, tuple(x.rename(variable) for x in vec))
+             for cname, vec in (curves.curves if curves is not None else ())]
     n = V.dim
     if n == 0:
         module = AlexanderModule(variable, 1, ())
-        return Decomposition(module, (), (), [], (), (), {})
+        return Decomposition(module, (), (), [], (), (),
+                             {cname: module.zero() for cname, _ in named})
     pres = V.presentation(variable)
     A = [list(col) for col in zip(*pres)]  # relations = rows of pres = columns of A
-    named = curves.curves if curves is not None else ()
     UC, D, W = smith_normal_form(A, [[vec[r] for _, vec in named]
                                      for r in range(n)])
 
@@ -643,7 +647,8 @@ def _decompose(V: SeifertMatrix, variable: str = "s",
 
 
 def alexander_module(V: SeifertMatrix | PatternKnot, variable: str = "s") -> AlexanderModule:
-    """Canonical prime-power cyclic decomposition of the Alexander module."""
+    """Canonical prime-power cyclic decomposition of the Alexander module,
+    in `variable` (a pattern's curves are renamed into it)."""
     if isinstance(V, PatternKnot):
         return _decompose(V.seifert, variable, curves=V).module
     return _decompose(V, variable).module
@@ -669,8 +674,7 @@ def isotypic_decompose(M: AlexanderModule) -> dict[LaurentPoly, list[int]]:
     out: dict[LaurentPoly, list[int]] = {}
     for i, s in enumerate(M.summands):
         out.setdefault(s.base.monic(), []).append(i)
-    return dict(sorted(out.items(),
-                       key=lambda kv: (kv[0].span, tuple(kv[0].poly_coeffs()))))
+    return dict(sorted(out.items(), key=lambda kv: _poly_sort_key(kv[0])))
 
 
 def reduce_to_isotypic(x: ModuleElement, prime: LaurentPoly) -> ModuleElement:

@@ -158,9 +158,9 @@ def blanchfield_form(V: SeifertMatrix | PatternKnot,
                      variable: str = "s") -> tuple[LinkingForm, Decomposition]:
     """The linking form of a knot, with the presentation decomposition.
 
-    Returns (form, decomposition); the decomposition carries the map from
-    presentation coordinates (where infection curves live) to module
-    coordinates.
+    Returns (form, decomposition) in `variable`; the decomposition carries
+    the map from presentation coordinates (where infection curves live,
+    renamed into `variable`) to module coordinates.
     """
     pattern = V if isinstance(V, PatternKnot) else None
     seifert = V.seifert if isinstance(V, PatternKnot) else V

@@ -427,7 +427,7 @@ def cmd_signature(args) -> int:
     doc = load_document(args.file)
     V = _doc_matrix(doc)
     sf = signatures.signature_function(V)
-    rho = signatures.rho0_from_signature(sf, signatures.precision_budget())
+    rho = signatures.rho0_from_signature(sf)
     if args.emit == "jumps":
         out = {
             "schema": "rhoslice.signature/1",

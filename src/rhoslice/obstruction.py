@@ -2,13 +2,14 @@
 
 A `FamilySpec` describes L = #_i n_i (K_i # -tK_i), where each K_i is a
 genus-one pattern with companion knots tied through its infection curves
-and -tK denotes the reversed mirror.  The engine assembles the homology
-module and linking form of L over Q[t^{±1}] at complexity 1, where t is
-the covering translation (at complexity c, t acts as its c-th power).  In
-each isotypic class it lists the slots (a curve of one copy of one member)
-where a hypothetical half-dimensional self-annihilating submodule could
-survive isotypic reduction, and evaluates the resulting real-valued
-invariant as a formal expression in the companions' signature integrals.
+and -tK denotes the reversed mirror.  The engine builds the linking form
+of each block K_i and -tK_i over Q[t^{±1}] at complexity 1, where t is
+the covering translation (at complexity c, t acts as its c-th power), and
+lists the isotypic primes of their modules.  In each isotypic class it
+lists the slots (a curve of one copy of one member) where a hypothetical
+half-dimensional self-annihilating submodule could survive isotypic
+reduction, and evaluates the resulting real-valued invariant as a formal
+expression in the companions' signature integrals.
 
 The |n_i| copies of one member are identical, so the slots of a class
 fall into slot types (member, K or -tK block, curve) of n_t = |n_i| copies
@@ -88,16 +89,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import RhosliceError, signatures
-from .almodule import (
-    ModuleElement,
-    ModuleError,
-    Summand,
-    direct_sum,
-    isotypic_decompose,
-    reduce_to_isotypic,
-)
+from .almodule import ModuleElement, Summand, reduce_to_isotypic
 from .blanchfield import LinkingForm, blanchfield_form
-from .polyalg import LaurentPoly, capelli_certified, divides
+from .polyalg import LaurentPoly, _poly_sort_key, capelli_certified, divides
 from .seifert import PatternKnot, Rho0Value, SeifertMatrix, metabolizer_search
 
 # Count vectors the sweep evaluates in one isotypic class: as many as the
@@ -329,25 +323,13 @@ class Assembly(NamedTuple):
     spec: FamilySpec
     # keyed (member, reversed_part), in slot order
     blocks: dict[tuple[int, bool], _Block]
-    primes: tuple[LaurentPoly, ...]      # isotypic primes of the block sum
-
-
-def _block_form(pattern: PatternKnot):
-    """(form, curve classes) of one pattern block at complexity 1 in the
-    variable t; `blanchfield_form` builds and validates it in s."""
-    form_s, dec = blanchfield_form(pattern)
-    form = form_s.subs_power(1, "t")
-    classes = {
-        cname: ModuleElement(form.module, tuple(x.rename("t") for x in c.coords))
-        for cname, c in dec.curve_classes.items()
-    }
-    return form, classes
+    primes: tuple[LaurentPoly, ...]      # isotypic primes of the blocks
 
 
 def _assemble_full(spec: FamilySpec) -> Assembly:
     blocks: dict[tuple[int, bool], _Block] = {}
     # members sharing a pattern share its form, built once in this call
-    block_form = lru_cache(maxsize=None)(_block_form)
+    block_form = lru_cache(maxsize=None)(blanchfield_form)
     for mi, member in enumerate(spec.members):
         base = member.knot.pattern
         sign = 1 if member.multiplicity > 0 else -1
@@ -357,15 +339,16 @@ def _assemble_full(spec: FamilySpec) -> Assembly:
         if member.with_reverse:
             parts.append((True, base.transform("inverse")))
         for reversed_part, pat in parts:
-            form, classes = block_form(pat)
+            form, dec = block_form(pat, "t")
             # mirror the block form for negative multiplicity (the honest
             # orientation; zero/nonzero structure is unaffected)
             blocks[(mi, reversed_part)] = _Block(
                 mi, reversed_part, abs(member.multiplicity), pat,
-                form if sign > 0 else form.negate(), classes, companions, sign)
-    module = direct_sum([b.form.module for b in blocks.values()],
-                        relabel=lambda i, label: f"{i}.{label}")
-    return Assembly(spec, blocks, tuple(isotypic_decompose(module)))
+                form if sign > 0 else form.negate(), dec.curve_classes,
+                companions, sign)
+    primes = {s.base.monic() for b in blocks.values()
+              for s in b.form.module.summands}
+    return Assembly(spec, blocks, tuple(sorted(primes, key=_poly_sort_key)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,18 +356,21 @@ def _assemble_full(spec: FamilySpec) -> Assembly:
 # ---------------------------------------------------------------------------
 
 
-def _slots_for_prime(assembly: Assembly, prime: LaurentPoly) -> list[Slot]:
-    """The slot types of one class, each as its copy-1 slot, in slot order:
-    the curves of each block whose class survives isotypic reduction."""
+def _slots_for_prime(assembly: Assembly, prime: LaurentPoly
+                     ) -> list[tuple[Slot, ModuleElement]]:
+    """The slot types of one class, in slot order, each as its copy-1 slot
+    and its curve's class reduced to the prime's isotypic component: the
+    curves whose reduced class is nonzero, of each block with a summand on
+    the prime."""
     out = []
     for block in assembly.blocks.values():
+        if all(s.base.monic() != prime for s in block.form.module.summands):
+            continue  # this block has no component in the class
         for cname in block.pattern.curve_names():
-            try:
-                red = reduce_to_isotypic(block.curve_class[cname], prime)
-            except ModuleError:
-                continue  # this block has no component in the class
+            red = reduce_to_isotypic(block.curve_class[cname], prime)
             if not red.is_zero():
-                out.append(Slot(block.member, 1, block.reversed_part, cname))
+                out.append((Slot(block.member, 1, block.reversed_part, cname),
+                            red))
     return out
 
 
@@ -409,25 +395,21 @@ def _unit_coordinate(x: ModuleElement, prime: LaurentPoly,
         "need not be injective")
 
 
-def _slot_contributions(assembly: Assembly, prime: LaurentPoly,
-                        slot: Slot) -> tuple[list[tuple[Companion, int]], list[str]]:
-    """Companion contributions and audit lines for one flagged slot.
+def _slot_contributions(assembly: Assembly, prime: LaurentPoly, slot: Slot,
+                        x: ModuleElement
+                        ) -> tuple[list[tuple[Companion, int]], list[str]]:
+    """Companion contributions and audit lines for one flagged slot, whose
+    curve class reduces to the nonzero x in the prime's isotypic class.
 
     The flagged slot's curve carries the representation; every curve of the
-    same copy whose pairing with the reduced slot element is nonzero feeds
-    its companion's signature integral into the expression (satellite
-    additivity), while the slot curve itself must pair to zero so that the
-    vanishing axiom applies to the infected pattern.
+    same copy whose pairing with x is nonzero feeds its companion's
+    signature integral into the expression (satellite additivity), while
+    the slot curve itself must pair to zero so that the vanishing axiom
+    applies to the infected pattern.
     """
     block = assembly.blocks[(slot.member, slot.reversed_part)]
-    spec = assembly.spec
-    label = slot.label(spec)
+    label = slot.label(assembly.spec)
     audit: list[str] = []
-
-    x = reduce_to_isotypic(block.curve_class[slot.curve], prime)
-    if x.is_zero():
-        raise ObstructionError(
-            f"slot {label}: curve class vanishes in the {prime} class")
 
     # hypothesis 1: the pattern admits a genus-one metabolizer
     metab = metabolizer_search(block.pattern.seifert)
@@ -475,10 +457,10 @@ def _slot_contributions(assembly: Assembly, prime: LaurentPoly,
 
 
 def _slot_expr(assembly: Assembly, prime: LaurentPoly, slot: Slot,
-               mode: str) -> tuple[RhoExpr, list[str]]:
+               x: ModuleElement, mode: str) -> tuple[RhoExpr, list[str]]:
     """The summand a flagged slot adds to every cell containing it, with
-    the slot's audit lines."""
-    contributions, audit = _slot_contributions(assembly, prime, slot)
+    the slot's audit lines; x is its reduced curve class."""
+    contributions, audit = _slot_contributions(assembly, prime, slot, x)
     expr = RhoExpr.zero()
     for comp, sign in contributions:
         expr = _accumulate(expr, comp, sign, mode)
@@ -704,15 +686,17 @@ class ObstructionReport(NamedTuple):
 
 
 def _slot_table(assembly: Assembly, prime: LaurentPoly, key: str,
-                types: list[Slot], mode: str, audit: dict[str, None]
+                types: tuple[Slot, ...], reduced: tuple[ModuleElement, ...],
+                mode: str, audit: dict[str, None]
                 ) -> tuple[SlotTypeTable, list[list[int]]]:
     """The slot-type table of one isotypic class, with the indices into
-    `types` of each distinct expression's types.  Each slot type's facts
-    are computed and audited once, on copy 1, and types of equal
-    expression are merged in order of first appearance."""
+    `types` of each distinct expression's types; `reduced` holds each
+    type's reduced curve class.  Each slot type's facts are computed and
+    audited once, on copy 1, and types of equal expression are merged in
+    order of first appearance."""
     groups: dict[RhoExpr, list[int]] = {}
-    for j, slot in enumerate(types):
-        expr, lines = _slot_expr(assembly, prime, slot, mode)
+    for j, (slot, x) in enumerate(zip(types, reduced)):
+        expr, lines = _slot_expr(assembly, prime, slot, x, mode)
         for line in lines:
             audit.setdefault(f"c=1: {line}")
         groups.setdefault(expr, []).append(j)
@@ -725,7 +709,7 @@ def _slot_table(assembly: Assembly, prime: LaurentPoly, key: str,
     return table, list(groups.values())
 
 
-def _sweep_class(table: SlotTypeTable, types: list[Slot],
+def _sweep_class(table: SlotTypeTable, types: tuple[Slot, ...],
                  groups: list[list[int]], spec: FamilySpec,
                  listed: bool) -> list[ReportCell]:
     """The cells of one isotypic class, one per count vector over its
@@ -801,10 +785,11 @@ def _count_line(table: SlotTypeTable) -> str:
             f"distinct expressions stand for its 2^{sum(sizes)} - 1 supports")
 
 
-def _classes(assembly: Assembly) -> list[tuple[LaurentPoly, list[Slot]]]:
-    """(prime, slot types) of every isotypic class with slots, in class
-    order.  The slot-type bound is checked for every class before any slot
-    is evaluated."""
+def _classes(assembly: Assembly) -> list[tuple[LaurentPoly, tuple[Slot, ...],
+                                               tuple[ModuleElement, ...]]]:
+    """(prime, slot types, their reduced curve classes) of every isotypic
+    class with slots, in class order.  The slot-type bound is checked for
+    every class before any slot is evaluated."""
     classes = []
     for prime in assembly.primes:
         types = _slots_for_prime(assembly, prime)
@@ -813,7 +798,7 @@ def _classes(assembly: Assembly) -> list[tuple[LaurentPoly, list[Slot]]]:
                 f"c=1: the ({prime}) class has {len(types)} slot types, more "
                 f"than MAX_SLOT_TYPES_PER_CLASS = {MAX_SLOT_TYPES_PER_CLASS}")
         if types:
-            classes.append((prime, types))
+            classes.append((prime, *zip(*types)))
     return classes
 
 
@@ -850,9 +835,9 @@ def _decide(assembly: Assembly, mode: str, cells: bool,
     cells, are checked right before a class is enumerated; the supports of
     witnesses alone are bounded as the sweep builds them."""
     out = []
-    for prime, types in _classes(assembly):
-        table, groups = _slot_table(
-            assembly, prime, str(prime.rename("s")), types, mode, audit)
+    for prime, types, reduced in _classes(assembly):
+        table, groups = _slot_table(assembly, prime, str(prime.rename("s")),
+                                    types, reduced, mode, audit)
         n_cells = math.prod(n + 1 for n in table.copies) - 1
         cert = (_certificate(table.rho)
                 if n_cells > LISTED_CELLS_PER_CLASS else None)

@@ -143,7 +143,7 @@ def alexander_polynomial(V: SeifertMatrix, variable: str = "t") -> LaurentPoly:
     return LaurentPoly.from_coeffs(_primitive(coeffs), variable)
 
 
-def metabolizer_search(V: SeifertMatrix | list) -> tuple[int, int] | None:
+def metabolizer_search(V: SeifertMatrix) -> tuple[int, int] | None:
     """Primitive integer v with v^T V v = 0 for a 2x2 matrix, if any.
 
     v^T V v is the binary quadratic form a x^2 + b xy + c y^2 with
@@ -152,10 +152,9 @@ def metabolizer_search(V: SeifertMatrix | list) -> tuple[int, int] | None:
     cases).  Deterministic: returns (1,0) when a = 0, (0,1) when only
     c = 0, else the root with the '+' square root, sign-normalized.
     """
-    rows = V.rows if isinstance(V, SeifertMatrix) else tuple(tuple(r) for r in V)
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
+    if V.dim != 2:
         raise SeifertError("metabolizer search requires a 2x2 (genus-one) matrix")
-    a, b, c = rows[0][0], rows[0][1] + rows[1][0], rows[1][1]
+    a, b, c = V[0, 0], V[0, 1] + V[1, 0], V[1, 1]
     if a == 0:
         return (1, 0)
     if c == 0:

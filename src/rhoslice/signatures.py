@@ -464,7 +464,7 @@ def _angle_guess(x: Fraction, bits: int) -> Fraction:
 
 
 def _theta_enclosure(a: Fraction, b: Fraction,
-                     iters: int = 40) -> tuple[Fraction, Fraction]:
+                     iters: int) -> tuple[Fraction, Fraction]:
     """Certified rational t1 <= theta <= t2 for the angle theta in (0, 1/2)
     of any root x* in [a, b] (with -2 < a <= b < 2).
 

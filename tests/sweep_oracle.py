@@ -283,7 +283,9 @@ def sweep_class(assembly: CopyAssembly, prime: LaurentPoly, key: str,
     labels = [s.label(spec) for s in slots]
     exprs = []
     for slot in slots:
-        expr, lines = _slot_expr(assembly, prime, slot, mode)
+        block = assembly.blocks[(slot.member, slot.reversed_part)]
+        x = reduce_to_isotypic(block.curve_class[slot.curve], prime)
+        expr, lines = _slot_expr(assembly, prime, slot, x, mode)
         for line in lines:
             audit.setdefault(f"c={c}: {line}")
         exprs.append(expr)

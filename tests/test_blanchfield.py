@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rhoslice import almodule, linalg
-from rhoslice.almodule import FracCoset, Submodule, coset_reduce, direct_sum
+from rhoslice.almodule import (
+    FracCoset,
+    ModuleElement,
+    Submodule,
+    alexander_module,
+    coset_reduce,
+    direct_sum,
+)
 from rhoslice.blanchfield import (
     FormError,
     LinkingForm,
@@ -244,11 +251,11 @@ def _conflicting_pattern():
                                         {"g2": (0, 1)}, name="conflict")
 
 
-def test_curve_classes_match_the_projection_oracle():
-    # each curve's class, read off the column the Smith form carried for
-    # it, against U itself and the cofactor inverses of the final module
+def _random_curve_patterns():
+    """24 random Seifert matrices of genus 1 to 3, each with curves on two
+    basis vectors and on one random integer vector."""
     rng = random.Random(2325)
-    patterns = _labelled_patterns()
+    patterns = []
     for _ in range(24):
         V = random_seifert(rng, genus=rng.choice((1, 1, 2, 2, 3)))
         unit = [[int(i == j) for i in range(V.dim)] for j in range(V.dim)]
@@ -256,6 +263,13 @@ def test_curve_classes_match_the_projection_oracle():
             [rng.randint(-2, 2) for _ in range(V.dim)]]
         patterns.append(PatternKnot.from_int_vectors(
             V, {f"c{k}": vec for k, vec in enumerate(vectors)}))
+    return patterns
+
+
+def test_curve_classes_match_the_projection_oracle():
+    # each curve's class, read off the column the Smith form carried for
+    # it, against U itself and the cofactor inverses of the final module
+    patterns = _labelled_patterns() + _random_curve_patterns()
     labelled = 0
     for K in patterns:
         B, dec = blanchfield_form(K)
@@ -272,6 +286,26 @@ def test_curve_classes_match_the_projection_oracle():
     assert dec.curve_classes["g2"] == project_oracle(K.seifert, dec, (0, 1))
     assert dec.curve_classes["g2"].coords == (
         LaurentPoly.constant(Fraction(1, 2), "s"), LaurentPoly.zero("s"))
+
+
+def test_forms_in_t_are_the_forms_in_s_renamed():
+    # a pattern's curves are renamed into the variable asked for, so the
+    # module, form and curve classes in t are those in s with s renamed; a
+    # curve on the 0x0 pattern is the zero of its trivial module
+    empty = PatternKnot(unknot(), (("a", ()),), name="empty")
+    patterns = (_labelled_patterns() + _random_curve_patterns()
+                + [_conflicting_pattern(), empty])
+    for K in patterns:
+        B, dec = blanchfield_form(K)
+        Bt, dect = blanchfield_form(K, "t")
+        assert Bt == B.subs_power(1, "t")
+        assert alexander_module(K, "t") == Bt.module
+        assert dect.curve_classes == {
+            cname: ModuleElement(Bt.module,
+                                 tuple(x.rename("t") for x in c.coords))
+            for cname, c in dec.curve_classes.items()}
+    assert dec.curve_classes == {"a": B.module.zero()}
+    assert dect.curve_classes == {"a": Bt.module.zero()}
 
 
 # -- base change -----------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 import sweep_oracle
 from rhoslice import obstruction
+from rhoslice.almodule import reduce_to_isotypic
 from rhoslice.cli import main
 from rhoslice.obstruction import (
     Certificate,
@@ -284,14 +285,16 @@ def test_a_mutated_type_expression_is_not_certified(monkeypatch):
     # cancels in each class, so neither class may be certified
     real = obstruction._slot_expr
 
-    def mutated(assembly, prime, slot, mode):
+    def mutated(assembly, prime, slot, x, mode):
         if (slot.member, slot.reversed_part) == (1, True):
             twin = slot._replace(member=0, reversed_part=False,
                                  curve="beta" if slot.curve == "alpha"
                                  else "alpha")
-            expr, audit = real(assembly, prime, twin, mode)
+            block = assembly.blocks[(0, False)]
+            expr, audit = real(assembly, prime, twin, reduce_to_isotypic(
+                block.curve_class[twin.curve], prime), mode)
             return negated(expr), audit
-        return real(assembly, prime, slot, mode)
+        return real(assembly, prime, slot, x, mode)
 
     spec = family_spec((1, 2))
     assert all(t.certificate for t in verify_obstructed(spec, 1).slot_types)

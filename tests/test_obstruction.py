@@ -7,12 +7,13 @@ import time
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sweep_oracle
-from rhoslice import cli, obstruction
+from rhoslice import almodule, cli, obstruction
 from rhoslice.almodule import (
     AlexanderModule,
     FracCoset,
@@ -251,10 +252,18 @@ def admissible_patterns(spec, c):
     return patterns
 
 
+def reduced_class(assembly, prime, slot):
+    """The slot's curve class reduced to the prime's isotypic class."""
+    block = assembly.blocks[(slot.member, slot.reversed_part)]
+    return reduce_to_isotypic(block.curve_class[slot.curve], prime)
+
+
 def evaluate_rho(spec, pattern, c, mode="symbolic"):
     """A support's expression: the sum of its slots' expressions."""
     assembly = sweep_oracle.assemble_at(spec, c)
-    return sum((_slot_expr(assembly, pattern.prime, slot, mode)[0]
+    return sum((_slot_expr(assembly, pattern.prime, slot,
+                           reduced_class(assembly, pattern.prime, slot),
+                           mode)[0]
                 for slot in pattern.support), RhoExpr.zero())
 
 
@@ -395,7 +404,8 @@ def test_family_obstructed():
 
 def test_nothing_is_computed_for_cmax(monkeypatch):
     # the report echoes c_max and is otherwise the same at every c_max, and
-    # no form is substituted past c = 1 however large c_max is
+    # no form is substituted, however large c_max is: each block form is
+    # built in t
     substituted = []
     real = LinkingForm.subs_power
 
@@ -412,7 +422,7 @@ def test_nothing_is_computed_for_cmax(monkeypatch):
             reports.append(report)
         assert all(report == reports[0] for report in reports)
         assert reports[0]["verdict"] == "OBSTRUCTED"
-    assert set(substituted) == {1}
+    assert set(substituted) == set()
 
 
 def test_each_block_pattern_is_built_once_per_call(monkeypatch):
@@ -442,6 +452,30 @@ def test_each_block_pattern_is_built_once_per_call(monkeypatch):
             verify_obstructed(spec, 1)
             assert len(built) == len(set(built)) == distinct
             assert set(built) <= patterns
+
+
+def test_each_slot_type_is_reduced_once(monkeypatch):
+    # one 9_46 member has a K and a -tK block of two curves each, and each
+    # block has both primes: each curve class is reduced once per prime of
+    # its block, and the slot facts take that class.  No module is summed
+    # and no form substituted
+    reduced = []
+    real = obstruction.reduce_to_isotypic
+
+    def spy(x, prime):
+        reduced.append(prime)
+        return real(x, prime)
+
+    def unreachable(*args):
+        raise AssertionError("a module was summed or a form substituted")
+
+    monkeypatch.setattr(obstruction, "reduce_to_isotypic", spy)
+    monkeypatch.setattr(almodule, "direct_sum", unreachable)
+    monkeypatch.setattr(obstruction, "direct_sum", unreachable, raising=False)
+    monkeypatch.setattr(LinkingForm, "subs_power", unreachable)
+    assert verify_obstructed(single_spec(), 3).obstructed
+    assert len(reduced) == 8
+    assert sorted(map(reduced.count, set(reduced))) == [4, 4]
 
 
 def test_equal_companions_inconclusive():
@@ -533,7 +567,9 @@ def oracle_rho(assembly, pattern, mode, facts):
     for slot in pattern.support:
         key = (pattern.prime, slot)
         if key not in facts:
-            facts[key] = _slot_contributions(assembly, pattern.prime, slot)
+            facts[key] = _slot_contributions(
+                assembly, pattern.prime, slot,
+                reduced_class(assembly, pattern.prime, slot))
         for comp, sign in facts[key][0]:
             expr = _accumulate(expr, comp, sign, mode)
     return expr
@@ -1355,9 +1391,11 @@ def test_certificate_is_refused_for_splitting_and_nonlinear_primes(
     assert len(factor_laurent((4 * T - 1).subs_power(2))) == 2
     for prime in (T - 2, 4 * T - 1, T * T + 2):
         first = prime.monic()
-        block = hyperbolic_form(prime)
+        form, classes = hyperbolic_form(prime)
+        built = form, SimpleNamespace(curve_classes=classes)
         with monkeypatch.context() as m:
-            m.setattr(obstruction, "_block_form", lambda pattern: block)
+            m.setattr(obstruction, "blanchfield_form",
+                      lambda pattern, variable: built)
             if prime == T - 2:
                 # the certified shape of 9_46 itself answers
                 assert verify_obstructed(single_spec(), 3).uniform_in_c
@@ -1390,9 +1428,9 @@ def test_slot_facts_run_at_c1_only_under_the_certificate(monkeypatch):
     calls = []
     real = obstruction._slot_contributions
 
-    def counted(assembly, prime, slot):
+    def counted(assembly, prime, slot, x):
         calls.append((prime.span, slot.copy))
-        return real(assembly, prime, slot)
+        return real(assembly, prime, slot, x)
 
     monkeypatch.setattr(obstruction, "_slot_contributions", counted)
     spec = family_spec((1, -2))
@@ -1411,9 +1449,9 @@ def test_one_block_per_member_part(monkeypatch):
     calls = []
     real = obstruction._slot_contributions
 
-    def counted(assembly, prime, slot):
+    def counted(assembly, prime, slot, x):
         calls.append(slot)
-        return real(assembly, prime, slot)
+        return real(assembly, prime, slot, x)
 
     spec = family_spec((40,))
     assert len(obstruction._assemble_full(spec).blocks) == 2

@@ -169,7 +169,9 @@ def test_alexander_at_one_is_unit(rng):
 def test_metabolizer_spec_values():
     assert metabolizer_search(R) == (1, 0)
     assert metabolizer_search(trefoil_right()) is None
-    assert metabolizer_search([[0, 1], [1, 0]]) == (1, 0)
+    # the c = 0 branch, and a root of 2x^2 + 5xy + 2y^2
+    assert metabolizer_search(SeifertMatrix([[1, 2], [1, 0]])) == (0, 1)
+    assert metabolizer_search(SeifertMatrix([[2, 3], [2, 2]])) == (1, -2)
 
 
 def test_metabolizer_exactness(rng):

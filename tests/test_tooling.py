@@ -147,6 +147,26 @@ def test_error_classes_derive_from_the_package_error():
             if bases != ["RhosliceError"]} == {}
 
 
+def test_no_layer_catches_a_package_error():
+    # a package error is a failed check or a refused input, and only the
+    # command line turns it into a message; a layer that caught one could
+    # swallow a real invariant failure
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"),
+                                  filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    errors = {"RhosliceError"} | {
+        node.name for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base) == "RhosliceError" for base in node.bases)}
+    assert len(errors) == 8
+    found = [f"{name}:{node.lineno}" for name, tree in trees.items()
+             if name != "cli.py" for node in ast.walk(tree)
+             if isinstance(node, ast.ExceptHandler) and node.type is not None
+             and errors & {getattr(n, "id", None) or getattr(n, "attr", None)
+                           for n in ast.walk(node.type)}]
+    assert found == []
+
+
 def test_export_table_names_are_defined_in_their_layers():
     # each public name of the package is listed once, as a module-level
     # def, class or constant of the layer the table names, and every layer
