@@ -239,8 +239,6 @@ class FracCoset:
 
     def scale(self, f) -> "FracCoset":
         """Multiply by a ring element (cosets form a Q[v^{±1}]-module)."""
-        if isinstance(f, (int, Fraction)):
-            f = LaurentPoly.constant(f, self.variable)
         return FracCoset(self.num * f, self.den)
 
     def __add__(self, other):
@@ -349,14 +347,14 @@ class AlexanderModule(_AlexanderModuleFields):
         return ModuleElement(self, tuple(z for _ in self.summands))
 
     def element(self, coords) -> "ModuleElement":
-        coords = tuple(
+        coords = tuple(coords)
+        if len(coords) != len(self.summands):
+            raise ModuleError("coordinate count mismatch")
+        return ModuleElement(self, tuple(
             reduce_mod(c if isinstance(c, LaurentPoly)
                        else LaurentPoly.constant(c, self.variable),
                        s.annihilator)
-            for c, s in zip(coords, self.summands))
-        if len(coords) != len(self.summands):
-            raise ModuleError("coordinate count mismatch")
-        return ModuleElement(self, coords)
+            for c, s in zip(coords, self.summands)))
 
     def from_q_coords(self, qvec) -> "ModuleElement":
         """Inverse of ModuleElement.q_coords: the element with coordinates
@@ -430,8 +428,6 @@ class ModuleElement(NamedTuple):
         return self + (-other)
 
     def scale(self, f) -> "ModuleElement":
-        if isinstance(f, (int, Fraction)):
-            f = LaurentPoly.constant(f, self.module.variable)
         return self.module.element(tuple(c * f for c in self.coords))
 
     def times_var(self) -> "ModuleElement":
@@ -572,21 +568,23 @@ class Decomposition(NamedTuple):
                      for ux in uxs)
 
 
-def _decompose(V: SeifertMatrix, variable: str = "s",
-               curves: PatternKnot | None = None) -> Decomposition:
+def _decompose(V: SeifertMatrix | PatternKnot,
+               variable: str = "s") -> Decomposition:
     """Present H_1 of the infinite cyclic cover from vV - V^T and decompose.
 
-    The Smith form carries the pattern's curves, one column each.  The
-    class of a curve has coordinate k its column's entry on the row of
-    summand k divided, modulo ann_k, by the entry of the generator's image
-    there.  Curves that generate a summand outright (coordinate a unit on
+    V is a Seifert matrix or a pattern, whose curves the Smith form
+    carries, one column each.  The class of a curve has coordinate k its
+    column's entry on the row of summand k divided, modulo ann_k, by the
+    entry of the generator's image there.  Curves that generate a summand outright (coordinate a unit on
     one summand, zero on the others) are adopted as that summand's
     generator and label, so curve classes have unit coordinates and
     pairings are expressed on the curves themselves; if two summands would
     then share a label, none is.  The curves are renamed into `variable`
     first, so every output is in `variable`."""
+    V, curves = ((V.seifert, V.curves) if isinstance(V, PatternKnot)
+                 else (V, ()))
     named = [(cname, tuple(x.rename(variable) for x in vec))
-             for cname, vec in (curves.curves if curves is not None else ())]
+             for cname, vec in curves]
     n = V.dim
     if n == 0:
         module = AlexanderModule(variable, 1, ())
@@ -648,9 +646,7 @@ def _decompose(V: SeifertMatrix, variable: str = "s",
 
 def alexander_module(V: SeifertMatrix | PatternKnot, variable: str = "s") -> AlexanderModule:
     """Canonical prime-power cyclic decomposition of the Alexander module,
-    in `variable` (a pattern's curves are renamed into it)."""
-    if isinstance(V, PatternKnot):
-        return _decompose(V.seifert, variable, curves=V).module
+    in `variable`; for a pattern, `_decompose` also carries its curves."""
     return _decompose(V, variable).module
 
 

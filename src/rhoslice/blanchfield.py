@@ -158,13 +158,12 @@ def blanchfield_form(V: SeifertMatrix | PatternKnot,
                      variable: str = "s") -> tuple[LinkingForm, Decomposition]:
     """The linking form of a knot, with the presentation decomposition.
 
-    Returns (form, decomposition) in `variable`; the decomposition carries
-    the map from presentation coordinates (where infection curves live,
-    renamed into `variable`) to module coordinates.
+    Returns (form, decomposition) in `variable`, of a knot or a pattern as
+    `_decompose` takes it; the decomposition carries the map from
+    presentation coordinates (where infection curves live, renamed into
+    `variable`) to module coordinates.
     """
-    pattern = V if isinstance(V, PatternKnot) else None
-    seifert = V.seifert if isinstance(V, PatternKnot) else V
-    dec = _decompose(seifert, variable, curves=pattern)
+    dec = _decompose(V, variable)
     one_minus = LaurentPoly.one(variable) - LaurentPoly.var(variable)
     left = [[one_minus * c for c in u] for u in dec.images]
     right = [[c.conj() for c in g] for g in dec.gen_coords]

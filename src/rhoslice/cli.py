@@ -130,8 +130,8 @@ def _parse_rational(value, where: str) -> Fraction:
     _require(not isinstance(value, (bool, float)), where,
              f"{value!r} is not exact; write a rational as a \"p/q\" string")
     try:
-        return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        return polyalg.as_fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise DocumentError(f"{where}: bad rational {value!r}") from exc
 
 
@@ -304,11 +304,16 @@ def _build_companion(name: str,
 
 def family_spec(doc: KnotDocument) -> obstruction.FamilySpec:
     """The family of a pattern document, its one knot named K when it lists
-    no family.  The signature integral of each matrix companion is computed
-    first, once per knot, so `signatures` is compiled before the
-    obstruction engine, on the smaller heap of the parse."""
+    no family; `knots` without a family and top-level `companions` beside
+    one are refused, not dropped.  The signature integral of each matrix
+    companion is computed first, once per knot, so `signatures` is compiled
+    before the obstruction engine, on the smaller heap of the parse."""
     if doc.pattern is None:
         raise DocumentError("obstruction needs a pattern document")
+    _require(doc.family or not doc.knots, "knots",
+             "a document without a family decides no listed knot")
+    _require(not (doc.family and doc.companions), "companions",
+             "a family document takes each knot's companions from 'knots'")
     with_reverse = doc.assembly != "bare"
     entries = (dict(doc.knots) if doc.family
                else {"K": KnotEntry(doc.pattern, doc.companions)})

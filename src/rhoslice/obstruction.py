@@ -306,11 +306,9 @@ class Slot(NamedTuple):
 
 
 class _Block(NamedTuple):
-    """One member's K or -tK block, which its |n_i| copies share."""
+    """One member's K or -tK block, which its |n_i| copies share; its key
+    in `Assembly.blocks` says which."""
 
-    member: int                          # index into spec.members
-    reversed_part: bool                  # the -tK block: companions are
-                                         # reversed mirrors
     copies: int                          # |n_i|
     pattern: PatternKnot
     form: LinkingForm                    # block form, negated if sign < 0
@@ -321,7 +319,8 @@ class _Block(NamedTuple):
 
 class Assembly(NamedTuple):
     spec: FamilySpec
-    # keyed (member, reversed_part), in slot order
+    # keyed (member, reversed_part), in slot order; in the -tK block
+    # (reversed_part True) the companions are reversed mirrors
     blocks: dict[tuple[int, bool], _Block]
     primes: tuple[LaurentPoly, ...]      # isotypic primes of the blocks
 
@@ -343,7 +342,7 @@ def _assemble_full(spec: FamilySpec) -> Assembly:
             # mirror the block form for negative multiplicity (the honest
             # orientation; zero/nonzero structure is unaffected)
             blocks[(mi, reversed_part)] = _Block(
-                mi, reversed_part, abs(member.multiplicity), pat,
+                abs(member.multiplicity), pat,
                 form if sign > 0 else form.negate(), dec.curve_classes,
                 companions, sign)
     primes = {s.base.monic() for b in blocks.values()
@@ -363,14 +362,13 @@ def _slots_for_prime(assembly: Assembly, prime: LaurentPoly
     curves whose reduced class is nonzero, of each block with a summand on
     the prime."""
     out = []
-    for block in assembly.blocks.values():
+    for (mi, reversed_part), block in assembly.blocks.items():
         if all(s.base.monic() != prime for s in block.form.module.summands):
             continue  # this block has no component in the class
         for cname in block.pattern.curve_names():
             red = reduce_to_isotypic(block.curve_class[cname], prime)
             if not red.is_zero():
-                out.append((Slot(block.member, 1, block.reversed_part, cname),
-                            red))
+                out.append((Slot(mi, 1, reversed_part, cname), red))
     return out
 
 
@@ -395,17 +393,17 @@ def _unit_coordinate(x: ModuleElement, prime: LaurentPoly,
         "need not be injective")
 
 
-def _slot_contributions(assembly: Assembly, prime: LaurentPoly, slot: Slot,
-                        x: ModuleElement
-                        ) -> tuple[list[tuple[Companion, int]], list[str]]:
-    """Companion contributions and audit lines for one flagged slot, whose
-    curve class reduces to the nonzero x in the prime's isotypic class.
+def _slot_expr(assembly: Assembly, prime: LaurentPoly, slot: Slot,
+               x: ModuleElement, mode: str) -> tuple[RhoExpr, list[str]]:
+    """The summand a flagged slot adds to every cell containing it, with
+    the slot's audit lines; x is its nonzero curve class reduced to the
+    prime's isotypic class.
 
     The flagged slot's curve carries the representation; every curve of the
-    same copy whose pairing with x is nonzero feeds its companion's
-    signature integral into the expression (satellite additivity), while
-    the slot curve itself must pair to zero so that the vanishing axiom
-    applies to the infected pattern.
+    same copy whose pairing with x is nonzero adds its companion's
+    signature integral with the block's sign (satellite additivity), a
+    symbol refused in numeric mode, while the slot curve itself must pair to
+    zero so that the vanishing axiom applies to the infected pattern.
     """
     block = assembly.blocks[(slot.member, slot.reversed_part)]
     label = slot.label(assembly.spec)
@@ -438,8 +436,8 @@ def _slot_contributions(assembly: Assembly, prime: LaurentPoly, slot: Slot,
                  f"divisible by ({prime}){simple}; invariant unchanged under "
                  "the induced coefficient map")
 
-    contributions: list[tuple[Companion, int]] = []
-    mirror_sign = -1 if block.reversed_part else 1
+    expr = RhoExpr.zero()
+    sign = -block.sign if slot.reversed_part else block.sign
     for cname in block.pattern.curve_names():
         if cname == slot.curve:
             continue
@@ -450,29 +448,14 @@ def _slot_contributions(assembly: Assembly, prime: LaurentPoly, slot: Slot,
         comp = block.companion_of[cname]
         audit.append(
             f"{label}: Bl pairing with {cname} nonzero; companion "
-            f"{comp.name!r} contributes with sign {block.sign * mirror_sign:+d}"
-            + (" (reversed mirror)" if block.reversed_part else ""))
-        contributions.append((comp, block.sign * mirror_sign))
-    return contributions, audit
-
-
-def _slot_expr(assembly: Assembly, prime: LaurentPoly, slot: Slot,
-               x: ModuleElement, mode: str) -> tuple[RhoExpr, list[str]]:
-    """The summand a flagged slot adds to every cell containing it, with
-    the slot's audit lines; x is its reduced curve class."""
-    contributions, audit = _slot_contributions(assembly, prime, slot, x)
-    expr = RhoExpr.zero()
-    for comp, sign in contributions:
-        expr = _accumulate(expr, comp, sign, mode)
+            f"{comp.name!r} contributes with sign {sign:+d}"
+            + (" (reversed mirror)" if slot.reversed_part else ""))
+        if mode == "numeric" and comp.rho.kind == "symbol":
+            raise ObstructionError(
+                f"companion {comp.name!r} has no numeric value; "
+                "numeric mode requires exact or interval data")
+        expr = expr.add_value(comp.rho, sign)
     return expr, audit
-
-
-def _accumulate(expr: RhoExpr, comp: Companion, sign: int, mode: str) -> RhoExpr:
-    if mode == "numeric" and comp.rho.kind == "symbol":
-        raise ObstructionError(
-            f"companion {comp.name!r} has no numeric value; "
-            "numeric mode requires exact or interval data")
-    return expr.add_value(comp.rho, sign)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Mapping
@@ -36,9 +37,14 @@ class PolyalgError(RhosliceError):
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction."""
+    """Coerce ints, Fractions and 'p/q' strings (a sign, ASCII digits and
+    at most one '/') to an exact Fraction; `Fraction` alone would also
+    expand '1e100000000', for minutes."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and not re.fullmatch(r"[+-]?\d+(/\d+)?", value,
+                                                   re.ASCII):
+        raise ValueError(f"not a 'p/q' rational: {value!r}")
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
@@ -438,27 +444,6 @@ def gcd_laurent(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return _poly(x, 0, x[-1] if x else 1, a.variable)
 
 
-def _poly_xgcd(a: LaurentPoly, b: LaurentPoly):
-    """Extended Euclid on ordinary polynomials; witnesses are ordinary.
-
-    Returns (g, u, v) with u*a + v*b = g and g monic (or zero).
-    """
-    var = a.variable
-    zero, one = LaurentPoly.zero(var), LaurentPoly.one(var)
-    r0, r1 = a, b
-    u0, u1 = one, zero
-    v0, v1 = zero, one
-    while not r1.is_zero():
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return zero, zero, zero
-    lead = r0.leading()
-    return r0 * (Fraction(1) / lead), u0 * (Fraction(1) / lead), v0 * (Fraction(1) / lead)
-
-
 def reduce_mod(a: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
     """Reduce a modulo m into the window 0 <= exponents, deg < deg(m).
 
@@ -477,13 +462,18 @@ def reduce_mod(a: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
 
 
 def inverse_mod(f: LaurentPoly, m: LaurentPoly) -> LaurentPoly:
-    """Inverse of f modulo m; raises if gcd(f, m) != 1."""
+    """Inverse of f modulo m; raises if gcd(f, m) != 1.  Euclid carries
+    only the cofactor u of f, with u*f = r (mod m) for each remainder r
+    (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 3)."""
     mm = m.monic()
-    fr = reduce_mod(f, mm)
-    g, u, _ = _poly_xgcd(fr, mm)
-    if not g.is_one():
+    r0, r1 = mm, reduce_mod(f, mm)
+    u0, u1 = LaurentPoly.zero(mm.variable), LaurentPoly.one(mm.variable)
+    while r1:
+        q, r = poly_divmod(r0, r1)
+        r0, r1, u0, u1 = r1, r, u1, u0 - q * u1
+    if r0.degree:  # the gcd is r0, made monic
         raise PolyalgError(f"({f}) is not invertible modulo ({m})")
-    return poly_divmod(u, mm)[1]
+    return poly_divmod(u0 * (1 / r0.leading()), mm)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -553,21 +543,12 @@ def capelli_certified(prime: LaurentPoly) -> bool:
 
 
 def _int_div_exact(a: list[int], b) -> list[int] | None:
-    """Quotient of the dense integer polynomials a / b if it is an integer
-    polynomial with zero remainder, else None.  For primitive b this is
-    divisibility over Q as well (Gauss's lemma)."""
-    rem = list(a)
-    db = len(b) - 1
-    quo = [0] * (len(a) - db)
-    for top in range(len(a) - 1, db - 1, -1):
-        c, r = divmod(rem[top], b[-1])
-        if r:
-            return None
-        quo[top - db] = c
-        if c:
-            for i, bc in enumerate(b):
-                rem[top - db + i] -= c * bc
-    return None if any(rem[:db]) else quo
+    """Quotient of the dense integer polynomials a / b, for lc(b) > 0, if it
+    is an integer polynomial: the pseudo-division needed no scaling and left
+    no remainder; else None.  For primitive b this is divisibility over Q as
+    well (Gauss's lemma)."""
+    quo, rem, s = _prem(a, b)
+    return quo if s == 1 and not any(rem) else None
 
 
 def _newton_interpolate(xs: list[int], ys) -> list[int] | None:

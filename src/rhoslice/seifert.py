@@ -33,9 +33,9 @@ class SeifertError(RhosliceError):
 class SeifertMatrix:
     """Square integer matrix V with det(V - V^T) = ±1 (0x0 for the unknot)."""
 
-    __slots__ = ("rows", "label")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows, label: str | None = None):
+    def __init__(self, rows):
         rows = tuple(tuple(int(x) for x in row) for row in rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
@@ -47,33 +47,26 @@ class SeifertMatrix:
             raise SeifertError(
                 "det(V - V^T) must be ±1 for a valid Seifert matrix")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "label", label)
 
     def __setattr__(self, name, value):
         raise AttributeError("SeifertMatrix is immutable")
 
     def __reduce__(self):
-        return SeifertMatrix, (self.rows, self.label)
+        return SeifertMatrix, (self.rows,)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @property
-    def genus(self) -> int:
-        return self.dim // 2
 
     def __getitem__(self, idx: tuple[int, int]) -> int:
         i, j = idx
         return self.rows[i][j]
 
     def transpose(self) -> "SeifertMatrix":
-        return SeifertMatrix(tuple(zip(*self.rows)) if self.rows else (),
-                             self.label)
+        return SeifertMatrix(tuple(zip(*self.rows)))
 
     def __neg__(self) -> "SeifertMatrix":
-        return SeifertMatrix(tuple(tuple(-x for x in row) for row in self.rows),
-                             self.label)
+        return SeifertMatrix(tuple(tuple(-x for x in row) for row in self.rows))
 
     def __eq__(self, other):
         return isinstance(other, SeifertMatrix) and self.rows == other.rows
@@ -278,15 +271,15 @@ class Rho0Value(NamedTuple):
 
 
 def unknot() -> SeifertMatrix:
-    return SeifertMatrix((), label="unknot")
+    return SeifertMatrix(())
 
 
 def trefoil_right() -> SeifertMatrix:
-    return SeifertMatrix([[-1, 1], [0, -1]], label="right trefoil")
+    return SeifertMatrix([[-1, 1], [0, -1]])
 
 
 def trefoil_left() -> SeifertMatrix:
-    return SeifertMatrix([[1, -1], [0, 1]], label="left trefoil")
+    return SeifertMatrix([[1, -1], [0, 1]])
 
 
 def pattern_9_46() -> PatternKnot:
@@ -296,6 +289,6 @@ def pattern_9_46() -> PatternKnot:
     curve 'alpha' = e1 generates the 2s-1 torsion line and 'beta' = e2 the
     s-2 line.
     """
-    V = SeifertMatrix([[0, 1], [2, 0]], label="9_46")
+    V = SeifertMatrix([[0, 1], [2, 0]])
     return PatternKnot.from_int_vectors(V, {"alpha": (1, 0), "beta": (0, 1)},
                                         name="9_46")

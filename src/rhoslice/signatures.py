@@ -36,7 +36,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import RhosliceError
-from .polyalg import LaurentPoly, cyclotomic, factor_laurent, poly_divmod
+from .polyalg import (LaurentPoly, as_fraction, cyclotomic, factor_laurent,
+                      poly_divmod)
 from .seifert import Rho0Value, SeifertMatrix, alexander_polynomial
 
 PRECISION_ENV = "RHOSLICE_PRECISION"
@@ -54,7 +55,7 @@ def precision_budget() -> Fraction:
     if not raw:
         return _DEFAULT_BUDGET
     try:
-        budget = Fraction(raw)
+        budget = as_fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise SignatureError(f"bad {PRECISION_ENV} value {raw!r}") from exc
     if budget <= 0:

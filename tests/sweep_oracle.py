@@ -41,7 +41,6 @@ from rhoslice.obstruction import (
     ReportCell,
     RhoExpr,
     Slot,
-    _slot_expr,
 )
 from rhoslice.polyalg import (
     LaurentPoly,
@@ -285,7 +284,7 @@ def sweep_class(assembly: CopyAssembly, prime: LaurentPoly, key: str,
     for slot in slots:
         block = assembly.blocks[(slot.member, slot.reversed_part)]
         x = reduce_to_isotypic(block.curve_class[slot.curve], prime)
-        expr, lines = _slot_expr(assembly, prime, slot, x, mode)
+        expr, lines = obstruction._slot_expr(assembly, prime, slot, x, mode)
         for line in lines:
             audit.setdefault(f"c={c}: {line}")
         exprs.append(expr)

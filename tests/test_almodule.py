@@ -19,6 +19,7 @@ from rhoslice.almodule import (
 from rhoslice.linalg import rref
 from rhoslice.polyalg import LaurentPoly, divides, equal_up_to_unit
 from rhoslice.seifert import (
+    PatternKnot,
     connected_sum,
     pattern_9_46,
     trefoil_right,
@@ -70,15 +71,18 @@ def test_snf_random(rng):
 def test_snf_of_presentations_and_default_generators(rng):
     # U maps each default generator of `_decompose` to its cofactor times
     # the unit vector of its invariant factor, as U * U^{-1} = I did; the
-    # Smith form is deterministic, so U is the one `_decompose` used
-    knots = [pattern_9_46().seifert, trefoil_right(),
+    # Smith form is deterministic, so U is the one `_decompose` used.  The
+    # pattern 9_46 is decomposed as a pattern, its curves adopted as
+    # generators, whose images are U times the curves
+    knots = [pattern_9_46(), pattern_9_46().seifert, trefoil_right(),
              connected_sum([pattern_9_46().seifert, pattern_9_46().seifert,
                             trefoil_right()])]
     knots += [random_seifert(rng, genus=g) for g in (1, 1, 1, 2, 2, 2, 3, 3)]
     defaults = 0
     for V in knots:
         dec = _decompose(V)
-        A = [list(col) for col in zip(*V.presentation("s"))]
+        seifert = V.seifert if isinstance(V, PatternKnot) else V
+        A = [list(col) for col in zip(*seifert.presentation("s"))]
         snf_is_valid(A, *smith_with_u(A), dec=dec)
         defaults += dec.module.rank
     assert defaults >= 12
@@ -308,3 +312,9 @@ def test_module_element_arithmetic():
     assert a.scale(2 * S - 1).is_zero()
     assert not a.scale(S - 2).is_zero()
     assert (a.scale(3) + a.scale(-3)).is_zero()
+    # the coordinate count is checked before the coordinates meet the
+    # summands, so an extra coordinate is refused, not dropped
+    assert M.element((1, 2)) == M.generator(0) + M.generator(1).scale(2)
+    for coords in ((1, 2, 3), (1,), ()):
+        with pytest.raises(ModuleError, match="coordinate count mismatch"):
+            M.element(coords)

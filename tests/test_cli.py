@@ -461,6 +461,11 @@ def with_alpha_class(entry):
     (with_companion({"rho0_interval": ["0", 1.5]}), [],
      "companions.beta: 1.5 is not exact"),
     (with_companion({"rho0": False}), [], "companions.beta: False is not exact"),
+    # Fraction alone would expand the exponent, for minutes
+    (with_companion({"rho0": "1e100000000"}), [],
+     "companions.beta: bad rational '1e100000000'"),
+    (with_companion({"rho0_interval": ["0", "1.5"]}), [],
+     "companions.beta: bad rational '1.5'"),
 ])
 def test_bad_input_exits_1_without_a_traceback(tmp_path, doc, argv, message):
     proc = subprocess.run(
@@ -501,6 +506,37 @@ def test_json_floats_are_refused_not_read_in_binary(tmp_path, capsys):
                             'exact; write a rational as a "p/q" string\n')
     with pytest.raises(DocumentError, match="0.1 is not exact"):
         load_document(path)
+
+
+def test_precision_with_an_exponent_is_refused(tmp_path):
+    # a knot with an irrational jump angle reads the precision budget;
+    # Fraction alone would expand the exponent, for minutes
+    path = write_doc(tmp_path, {"schema": "rhoslice.knot/1",
+                                "seifert": [[1, 1], [2, 4]]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "rhoslice.cli", "signature", path],
+        env=dict(child_env(), **{signatures.PRECISION_ENV: "1e-100000000"}),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (f"error: bad {signatures.PRECISION_ENV} value "
+                           "'1e-100000000'\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    # without a family only the top-level companions are decided, as K
+    (dict(K946_DOC, companions={"alpha": {"symbol": "top"}},
+          knots={"K1": FAMILY_DOC["knots"]["K1"]}),
+     "error: knots: a document without a family decides no listed knot\n"),
+    # with a family each knot's companions come from `knots`
+    (dict(FAMILY_DOC, companions={"alpha": {"symbol": "top"}}),
+     "error: companions: a family document takes each knot's companions "
+     "from 'knots'\n"),
+])
+def test_fields_the_family_would_drop_are_refused(tmp_path, capsys, doc,
+                                                  message):
+    assert main(["obstruct", write_doc(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
 
 
 def test_curve_exponents_at_the_bound_run_in_seconds(tmp_path, capsys):

@@ -38,8 +38,6 @@ from rhoslice.obstruction import (
     RhoExpr,
     Slot,
     SlotTypeTable,
-    _accumulate,
-    _slot_contributions,
     _slot_expr,
     _unit_coordinate,
     verify_obstructed,
@@ -561,17 +559,16 @@ def test_bad_inputs():
 
 
 def oracle_rho(assembly, pattern, mode, facts):
-    """A cell's expression built one companion at a time; facts caches
-    `_slot_contributions` by (prime, slot)."""
+    """A cell's expression built one slot at a time; facts caches
+    `_slot_expr` by (prime, slot)."""
     expr = RhoExpr.zero()
     for slot in pattern.support:
         key = (pattern.prime, slot)
         if key not in facts:
-            facts[key] = _slot_contributions(
+            facts[key] = _slot_expr(
                 assembly, pattern.prime, slot,
-                reduced_class(assembly, pattern.prime, slot))
-        for comp, sign in facts[key][0]:
-            expr = _accumulate(expr, comp, sign, mode)
+                reduced_class(assembly, pattern.prime, slot), mode)
+        expr = expr + facts[key][0]
     return expr
 
 
@@ -1426,13 +1423,13 @@ def test_refused_certificate_without_slots_is_inconclusive():
 
 def test_slot_facts_run_at_c1_only_under_the_certificate(monkeypatch):
     calls = []
-    real = obstruction._slot_contributions
+    real = obstruction._slot_expr
 
-    def counted(assembly, prime, slot, x):
+    def counted(assembly, prime, slot, x, mode):
         calls.append((prime.span, slot.copy))
-        return real(assembly, prime, slot, x)
+        return real(assembly, prime, slot, x, mode)
 
-    monkeypatch.setattr(obstruction, "_slot_contributions", counted)
+    monkeypatch.setattr(obstruction, "_slot_expr", counted)
     spec = family_spec((1, -2))
     # 2 members, each with a K and a -tK slot type per class, 2 classes
     report = verify_obstructed(spec, 4, cells=True)
@@ -1447,15 +1444,15 @@ def test_slot_facts_run_at_c1_only_under_the_certificate(monkeypatch):
 
 def test_one_block_per_member_part(monkeypatch):
     calls = []
-    real = obstruction._slot_contributions
+    real = obstruction._slot_expr
 
-    def counted(assembly, prime, slot, x):
+    def counted(assembly, prime, slot, x, mode):
         calls.append(slot)
-        return real(assembly, prime, slot, x)
+        return real(assembly, prime, slot, x, mode)
 
     spec = family_spec((40,))
     assert len(obstruction._assemble_full(spec).blocks) == 2
-    monkeypatch.setattr(obstruction, "_slot_contributions", counted)
+    monkeypatch.setattr(obstruction, "_slot_expr", counted)
     report = verify_obstructed(spec, 1, cells=True)
     assert len(calls) == 4 and {slot.copy for slot in calls} == {1}
     monkeypatch.undo()

@@ -265,8 +265,7 @@ def reduce_mod_oracle(a, m):
     and multiplied by u^k, with u^k taken by repeated squaring."""
     mm = m.monic()
     k = max(0, -a.low)
-    _, u, _ = polyalg._poly_xgcd(T, mm)
-    power, base = ONE, polyalg.poly_divmod(u, mm)[1]
+    power, base = ONE, inverse_mod(T, mm)
     while k:
         if k & 1:
             power = polyalg.poly_divmod(power * base, mm)[1]

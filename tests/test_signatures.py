@@ -304,6 +304,11 @@ def test_precision_env(monkeypatch):
     monkeypatch.setenv(signatures.PRECISION_ENV, "-1/2")
     with pytest.raises(SignatureError):
         signatures.precision_budget()
+    # only "p/q": Fraction alone would expand the exponent, for minutes
+    for raw in ("1e-100000000", "0.5", " 1/2"):
+        monkeypatch.setenv(signatures.PRECISION_ENV, raw)
+        with pytest.raises(SignatureError, match="bad RHOSLICE_PRECISION"):
+            signatures.precision_budget()
 
 
 # -- the certified cosine and jump angles against mpmath ---------------------------

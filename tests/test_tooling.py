@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -129,6 +130,31 @@ def test_public_definitions_are_used_or_exported():
     # cli's public functions are the command and document interface
     assert [found for found in unreferenced_definitions(public=True)
             if not found.startswith("cli.py:")] == []
+
+
+def uncalled_methods() -> list[str]:
+    """Public methods and properties of the classes of src/ whose name is
+    nowhere read as an attribute (`.name`) in src/, tests/ or README.md."""
+    text = "\n".join(path.read_text(encoding="utf-8") for path in [
+        *sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+        ROOT / "README.md"])
+    read = set(re.findall(r"\.(\w+)", text))
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                found += [f"{cls.name}.{fn.name}" for fn in cls.body
+                          if isinstance(fn, ast.FunctionDef)
+                          and not fn.name.startswith("_")
+                          and fn.name not in read]
+    return found
+
+
+def test_public_methods_have_a_reader():
+    # a public method or property that no code, test or README example
+    # reads is dead code
+    assert uncalled_methods() == []
 
 
 def test_error_classes_derive_from_the_package_error():
