@@ -29,11 +29,11 @@ _EXPORTS = {
     "blanchfield": ("LinkingForm", "annihilator_submodule", "blanchfield_form",
                     "is_self_annihilating"),
     "obstruction": ("Companion", "FamilyMember", "FamilySpec", "InfectedKnot",
-                    "ObstructionError", "ObstructionReport", "RhoExpr",
+                    "ObstructionError", "ObstructionReport",
                     "verify_obstructed"),
     "polyalg": ("LaurentPoly", "PolyalgError", "equal_up_to_unit",
                 "factor_laurent", "gcd_laurent"),
-    "seifert": ("PatternKnot", "Rho0Value", "SeifertMatrix",
+    "seifert": ("PatternKnot", "RhoExpr", "SeifertMatrix",
                 "alexander_polynomial", "connected_sum", "knot_transform",
                 "metabolizer_search", "pattern_9_46", "trefoil_left",
                 "trefoil_right", "unknot"),

@@ -19,11 +19,13 @@ or a pattern with infection data, optionally a whole family:
 
 Companion values are {"symbol": name}, {"rho0": "p/q"},
 {"rho0_interval": ["lo", "hi"]} or {"seifert": [[...]]}.  Each is parsed
-once, into a Rho0Value or a SeifertMatrix, whose signature integral only
+once, into a RhoExpr or a SeifertMatrix, whose signature integral only
 `obstruct` computes.  Curve classes are rational strings or
-serialized polynomials ({"coefficients": {"0": "1"}}), with exponents of at
-most MAX_CURVE_EXPONENT in absolute value.  JSON integers are rationals;
-JSON floats and booleans are refused, as 0.1 would be read in binary.
+serialized polynomials ({"coefficients": {"0": "1"}}), whose keys are ASCII
+integers naming distinct exponents of at most MAX_CURVE_EXPONENT in
+absolute value.  JSON integers are rationals; JSON floats and booleans are
+refused, as 0.1 would be read in binary.  No object may repeat a key, and
+no number may exceed the interpreter's default limit of 4300 digits.
 
 Subcommands: info, obstruct, signature.  Exit codes for obstruct: 0 when
 OBSTRUCTED, 2 when INCONCLUSIVE, 1 on errors.  `obstruct --output
@@ -65,6 +67,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -89,7 +92,7 @@ class DocumentError(RhosliceError):
 # A parsed companion: its signature integral or symbol, or the Seifert
 # matrix whose integral only `obstruct` computes.  A string, read only as an
 # annotation: no layer is loaded to define it.
-CompanionValue = "seifert.Rho0Value | seifert.SeifertMatrix"
+CompanionValue = "seifert.RhoExpr | seifert.SeifertMatrix"
 
 
 class KnotDocument(NamedTuple):
@@ -132,20 +135,28 @@ def _parse_rational(value, where: str) -> Fraction:
     try:
         return polyalg.as_fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise DocumentError(f"{where}: bad rational {value!r}") from exc
+        size, limit = len(str(value)), sys.int_info.default_max_str_digits
+        shown = (f"of {size} characters, over the {limit}-digit limit"
+                 if size > limit else repr(value))
+        raise DocumentError(f"{where}: bad rational {shown}") from exc
 
 
 def _parse_poly(data, where: str) -> polyalg.LaurentPoly:
     if not isinstance(data, dict):
         return polyalg.LaurentPoly.constant(_parse_rational(data, where), "s")
     coeffs = data.get("coefficients", {})
-    _require(isinstance(coeffs, dict), where, f"bad polynomial {data!r}: "
+    _require(isinstance(coeffs, dict), where, "bad polynomial: "
              "coefficients must map exponents to rationals")
     try:
+        for e in coeffs:
+            if not re.fullmatch("[+-]?[0-9]+", e):
+                raise ValueError(f"exponent {e!r} is not an integer")
         terms = {int(e): _parse_rational(c, f"exponent {e}")
                  for e, c in coeffs.items()}
+        if len(terms) < len(coeffs):
+            raise ValueError("two keys name one exponent")
     except ValueError as exc:
-        raise DocumentError(f"{where}: bad polynomial {data!r}: {exc}") from exc
+        raise DocumentError(f"{where}: bad polynomial: {exc}") from exc
     top = max(map(abs, terms), default=0)
     _require(top <= MAX_CURVE_EXPONENT, where,
              f"exponent {top} exceeds MAX_CURVE_EXPONENT = {MAX_CURVE_EXPONENT}")
@@ -187,17 +198,17 @@ def _parse_companion(data, where: str) -> CompanionValue:
     if "symbol" in data:
         _require(isinstance(data["symbol"], str), where,
                  "symbol must be a string")
-        return seifert.Rho0Value.of_symbol(data["symbol"])
+        return seifert.RhoExpr(coeffs=((data["symbol"], 1),))
     if "rho0" in data:
-        return seifert.Rho0Value.of_exact(
-            _parse_rational(data["rho0"], where))
+        v = _parse_rational(data["rho0"], where)
+        return seifert.RhoExpr(v, v)
     if "rho0_interval" in data:
         iv = data["rho0_interval"]
         _require(isinstance(iv, list) and len(iv) == 2, where,
                  "interval must be [lo, hi]")
         lo, hi = (_parse_rational(x, where) for x in iv)
         _require(lo <= hi, where, "interval lower end exceeds upper end")
-        return seifert.Rho0Value.of_interval(lo, hi)
+        return seifert.RhoExpr(lo, hi)
     return _parse_matrix(data["seifert"], where)
 
 
@@ -282,24 +293,30 @@ def parse_document(data: dict) -> KnotDocument:
                         family=tuple(family), assembly=assembly)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object, refused if it repeats a key (`json` keeps the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is repeated")
+        obj[key] = value
+    return obj
+
+
 def load_document(path: str) -> KnotDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except ValueError as exc:
+        # a repeated key, or an integer beyond the digit limit
+        raise DocumentError(f"{path}: {exc}") from exc
     return parse_document(data)
-
-
-def _build_companion(name: str,
-                     value: "seifert.Rho0Value") -> obstruction.Companion:
-    """The companion on curve `name`; a symbol names its companion."""
-    return obstruction.Companion(
-        value.symbol if value.kind == "symbol" else name, value)
 
 
 def family_spec(doc: KnotDocument) -> obstruction.FamilySpec:
@@ -326,7 +343,9 @@ def family_spec(doc: KnotDocument) -> obstruction.FamilySpec:
     for name, mult in family:
         knot = obstruction.InfectedKnot.build(
             entries[name].pattern or doc.pattern,
-            {cname: _build_companion(cname, value)
+            # a symbol names its companion, another value its curve
+            {cname: obstruction.Companion(
+                value.coeffs[0][0] if value.coeffs else cname, value)
              for cname, value in values[name].items()})
         members.append(obstruction.FamilyMember(knot, mult,
                                                 with_reverse=with_reverse))
@@ -352,8 +371,7 @@ def _print_json(obj) -> None:
     sys.stdout.write("\n")
 
 
-def cmd_info(args) -> int:
-    doc = load_document(args.file)
+def cmd_info(doc: KnotDocument, args) -> int:
     target = doc.pattern if doc.pattern is not None else _doc_matrix(doc)
     V = _doc_matrix(doc)
     delta = seifert.alexander_polynomial(V)
@@ -382,8 +400,7 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_obstruct(args) -> int:
-    doc = load_document(args.file)
+def cmd_obstruct(doc: KnotDocument, args) -> int:
     spec = family_spec(doc)
     report = obstruction.verify_obstructed(spec, args.cmax, mode=args.mode,
                                            cells=args.cells)
@@ -428,16 +445,17 @@ def cmd_obstruct(args) -> int:
     return 0 if report.obstructed else 2
 
 
-def cmd_signature(args) -> int:
-    doc = load_document(args.file)
+def cmd_signature(doc: KnotDocument, args) -> int:
     V = _doc_matrix(doc)
     sf = signatures.signature_function(V)
     rho = signatures.rho0_from_signature(sf)
     if args.emit == "jumps":
+        lo, hi = rho.const_lo, rho.const_hi
         out = {
             "schema": "rhoslice.signature/1",
             **sf.to_json(),
-            "rho0": rho.to_json(),
+            "rho0": ({"exact": str(lo)} if lo == hi
+                     else {"interval": [str(lo), str(hi)]}),
         }
         _print_json(out)
         return 0
@@ -491,13 +509,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # exact coefficients outgrow the interpreter's int <-> str digit limit
+    args = build_parser().parse_args(argv)
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
-        code = args.func(args)
+        # int() takes time quadratic in the digits: a document's numbers
+        # keep the default limit, which exact coefficients outgrow
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        doc = load_document(args.file)
+        sys.set_int_max_str_digits(0)
+        code = args.func(doc, args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -92,7 +92,7 @@ from . import RhosliceError, signatures
 from .almodule import ModuleElement, Summand, reduce_to_isotypic
 from .blanchfield import LinkingForm, blanchfield_form
 from .polyalg import LaurentPoly, _poly_sort_key, capelli_certified, divides
-from .seifert import PatternKnot, Rho0Value, SeifertMatrix, metabolizer_search
+from .seifert import PatternKnot, RhoExpr, SeifertMatrix, metabolizer_search
 
 # Count vectors the sweep evaluates in one isotypic class: as many as the
 # supports of 20 slots.
@@ -124,7 +124,7 @@ class Companion(NamedTuple):
     """A companion knot, known only through its signature integral."""
 
     name: str
-    rho: Rho0Value
+    rho: RhoExpr
 
     @classmethod
     def from_seifert(cls, name: str, V: SeifertMatrix) -> "Companion":
@@ -132,10 +132,7 @@ class Companion(NamedTuple):
 
     @classmethod
     def trivial(cls) -> "Companion":
-        return cls("unknot", Rho0Value.of_exact(0))
-
-    def is_trivial(self) -> bool:
-        return self.rho.kind == "exact" and self.rho.exact == 0
+        return cls("unknot", RhoExpr())
 
 
 class InfectedKnot(NamedTuple):
@@ -147,10 +144,15 @@ class InfectedKnot(NamedTuple):
 
     @classmethod
     def build(cls, pattern: PatternKnot, infections: dict) -> "InfectedKnot":
+        """The knot with its named curves infected; every companion enters
+        the engine here, so an empty interval is refused here."""
         known = set(pattern.curve_names())
-        for cname in infections:
+        for cname, comp in infections.items():
             if cname not in known:
                 raise ObstructionError(f"no curve named {cname!r} in pattern")
+            if comp.rho.const_lo > comp.rho.const_hi:
+                raise ObstructionError(
+                    f"companion {comp.name!r}: empty interval {comp.rho}")
         packed = tuple(
             (cname, infections.get(cname, Companion.trivial()))
             for cname in pattern.curve_names())
@@ -205,86 +207,6 @@ class FamilySpec(_FamilySpecFields):
     @classmethod
     def single(cls, knot: InfectedKnot, name: str = "K") -> "FamilySpec":
         return cls((FamilyMember(knot, 1),), (name,))
-
-
-# ---------------------------------------------------------------------------
-# Formal rho expressions
-# ---------------------------------------------------------------------------
-
-
-class RhoExpr(NamedTuple):
-    """Formal rational combination of companion symbols plus a numeric part
-    carried as an exact interval [const_lo, const_hi] (equal when exact)."""
-
-    const_lo: Fraction = Fraction(0)
-    const_hi: Fraction = Fraction(0)
-    coeffs: tuple[tuple[str, Fraction], ...] = ()
-
-    @classmethod
-    def zero(cls) -> "RhoExpr":
-        return cls()
-
-    def __add__(self, other: "RhoExpr") -> "RhoExpr":
-        """The sum: symbol coefficients and interval ends add, and
-        coefficients that cancel to zero are dropped."""
-        if not isinstance(other, RhoExpr):
-            return NotImplemented
-        packed = self.coeffs
-        if other.coeffs:
-            d = dict(packed)
-            for name, v in other.coeffs:
-                d[name] = d.get(name, Fraction(0)) + v
-            packed = tuple(sorted((k, v) for k, v in d.items() if v != 0))
-        if other.const_lo or other.const_hi:
-            return RhoExpr(self.const_lo + other.const_lo,
-                           self.const_hi + other.const_hi, packed)
-        return RhoExpr(self.const_lo, self.const_hi, packed)
-
-    def add_symbol(self, name: str, coeff: Fraction) -> "RhoExpr":
-        return self + RhoExpr(coeffs=((name, coeff),))
-
-    def add_value(self, rho: Rho0Value, sign: int) -> "RhoExpr":
-        if rho.kind == "symbol":
-            return self.add_symbol(rho.symbol, Fraction(sign))
-        if rho.kind == "exact":
-            v = sign * rho.exact
-            return RhoExpr(self.const_lo + v, self.const_hi + v, self.coeffs)
-        lo, hi = rho.interval
-        if sign < 0:
-            lo, hi = -hi, -lo
-        return RhoExpr(self.const_lo + lo, self.const_hi + hi, self.coeffs)
-
-    def coefficient(self, name: str) -> Fraction:
-        return dict(self.coeffs).get(name, Fraction(0))
-
-    def __str__(self):
-        parts = []
-        for name, v in self.coeffs:
-            if v == 1:
-                parts.append(f"+ {name}" if parts else name)
-            elif v == -1:
-                parts.append(f"- {name}" if parts else f"-{name}")
-            else:
-                prefix = "+ " if (parts and v > 0) else ("- " if parts else "")
-                mag = abs(v) if parts else v
-                parts.append(f"{prefix}{mag}*{name}")
-        if self.const_lo == self.const_hi:
-            if self.const_lo != 0 or not parts:
-                c = self.const_lo
-                parts.append(f"+ {c}" if (parts and c >= 0)
-                             else (f"- {-c}" if parts else str(c)))
-        else:
-            interval = f"[{self.const_lo}, {self.const_hi}]"
-            parts.append(f"+ {interval}" if parts else interval)
-        return " ".join(parts)
-
-    def to_json(self):
-        out = {"coefficients": {k: str(v) for k, v in self.coeffs}}
-        if self.const_lo == self.const_hi:
-            out["constant"] = str(self.const_lo)
-        else:
-            out["constant_interval"] = [str(self.const_lo), str(self.const_hi)]
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +322,10 @@ def _slot_expr(assembly: Assembly, prime: LaurentPoly, slot: Slot,
     prime's isotypic class.
 
     The flagged slot's curve carries the representation; every curve of the
-    same copy whose pairing with x is nonzero adds its companion's
-    signature integral with the block's sign (satellite additivity), a
-    symbol refused in numeric mode, while the slot curve itself must pair to
-    zero so that the vanishing axiom applies to the infected pattern.
+    same copy whose pairing with x is nonzero adds its companion's value
+    times the block's sign (satellite additivity), one with symbols refused
+    in numeric mode, while the slot curve itself must pair to zero so that
+    the vanishing axiom applies to the infected pattern.
     """
     block = assembly.blocks[(slot.member, slot.reversed_part)]
     label = slot.label(assembly.spec)
@@ -450,11 +372,11 @@ def _slot_expr(assembly: Assembly, prime: LaurentPoly, slot: Slot,
             f"{label}: Bl pairing with {cname} nonzero; companion "
             f"{comp.name!r} contributes with sign {sign:+d}"
             + (" (reversed mirror)" if slot.reversed_part else ""))
-        if mode == "numeric" and comp.rho.kind == "symbol":
+        if mode == "numeric" and comp.rho.coeffs:
             raise ObstructionError(
                 f"companion {comp.name!r} has no numeric value; "
                 "numeric mode requires exact or interval data")
-        expr = expr.add_value(comp.rho, sign)
+        expr += comp.rho if sign > 0 else -comp.rho
     return expr, audit
 
 

@@ -4,8 +4,8 @@ A knot enters the toolkit as a square integer Seifert matrix V of even
 dimension with det(V - V^T) = ±1.  From V everything else is derived: the
 Alexander polynomial det(tV - V^T), the homology of the infinite cyclic
 cover, linking pairings and signatures.  A companion knot enters the
-obstruction only through its signature integral, a `Rho0Value`; the
-`signatures` layer computes one from a Seifert matrix.
+obstruction only through its signature integral, a `RhoExpr`: a symbol,
+an exact value or a certified interval, which `signatures` computes.
 
 `PatternKnot` decorates a genus-one Seifert matrix with named infection
 curves, given by coordinate vectors in the presentation basis of the
@@ -226,43 +226,69 @@ class PatternKnot(_PatternKnotFields):
 # ---------------------------------------------------------------------------
 
 
-class Rho0Value(NamedTuple):
-    """Integral of the signature over the normalized circle: an exact
-    rational, a certified interval, or an opaque symbol."""
+class RhoExpr(NamedTuple):
+    """A signature-integral value: rational multiples of companion symbols
+    plus an exact interval [const_lo, const_hi] (equal when exact)."""
 
-    kind: str  # "exact" | "interval" | "symbol"
-    exact: Fraction | None = None
-    interval: tuple[Fraction, Fraction] | None = None
-    symbol: str | None = None
-
-    @classmethod
-    def of_exact(cls, v) -> "Rho0Value":
-        return cls("exact", exact=Fraction(v))
+    const_lo: Fraction = Fraction(0)
+    const_hi: Fraction = Fraction(0)
+    coeffs: tuple[tuple[str, Fraction], ...] = ()
 
     @classmethod
-    def of_interval(cls, lo, hi) -> "Rho0Value":
-        lo, hi = Fraction(lo), Fraction(hi)
-        if lo > hi:
-            raise SeifertError("empty interval")
-        return cls("interval", interval=(lo, hi))
+    def zero(cls) -> "RhoExpr":
+        return cls()
 
-    @classmethod
-    def of_symbol(cls, name: str) -> "Rho0Value":
-        return cls("symbol", symbol=name)
+    def __add__(self, other: "RhoExpr") -> "RhoExpr":
+        """The sum: symbol coefficients and interval ends add, and
+        coefficients that cancel to zero are dropped."""
+        if not isinstance(other, RhoExpr):
+            return NotImplemented
+        packed = self.coeffs
+        if other.coeffs:
+            d = dict(packed)
+            for name, v in other.coeffs:
+                d[name] = d.get(name, Fraction(0)) + v
+            packed = tuple(sorted((k, v) for k, v in d.items() if v != 0))
+        if other.const_lo or other.const_hi:
+            return RhoExpr(self.const_lo + other.const_lo,
+                           self.const_hi + other.const_hi, packed)
+        return RhoExpr(self.const_lo, self.const_hi, packed)
+
+    def __neg__(self) -> "RhoExpr":
+        return RhoExpr(-self.const_hi, -self.const_lo,
+                       tuple((name, -v) for name, v in self.coeffs))
+
+    def coefficient(self, name: str) -> Fraction:
+        return dict(self.coeffs).get(name, Fraction(0))
 
     def __str__(self):
-        if self.kind == "exact":
-            return str(self.exact)
-        if self.kind == "interval":
-            return f"[{self.interval[0]}, {self.interval[1]}]"
-        return self.symbol
+        parts = []
+        for name, v in self.coeffs:
+            if v == 1:
+                parts.append(f"+ {name}" if parts else name)
+            elif v == -1:
+                parts.append(f"- {name}" if parts else f"-{name}")
+            else:
+                prefix = "+ " if (parts and v > 0) else ("- " if parts else "")
+                mag = abs(v) if parts else v
+                parts.append(f"{prefix}{mag}*{name}")
+        if self.const_lo == self.const_hi:
+            if self.const_lo != 0 or not parts:
+                c = self.const_lo
+                parts.append(f"+ {c}" if (parts and c >= 0)
+                             else (f"- {-c}" if parts else str(c)))
+        else:
+            interval = f"[{self.const_lo}, {self.const_hi}]"
+            parts.append(f"+ {interval}" if parts else interval)
+        return " ".join(parts)
 
     def to_json(self):
-        if self.kind == "exact":
-            return {"exact": str(self.exact)}
-        if self.kind == "interval":
-            return {"interval": [str(self.interval[0]), str(self.interval[1])]}
-        return {"symbol": self.symbol}
+        out = {"coefficients": {k: str(v) for k, v in self.coeffs}}
+        if self.const_lo == self.const_hi:
+            out["constant"] = str(self.const_lo)
+        else:
+            out["constant_interval"] = [str(self.const_lo), str(self.const_hi)]
+        return out
 
 
 # ---------------------------------------------------------------------------

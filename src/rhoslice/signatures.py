@@ -38,7 +38,7 @@ from typing import NamedTuple
 from . import RhosliceError
 from .polyalg import (LaurentPoly, as_fraction, cyclotomic, factor_laurent,
                       poly_divmod)
-from .seifert import Rho0Value, SeifertMatrix, alexander_polynomial
+from .seifert import RhoExpr, SeifertMatrix, alexander_polynomial
 
 PRECISION_ENV = "RHOSLICE_PRECISION"
 _DEFAULT_BUDGET = Fraction(1, 10 ** 6)
@@ -619,23 +619,23 @@ def signature_function(V: SeifertMatrix) -> SignatureFunction:
 # ---------------------------------------------------------------------------
 
 
-def rho0(V: SeifertMatrix, budget: Fraction | None = None) -> Rho0Value:
+def rho0(V: SeifertMatrix, budget: Fraction | None = None) -> RhoExpr:
     """Integral of the Levine-Tristram signature over the circle of length 1.
 
     Equal to sum_j jump_j * (1 - 2 theta_j) over the jumps in (0, 1/2).
-    Exact when all jump angles are rational; otherwise a certified interval
-    of width at most `budget` (default from RHOSLICE_PRECISION or 1/10^6).
+    RhoExpr(v, v) when all jump angles are rational; otherwise a certified
+    RhoExpr(lo, hi) with hi - lo <= `budget` (RHOSLICE_PRECISION or 1/10^6).
     """
     sf = signature_function(V)
     return rho0_from_signature(sf, budget)
 
 
 def rho0_from_signature(sf: SignatureFunction,
-                        budget: Fraction | None = None) -> Rho0Value:
+                        budget: Fraction | None = None) -> RhoExpr:
     if all(r.angle is not None for r in sf.roots):
         total = sum((Fraction(r.jump) * (1 - 2 * r.angle) for r in sf.roots),
                     Fraction(0))
-        return Rho0Value.of_exact(total)
+        return RhoExpr(total, total)
     budget = budget if budget is not None else precision_budget()
     roots = list(sf.roots)
     iters = 30
@@ -654,7 +654,7 @@ def rho0_from_signature(sf: SignatureFunction,
             lo_sum += c_lo
             hi_sum += c_hi
         if hi_sum - lo_sum <= budget:
-            return Rho0Value.of_interval(lo_sum, hi_sum)
+            return RhoExpr(lo_sum, hi_sum)
         roots = [CircleRoot(r.angle,
                             refine_interval(r.factor, r.x_interval,
                                             (r.x_interval[1] - r.x_interval[0]) / 4

@@ -15,7 +15,6 @@ from rhoslice.almodule import (
 )
 from rhoslice.blanchfield import LinkingForm
 from rhoslice.linalg import PolyMatrix, poly_mat_apply, poly_mat_identity
-from rhoslice.obstruction import RhoExpr
 from rhoslice.polyalg import (
     LaurentPoly,
     div_exact,
@@ -23,7 +22,7 @@ from rhoslice.polyalg import (
     inverse_mod,
     reduce_mod,
 )
-from rhoslice.seifert import SeifertMatrix
+from rhoslice.seifert import RhoExpr, SeifertMatrix
 
 
 def random_seifert(rng: random.Random, genus: int = 1,
@@ -61,6 +60,11 @@ def rho_of(const=0, **symbols) -> RhoExpr:
     c = Fraction(const)
     return RhoExpr(c, c, tuple(sorted((k, Fraction(v))
                                       for k, v in symbols.items() if v != 0)))
+
+
+def symbol(name: str) -> RhoExpr:
+    """The value of a companion known only by its symbol."""
+    return RhoExpr(coeffs=((name, Fraction(1)),))
 
 
 def prime_family(k: int, beta_sign: int = 1) -> dict:

@@ -14,7 +14,9 @@ workloads, read from `bench/workloads.py` under their own options, plus:
   both `--emit` choices, whichever of the two the workload ran.
 Each `--doc FILE` adds `info` and both `signature` runs of its knot; a
 document with a pattern adds `obstruct` with structured output, with
-`--cells` and with text output.
+`--cells`, with text output and in numeric mode.  The built-in documents of
+`builtin_documents` run the same way on every invocation: no workload has
+an interval companion, whose negation in the -tK block they compare.
 
 It prints one line per differing run and a count, and exits 1 when any run
 differs.  The file is not a test module: pytest does not collect it.
@@ -33,7 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
-from workloads import WORKLOADS, round_for  # noqa: E402
+from workloads import WORKLOADS, _signature_pool, round_for  # noqa: E402
 
 INFO = (("info", "--output", "structured"), ("info",))
 SIGNATURE = (("signature",), ("signature", "--emit", "table"))
@@ -50,6 +52,32 @@ def variants(command: str, options: tuple[str, ...], document: dict):
     return list(dict.fromkeys([(command, *options), *INFO, *SIGNATURE]))
 
 
+def builtin_documents() -> dict[str, dict]:
+    """9_46 documents with certified-interval companions: given as
+    `rho0_interval`, mixed with a symbol in a family of multiplicities 2
+    and -1, and computed from the benchmark's `g2-irrational` matrix."""
+    pattern = {"name": "9_46", "seifert": [[0, 1], [2, 0]],
+               "curves": [{"name": "alpha", "class": ["1", "0"]},
+                          {"name": "beta", "class": ["0", "1"]}]}
+    base = {"schema": "rhoslice.knot/1", "pattern": pattern}
+    irrational = dict(_signature_pool())["g2-irrational"]
+    return {
+        "interval-9_46": dict(base, companions={
+            "alpha": {"rho0_interval": ["1/5", "1/3"]},
+            "beta": {"rho0_interval": ["-2/7", "-1/7"]}}),
+        "interval-symbol-family": dict(base, knots={
+            "K1": {"companions": {"alpha": {"rho0_interval": ["1/4", "1/3"]},
+                                  "beta": {"symbol": "rB"}}},
+            "K2": {"companions": {"alpha": {"symbol": "rA"},
+                                  "beta": {"rho0_interval": ["-2/5",
+                                                             "-1/5"]}}}},
+            family=[{"knot": "K1", "multiplicity": 2},
+                    {"knot": "K2", "multiplicity": -1}]),
+        "g2-irrational-9_46": dict(base, companions={
+            "alpha": {"seifert": irrational}, "beta": {"symbol": "rB"}}),
+    }
+
+
 def cases(seeds, docs):
     """(name, document, argument list) for every run."""
     for workload in WORKLOADS:
@@ -57,13 +85,15 @@ def cases(seeds, docs):
             for op in round_for(workload, seed):
                 for argv in variants(op.command, op.options, op.document):
                     yield f"{workload}/{seed}/{op.label}", op.document, argv
-    for path in docs:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    documents = {path: json.loads(Path(path).read_text(encoding="utf-8"))
+                 for path in docs}
+    for name, document in {**builtin_documents(), **documents}.items():
         argvs = [*INFO, *SIGNATURE]
         if "pattern" in document:
-            argvs += variants("obstruct", ("--output", "structured"), document)
+            argvs += [*variants("obstruct", ("--output", "structured"),
+                                document), ("obstruct", "--mode", "numeric")]
         for argv in argvs:
-            yield str(path), document, argv
+            yield name, document, argv
 
 
 def run(src: Path, argv, path: Path, timeout: float):

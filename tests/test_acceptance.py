@@ -31,6 +31,7 @@ from rhoslice.obstruction import (
 from rhoslice.polyalg import LaurentPoly, equal_up_to_unit, factor_laurent
 from rhoslice.seifert import (
     PatternKnot,
+    RhoExpr,
     SeifertMatrix,
     connected_sum,
     knot_transform,
@@ -38,7 +39,7 @@ from rhoslice.seifert import (
     trefoil_left,
     trefoil_right,
 )
-from rhoslice.signatures import Rho0Value, lt_signature_at, rho0, signature_function
+from rhoslice.signatures import lt_signature_at, rho0, signature_function
 
 from conftest import (
     circle_point,
@@ -48,6 +49,7 @@ from conftest import (
     random_seifert,
     smith_with_u,
     snf_is_valid,
+    symbol,
 )
 from test_signatures import signature_via_charpoly
 from test_blanchfield import _random_element
@@ -156,12 +158,15 @@ def test_criterion_5_signatures():
         sf = signature_function(tr)
         assert [(r.angle, r.jump) for r in sf.roots] == [(Fraction(1, 6), -2)]
         assert sf.to_json()["jumps"] == [{"jump": -2, "theta": "1/6"}]
-        assert rho0(tr) == Rho0Value.of_exact(Fraction(-4, 3))
+        assert rho0(tr) == RhoExpr(Fraction(-4, 3), Fraction(-4, 3))
         # additivity, mirror, reverse: exact identities
-        assert rho0(connected_sum([tr, tr])).exact == Fraction(-8, 3)
-        assert rho0(knot_transform(tr, "mirror")).exact == Fraction(4, 3)
-        assert rho0(knot_transform(tr, "reverse")).exact == Fraction(-4, 3)
-        assert rho0(connected_sum([tr, trefoil_left()])).exact == 0
+        assert rho0(connected_sum([tr, tr])) == RhoExpr(Fraction(-8, 3),
+                                                        Fraction(-8, 3))
+        assert rho0(knot_transform(tr, "mirror")) == RhoExpr(Fraction(4, 3),
+                                                             Fraction(4, 3))
+        assert rho0(knot_transform(tr, "reverse")) == RhoExpr(Fraction(-4, 3),
+                                                              Fraction(-4, 3))
+        assert rho0(connected_sum([tr, trefoil_left()])) == RhoExpr(0, 0)
 
 
 def test_criterion_6_single_example(tmp_path, capsys):
@@ -207,8 +212,8 @@ def test_criterion_7_family(capsys):
         members = []
         for i, n in enumerate((1, -2, 3), start=1):
             K = InfectedKnot.build(pattern_9_46(), {
-                "alpha": Companion(f"rA{i}", Rho0Value.of_symbol(f"rA{i}")),
-                "beta": Companion(f"rB{i}", Rho0Value.of_symbol(f"rB{i}"))})
+                "alpha": Companion(f"rA{i}", symbol(f"rA{i}")),
+                "beta": Companion(f"rB{i}", symbol(f"rB{i}"))})
             members.append(FamilyMember(K, n))
         spec = FamilySpec(tuple(members), ("K1", "K2", "K3"))
         report = verify_obstructed(spec, 4, cells=True)
@@ -220,7 +225,7 @@ def test_criterion_7_family(capsys):
 
 def test_criterion_8_soundness_negatives():
     with timed("8 (soundness negatives)", 20.0):
-        r = Companion("r", Rho0Value.of_symbol("r"))
+        r = Companion("r", symbol("r"))
         equal = InfectedKnot.build(pattern_9_46(), {"alpha": r, "beta": r})
         rep = verify_obstructed(FamilySpec.single(equal), 2)
         assert rep.verdict == "INCONCLUSIVE"
@@ -233,7 +238,7 @@ def test_criterion_8_soundness_negatives():
         bad = PatternKnot.from_int_vectors(R946, {"gamma": (1, 1)},
                                            name="bad-curve")
         K = InfectedKnot.build(bad, {
-            "gamma": Companion("rG", Rho0Value.of_symbol("rG"))})
+            "gamma": Companion("rG", symbol("rG"))})
         with pytest.raises(ObstructionError):
             verify_obstructed(FamilySpec.single(K), 1)
 

@@ -21,10 +21,10 @@ from rhoslice.cli import (
 
 from rhoslice import signatures
 from rhoslice.obstruction import verify_obstructed
-from rhoslice.seifert import Rho0Value, SeifertMatrix
+from rhoslice.seifert import SeifertMatrix
 from rhoslice.signatures import rho0
 
-from conftest import random_seifert
+from conftest import random_seifert, rho_of, symbol
 
 K946_DOC = {
     "schema": "rhoslice.knot/1",
@@ -58,8 +58,10 @@ TREFOIL_DOC = {"schema": "rhoslice.knot/1", "seifert": [[-1, 1], [0, -1]]}
 
 
 def write_doc(tmp_path, doc, name="knot.json"):
+    """Write the document, or a string as the document's text."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc),
+                    encoding="utf-8")
     return str(path)
 
 
@@ -71,7 +73,7 @@ def test_companions_are_parsed_once(monkeypatch, tmp_path, capsys):
                                      "beta": {"seifert": [[-1, 1], [0, -1]]}})
     parsed = parse_document(doc)
     trefoil = SeifertMatrix([[-1, 1], [0, -1]])
-    assert parsed.companions == (("alpha", Rho0Value.of_exact(Fraction(1, 3))),
+    assert parsed.companions == (("alpha", rho_of(Fraction(1, 3))),
                                  ("beta", trefoil))
     want = rho0(trefoil)
 
@@ -83,11 +85,11 @@ def test_companions_are_parsed_once(monkeypatch, tmp_path, capsys):
         m.setattr(cli, "_parse_matrix", unreachable)
         m.setattr(cli, "_parse_rational", unreachable)
         knot = family_spec(parsed).members[0].knot
-    assert knot.companion("alpha") == ("alpha", Rho0Value.of_exact(
+    assert knot.companion("alpha") == ("alpha", rho_of(
         Fraction(1, 3)))
     assert knot.companion("beta") == ("beta", want)
     knot = family_spec(parse_document(K946_DOC)).members[0].knot
-    assert knot.companion("alpha") == ("rA", Rho0Value.of_symbol("rA"))
+    assert knot.companion("alpha") == ("rA", symbol("rA"))
     # only obstruct computes the signature integral of a companion
     monkeypatch.setattr(signatures, "rho0", unreachable)
     path = write_doc(tmp_path, doc)
@@ -292,6 +294,20 @@ def test_signature_command(tmp_path, capsys):
     assert "signature integral: -4/3" in out
 
 
+def test_signature_writes_an_interval_for_irrational_angles(tmp_path,
+                                                           capsys):
+    # the jump of [[1, 1], [2, 4]] sits at an irrational angle
+    path = write_doc(tmp_path, {"schema": "rhoslice.knot/1",
+                                "seifert": [[1, 1], [2, 4]]})
+    assert main(["signature", path]) == 0
+    value = json.loads(capsys.readouterr().out)["rho0"]
+    lo, hi = map(Fraction, value["interval"])
+    assert list(value) == ["interval"] and lo < hi
+    assert rho0(SeifertMatrix([[1, 1], [2, 4]])) == (lo, hi, ())
+    assert main(["signature", path, "--emit", "table"]) == 0
+    assert f"signature integral: [{lo}, {hi}]" in capsys.readouterr().out
+
+
 def test_signature_unknot(tmp_path, capsys):
     path = write_doc(tmp_path, {"schema": "rhoslice.knot/1", "seifert": []})
     assert main(["signature", path]) == 0
@@ -466,6 +482,15 @@ def with_alpha_class(entry):
      "companions.beta: bad rational '1e100000000'"),
     (with_companion({"rho0_interval": ["0", "1.5"]}), [],
      "companions.beta: bad rational '1.5'"),
+    # numbers beyond the default digit limit, which int() would read in
+    # time quadratic in their length (96 s and 6.2 s without the limit);
+    # the digits are not quoted
+    (dict(K946_DOC, companions={"alpha": {"rho0": "7" * 10 ** 6}}), [],
+     "companions.alpha: bad rational of 1000000 characters, over the "
+     "4300-digit limit"),
+    pytest.param('{"schema": "rhoslice.knot/1", "seifert": [[%s, 1], '
+                 '[0, -1]]}' % ("7" * 200000), [], "value has 200000 digits",
+                 id="integer-of-200000-digits"),
 ])
 def test_bad_input_exits_1_without_a_traceback(tmp_path, doc, argv, message):
     proc = subprocess.run(
@@ -475,6 +500,34 @@ def test_bad_input_exits_1_without_a_traceback(tmp_path, doc, argv, message):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert len(proc.stderr) < 1000
+
+
+@pytest.mark.parametrize("doc, message", [
+    # "0" and "00" name one exponent; the 1 would be dropped
+    (with_alpha_class({"coefficients": {"0": "1", "00": "5"}}),
+     "pattern.curves[0]: bad polynomial: two keys name one exponent"),
+    (with_alpha_class({"coefficients": {"1_0": "1"}}),
+     "pattern.curves[0]: bad polynomial: exponent '1_0' is not an integer"),
+    (with_alpha_class({"coefficients": {" 2": "1"}}),
+     "pattern.curves[0]: bad polynomial: exponent ' 2' is not an integer"),
+    (with_alpha_class({"coefficients": {"\u0663": "1"}}),
+     "pattern.curves[0]: bad polynomial: exponent '\u0663' is not an "
+     "integer"),
+    # json keeps the last of a repeated key; the first K1 would be dropped
+    pytest.param(json.dumps(FAMILY_DOC).replace(
+        '"knots": {', '"knots": {"K1": {"companions": {}}, ', 1),
+        "key 'K1' is repeated", id="knot-listed-twice"),
+    pytest.param(json.dumps(K946_DOC).replace(
+        '{', '{"schema": "rhoslice.knot/1", ', 1),
+        "key 'schema' is repeated", id="schema-twice"),
+])
+def test_keys_that_name_one_value_twice_are_refused(tmp_path, capsys, doc,
+                                                    message):
+    assert main(["obstruct", write_doc(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def float_family(alpha1, alpha2):

@@ -44,17 +44,17 @@ from rhoslice.obstruction import (
 )
 from rhoslice.polyalg import LaurentPoly, capelli_certified, factor_laurent
 from rhoslice.seifert import PatternKnot, SeifertMatrix, metabolizer_search, pattern_9_46, trefoil_right
-from rhoslice.signatures import Rho0Value
 
-from conftest import hyperbolic_form, prime_family, rho_of, verifiably_nonzero
+from conftest import (hyperbolic_form, prime_family, rho_of, symbol,
+                      verifiably_nonzero)
 
 T = LaurentPoly.var("t")
 
 
 def single_spec(alpha="rA", beta="rB"):
     K = InfectedKnot.build(pattern_9_46(), {
-        "alpha": Companion(alpha, Rho0Value.of_symbol(alpha)),
-        "beta": Companion(beta, Rho0Value.of_symbol(beta))})
+        "alpha": Companion(alpha, symbol(alpha)),
+        "beta": Companion(beta, symbol(beta))})
     return FamilySpec.single(K)
 
 
@@ -62,8 +62,8 @@ def family_spec(multiplicities=(1, -2, 3)):
     members = []
     for i, n in enumerate(multiplicities, start=1):
         K = InfectedKnot.build(pattern_9_46(), {
-            "alpha": Companion(f"rA{i}", Rho0Value.of_symbol(f"rA{i}")),
-            "beta": Companion(f"rB{i}", Rho0Value.of_symbol(f"rB{i}"))})
+            "alpha": Companion(f"rA{i}", symbol(f"rA{i}")),
+            "beta": Companion(f"rB{i}", symbol(f"rB{i}"))})
         members.append(FamilyMember(K, n))
     return FamilySpec(tuple(members),
                       tuple(f"K{i}" for i in range(1, len(members) + 1)))
@@ -73,30 +73,28 @@ def family_spec(multiplicities=(1, -2, 3)):
 
 
 def test_rhoexpr_canonical():
-    e = RhoExpr.zero().add_symbol("rB", Fraction(1)).add_symbol("rA", Fraction(-1))
+    e = symbol("rB") + -symbol("rA")
     assert e.coefficient("rA") == -1 and e.coefficient("rB") == 1
     assert verifiably_nonzero(e)
-    cancel = e.add_symbol("rA", Fraction(1)).add_symbol("rB", Fraction(-1))
+    cancel = e + symbol("rA") + -symbol("rB")
     assert cancel == RhoExpr.zero()
     assert not verifiably_nonzero(cancel)
 
 
 def test_rhoexpr_intervals():
-    e = RhoExpr.zero().add_value(Rho0Value.of_interval(
-        Fraction(-1, 10), Fraction(1, 10)), 1)
+    e = RhoExpr.zero() + RhoExpr(Fraction(-1, 10), Fraction(1, 10))
     assert not verifiably_nonzero(e)
-    e2 = RhoExpr.zero().add_value(Rho0Value.of_interval(
-        Fraction(1, 10), Fraction(2, 10)), 1)
+    e2 = RhoExpr.zero() + RhoExpr(Fraction(1, 10), Fraction(2, 10))
     assert verifiably_nonzero(e2)
-    e3 = e2.add_value(Rho0Value.of_interval(Fraction(1, 10), Fraction(2, 10)), -1)
+    e3 = e2 + -RhoExpr(Fraction(1, 10), Fraction(2, 10))
     assert not verifiably_nonzero(e3)
 
 
 def test_rhoexpr_str():
-    interval = Rho0Value.of_interval(Fraction(-1, 2), Fraction(1, 3))
-    assert str(RhoExpr.zero().add_value(interval, 1)) == "[-1/2, 1/3]"
-    assert str(rho_of(x=1).add_value(interval, 1)) == "x + [-1/2, 1/3]"
-    assert str(rho_of(x=-2).add_value(interval, -1)) == \
+    interval = RhoExpr(Fraction(-1, 2), Fraction(1, 3))
+    assert str(RhoExpr.zero() + interval) == "[-1/2, 1/3]"
+    assert str(rho_of(x=1) + interval) == "x + [-1/2, 1/3]"
+    assert str(rho_of(x=-2) + -interval) == \
         "-2*x + [-1/3, 1/2]"
     assert str(rho_of(Fraction(-1, 2), x=1, y=-3)) == "x - 3*y - 1/2"
     assert str(RhoExpr.zero()) == "0"
@@ -105,17 +103,39 @@ def test_rhoexpr_str():
 def random_rho(rng):
     kind = rng.choice(("symbol", "exact", "interval"))
     if kind == "symbol":
-        return Rho0Value.of_symbol(rng.choice(("ra", "rb", "rc")))
+        return symbol(rng.choice(("ra", "rb", "rc")))
     v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     if kind == "exact":
-        return Rho0Value.of_exact(v)
-    return Rho0Value.of_interval(v, v + Fraction(rng.randint(0, 3), 4))
+        return RhoExpr(v, v)
+    return RhoExpr(v, v + Fraction(rng.randint(0, 3), 4))
+
+
+def add_value(expr, rho, sign):
+    """expr + sign * rho by the kind of the companion value rho: a symbol
+    adds sign to its coefficient, an exact value sign * v to both ends, an
+    interval its ends, swapped and negated when sign < 0.  The dispatch the
+    engine ran before a companion's value was a RhoExpr, kept as the oracle
+    for + and unary -."""
+    if rho.coeffs:
+        (name, one), = rho.coeffs
+        assert one == 1
+        d = dict(expr.coeffs)
+        d[name] = d.get(name, Fraction(0)) + sign
+        return RhoExpr(expr.const_lo, expr.const_hi,
+                       tuple(sorted((k, v) for k, v in d.items() if v != 0)))
+    if rho.const_lo == rho.const_hi:
+        v = sign * rho.const_lo
+        return RhoExpr(expr.const_lo + v, expr.const_hi + v, expr.coeffs)
+    lo, hi = rho.const_lo, rho.const_hi
+    if sign < 0:
+        lo, hi = -hi, -lo
+    return RhoExpr(expr.const_lo + lo, expr.const_hi + hi, expr.coeffs)
 
 
 def chained(values):
     expr = RhoExpr.zero()
     for rho, sign in values:
-        expr = expr.add_value(rho, sign)
+        expr = add_value(expr, rho, sign)
     return expr
 
 
@@ -130,6 +150,18 @@ def test_rhoexpr_add_agrees_with_add_value():
         values = random_values(rng)
         cut = rng.randint(0, len(values))
         assert chained(values[:cut]) + chained(values[cut:]) == chained(values)
+
+
+def test_signed_values_add_as_the_value_dispatch():
+    # the engine adds a companion's value, or its negation for a -1 block
+    rng = random.Random(7003)
+    for _ in range(300):
+        expr = chained(random_values(rng))
+        rho, sign = random_rho(rng), rng.choice((1, -1))
+        assert expr + (rho if sign > 0 else -rho) == add_value(expr, rho,
+                                                                sign)
+        assert -rho == add_value(RhoExpr.zero(), rho, -1)
+        assert -(-expr) == expr
 
 
 def test_rhoexpr_add_commutative_and_associative():
@@ -147,10 +179,8 @@ def test_rhoexpr_add_cancels_and_adds_interval_ends():
     assert total.coeffs == (("rB", Fraction(-1)), ("rC", Fraction(1, 3)))
     assert total.const_lo == total.const_hi == 0
     assert a + rho_of(-1, rA=-2, rB=1) == RhoExpr.zero()
-    i = RhoExpr.zero().add_value(
-        Rho0Value.of_interval(Fraction(-1, 10), Fraction(3, 10)), 1)
-    j = RhoExpr.zero().add_value(
-        Rho0Value.of_interval(Fraction(1, 5), Fraction(1, 2)), -1)
+    i = RhoExpr.zero() + RhoExpr(Fraction(-1, 10), Fraction(3, 10))
+    j = RhoExpr.zero() + -RhoExpr(Fraction(1, 5), Fraction(1, 2))
     assert ((i + j).const_lo, (i + j).const_hi) == \
         (Fraction(-3, 5), Fraction(1, 10))
 
@@ -335,8 +365,8 @@ def test_numeric_mode_requires_values():
 
 def test_numeric_cancellation():
     K = InfectedKnot.build(pattern_9_46(), {
-        "alpha": Companion("J", Rho0Value.of_exact(Fraction(2, 3))),
-        "beta": Companion("J", Rho0Value.of_exact(Fraction(2, 3)))})
+        "alpha": Companion("J", rho_of(Fraction(2, 3))),
+        "beta": Companion("J", rho_of(Fraction(2, 3)))})
     spec = FamilySpec.single(K)
     vals = [evaluate_rho(spec, p, 1, mode="numeric")
             for p in admissible_patterns(spec, 1)]
@@ -366,7 +396,7 @@ def test_bad_curve_self_pairing_raises():
     V = SeifertMatrix([[0, 1], [2, 0]])
     bad = PatternKnot.from_int_vectors(V, {"gamma": (1, 1)}, name="bad")
     K = InfectedKnot.build(bad, {
-        "gamma": Companion("rG", Rho0Value.of_symbol("rG"))})
+        "gamma": Companion("rG", symbol("rG"))})
     with pytest.raises(ObstructionError, match="does not extend"):
         verify_obstructed(FamilySpec.single(K), 1)
 
@@ -375,7 +405,7 @@ def test_non_slice_pattern_raises():
     tp = PatternKnot.from_int_vectors(trefoil_right(), {"c1": (1, 0)},
                                       name="trefoil")
     K = InfectedKnot.build(tp, {
-        "c1": Companion("rT", Rho0Value.of_symbol("rT"))})
+        "c1": Companion("rT", symbol("rT"))})
     with pytest.raises(ObstructionError, match="metabolizer"):
         verify_obstructed(FamilySpec.single(K), 1)
 
@@ -438,8 +468,8 @@ def test_each_block_pattern_is_built_once_per_call(monkeypatch):
         name="P2")
     members = list(family_spec((1, -2, 3)).members) + [FamilyMember(
         InfectedKnot.build(p2, {
-            "alpha": Companion("rC", Rho0Value.of_symbol("rC")),
-            "beta": Companion("rD", Rho0Value.of_symbol("rD"))}), 2)]
+            "alpha": Companion("rC", symbol("rC")),
+            "beta": Companion("rD", symbol("rD"))}), 2)]
     spec = FamilySpec(tuple(members), ("K1", "K2", "K3", "K4"))
     patterns = {pattern_9_46(), pattern_9_46().transform("inverse"), p2,
                 p2.transform("inverse")}
@@ -501,9 +531,9 @@ def test_symbolic_numeric_consistency():
     for i, n in enumerate((1, -1), start=1):
         K = InfectedKnot.build(pattern_9_46(), {
             "alpha": Companion(f"rA{i}",
-                               Rho0Value.of_exact(stand_ins[f"rA{i}"])),
+                               rho_of(stand_ins[f"rA{i}"])),
             "beta": Companion(f"rB{i}",
-                              Rho0Value.of_exact(stand_ins[f"rB{i}"]))})
+                              rho_of(stand_ins[f"rB{i}"]))})
         members.append(FamilyMember(K, n))
     numeric = verify_obstructed(FamilySpec(tuple(members)), 2, mode="numeric")
     symbolic = verify_obstructed(family_spec((1, -1)), 2, mode="symbolic")
@@ -512,9 +542,9 @@ def test_symbolic_numeric_consistency():
 
 def test_interval_through_zero_is_inconclusive():
     K = InfectedKnot.build(pattern_9_46(), {
-        "alpha": Companion("JA", Rho0Value.of_interval(Fraction(-1, 100),
+        "alpha": Companion("JA", RhoExpr(Fraction(-1, 100),
                                                        Fraction(1, 100))),
-        "beta": Companion("JB", Rho0Value.of_interval(Fraction(-1, 100),
+        "beta": Companion("JB", RhoExpr(Fraction(-1, 100),
                                                       Fraction(1, 100)))})
     report = verify_obstructed(FamilySpec.single(K), 1, mode="numeric")
     assert report.verdict == "INCONCLUSIVE"
@@ -527,14 +557,14 @@ def test_other_patterns_and_mixed_family():
     p2 = PatternKnot.from_int_vectors(V2, {"alpha": (1, 0), "beta": (0, 1)},
                                       name="p23")
     K2 = InfectedKnot.build(p2, {
-        "alpha": Companion("sA", Rho0Value.of_symbol("sA")),
-        "beta": Companion("sB", Rho0Value.of_symbol("sB"))})
+        "alpha": Companion("sA", symbol("sA")),
+        "beta": Companion("sB", symbol("sB"))})
     rep = verify_obstructed(FamilySpec.single(K2), 3)
     assert rep.verdict == "OBSTRUCTED" and rep.uniform_in_c
 
     K1 = InfectedKnot.build(pattern_9_46(), {
-        "alpha": Companion("rA", Rho0Value.of_symbol("rA")),
-        "beta": Companion("rB", Rho0Value.of_symbol("rB"))})
+        "alpha": Companion("rA", symbol("rA")),
+        "beta": Companion("rB", symbol("rB"))})
     mix = FamilySpec((FamilyMember(K1, 1), FamilyMember(K2, -1)), ("K1", "K2"))
     repm = verify_obstructed(mix, 2)
     assert repm.verdict == "OBSTRUCTED"
@@ -552,7 +582,7 @@ def test_bad_inputs():
         FamilyMember(InfectedKnot.build(pattern_9_46(), {}), 0)
     with pytest.raises(ObstructionError):
         InfectedKnot.build(pattern_9_46(), {
-            "delta": Companion("x", Rho0Value.of_symbol("x"))})
+            "delta": Companion("x", symbol("x"))})
 
 
 # -- the sweep against the one-companion-at-a-time oracle ---------------------------
@@ -877,13 +907,13 @@ def random_companion(rng, kinds):
     kind = rng.choice(kinds)
     if kind == "symbol":
         name = rng.choice(("ra", "rb", "rc"))
-        return Companion(name, Rho0Value.of_symbol(name))
+        return Companion(name, symbol(name))
     if kind == "trivial":
         return None
     v = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5)))
     if kind == "exact":
-        return Companion("J", Rho0Value.of_exact(v))
-    return Companion("I", Rho0Value.of_interval(
+        return Companion("J", rho_of(v))
+    return Companion("I", RhoExpr(
         v, v + Fraction(rng.randint(0, 2), 100)))
 
 
@@ -992,29 +1022,23 @@ def test_single_copy_cells_match_oracle_in_order(mode):
         assert all(set(cell.counts) <= {0, 1} for cell in report.cells)
 
 
-def negated_rho(rho):
-    if rho.kind == "exact":
-        return Rho0Value.of_exact(-rho.exact)
-    return Rho0Value.of_interval(-rho.interval[1], -rho.interval[0])
-
-
 def merging_family(rng):
     """A 9_46 family of up to four members and five copies whose slot types
     share expressions: companions come from small pools of symbols, exact
     values and intervals of both signs, so that types of different members
     coincide, and a member that carries a on alpha and -a on beta gives
     its K and -tK types one expression in each class."""
-    pool = [Rho0Value.of_symbol("ra"), Rho0Value.of_symbol("rb"),
-            Rho0Value.of_exact(Fraction(1, 3)),
-            Rho0Value.of_exact(Fraction(-1, 2)),
-            Rho0Value.of_interval(Fraction(1, 5), Fraction(1, 4)),
-            Rho0Value.of_interval(Fraction(-1, 10), Fraction(1, 10))]
+    pool = [symbol("ra"), symbol("rb"),
+            rho_of(Fraction(1, 3)),
+            rho_of(Fraction(-1, 2)),
+            RhoExpr(Fraction(1, 5), Fraction(1, 4)),
+            RhoExpr(Fraction(-1, 10), Fraction(1, 10))]
     members, left = [], rng.randint(2, 5)
     while left:
         n = rng.randint(1, min(left, 3))
         left -= n
         alpha = rng.choice(pool)
-        beta = (negated_rho(alpha) if alpha.kind != "symbol"
+        beta = (-alpha if not alpha.coeffs
                 and rng.random() < 0.4 else rng.choice(pool))
         K = InfectedKnot.build(pattern_9_46(), {
             "alpha": Companion("A", alpha), "beta": Companion("B", beta)})
@@ -1304,7 +1328,7 @@ def test_numeric_symbol_error_matches_oracle():
     rng = random.Random(7300)
     for _ in range(6):
         spec = random_family(rng, 3, ("symbol", "exact", "interval"))
-        if not any(comp.rho.kind == "symbol" for m in spec.members
+        if not any(comp.rho.coeffs for m in spec.members
                    for _, comp in m.knot.infections):
             continue
         with pytest.raises(ObstructionError, match="numeric") as got:
@@ -1413,7 +1437,7 @@ def test_refused_certificate_without_slots_is_inconclusive():
                                          name="trefoil")
     for pattern, curve in ((trivial, "alpha"), (quiet, "c1")):
         spec = FamilySpec.single(InfectedKnot.build(
-            pattern, {curve: Companion("rA", Rho0Value.of_symbol("rA"))}))
+            pattern, {curve: Companion("rA", symbol("rA"))}))
         report = verify_obstructed(spec, 3)
         assert (report.verdict, report.cells, report.uniform_in_c) == \
             ("INCONCLUSIVE", (), False)
@@ -1496,8 +1520,8 @@ def test_large_coefficient_pattern_runs_in_seconds():
         SeifertMatrix([[0, p], [p + 1, 0]]), {"alpha": (1, 0), "beta": (0, 1)},
         name="P")
     spec = FamilySpec.single(InfectedKnot.build(pattern, {
-        "alpha": Companion("rA", Rho0Value.of_symbol("rA")),
-        "beta": Companion("rB", Rho0Value.of_symbol("rB"))}))
+        "alpha": Companion("rA", symbol("rA")),
+        "beta": Companion("rB", symbol("rB"))}))
     start = time.perf_counter()
     for c_max in (1, 12):
         report = verify_obstructed(spec, c_max)

@@ -19,15 +19,17 @@ from rhoslice.obstruction import (
 )
 from rhoslice.polyalg import LaurentPoly
 from rhoslice.seifert import PatternKnot, SeifertError, pattern_9_46, trefoil_right
-from rhoslice.signatures import Rho0Value, SignatureError, SignatureFunction, signature_function
+from rhoslice.signatures import SignatureError, SignatureFunction, signature_function
+
+from conftest import rho_of, symbol
 
 S = LaurentPoly.var("s")
 
 
 def knot():
     return InfectedKnot.build(pattern_9_46(), {
-        "alpha": Companion("rA", Rho0Value.of_symbol("rA")),
-        "beta": Companion("rB", Rho0Value.of_exact(1))})
+        "alpha": Companion("rA", symbol("rA")),
+        "beta": Companion("rB", rho_of(1))})
 
 
 def summand(label):

@@ -3,10 +3,11 @@ import itertools
 import pytest
 
 from rhoslice import seifert
+from rhoslice.obstruction import Companion, InfectedKnot, ObstructionError
 from rhoslice.polyalg import LaurentPoly, equal_up_to_unit
 from rhoslice.seifert import (
     PatternKnot,
-    Rho0Value,
+    RhoExpr,
     SeifertError,
     SeifertMatrix,
     alexander_polynomial,
@@ -223,9 +224,12 @@ def test_builtin_pattern():
 
 
 def test_rho0_value_refuses_an_empty_interval():
-    # the record lives with the knots, so a companion's value needs no
-    # signature code; its error is the seifert layer's
-    assert Rho0Value.of_interval(0, 0) == Rho0Value("interval",
-                                                    interval=(0, 0))
-    with pytest.raises(SeifertError, match="empty interval"):
-        Rho0Value.of_interval(1, 0)
+    # every companion enters the engine through InfectedKnot.build, so an
+    # inverted interval, which could make a cell look nonzero, stops there
+    for curve in ("alpha", "beta"):
+        with pytest.raises(ObstructionError, match="empty interval"):
+            InfectedKnot.build(pattern_9_46(),
+                               {curve: Companion("J", RhoExpr(1, -1))})
+        knot = InfectedKnot.build(pattern_9_46(),
+                                  {curve: Companion("J", RhoExpr(1, 1))})
+        assert knot.companion(curve) == ("J", RhoExpr(1, 1))

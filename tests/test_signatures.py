@@ -16,7 +16,6 @@ from rhoslice.seifert import (
     unknot,
 )
 from rhoslice.signatures import (
-    Rho0Value,
     SignatureError,
     _cos_enclosure,
     _cyclotomic_index,
@@ -40,6 +39,7 @@ from conftest import (
     eval_gaussian,
     lt_hermitian,
     random_seifert,
+    rho_of,
 )
 
 R946 = SeifertMatrix([[0, 1], [2, 0]])
@@ -248,12 +248,12 @@ def test_jump_locations_are_alexander_roots():
 
 
 def test_rho0_spec_values():
-    assert rho0(trefoil_right()) == Rho0Value.of_exact(Fraction(-4, 3))
-    assert rho0(trefoil_left()) == Rho0Value.of_exact(Fraction(4, 3))
-    assert rho0(unknot()) == Rho0Value.of_exact(0)
+    assert rho0(trefoil_right()) == rho_of(Fraction(-4, 3))
+    assert rho0(trefoil_left()) == rho_of(Fraction(4, 3))
+    assert rho0(unknot()) == rho_of(0)
     granny = connected_sum([trefoil_right(), trefoil_right()])
-    assert rho0(granny) == Rho0Value.of_exact(Fraction(-8, 3))
-    assert rho0(R946) == Rho0Value.of_exact(0)
+    assert rho0(granny) == rho_of(Fraction(-8, 3))
+    assert rho0(R946) == rho_of(0)
 
 
 def test_rho0_identities(rng):
@@ -261,36 +261,36 @@ def test_rho0_identities(rng):
         V = random_seifert(rng)
         W = random_seifert(rng)
         rv, rw = rho0(V), rho0(W)
-        if rv.kind != "exact" or rw.kind != "exact":
+        if rv.const_lo != rv.const_hi or rw.const_lo != rw.const_hi:
             continue
-        assert rho0(knot_transform(V, "mirror")).exact == -rv.exact
-        assert rho0(knot_transform(V, "reverse")).exact == rv.exact
-        assert rho0(connected_sum([V, W])).exact == rv.exact + rw.exact
+        assert rho0(knot_transform(V, "mirror")) == -rv
+        assert rho0(knot_transform(V, "reverse")) == rv
+        assert rho0(connected_sum([V, W])) == rv + rw
 
 
 def test_rho0_interval_certification():
     r = rho0(NONCYCLO)
-    assert r.kind == "interval"
-    lo, hi = r.interval
+    lo, hi = r.const_lo, r.const_hi
+    assert lo < hi and not r.coeffs
     assert hi - lo <= Fraction(1, 10 ** 6)
     # monotone refinement: tighter budget stays inside the looser interval
     tight = rho0(NONCYCLO, budget=Fraction(1, 10 ** 10))
-    assert lo <= tight.interval[0] and tight.interval[1] <= hi
+    assert lo <= tight.const_lo and tight.const_hi <= hi
     # reverse/mirror identities hold interval-wise
     rm = rho0(knot_transform(NONCYCLO, "mirror"))
-    assert rm.interval == (-hi, -lo)
+    assert (rm.const_lo, rm.const_hi) == (-hi, -lo)
     rr = rho0(knot_transform(NONCYCLO, "reverse"))
-    assert rr.interval[0] <= hi and lo <= rr.interval[1]
+    assert rr.const_lo <= hi and lo <= rr.const_hi
 
 
 def test_rho0_interval_additivity():
     both = connected_sum([NONCYCLO, trefoil_right()])
     r = rho0(both)
-    assert r.kind == "interval"
+    assert r.const_lo < r.const_hi
     single = rho0(NONCYCLO)
     shift = Fraction(-4, 3)
-    assert r.interval[0] <= single.interval[1] + shift
-    assert single.interval[0] + shift <= r.interval[1]
+    assert r.const_lo <= single.const_hi + shift
+    assert single.const_lo + shift <= r.const_hi
 
 
 def test_precision_env(monkeypatch):
@@ -451,7 +451,7 @@ def test_rho0_matches_bisection_oracle(mp_iv, rng, monkeypatch):
                             mp_iv, a, b, iters))
     for sf, value in values:
         assert rho0_from_signature(sf) == value
-    assert sum(value.kind == "interval" for _, value in values) >= 12
+    assert sum(value.const_lo < value.const_hi for _, value in values) >= 12
 
 
 class _FrozenIV:

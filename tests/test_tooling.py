@@ -376,9 +376,10 @@ def test_public_names_resolve_and_records_pickle_in_a_fresh_process():
     # rhoslice.obstruction, which loads on first use
     spec = rhoslice.FamilySpec.single(rhoslice.InfectedKnot.build(
         rhoslice.pattern_9_46(),
-        {"alpha": rhoslice.Companion("rA", rhoslice.Rho0Value.of_symbol("rA")),
-         "beta": rhoslice.Companion("rB", rhoslice.Rho0Value.of_exact(
-             Fraction(-4, 3)))}))
+        {"alpha": rhoslice.Companion("rA", rhoslice.RhoExpr(
+            coeffs=(("rA", Fraction(1)),))),
+         "beta": rhoslice.Companion("rB", rhoslice.RhoExpr(
+             Fraction(-4, 3), Fraction(-4, 3)))}))
     report = rhoslice.verify_obstructed(spec, 1)
     script = (
         "import json, pickle, sys\n"
