@@ -18,8 +18,8 @@ import importlib.util
 import sys
 
 # the layers, registered below without compiling any of them
-_LAYERS = ("polyalg", "linalg", "seifert", "signatures", "almodule",
-           "blanchfield", "obstruction")
+_LAYERS = ("polyalg", "factor", "linalg", "seifert", "signatures",
+           "almodule", "blanchfield", "obstruction")
 
 # the public API: each layer's exported names
 _EXPORTS = {
@@ -28,11 +28,12 @@ _EXPORTS = {
                  "reduce_to_isotypic", "reverse_module", "smith_normal_form"),
     "blanchfield": ("LinkingForm", "annihilator_submodule", "blanchfield_form",
                     "is_self_annihilating"),
+    "factor": ("factor_laurent",),
     "obstruction": ("Companion", "FamilyMember", "FamilySpec", "InfectedKnot",
                     "ObstructionError", "ObstructionReport",
                     "verify_obstructed"),
     "polyalg": ("LaurentPoly", "PolyalgError", "equal_up_to_unit",
-                "factor_laurent", "gcd_laurent"),
+                "gcd_laurent"),
     "seifert": ("PatternKnot", "RhoExpr", "SeifertMatrix",
                 "alexander_polynomial", "connected_sum", "knot_transform",
                 "metabolizer_search", "pattern_9_46", "trefoil_left",

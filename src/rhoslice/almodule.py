@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import RhosliceError, linalg
+from .factor import factor_laurent
 from .linalg import PolyMatrix, poly_mat_apply, poly_mat_identity
 from .polyalg import (
     LaurentPoly,
@@ -37,7 +38,6 @@ from .polyalg import (
     div_exact,
     divides,
     equal_up_to_unit,
-    factor_laurent,
     gcd_laurent,
     inverse_mod,
     poly_divmod,

@@ -54,11 +54,12 @@ intervals (default 1/1000000).
 The package registers its layers lazily (see `rhoslice/__init__`), and
 this module reads their names at call time (`obstruction.verify_obstructed`)
 and never at import, so a command compiles only the layers it calls into:
-`signature` polyalg, linalg, seifert and signatures, `info` polyalg,
-linalg, seifert, almodule and blanchfield, and `obstruct` every layer but
-signatures, which computes the signature integral of a companion given by
-its Seifert matrix and is compiled only for such a companion.  `main`
-catches only `RhosliceError`, so an error loads no layer that did not run.
+`signature` polyalg, factor, linalg, seifert and signatures, `info`
+polyalg, factor, linalg, seifert, almodule and blanchfield, and `obstruct`
+every layer but signatures, which computes the signature integral of a
+companion given by its Seifert matrix and is compiled only for such a
+companion.  `main` catches only `RhosliceError`, so an error loads no layer
+that did not run.
 """
 
 from __future__ import annotations
@@ -78,6 +79,10 @@ SCHEMA = "rhoslice.knot/1"
 # Largest |exponent| in a curve class: reducing a class modulo its
 # summand's annihilator costs about the square of its exponents.
 MAX_CURVE_EXPONENT = 1000
+# Longest key or rational an error message quotes; a longer one is named by
+# its length.  No number in a document may have more than DIGIT_LIMIT digits.
+MAX_QUOTED = 80
+DIGIT_LIMIT = sys.int_info.default_max_str_digits
 
 
 class DocumentError(RhosliceError):
@@ -129,16 +134,22 @@ def _parse_matrix(data, where: str) -> seifert.SeifertMatrix:
         raise DocumentError(f"{where}: {exc}") from exc
 
 
+def _quoted(value) -> str:
+    """repr(value), or the length of its text past MAX_QUOTED characters."""
+    size = len(str(value))
+    return repr(value) if size <= MAX_QUOTED else f"of {size} characters"
+
+
 def _parse_rational(value, where: str) -> Fraction:
     _require(not isinstance(value, (bool, float)), where,
              f"{value!r} is not exact; write a rational as a \"p/q\" string")
     try:
         return polyalg.as_fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        size, limit = len(str(value)), sys.int_info.default_max_str_digits
-        shown = (f"of {size} characters, over the {limit}-digit limit"
-                 if size > limit else repr(value))
-        raise DocumentError(f"{where}: bad rational {shown}") from exc
+        over = (f", over the {DIGIT_LIMIT}-digit limit"
+                if len(str(value)) > DIGIT_LIMIT else "")
+        raise DocumentError(
+            f"{where}: bad rational {_quoted(value)}{over}") from exc
 
 
 def _parse_poly(data, where: str) -> polyalg.LaurentPoly:
@@ -150,8 +161,11 @@ def _parse_poly(data, where: str) -> polyalg.LaurentPoly:
     try:
         for e in coeffs:
             if not re.fullmatch("[+-]?[0-9]+", e):
-                raise ValueError(f"exponent {e!r} is not an integer")
-        terms = {int(e): _parse_rational(c, f"exponent {e}")
+                raise ValueError(f"exponent {_quoted(e)} is not an integer")
+            if len(e.lstrip("+-")) > DIGIT_LIMIT:
+                raise ValueError(f"exponent {_quoted(e)}, over the "
+                                 f"{DIGIT_LIMIT}-digit limit")
+        terms = {int(e): _parse_rational(c, f"exponent {_quoted(int(e))}")
                  for e, c in coeffs.items()}
         if len(terms) < len(coeffs):
             raise ValueError("two keys name one exponent")
@@ -159,7 +173,8 @@ def _parse_poly(data, where: str) -> polyalg.LaurentPoly:
         raise DocumentError(f"{where}: bad polynomial: {exc}") from exc
     top = max(map(abs, terms), default=0)
     _require(top <= MAX_CURVE_EXPONENT, where,
-             f"exponent {top} exceeds MAX_CURVE_EXPONENT = {MAX_CURVE_EXPONENT}")
+             f"exponent {_quoted(top)} exceeds MAX_CURVE_EXPONENT = "
+             f"{MAX_CURVE_EXPONENT}")
     return polyalg.LaurentPoly(terms, "s")
 
 
@@ -298,15 +313,25 @@ def _unique_keys(pairs) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"key {key!r} is repeated")
+            raise ValueError(f"key {_quoted(key)} is repeated")
         obj[key] = value
     return obj
+
+
+def _parse_int(text: str) -> int:
+    """A JSON integer, refused past DIGIT_LIMIT digits before int() reads it."""
+    digits = len(text) - text.startswith("-")
+    if digits > DIGIT_LIMIT:
+        raise ValueError(f"a number exceeds the document's {DIGIT_LIMIT}-"
+                         f"digit limit: the value has {digits} digits")
+    return int(text)
 
 
 def load_document(path: str) -> KnotDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, object_pairs_hook=_unique_keys)
+            data = json.load(fh, object_pairs_hook=_unique_keys,
+                             parse_int=_parse_int)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -314,7 +339,8 @@ def load_document(path: str) -> KnotDocument:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
     except ValueError as exc:
-        # a repeated key, or an integer beyond the digit limit
+        # a repeated key, an integer beyond the digit limit, or bytes that
+        # are not UTF-8
         raise DocumentError(f"{path}: {exc}") from exc
     return parse_document(data)
 
@@ -514,7 +540,7 @@ def main(argv=None) -> int:
     try:
         # int() takes time quadratic in the digits: a document's numbers
         # keep the default limit, which exact coefficients outgrow
-        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        sys.set_int_max_str_digits(DIGIT_LIMIT)
         doc = load_document(args.file)
         sys.set_int_max_str_digits(0)
         code = args.func(doc, args)

@@ -91,7 +91,8 @@ from typing import NamedTuple
 from . import RhosliceError, signatures
 from .almodule import ModuleElement, Summand, reduce_to_isotypic
 from .blanchfield import LinkingForm, blanchfield_form
-from .polyalg import LaurentPoly, _poly_sort_key, capelli_certified, divides
+from .factor import capelli_certified
+from .polyalg import LaurentPoly, _poly_sort_key, divides
 from .seifert import PatternKnot, RhoExpr, SeifertMatrix, metabolizer_search
 
 # Count vectors the sweep evaluates in one isotypic class: as many as the

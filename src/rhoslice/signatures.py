@@ -36,8 +36,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import RhosliceError
-from .polyalg import (LaurentPoly, as_fraction, cyclotomic, factor_laurent,
-                      poly_divmod)
+from .factor import cyclotomic, factor_laurent
+from .polyalg import LaurentPoly, as_fraction, poly_divmod
 from .seifert import RhoExpr, SeifertMatrix, alexander_polynomial
 
 PRECISION_ENV = "RHOSLICE_PRECISION"
@@ -352,6 +352,8 @@ _NIVEN_X = {Fraction(1, 6): Fraction(1), Fraction(1, 4): Fraction(0),
 _GUARD = 16
 
 
+# one entry per precision of _cos_enclosure, of which there are a few dozen
+@lru_cache(maxsize=64)
 def _pi_bounds(bits: int) -> tuple[int, int]:
     """Integers lo <= pi * 2^bits <= hi, by Machin's formula
     pi = 16 atan(1/5) - 4 atan(1/239)."""

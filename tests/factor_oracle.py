@@ -8,24 +8,26 @@ for a*v^n - b, cyclotomic recognition up to index 120, and Kronecker's
 search with integer Newton interpolation.  General inputs are decided up to
 degree 8; past that, and when Kronecker's search space is too large, it
 raises `PolyalgError` naming its cap.  `factor(p)` has the output format of
-`polyalg.factor_laurent`.
+`factor.factor_laurent`.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+from rhoslice.factor import (
+    _cyclotomic_int,
+    _int_div_exact,
+    _nth_root_exact,
+    _rational_power_root,
+    _squarefree_parts,
+)
 from rhoslice.polyalg import (
     LaurentPoly,
     PolyalgError,
-    _cyclotomic_int,
-    _int_div_exact,
     _newton_interpolate,
-    _nth_root_exact,
     _poly_sort_key,
     _primitive,
-    _rational_power_root,
-    _squarefree_parts,
 )
 
 FACTOR_DEGREE_CAP = 8
@@ -230,7 +232,7 @@ def _factor_squarefree(p: LaurentPoly) -> list[LaurentPoly]:
 
 
 def factor(p: LaurentPoly) -> list[tuple[LaurentPoly, int]]:
-    """`polyalg.factor_laurent` on the old path."""
+    """`factor.factor_laurent` on the old path."""
     if p.is_zero():
         raise PolyalgError("cannot factor the zero polynomial")
     counts: dict[LaurentPoly, int] = {}

@@ -42,12 +42,11 @@ from rhoslice.obstruction import (
     RhoExpr,
     Slot,
 )
+from rhoslice.factor import capelli_certified, factor_laurent
 from rhoslice.polyalg import (
     LaurentPoly,
-    capelli_certified,
     div_exact,
     divides,
-    factor_laurent,
     inverse_mod,
     reduce_mod,
 )

@@ -28,7 +28,8 @@ from rhoslice.obstruction import (
     ObstructionError,
     verify_obstructed,
 )
-from rhoslice.polyalg import LaurentPoly, equal_up_to_unit, factor_laurent
+from rhoslice.factor import factor_laurent
+from rhoslice.polyalg import LaurentPoly, equal_up_to_unit
 from rhoslice.seifert import (
     PatternKnot,
     RhoExpr,

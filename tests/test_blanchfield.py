@@ -24,7 +24,8 @@ from rhoslice.blanchfield import (
     blanchfield_form,
     is_self_annihilating,
 )
-from rhoslice.polyalg import LaurentPoly, capelli_certified, gcd_laurent, reduce_mod
+from rhoslice.factor import capelli_certified
+from rhoslice.polyalg import LaurentPoly, gcd_laurent, reduce_mod
 from rhoslice.seifert import (
     PatternKnot,
     SeifertMatrix,

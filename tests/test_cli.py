@@ -20,8 +20,9 @@ from rhoslice.cli import (
 )
 
 from rhoslice import signatures
-from rhoslice.obstruction import verify_obstructed
-from rhoslice.seifert import SeifertMatrix
+from rhoslice.obstruction import (Companion, FamilyMember, FamilySpec,
+                                  InfectedKnot, verify_obstructed)
+from rhoslice.seifert import SeifertMatrix, pattern_9_46
 from rhoslice.signatures import rho0
 
 from conftest import random_seifert, rho_of, symbol
@@ -144,6 +145,9 @@ def test_load_document_diagnostics(tmp_path):
     path.write_text('{"schema": ', encoding="utf-8")
     with pytest.raises(DocumentError, match="line 1"):
         load_document(str(path))
+    path.write_bytes(b'{"schema": "\xff"}')
+    with pytest.raises(DocumentError, match="can't decode byte 0xff"):
+        load_document(str(path))
 
 
 # -- commands and exit codes ----------------------------------------------------
@@ -248,6 +252,28 @@ def test_obstruct_structured_deterministic(tmp_path, capsys):
     assert [t["certificate"] for t in data["slot_types"]] == [None, None]
     assert data["uniform_in_c"] is True
     assert data["audit"]
+
+
+def test_bare_assembly_decides_the_knot_without_its_reverse(tmp_path,
+                                                            capsys):
+    # "assembly": "bare" assembles K alone, not K # -tK
+    argv = ["obstruct", "--output", "structured"]
+    reports = {}
+    for assembly in ("bare", "difference-with-reverse"):
+        path = write_doc(tmp_path, dict(K946_DOC, assembly=assembly))
+        code = main([*argv, path])
+        reports[assembly] = json.loads(capsys.readouterr().out)
+        assert code == (0 if reports[assembly]["verdict"] == "OBSTRUCTED"
+                        else 2)
+    knot = InfectedKnot.build(pattern_9_46(), {
+        "alpha": Companion("rA", symbol("rA")),
+        "beta": Companion("rB", symbol("rB"))})
+    spec = FamilySpec((FamilyMember(knot, 1, with_reverse=False),), ("K",))
+    assert reports["bare"] == verify_obstructed(spec, 5).to_json()
+    blocks = {assembly: int(re.match(r"c=1: assembled (\d+) blocks",
+                                     report["audit"][0])[1])
+              for assembly, report in reports.items()}
+    assert blocks["bare"] < blocks["difference-with-reverse"]
 
 
 def test_text_verdict_names_the_complexities_decided(tmp_path, capsys):
@@ -491,6 +517,22 @@ def with_alpha_class(entry):
     pytest.param('{"schema": "rhoslice.knot/1", "seifert": [[%s, 1], '
                  '[0, -1]]}' % ("7" * 200000), [], "value has 200000 digits",
                  id="integer-of-200000-digits"),
+    # keys are quoted only up to a fixed length
+    pytest.param(json.dumps(K946_DOC).replace(
+        '{', '{"%s": 1, "%s": 2, ' % (("k" * 10 ** 6,) * 2), 1), [],
+        "key of 1000000 characters is repeated", id="long-repeated-key"),
+    pytest.param(with_alpha_class({"coefficients": {"x" * 10 ** 6: "1"}}), [],
+                 "exponent of 1000000 characters is not an integer",
+                 id="long-exponent-key"),
+    pytest.param(with_alpha_class({"coefficients": {"7" * 10 ** 6: "1"}}), [],
+                 "exponent of 1000000 characters, over the 4300-digit limit",
+                 id="exponent-key-of-1000000-digits"),
+    pytest.param(with_alpha_class({"coefficients": {"7" * 4000: "1"}}), [],
+                 "exponent of 4000 characters exceeds MAX_CURVE_EXPONENT",
+                 id="exponent-key-of-4000-digits"),
+    pytest.param(with_alpha_class({"coefficients": {"7" * 4000: "x"}}), [],
+                 "exponent of 4000 characters: bad rational 'x'",
+                 id="exponent-key-of-4000-digits-and-a-bad-value"),
 ])
 def test_bad_input_exits_1_without_a_traceback(tmp_path, doc, argv, message):
     proc = subprocess.run(
@@ -501,6 +543,23 @@ def test_bad_input_exits_1_without_a_traceback(tmp_path, doc, argv, message):
     assert proc.stderr.startswith("error: ")
     assert message in proc.stderr and "Traceback" not in proc.stderr
     assert len(proc.stderr) < 1000
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_a_number_past_the_digit_limit_is_reported_against_it(tmp_path,
+                                                              capsys, sign):
+    # the message names the document's limit, not the interpreter call
+    # that would raise it
+    path = write_doc(tmp_path, '{"schema": "rhoslice.knot/1", "seifert": '
+                     '[[%s%s, 1], [0, -1]]}' % (sign, "7" * 4301))
+    assert main(["info", path]) == 1
+    err = capsys.readouterr().err
+    assert "exceeds the document's 4300-digit limit" in err
+    assert "4301 digits" in err and "sys." not in err
+    # a number at the limit is read
+    write_doc(tmp_path, '{"schema": "rhoslice.knot/1", "seifert": '
+              '[[%s%s, 1], [0, -1]]}' % (sign, "7" * 4300))
+    assert main(["signature", path]) == 0
 
 
 @pytest.mark.parametrize("doc, message", [

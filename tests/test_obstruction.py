@@ -42,7 +42,8 @@ from rhoslice.obstruction import (
     _unit_coordinate,
     verify_obstructed,
 )
-from rhoslice.polyalg import LaurentPoly, capelli_certified, factor_laurent
+from rhoslice.factor import capelli_certified, factor_laurent
+from rhoslice.polyalg import LaurentPoly
 from rhoslice.seifert import PatternKnot, SeifertMatrix, metabolizer_search, pattern_9_46, trefoil_right
 
 from conftest import (hyperbolic_form, prime_family, rho_of, symbol,

@@ -9,16 +9,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rhoslice import polyalg
+from rhoslice import factor, polyalg
 from rhoslice.almodule import FracCoset, alexander_module, coset_reduce
+from rhoslice.factor import cyclotomic, factor_laurent
 from rhoslice.polyalg import (
     LaurentPoly,
     PolyalgError,
-    cyclotomic,
     div_exact,
     divides,
     equal_up_to_unit,
-    factor_laurent,
     gcd_laurent,
     inverse_mod,
     reduce_mod,
@@ -355,13 +354,13 @@ def test_recombination_bound_is_checked_before_each_size(monkeypatch):
             drawn.append(size)
             yield subset
 
-    monkeypatch.setattr(polyalg, "itertools",
+    monkeypatch.setattr(factor, "itertools",
                         types.SimpleNamespace(combinations=combinations))
     assert factor_laurent(sd) == [(sd, 1)]
     full = len(drawn)  # 4 modular factors: 4 singles and 6 pairs
     assert sorted(set(drawn)) == [1, 2] and full == 4 + 6
     drawn.clear()
-    monkeypatch.setattr(polyalg, "FACTOR_RECOMBINATION_BOUND", full - 1)
+    monkeypatch.setattr(factor, "FACTOR_RECOMBINATION_BOUND", full - 1)
     with pytest.raises(PolyalgError,
                        match=r"FACTOR_RECOMBINATION_BOUND = 9 .*\(4 tried "
                              r"before size 2\)"):
@@ -504,10 +503,10 @@ def test_newton_interpolation_matches_lagrange_oracle():
 
 def test_int_div_exact():
     f = [-6, 1, 1]  # (t + 3)(t - 2)
-    assert polyalg._int_div_exact(f, [3, 1]) == [-2, 1]
-    assert polyalg._int_div_exact(f, [1, 1]) is None
-    assert polyalg._int_div_exact(f, [6, 2]) is None  # divides over Q only
-    assert polyalg._int_div_exact([-1, 0, 2], [-1, 1]) is None
+    assert factor._int_div_exact(f, [3, 1]) == [-2, 1]
+    assert factor._int_div_exact(f, [1, 1]) is None
+    assert factor._int_div_exact(f, [6, 2]) is None  # divides over Q only
+    assert factor._int_div_exact([-1, 0, 2], [-1, 1]) is None
 
 
 def test_rational_roots_list_each_divisor_set_once(monkeypatch):
@@ -566,15 +565,15 @@ def test_nth_root_exact_at_every_size():
         for base in bases + [rng.getrandbits(rng.randint(2, top))
                              for _ in range(20)]:
             n = base ** r
-            assert polyalg._nth_root_exact(n, r) == base
+            assert factor._nth_root_exact(n, r) == base
             if n > 1:
-                assert polyalg._nth_root_exact(n - 1, r) is None
-            assert polyalg._nth_root_exact(n + 1, r) is None or n == 0
-    assert polyalg._nth_root_exact((10 ** 20 + 7) ** 2, 2) == 10 ** 20 + 7
-    assert polyalg._nth_root_exact(10 ** 400, 2) == 10 ** 200
-    assert polyalg._nth_root_exact(10 ** 500, 5) == 10 ** 100
-    assert polyalg._nth_root_exact(10 ** 500 + 1, 5) is None
-    assert polyalg._nth_root_exact(-8, 3) is None
+                assert factor._nth_root_exact(n - 1, r) is None
+            assert factor._nth_root_exact(n + 1, r) is None or n == 0
+    assert factor._nth_root_exact((10 ** 20 + 7) ** 2, 2) == 10 ** 20 + 7
+    assert factor._nth_root_exact(10 ** 400, 2) == 10 ** 200
+    assert factor._nth_root_exact(10 ** 500, 5) == 10 ** 100
+    assert factor._nth_root_exact(10 ** 500 + 1, 5) is None
+    assert factor._nth_root_exact(-8, 3) is None
 
 
 def test_capelli_certificate_spec_values():
@@ -591,8 +590,8 @@ def test_capelli_certificate_spec_values():
         T * T - T + 1,    # nonlinear: no claim
         T * T - 2,
     ]
-    assert all(polyalg.capelli_certified(p) for p in certified)
-    assert not any(polyalg.capelli_certified(p) for p in refused)
+    assert all(factor.capelli_certified(p) for p in certified)
+    assert not any(factor.capelli_certified(p) for p in refused)
     # 4t - 1 splits at c = 2
     assert len(factor_laurent((4 * T - 1).subs_power(2))) == 2
 
@@ -614,7 +613,7 @@ def test_capelli_certificate_matches_sympy():
         irreducible = all(
             [k for _, k in sympy.Poly(a * x ** c - b, x).factor_list()[1]]
             == [1] for c in range(1, 31))
-        assert polyalg.capelli_certified(a * T - b) == irreducible, (a, b)
+        assert factor.capelli_certified(a * T - b) == irreducible, (a, b)
         refusals += not irreducible
     assert 10 <= refusals <= len(pairs) - 5
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rhoslice import signatures
-from rhoslice.polyalg import LaurentPoly, cyclotomic, divides, factor_laurent
+from rhoslice.factor import cyclotomic, factor_laurent
+from rhoslice.polyalg import LaurentPoly, divides
 from rhoslice.seifert import (
     SeifertMatrix,
     alexander_polynomial,
@@ -122,7 +123,7 @@ def inertia_via_charpoly(H):
     the zero count is the order of the root 0 of the characteristic
     polynomial, the others come from its square-free decomposition and
     Sturm counts."""
-    from rhoslice.polyalg import _squarefree_parts
+    from rhoslice.factor import _squarefree_parts
 
     p = char_poly(H)
     zero = next(i for i, c in enumerate(p) if c != 0)
@@ -379,6 +380,24 @@ def bisection_theta_enclosure(iv, a: Fraction, b: Fraction, iters: int):
         return lo, hi
 
     return locate(b)[0], locate(a)[1]
+
+
+def test_pi_bounds_bracket_pi():
+    # mpmath's interval pi at 300 bits when it imports; else math.pi, within
+    # 2^-51 of pi, at 50 bits
+    try:
+        import mpmath
+    except ImportError:
+        bits, eps = 50, Fraction(1, 2 ** 51)
+        ref_lo, ref_hi = Fraction(math.pi) - eps, Fraction(math.pi) + eps
+    else:
+        iv = mpmath.ctx_iv.MPIntervalContext()
+        iv.prec = bits = 300
+        ref_lo, ref_hi = _iv_to_fractions(iv.pi)
+    lo, hi = signatures._pi_bounds(bits)
+    assert Fraction(lo, 2 ** bits) <= ref_lo <= ref_hi <= Fraction(hi, 2 ** bits)
+    assert 0 < hi - lo < 2 ** signatures._GUARD
+    assert signatures._pi_bounds(bits) is signatures._pi_bounds(bits)
 
 
 def test_integer_cosine_contains_mpmath_enclosure(mp_iv, rng):

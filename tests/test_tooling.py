@@ -7,6 +7,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tokenize
 from fractions import Fraction
 from pathlib import Path
 
@@ -119,6 +120,25 @@ def unreferenced_definitions(public: bool, constants: bool = False) -> list[str]
     return found
 
 
+# Most tokens in one module.  A command's peak resident set follows the
+# parse of the largest module it compiles, at about 0.45 KB per token.
+MODULE_TOKEN_BUDGET = 4600
+
+
+def test_each_module_parses_within_the_token_budget():
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+               tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    sizes = {}
+    for path in sorted(SRC.glob("*.py")):
+        with path.open(encoding="utf-8") as fh:
+            sizes[path.name] = sum(
+                1 for token in tokenize.generate_tokens(fh.readline)
+                if token.type not in skipped)
+    assert "polyalg.py" in sizes
+    assert {name: n for name, n in sizes.items()
+            if n > MODULE_TOKEN_BUDGET} == {}
+
+
 def test_private_helpers_have_a_caller():
     # a module-level _helper that nothing in src/ refers to is dead code
     assert unreferenced_definitions(public=False) == []
@@ -200,6 +220,7 @@ def test_export_table_names_are_defined_in_their_layers():
     layers, exports = init_tables()
     assert set(layers) == {path.stem for path in SRC.glob("*.py")} - {
         "__init__", "cli"}
+    assert ("factor_laurent", "factor") in exports
     defined = {}
     for layer in layers:
         tree = ast.parse((SRC / f"{layer}.py").read_text(encoding="utf-8"))
@@ -318,20 +339,22 @@ def test_each_command_loads_only_its_layers(tmp_path):
                        encoding="utf-8")
     front = {"__init__", "cli"}
     algebra = front | {"polyalg", "linalg", "seifert"}
+    # the factoring layer, loaded by every layer that factors
+    factoring = algebra | {"factor"}
     # (argv, the modules that run, exit code)
     cases = [
         (["--import"], front, 0),
         (["--help"], front, 0),
-        (["signature", str(bare)], algebra | {"signatures"}, 0),
+        (["signature", str(bare)], factoring | {"signatures"}, 0),
         (["signature", str(bare), "--emit", "table"],
-         algebra | {"signatures"}, 0),
-        (["info", str(bare)], algebra | {"almodule", "blanchfield"}, 0),
+         factoring | {"signatures"}, 0),
+        (["info", str(bare)], factoring | {"almodule", "blanchfield"}, 0),
         (["info", str(bare), "--output", "structured"],
-         algebra | {"almodule", "blanchfield"}, 0),
+         factoring | {"almodule", "blanchfield"}, 0),
         # a pattern document's companions are parsed into values that
         # seifert defines
-        (["info", str(pattern)], algebra | {"almodule", "blanchfield"}, 0),
-        (["signature", str(pattern)], algebra | {"signatures"}, 0),
+        (["info", str(pattern)], factoring | {"almodule", "blanchfield"}, 0),
+        (["signature", str(pattern)], factoring | {"signatures"}, 0),
         # error exits load no layer that did not run
         (["info", str(tmp_path / "nosuch.json")], front, 1),
         (["info", str(invalid)], front, 1),
@@ -339,11 +362,11 @@ def test_each_command_loads_only_its_layers(tmp_path):
         (["obstruct", str(bare)], algebra, 1),
         # signatures only computes a companion's integral from its matrix
         (["obstruct", str(pattern)],
-         algebra | {"almodule", "blanchfield", "obstruction"}, 0),
+         factoring | {"almodule", "blanchfield", "obstruction"}, 0),
         (["obstruct", str(computed)], {path.stem for path in SRC.glob("*.py")},
          0),
     ]
-    assert len(cases[-1][1]) == 9
+    assert len(cases[-1][1]) == 10
     # compiled from source, then read from a bytecode cache that the first
     # obstruct run fills
     cache = tmp_path / "pycache"
@@ -357,7 +380,7 @@ def test_each_command_loads_only_its_layers(tmp_path):
                 [sys.executable, "-m", "rhoslice.cli", *cases[-1][0]],
                 cwd=tmp_path, env=env, capture_output=True, timeout=120,
                 check=True)
-            assert len(list(cache.rglob("*.pyc"))) >= 9
+            assert len(list(cache.rglob("*.pyc"))) >= 10
         for argv, layers, code in cases:
             proc = subprocess.run(
                 [sys.executable, "-c", RAN_PROBE, str(SRC), *argv],
