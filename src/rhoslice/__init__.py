@@ -19,15 +19,14 @@ import sys
 
 # the layers, registered below without compiling any of them
 _LAYERS = ("polyalg", "factor", "linalg", "seifert", "signatures",
-           "almodule", "blanchfield", "obstruction")
+           "almodule", "blanchfield", "submodule", "obstruction")
 
 # the public API: each layer's exported names
 _EXPORTS = {
-    "almodule": ("AlexanderModule", "FracCoset", "ModuleElement", "Submodule",
+    "almodule": ("AlexanderModule", "FracCoset", "ModuleElement",
                  "alexander_module", "coset_reduce", "direct_sum", "isotypic_decompose",
                  "reduce_to_isotypic", "reverse_module", "smith_normal_form"),
-    "blanchfield": ("LinkingForm", "annihilator_submodule", "blanchfield_form",
-                    "is_self_annihilating"),
+    "blanchfield": ("LinkingForm", "blanchfield_form"),
     "factor": ("factor_laurent",),
     "obstruction": ("Companion", "FamilyMember", "FamilySpec", "InfectedKnot",
                     "ObstructionError", "ObstructionReport",
@@ -40,6 +39,7 @@ _EXPORTS = {
                 "trefoil_right", "unknot"),
     "signatures": ("SignatureFunction", "lt_signature_at", "rho0",
                    "signature_function"),
+    "submodule": ("Submodule", "annihilator_submodule", "is_self_annihilating"),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items()
              for name in names}

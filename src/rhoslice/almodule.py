@@ -8,8 +8,7 @@ d_i into prime powers (CRT) gives the canonical decomposition stored in
 carries the pattern's curves through its row operations instead.
 
 Module elements are per-summand coordinates reduced modulo the summand
-annihilator.  Submodules are stored by generators; membership is linear
-algebra over Q on the finite basis {v^k * generator_i}.
+annihilator; submodules live in `rhoslice.submodule`.
 
 The quotient Q(v)/Q[v^{±1}], where the linking form takes its values, is
 represented by `FracCoset`: a reduced fraction num/den with deg(num) <
@@ -26,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import RhosliceError, linalg
+from . import RhosliceError
 from .factor import factor_laurent
 from .linalg import PolyMatrix, poly_mat_apply, poly_mat_identity
 from .polyalg import (
@@ -456,75 +455,6 @@ class ModuleElement(NamedTuple):
 
     def to_json(self):
         return [c.to_json() for c in self.coords]
-
-
-class Submodule:
-    """Q[v^{±1}]-submodule given by generators, with membership decided over
-    the finite Q-basis of the ambient torsion module."""
-
-    def __init__(self, ambient: AlexanderModule, generators):
-        self.ambient = ambient
-        self.generators = tuple(generators)
-        self._basis = None
-        self._pivots = None
-
-    @classmethod
-    def whole(cls, ambient: AlexanderModule) -> "Submodule":
-        """The ambient module itself; its reduced Q-basis is the standard
-        one, so no closure or row reduction is run."""
-        sub = cls(ambient, [ambient.generator(i) for i in range(ambient.rank)])
-        dim = ambient.dim_q()
-        sub._basis = [[Fraction(int(i == j)) for j in range(dim)]
-                      for i in range(dim)]
-        sub._pivots = list(range(dim))
-        return sub
-
-    def q_basis(self):
-        """Row-reduced Q-basis of the submodule (Krylov closure under v)."""
-        if self._basis is None:
-            dim = self.ambient.dim_q()
-            rows = []
-            for g in self.generators:
-                x = g
-                for _ in range(dim + 1):
-                    rows.append(x.q_coords())
-                    x = x.times_var()
-            self._basis, self._pivots = linalg.rref(rows) if rows else ([], [])
-        return self._basis
-
-    def dim_q(self) -> int:
-        return len(self.q_basis())
-
-    def is_zero(self) -> bool:
-        return self.dim_q() == 0
-
-    def contains(self, x: ModuleElement) -> bool:
-        return self._spans(x.q_coords())
-
-    def contains_submodule(self, other: "Submodule") -> bool:
-        return all(self._spans(row) for row in other.q_basis())
-
-    def _spans(self, vec) -> bool:
-        """True iff the Q-vector vec reduces to zero against the reduced
-        basis, whose rows are 1 at their pivot and 0 at the other pivots."""
-        for row, p in zip(self.q_basis(), self._pivots):
-            f = vec[p]
-            if f != 0:
-                vec = [a - f * r for a, r in zip(vec, row)]
-        return not any(vec)
-
-    def basis_elements(self) -> list[ModuleElement]:
-        return [self.ambient.from_q_coords(row) for row in self.q_basis()]
-
-    def __eq__(self, other):
-        if not isinstance(other, Submodule):
-            return NotImplemented
-        return (self.ambient == other.ambient
-                and self.contains_submodule(other)
-                and other.contains_submodule(self))
-
-    def __repr__(self):
-        return f"Submodule(dim_Q={self.dim_q()} of {self.ambient})"
 
 
 # ---------------------------------------------------------------------------

@@ -18,30 +18,25 @@ complement of the whole module is zero).  A form that fails any of these
 raises instead of existing.
 
 `LinkingForm.subs_power` applies v -> t^c to the summands and the Gram
-entries, without splitting any summand.  `annihilator_submodule` computes
-orthogonal complements by exact linear algebra over Q, from one linear
-functional: in Q[v]/(order), eps = the coefficient of v^(deg order - 1)
-makes eps(a * b) a nondegenerate pairing, so x is orthogonal to a
-submodule P exactly when eps(Bl(x, b)) = 0 for each vector b of a Q-basis
-of P.
+entries, without splitting any summand.  Orthogonal complements, which
+only the nonsingularity check of a module that is not cyclic needs, are
+in `rhoslice.submodule`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
-from . import RhosliceError, linalg
+from . import RhosliceError, submodule
 from .almodule import (
     AlexanderModule,
     Decomposition,
     FracCoset,
     ModuleElement,
-    Submodule,
     Summand,
     _decompose,
 )
-from .polyalg import LaurentPoly, div_exact, divides, reduce_mod
+from .polyalg import LaurentPoly, divides
 from .seifert import PatternKnot, SeifertMatrix
 
 
@@ -108,7 +103,8 @@ class LinkingForm(_LinkingFormFields):
                         f"Bl({i},{j}) on the right")
         if _cyclic_nonsingular(self):
             return
-        if not annihilator_submodule(self, Submodule.whole(self.module)).is_zero():
+        if not submodule.annihilator_submodule(
+                self, submodule.Submodule.whole(self.module)).is_zero():
             raise FormError("form is singular: the whole module has a "
                             "nonzero orthogonal complement")
 
@@ -170,84 +166,3 @@ def blanchfield_form(V: SeifertMatrix | PatternKnot,
     form = LinkingForm(dec.module, dec.inverse_gram(left, right))
     form.validate()
     return form, dec
-
-
-# ---------------------------------------------------------------------------
-# Orthogonal complements
-# ---------------------------------------------------------------------------
-
-
-def _coset_mod_order(z: FracCoset, order: LaurentPoly) -> LaurentPoly:
-    """Image of a coset with denominator dividing `order` under the
-    isomorphism onto Q[v]/(order): z = n/d -> n * (order/d) mod order."""
-    if z.is_zero():
-        return LaurentPoly.zero(order.variable)
-    quotient = div_exact(order, z.den)
-    return reduce_mod(z.num * quotient, order)
-
-
-def _epsilon_values(order: LaurentPoly, lo: int, hi: int) -> list[Fraction]:
-    """[eps(v^m) for -lo <= m < hi], eps the coefficient of v^(n-1) in
-    Q[v]/(order), n = deg(order), for a monic order with order(0) != 0.
-
-    eps(v^m) is 0 for 0 <= m < n - 1 and 1 at m = n - 1; the rest follows
-    from sum_j a_j eps(v^(m+j)) = 0, as eps kills every multiple of order.
-    """
-    a = order.poly_coeffs()
-    n = len(a) - 1
-    eps = [Fraction(0)] * (n - 1) + [Fraction(1)]
-    while len(eps) < hi:
-        eps.append(-sum(a[j] * eps[j - n] for j in range(n)))
-    for _ in range(lo):
-        eps.insert(0, -sum(a[j] * eps[j - 1] for j in range(1, n + 1)) / a[0])
-    return eps
-
-
-def annihilator_submodule(B: LinkingForm, P: Submodule) -> Submodule:
-    """P^perp = {x : Bl(x, y) = 0 for all y in P}, by exact linear algebra.
-
-    Values are carried in Q[v]/(order), where eps(a * b), eps the
-    coefficient of v^(deg order - 1), is a nondegenerate pairing: its Hankel
-    matrix on {v^k} is triangular with ones on the antidiagonal.  As P is
-    closed under Laurent multiples and Bl(x, v^m y) = v^-m Bl(x, y), x is
-    in P^perp exactly when eps(Bl(x, b)) = 0 for each Q-basis vector b of
-    P: one rational linear condition per b.
-    """
-    M = B.module
-    if P.ambient != M:
-        raise FormError("submodule does not live in the form's module")
-    dim = M.dim_q()
-    if dim == 0:
-        return Submodule(M, [])
-    order = M.order().monic()
-    gram = [[_coset_mod_order(z, order) for z in row] for row in B.gram]
-    spans = [s.annihilator.span for s in M.summands]
-    lo = max(spans) - 1
-    eps = _epsilon_values(order, lo, order.span + lo)
-
-    # unknowns x = sum x_ik v^k g_i; Bl(v^k g_i, b) = v^k w_i with
-    # w_i = sum_j G_ij conj(b_j), a Laurent polynomial of low exponent >= -lo
-    constraints: list[list[Fraction]] = []
-    for b in P.basis_elements():
-        row: list[Fraction] = []
-        for i, d in enumerate(spans):
-            w = LaurentPoly.zero(M.variable)
-            for g, bj in zip(gram[i], b.coords):
-                w = w + g * bj.conj()
-            terms = w.items()
-            row += [sum(q * eps[lo + k + e] for e, q in terms) for k in range(d)]
-        constraints.append(row)
-
-    return Submodule(M, [M.from_q_coords(vec)
-                         for vec in linalg.nullspace(constraints, dim)])
-
-
-def is_self_annihilating(B: LinkingForm, P: Submodule) -> bool:
-    """True iff P equals its own orthogonal complement."""
-    perp = annihilator_submodule(B, P)
-    if not (P.contains_submodule(perp) and perp.contains_submodule(P)):
-        return False
-    # a self-annihilating submodule is half-dimensional over Q
-    if 2 * P.dim_q() != B.module.dim_q():
-        raise FormError("self-annihilating submodule must be half-dimensional")
-    return True

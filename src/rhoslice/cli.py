@@ -27,8 +27,9 @@ absolute value.  JSON integers are rationals; JSON floats and booleans are
 refused, as 0.1 would be read in binary.  No object may repeat a key, and
 no number may exceed the interpreter's default limit of 4300 digits.
 
-Subcommands: info, obstruct, signature.  Exit codes for obstruct: 0 when
-OBSTRUCTED, 2 when INCONCLUSIVE, 1 on errors.  `obstruct --output
+Subcommands (options in the table COMMANDS): info, obstruct, signature.
+Exit codes for obstruct: 0 when OBSTRUCTED, 2 when INCONCLUSIVE, 1 on
+errors, a refused command line included.  `obstruct --output
 structured` prints a "rhoslice.report/5" document.  Per isotypic class at
 complexity c = 1 only, `slot_types` lists each distinct expression `rho`
 that a slot's copies add, with its types (copy-1 label and copy count)
@@ -55,22 +56,22 @@ The package registers its layers lazily (see `rhoslice/__init__`), and
 this module reads their names at call time (`obstruction.verify_obstructed`)
 and never at import, so a command compiles only the layers it calls into:
 `signature` polyalg, factor, linalg, seifert and signatures, `info`
-polyalg, factor, linalg, seifert, almodule and blanchfield, and `obstruct`
-every layer but signatures, which computes the signature integral of a
-companion given by its Seifert matrix and is compiled only for such a
-companion.  `main` catches only `RhosliceError`, so an error loads no layer
+polyalg, factor, linalg, seifert, almodule, blanchfield (and submodule on
+a module that is not cyclic), and `obstruct` every layer but submodule and
+signatures, which is compiled only for a companion given by its Seifert
+matrix.  `main` catches only `RhosliceError`, so an error loads no layer
 that did not run.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import RhosliceError, blanchfield, obstruction, polyalg, seifert, signatures
@@ -101,14 +102,14 @@ CompanionValue = "seifert.RhoExpr | seifert.SeifertMatrix"
 
 
 class KnotDocument(NamedTuple):
-    """Parsed and validated knot description."""
+    """A parsed knot document; `seifert` is its matrix or its pattern's."""
 
-    seifert: seifert.SeifertMatrix | None = None
-    pattern: seifert.PatternKnot | None = None
-    companions: tuple[tuple[str, CompanionValue], ...] = ()
-    knots: tuple[tuple[str, "KnotEntry"], ...] = ()
-    family: tuple[tuple[str, int], ...] = ()
-    assembly: str = "difference-with-reverse"
+    seifert: seifert.SeifertMatrix
+    pattern: seifert.PatternKnot | None
+    companions: tuple[tuple[str, CompanionValue], ...]
+    knots: tuple[tuple[str, "KnotEntry"], ...]
+    family: tuple[tuple[str, int], ...]
+    assembly: str
 
 
 class KnotEntry(NamedTuple):
@@ -126,8 +127,7 @@ def _parse_matrix(data, where: str) -> seifert.SeifertMatrix:
              where, "expected a list of integer rows")
     for r in data:
         for x in r:
-            _require(isinstance(x, int) and not isinstance(x, bool),
-                     where, f"non-integer entry {x!r}")
+            _require(type(x) is int, where, f"non-integer entry {x!r}")
     try:
         return seifert.SeifertMatrix(data)
     except seifert.SeifertError as exc:
@@ -260,7 +260,7 @@ def parse_document(data: dict) -> KnotDocument:
     companions = parse_companions(data.get("companions", {}), "companions",
                                   curve_names) if pattern else ()
 
-    knots = []
+    knots = {}
     raw_knots = data.get("knots", {})
     _require(isinstance(raw_knots, dict), "knots", "expected an object")
     for name in sorted(raw_knots):
@@ -273,27 +273,24 @@ def parse_document(data: dict) -> KnotDocument:
                        else curve_names)
         entry_comp = parse_companions(entry_raw.get("companions", {}),
                                       f"{w}.companions", local_names)
-        knots.append((name, KnotEntry(entry_pattern, entry_comp)))
+        knots[name] = KnotEntry(entry_pattern, entry_comp)
 
     family = []
     raw_family = data.get("family", [])
     _require(isinstance(raw_family, list), "family", "expected a list")
-    knot_names = {name for name, _ in knots}
     listed: dict[str, int] = {}
     for i, m in enumerate(raw_family):
         w = f"family[{i}]"
         _require(isinstance(m, dict) and "knot" in m and "multiplicity" in m,
                  w, "expected {knot, multiplicity}")
         _require(isinstance(m["knot"], str), w, "knot must be a string")
-        _require(m["knot"] in knot_names, w,
+        _require(m["knot"] in knots, w,
                  f"unresolved knot name {m['knot']!r}")
-        if m["knot"] in listed:
-            raise DocumentError(f"{w}: knot {m['knot']!r} is already listed "
-                                f"at family[{listed[m['knot']]}]")
+        _require(m["knot"] not in listed, w, f"knot {m['knot']!r} is already "
+                 f"listed at family[{listed.get(m['knot'])}]")
         listed[m["knot"]] = i
         mult = m["multiplicity"]
-        _require(isinstance(mult, int) and not isinstance(mult, bool)
-                 and mult != 0, w,
+        _require(type(mult) is int and mult != 0, w,
                  "multiplicity must be a nonzero integer")
         family.append((m["knot"], mult))
     _require(not family or pattern is not None, "family",
@@ -303,9 +300,9 @@ def parse_document(data: dict) -> KnotDocument:
     _require(assembly in ("difference-with-reverse", "bare"), "assembly",
              "must be 'difference-with-reverse' or 'bare'")
 
-    return KnotDocument(seifert=matrix, pattern=pattern,
-                        companions=companions, knots=tuple(knots),
-                        family=tuple(family), assembly=assembly)
+    return KnotDocument(pattern.seifert if pattern else matrix, pattern,
+                        companions, tuple(knots.items()),
+                        tuple(family), assembly)
 
 
 def _unique_keys(pairs) -> dict:
@@ -357,7 +354,6 @@ def family_spec(doc: KnotDocument) -> obstruction.FamilySpec:
              "a document without a family decides no listed knot")
     _require(not (doc.family and doc.companions), "companions",
              "a family document takes each knot's companions from 'knots'")
-    with_reverse = doc.assembly != "bare"
     entries = (dict(doc.knots) if doc.family
                else {"K": KnotEntry(doc.pattern, doc.companions)})
     family = doc.family or (("K", 1),)
@@ -373,8 +369,8 @@ def family_spec(doc: KnotDocument) -> obstruction.FamilySpec:
             {cname: obstruction.Companion(
                 value.coeffs[0][0] if value.coeffs else cname, value)
              for cname, value in values[name].items()})
-        members.append(obstruction.FamilyMember(knot, mult,
-                                                with_reverse=with_reverse))
+        members.append(obstruction.FamilyMember(
+            knot, mult, with_reverse=doc.assembly != "bare"))
     return obstruction.FamilySpec(tuple(members),
                                   tuple(name for name, _ in family))
 
@@ -382,10 +378,6 @@ def family_spec(doc: KnotDocument) -> obstruction.FamilySpec:
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
-
-
-def _doc_matrix(doc: KnotDocument) -> seifert.SeifertMatrix:
-    return doc.seifert if doc.seifert is not None else doc.pattern.seifert
 
 
 def _print_json(obj) -> None:
@@ -398,21 +390,19 @@ def _print_json(obj) -> None:
 
 
 def cmd_info(doc: KnotDocument, args) -> int:
-    target = doc.pattern if doc.pattern is not None else _doc_matrix(doc)
-    V = _doc_matrix(doc)
+    V = doc.seifert
     delta = seifert.alexander_polynomial(V)
-    form, _dec = blanchfield.blanchfield_form(target)
+    form, _dec = blanchfield.blanchfield_form(doc.pattern or V)
     module = form.module
     metab = seifert.metabolizer_search(V) if V.dim == 2 else None
 
     if args.output == "structured":
-        out = {
+        _print_json({
             "schema": "rhoslice.info/1",
             "alexander_polynomial": delta.to_json(),
             **form.to_json(),
             "metabolizer": list(metab) if metab else None,
-        }
-        _print_json(out)
+        })
         return 0
     print(f"Alexander polynomial: {delta}")
     print(f"Module: {module}")
@@ -472,70 +462,91 @@ def cmd_obstruct(doc: KnotDocument, args) -> int:
 
 
 def cmd_signature(doc: KnotDocument, args) -> int:
-    V = _doc_matrix(doc)
+    V = doc.seifert
     sf = signatures.signature_function(V)
     rho = signatures.rho0_from_signature(sf)
     if args.emit == "jumps":
         lo, hi = rho.const_lo, rho.const_hi
-        out = {
+        _print_json({
             "schema": "rhoslice.signature/1",
             **sf.to_json(),
             "rho0": ({"exact": str(lo)} if lo == hi
                      else {"interval": [str(lo), str(hi)]}),
-        }
-        _print_json(out)
+        })
         return 0
     print("arc values on (0, 1/2] by increasing angle:")
-    labels = []
-    prev = "0"
-    for r in sf.roots:
-        here = str(r.angle) if r.angle is not None else \
-            f"angle(x in [{r.x_interval[0]}, {r.x_interval[1]}])"
-        labels.append((prev, here))
-        prev = here
-    labels.append((prev, "1/2"))
-    for (lo, hi), v in zip(labels, sf.arc_values):
+    ends = ["0", *(str(r.angle) if r.angle is not None else
+                   f"angle(x in [{r.x_interval[0]}, {r.x_interval[1]}])"
+                   for r in sf.roots), "1/2"]
+    for lo, hi, v in zip(ends, ends[1:], sf.arc_values):
         print(f"  ({lo}, {hi}): {v}")
     print(f"signature integral: {rho}")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rhoslice",
-        description="Exact sliceness obstructions for satellite knots")
-    sub = parser.add_subparsers(dest="command", required=True)
+# command: (function, summary, {option: (default, the pattern its value
+# must match, "" for a flag)}); `parse_args` reads it, `usage` prints it.
+COMMANDS = {
+    "info": (cmd_info, "module, linking form, metabolizer",
+             {"output": ("text", "text|structured")}),
+    "obstruct": (cmd_obstruct, "the obstruction sweep; --cmax is only echoed",
+                 {"cmax": (5, "[0-9]+"), "mode": ("symbolic", "symbolic|numeric"),
+                  "output": ("text", "text|structured"), "cells": (False, "")}),
+    "signature": (cmd_signature, "signature jumps and integral",
+                  {"emit": ("jumps", "jumps|table")}),
+}
 
-    p_info = sub.add_parser("info", help="module, linking form, metabolizer")
-    p_info.add_argument("file")
-    p_info.add_argument("--output", choices=("text", "structured"),
-                        default="text")
-    p_info.set_defaults(func=cmd_info)
 
-    p_ob = sub.add_parser("obstruct", help="run the obstruction sweep")
-    p_ob.add_argument("file")
-    p_ob.add_argument("--cmax", type=int, default=5,
-                      help="echoed as c_max in the report; nothing is "
-                      "computed for it (default 5)")
-    p_ob.add_argument("--mode", choices=("symbolic", "numeric"),
-                      default="symbolic")
-    p_ob.add_argument("--output", choices=("text", "structured"),
-                      default="text")
-    p_ob.add_argument("--cells", action="store_true",
-                      help="list one cell per count vector of every class; "
-                      "a certified class is then enumerated too")
-    p_ob.set_defaults(func=cmd_obstruct)
+def usage(argv: list[str]) -> str:
+    """The help of the command that argv names, or of every command."""
+    return "\n".join(
+        f"usage: rhoslice {name} FILE [options]\n  {summary}" + "".join(
+            f"\n  --{option}{pattern and ' '}{pattern} (default {default})"
+            for option, (default, pattern) in options.items())
+        for name, (_, summary, options) in COMMANDS.items()
+        if name in argv[:1] or not COMMANDS.keys() & argv[:1]
+    ) + "\n-h, --help: print this help and exit"
 
-    p_sig = sub.add_parser("signature", help="signature jumps and integral")
-    p_sig.add_argument("file")
-    p_sig.add_argument("--emit", choices=("jumps", "table"), default="jumps")
-    p_sig.set_defaults(func=cmd_signature)
 
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command, FILE and options, read against COMMANDS: options come
+    before or after FILE, as `--name value` or `--name=value`, the last one
+    winning.  Raises ValueError on a command line the table refuses."""
+    if not COMMANDS.keys() & argv[:1]:
+        raise ValueError(f"the command is one of {', '.join(COMMANDS)}")
+    func, _, options = COMMANDS[argv[0]]
+    args = SimpleNamespace(func=func, file=None, **{
+        option: default for option, (default, _) in options.items()})
+    rest = iter(argv[1:])
+    for token in rest:
+        option, eq, value = token[2:].partition("=")
+        if token[:1] != "-" and args.file is None:
+            args.file = token
+        elif token[:2] == "--" and option in options:
+            default, pattern = options[option]
+            if pattern and not eq:
+                value = next(rest, "")
+            if not re.fullmatch(pattern, value) or (eq and not pattern):
+                raise ValueError(f"--{option} takes {pattern or 'no value'}, "
+                                 f"not {_quoted(value)}")
+            setattr(args, option, type(default)(value) if pattern else True)
+        else:
+            raise ValueError(f"unrecognized argument {_quoted(token)}")
+    if args.file is None:
+        raise ValueError("FILE is missing")
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(usage(argv))
+        return 0
+    try:
+        args = parse_args(argv)
+    except ValueError as exc:
+        print(usage(argv), f"error: {exc}", sep="\n", file=sys.stderr)
+        return 1
     limit = sys.get_int_max_str_digits()
     try:
         # int() takes time quadratic in the digits: a document's numbers

@@ -1,6 +1,6 @@
-"""Small exact linear algebra: rational matrices (row reduction and
-null spaces), the integer determinant, and the identity and
-matrix-vector product for matrices of Laurent polynomials.
+"""Small exact linear algebra: the integer determinant, and the identity
+and matrix-vector product for matrices of Laurent polynomials.  Rational
+row reduction and null spaces are in `rhoslice.submodule`.
 
 `det_int` is the one determinant: the Alexander polynomial interpolates
 it at integer points.  The one elimination over Q[t^{±1}] is
@@ -8,58 +8,7 @@ it at integer points.  The one elimination over Q[t^{±1}] is
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .polyalg import LaurentPoly
-
-Row = list[Fraction]
-Matrix = list[Row]
-
-
-# ---------------------------------------------------------------------------
-# Rational matrices
-# ---------------------------------------------------------------------------
-
-
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref_rows, pivot_columns).
-
-    Zero rows are dropped.
-    """
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [row for row in m[:r]], pivots
-
-
-def nullspace(rows: Matrix, ncols: int) -> Matrix:
-    """Basis of {x : rows @ x = 0} as a list of length-ncols vectors."""
-    red, pivots = rref(rows) if rows else ([], [])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: Matrix = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -red[i][fc]
-        basis.append(vec)
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from rhoslice.almodule import (
-    Submodule,
-    alexander_module,
-    reverse_module,
-)
-from rhoslice.blanchfield import annihilator_submodule, blanchfield_form
+from rhoslice.almodule import alexander_module, reverse_module
+from rhoslice.blanchfield import blanchfield_form
 from rhoslice.cli import main
 from rhoslice.obstruction import (
     Companion,
@@ -41,6 +37,7 @@ from rhoslice.seifert import (
     trefoil_right,
 )
 from rhoslice.signatures import lt_signature_at, rho0, signature_function
+from rhoslice.submodule import Submodule, annihilator_submodule
 
 from conftest import (
     circle_point,

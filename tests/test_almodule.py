@@ -7,7 +7,6 @@ from rhoslice.almodule import (
     AlexanderModule,
     ModuleError,
     _decompose,
-    Submodule,
     Summand,
     alexander_module,
     direct_sum,
@@ -16,7 +15,6 @@ from rhoslice.almodule import (
     reverse_module,
     smith_normal_form,
 )
-from rhoslice.linalg import rref
 from rhoslice.polyalg import LaurentPoly, divides, equal_up_to_unit
 from rhoslice.seifert import (
     PatternKnot,
@@ -25,6 +23,7 @@ from rhoslice.seifert import (
     trefoil_right,
     unknot,
 )
+from rhoslice.submodule import Submodule, rref
 
 from conftest import (
     poly_mat_mul,

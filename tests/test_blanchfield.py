@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rhoslice import almodule, linalg
+from rhoslice import almodule, submodule
 from rhoslice.almodule import (
     FracCoset,
     ModuleElement,
-    Submodule,
     alexander_module,
     coset_reduce,
     direct_sum,
@@ -17,12 +16,8 @@ from rhoslice.almodule import (
 from rhoslice.blanchfield import (
     FormError,
     LinkingForm,
-    _coset_mod_order,
     _cyclic_nonsingular,
-    _epsilon_values,
-    annihilator_submodule,
     blanchfield_form,
-    is_self_annihilating,
 )
 from rhoslice.factor import capelli_certified
 from rhoslice.polyalg import LaurentPoly, gcd_laurent, reduce_mod
@@ -33,6 +28,13 @@ from rhoslice.seifert import (
     pattern_9_46,
     trefoil_right,
     unknot,
+)
+from rhoslice.submodule import (
+    Submodule,
+    _coset_mod_order,
+    _epsilon_values,
+    annihilator_submodule,
+    is_self_annihilating,
 )
 
 from conftest import (
@@ -559,7 +561,7 @@ def allcoeff_perp(B, P):
         for pos in range(odeg):
             constraints.append([col[pos] for col in col_of])
     return Submodule(M, [M.from_q_coords(vec)
-                         for vec in linalg.nullspace(constraints, dim)])
+                         for vec in submodule.nullspace(constraints, dim)])
 
 
 def _random_submodule(rng, M):
@@ -632,13 +634,13 @@ def test_perp_one_condition_per_basis_vector(form_946, monkeypatch):
     B, _ = basechange_form(form_946[0], 3)
     M = B.module
     shapes = []
-    real = linalg.nullspace
+    real = submodule.nullspace
 
     def spy(rows, ncols):
         shapes.append((len(rows), ncols))
         return real(rows, ncols)
 
-    monkeypatch.setattr(linalg, "nullspace", spy)
+    monkeypatch.setattr(submodule, "nullspace", spy)
     P = Submodule(M, [M.generator_by_label("alpha")])
     annihilator_submodule(B, P)
     assert shapes == [(P.dim_q(), M.dim_q())]

@@ -347,6 +347,120 @@ def test_missing_file_is_an_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# -- the command line ------------------------------------------------------------
+
+OPTIONS = {"info": ["--output"], "obstruct": ["--cmax", "--mode", "--output",
+                                              "--cells"],
+           "signature": ["--emit"]}
+
+
+def test_usage_errors_exit_1_and_inconclusive_exits_2(tmp_path):
+    # exit code 2 means INCONCLUSIVE, so a refused command line exits 1,
+    # with the usage and one error line on stderr
+    path = write_doc(tmp_path, K946_DOC)
+    equal = write_doc(tmp_path, dict(K946_DOC, companions={
+        "alpha": {"symbol": "r"}, "beta": {"symbol": "r"}}), "equal.json")
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "rhoslice.cli", *argv],
+                              env=child_env(), capture_output=True, text=True,
+                              timeout=120)
+
+    for argv, usage, error in [
+            (["obstruct", path, "--cmax", "x"], "obstruct",
+             "--cmax takes [0-9]+, not 'x'"),
+            (["obstruct", path, "--cmax"], "obstruct",
+             "--cmax takes [0-9]+, not ''"),
+            (["obstruct", path, "--bogus"], "obstruct",
+             "unrecognized argument '--bogus'"),
+            # an abbreviation is not an option
+            (["obstruct", path, "--out", "text"], "obstruct",
+             "unrecognized argument '--out'"),
+            (["obstruct", path, "--cells=yes"], "obstruct",
+             "--cells takes no value, not 'yes'"),
+            (["obstruct", path, "--cells="], "obstruct",
+             "--cells takes no value, not ''"),
+            (["obstruct", path, "--mode", "exact"], "obstruct",
+             "--mode takes symbolic|numeric, not 'exact'"),
+            (["info", path, "--output=json"], "info",
+             "--output takes text|structured, not 'json'"),
+            (["info"], "info", "FILE is missing"),
+            (["signature", "--emit", "table"], "signature", "FILE is missing"),
+            (["info", path, path], "info", f"unrecognized argument {path!r}"),
+            (["bogus", path], None,
+             "the command is one of info, obstruct, signature"),
+            ([], None, "the command is one of info, obstruct, signature"),
+            (["--cmax", "2", "obstruct", path], None, "the command is one of")]:
+        proc = run(*argv)
+        assert (proc.returncode, proc.stdout) == (1, ""), argv
+        lines = proc.stderr.splitlines()
+        shown = [line.split()[2] for line in lines if line.startswith("usage:")]
+        assert shown == ([usage] if usage else list(OPTIONS)), argv
+        assert lines[-1] == f"error: {error}" or (
+            usage is None and lines[-1].startswith(f"error: {error}")), argv
+        assert sum(line.startswith("error:") for line in lines) == 1, argv
+    proc = run("obstruct", equal, "--cmax", "2")
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert "INCONCLUSIVE" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["info", "-h"],
+                                  ["obstruct", "--help"], ["signature", "-h"],
+                                  ["obstruct", "knot.json", "--cmax", "x",
+                                   "-h"]])
+def test_help_exits_0_and_lists_every_option(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    commands = [argv[0]] if argv[0] in OPTIONS else list(OPTIONS)
+    assert [line.split()[2] for line in out.splitlines()
+            if line.startswith("usage:")] == commands
+    listed = re.findall(r"^  (--\w+)", out, re.M)
+    assert listed == [option for name in commands for option in OPTIONS[name]]
+    assert "-h, --help" in out
+    for name in commands:
+        assert f"usage: rhoslice {name} FILE" in out
+
+
+def test_accepted_spellings(tmp_path, capsys):
+    # options before or after the file, `--name value` or `--name=value`,
+    # and the last of a repeated option wins
+    path = write_doc(tmp_path, K946_DOC)
+    assert main(["obstruct", path, "--cmax", "2", "--output",
+                 "structured"]) == 0
+    expected = capsys.readouterr().out
+    assert json.loads(expected)["c_max"] == 2
+    for argv in (["obstruct", path, "--cmax=2", "--output=structured"],
+                 ["obstruct", "--output=structured", "--cmax", "2", path],
+                 ["obstruct", "--output", "text", path, "--cmax", "7",
+                  "--output", "structured", "--cmax=2"],
+                 ["obstruct", "--mode=symbolic", path, "--cmax", "02",
+                  "--output", "structured"]):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == expected, argv
+    assert main(["info", path, "--output=structured"]) == 0
+    structured = capsys.readouterr().out
+    assert main(["info", "--output", "text", path, "--output",
+                 "structured"]) == 0
+    assert capsys.readouterr().out == structured
+    assert main(["signature", path, "--emit=table"]) == 0
+    assert capsys.readouterr().out.startswith("arc values")
+
+
+def test_parse_args_reads_the_table_defaults():
+    args = cli.parse_args(["obstruct", "knot.json"])
+    assert vars(args) == {"func": cli.cmd_obstruct, "file": "knot.json",
+                          "cmax": 5, "mode": "symbolic", "output": "text",
+                          "cells": False}
+    args = cli.parse_args(["obstruct", "--cells", "knot.json", "--cells",
+                           "--mode", "numeric", "--cmax=12"])
+    assert (args.cells, args.mode, args.cmax) == (True, "numeric", 12)
+    assert vars(cli.parse_args(["signature", "k.json"])) == {
+        "func": cli.cmd_signature, "file": "k.json", "emit": "jumps"}
+    assert vars(cli.parse_args(["info", "k.json"])) == {
+        "func": cli.cmd_info, "file": "k.json", "output": "text"}
+
+
 def test_family_listing_a_knot_twice_is_a_document_error(tmp_path):
     # both entries would assemble to one member name, so the document is
     # refused where it names the knot a second time, not deep in the sweep

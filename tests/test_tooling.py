@@ -221,6 +221,7 @@ def test_export_table_names_are_defined_in_their_layers():
     assert set(layers) == {path.stem for path in SRC.glob("*.py")} - {
         "__init__", "cli"}
     assert ("factor_laurent", "factor") in exports
+    assert ("Submodule", "submodule") in exports
     defined = {}
     for layer in layers:
         tree = ast.parse((SRC / f"{layer}.py").read_text(encoding="utf-8"))
@@ -264,15 +265,16 @@ def test_imports_are_standard_library_or_relative():
 
 def test_cli_import_leaves_mpmath_unloaded():
     # nor dataclasses and the modules it brings, which every CLI start-up
-    # would pay for; the records are named tuples
+    # would pay for (the records are named tuples), nor argparse and the
+    # gettext and locale it brings (the command line is read from a table)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
                                if "PYTHONPATH" in os.environ else [])))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, rhoslice.cli; assert 'mpmath' not in sys.modules; "
-         "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} "
-         "& set(sys.modules)))"],
+         "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', "
+         "'argparse', 'gettext', 'locale'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -285,9 +287,10 @@ def src_env(**extra) -> dict[str, str]:
 
 
 # Runs `rhoslice.cli` as `python -m rhoslice.cli` does, or imports it, and
-# prints the src/rhoslice/*.py module bodies that ran, as a JSON list on the
-# last line of stderr.  A module body runs by exec(), which raises the
-# "exec" audit event with its code object, from source or bytecode cache.
+# prints the src/rhoslice/*.py module bodies that ran and the loaded modules
+# of the standard library that no command needs, as a JSON pair on the last
+# line of stderr.  A module body runs by exec(), which raises the "exec"
+# audit event with its code object, from source or bytecode cache.
 RAN_PROBE = """
 import json, os, runpy, sys
 ran = set()
@@ -305,14 +308,17 @@ try:
         sys.argv[1:] = sys.argv[2:]
         runpy.run_module("rhoslice.cli", run_name="__main__", alter_sys=True)
 finally:
-    print(json.dumps(sorted(ran)), file=sys.stderr)
+    unneeded = {"argparse", "gettext", "locale"} & set(sys.modules)
+    print(json.dumps([sorted(ran), sorted(unneeded)]), file=sys.stderr)
 """
 
 
 def test_each_command_loads_only_its_layers(tmp_path):
     # import rhoslice compiles no layer; each command loads the layers it
-    # calls into, only obstruct loads the obstruction engine, and an error
-    # exit loads no layer beyond those that ran before the error
+    # calls into, only obstruct loads the obstruction engine, only a module
+    # that is not cyclic loads the orthogonal complements, and an error
+    # exit loads no layer beyond those that ran before the error; no run
+    # loads argparse, gettext or locale
     bare = tmp_path / "trefoil.json"
     bare.write_text(json.dumps({"schema": "rhoslice.knot/1",
                                 "seifert": [[-1, 1], [0, -1]]}),
@@ -331,6 +337,11 @@ def test_each_command_loads_only_its_layers(tmp_path):
         companions={"alpha": {"symbol": "rA"},
                     "beta": {"seifert": [[-1, 1], [0, -1]]}})),
         encoding="utf-8")
+    # trefoil # trefoil: Q[t]/(t^2 - t + 1) twice, not cyclic
+    block_sum = tmp_path / "trefoil2.json"
+    block_sum.write_text(json.dumps({"schema": "rhoslice.knot/1", "seifert": [
+        [-1, 1, 0, 0], [0, -1, 0, 0], [0, 0, -1, 1], [0, 0, 0, -1]]}),
+        encoding="utf-8")
     invalid = tmp_path / "invalid.json"
     invalid.write_text("{not json", encoding="utf-8")
     unknown = tmp_path / "unknown.json"
@@ -345,6 +356,7 @@ def test_each_command_loads_only_its_layers(tmp_path):
     cases = [
         (["--import"], front, 0),
         (["--help"], front, 0),
+        (["obstruct", str(pattern), "-h"], front, 0),
         (["signature", str(bare)], factoring | {"signatures"}, 0),
         (["signature", str(bare), "--emit", "table"],
          factoring | {"signatures"}, 0),
@@ -355,16 +367,22 @@ def test_each_command_loads_only_its_layers(tmp_path):
         # seifert defines
         (["info", str(pattern)], factoring | {"almodule", "blanchfield"}, 0),
         (["signature", str(pattern)], factoring | {"signatures"}, 0),
+        # validate falls back to orthogonal complements
+        (["info", str(block_sum)],
+         factoring | {"almodule", "blanchfield", "submodule"}, 0),
         # error exits load no layer that did not run
         (["info", str(tmp_path / "nosuch.json")], front, 1),
         (["info", str(invalid)], front, 1),
         (["info", str(unknown)], front, 1),
         (["obstruct", str(bare)], algebra, 1),
-        # signatures only computes a companion's integral from its matrix
+        # a usage error
+        (["obstruct", str(pattern), "--bogus"], front, 1),
+        # signatures only computes a companion's integral from its matrix;
+        # no form obstruct builds needs orthogonal complements
         (["obstruct", str(pattern)],
          factoring | {"almodule", "blanchfield", "obstruction"}, 0),
-        (["obstruct", str(computed)], {path.stem for path in SRC.glob("*.py")},
-         0),
+        (["obstruct", str(computed)],
+         {path.stem for path in SRC.glob("*.py")} - {"submodule"}, 0),
     ]
     assert len(cases[-1][1]) == 10
     # compiled from source, then read from a bytecode cache that the first
@@ -387,8 +405,8 @@ def test_each_command_loads_only_its_layers(tmp_path):
                 cwd=tmp_path, env=env, capture_output=True, text=True,
                 timeout=120)
             assert proc.returncode == code, proc.stderr
-            assert set(json.loads(proc.stderr.splitlines()[-1])) == layers, \
-                argv
+            ran, unneeded = json.loads(proc.stderr.splitlines()[-1])
+            assert (set(ran), unneeded) == (layers, []), argv
             assert ("error: " in proc.stderr) == bool(code), argv
 
 
